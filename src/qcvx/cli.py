@@ -292,10 +292,11 @@ def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_
         approx = oracle_violation_set(f, x, y, cfg)
         slack = (y - x) / (cfg.grid_points - 1)
         if expect_path:
-            exact_set = _load_expected_components(expect_path)
+            exact = exact_set = _load_expected_components(expect_path)
         else:
-            exact_set = violation_set(f, x, y).components
-        diff = diff_report(exact_set, approx, slack)
+            exact = violation_set(f, x, y)
+            exact_set = exact.components
+        diff = diff_report(exact, approx, slack)
         verdict_agrees = True
         if f.is_exact and not expect_path:
             verdict_agrees = (

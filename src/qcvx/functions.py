@@ -34,6 +34,7 @@ from .core import (
     xreal_min,
 )
 from .errors import (
+    ConsistencyError,
     DomainError,
     InexactModelError,
     NoSampleError,
@@ -447,7 +448,11 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
     values are 1 (the retained intervals are closed).  ``mode="complement"``:
     the pointwise 1-complement, the indicator of the removed open set.
     """
-    if not isinstance(depth, int) or not 1 <= depth <= MAX_CANTOR_DEPTH:
+    if (
+        isinstance(depth, bool)
+        or not isinstance(depth, int)
+        or not 1 <= depth <= MAX_CANTOR_DEPTH
+    ):
         raise ParameterRangeError(
             f"depth must be an integer in [1, {MAX_CANTOR_DEPTH}], got {depth}"
         )
@@ -469,7 +474,7 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
     if mode == "complement":
         removed = sum(1 for v in f.piece_values if v == XReal(1))
         if removed != 2**depth - 1:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"complement construction produced {removed} removed pieces, "
                 f"expected {2 ** depth - 1}"
             )
@@ -746,6 +751,13 @@ def _require_field(doc: dict, name: str):
     return doc[name]
 
 
+def _require_list(doc: dict, name: str) -> list:
+    value = _require_field(doc, name)
+    if not isinstance(value, list):
+        raise ValidationError(name, f"expected a list, got {value!r}")
+    return value
+
+
 def _parse_rational_field(field: str, text) -> Fraction:
     if not isinstance(text, str):
         raise ValidationError(field, f"expected a rational string, got {text!r}")
@@ -800,21 +812,21 @@ def function_from_dict(doc: dict) -> Function1D:
     if kind == "piecewise_constant":
         breaks = [
             _parse_rational_field(f"breaks[{i}]", b)
-            for i, b in enumerate(_require_field(doc, "breaks"))
+            for i, b in enumerate(_require_list(doc, "breaks"))
         ]
         piece_values = [
             _parse_xreal_field(f"piece_values[{i}]", v)
-            for i, v in enumerate(_require_field(doc, "piece_values"))
+            for i, v in enumerate(_require_list(doc, "piece_values"))
         ]
         point_values = [
             _parse_xreal_field(f"point_values[{i}]", v)
-            for i, v in enumerate(_require_field(doc, "point_values"))
+            for i, v in enumerate(_require_list(doc, "point_values"))
         ]
         return PiecewiseConstant(tuple(breaks), tuple(piece_values), tuple(point_values))
     if kind == "cantor":
         depth = _require_field(doc, "depth")
         mode = _require_field(doc, "mode")
-        if not isinstance(depth, int):
+        if isinstance(depth, bool) or not isinstance(depth, int):
             raise ValidationError("depth", f"expected an integer, got {depth!r}")
         try:
             return generate_cantor(depth, mode)
@@ -823,11 +835,11 @@ def function_from_dict(doc: dict) -> Function1D:
     if kind == "tabulated":
         positions = [
             _parse_rational_field(f"positions[{i}]", p)
-            for i, p in enumerate(_require_field(doc, "positions"))
+            for i, p in enumerate(_require_list(doc, "positions"))
         ]
         values = [
             _parse_xreal_field(f"values[{i}]", v)
-            for i, v in enumerate(_require_field(doc, "values"))
+            for i, v in enumerate(_require_list(doc, "values"))
         ]
         return Tabulated(tuple(positions), tuple(values))
     raise ValidationError("type", f"unknown function type {kind!r}")

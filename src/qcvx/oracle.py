@@ -2,10 +2,13 @@
 
 The oracle evaluates the defining inequality f(z) <= max(f(x), f(y)) for
 every ordered grid triple, with no structural shortcuts shared with the
-exact analyzer: the full boolean tensor of per-triple outcomes is
-materialized (in blocks) and reduced.  Exact models compare as rationals
-through an order-preserving rank encoding; black-box models compare as
-floats with an epsilon margin on strictness.
+exact analyzer.  With boolean matrices ``left[i, k]`` (i < k and
+f(k) > f(i)) and ``right[k, j]`` (k < j and f(k) > f(j)), the triple
+(i, k, j) violates iff both hold, so the matrix product ``left @ right``
+counts, for each outer pair (i, j), every violating middle k literally.
+Witnesses are collected row by row in (i, k, j) index order.  Exact
+models compare as rationals through an order-preserving rank encoding;
+black-box models compare as floats with an epsilon margin on strictness.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet, normalize
 from .violations import ViolationDecomposition
-
-_BLOCK_CELLS = 1 << 27  # bound on boolean tensor cells per block
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,19 @@ def build_grid(
         raise ParameterRangeError("grid needs lo < hi")
     if isinstance(f, Tabulated):
         return [p for p in f.positions if lo <= p <= hi]
-    n = cfg.grid_points
-    points = {lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)}
+    step = (hi - lo) / (cfg.grid_points - 1)
+    # lo + i * step over one common denominator: one Fraction per point.
+    den = lo.denominator * step.denominator
+    start = lo.numerator * step.denominator
+    stride = step.numerator * lo.denominator
+    points = [Fraction(start + stride * i, den) for i in range(cfg.grid_points)]
     breaks = [p for p in f.breakpoints() if lo <= p <= hi]
-    points.update(breaks)
+    points += breaks
     if piece_midpoints:
-        for b0, b1 in zip(breaks, breaks[1:]):
-            points.add((b0 + b1) / 2)
-    return sorted(points)
+        points += [(b0 + b1) / 2 for b0, b1 in zip(breaks, breaks[1:])]
+    # Ascending runs: the sort merges them in linear time.
+    points.sort()
+    return [p for p, prev in zip(points, [None] + points) if p != prev]
 
 
 def _rank_values(values: Sequence[XReal]) -> np.ndarray:
@@ -152,24 +158,23 @@ def oracle_quasiconvex(
     lower = idx[:, None] < idx[None, :]
     left = above & lower          # left[i, k]: i < k and f(k) > f(i)
     right = above.T & lower       # right[k, j]: k < j and f(k) > f(j)
-    total = 0
+    # counts[i, j]: violating middles k of the outer pair (i, j).  Each
+    # entry is at most g, so the float64 product is exact.
+    counts = (left.astype(np.float64) @ right.astype(np.float64)).astype(np.int64)
+    total = int(counts.sum())
     found: list[ViolatingTriple] = []
-    block = max(1, _BLOCK_CELLS // max(1, g * g))
-    for start in range(0, g, block):
-        stop = min(start + block, g)
-        tensor = left[start:stop, :, None] & right[None, :, :]
-        total += int(tensor.sum())
-        if len(found) < max_triples and tensor.any():
-            for i_off, k, j in np.argwhere(tensor):
-                found.append(
-                    ViolatingTriple(
-                        t_x=grid[start + int(i_off)],
-                        t_y=grid[int(j)],
-                        t_z=grid[int(k)],
-                    )
+    for i in np.flatnonzero(counts.any(axis=1)):
+        if len(found) >= max_triples:
+            break
+        middles = np.flatnonzero(left[i])
+        for m, j in np.argwhere(right[middles]):
+            found.append(
+                ViolatingTriple(
+                    t_x=grid[int(i)], t_y=grid[int(j)], t_z=grid[int(middles[m])]
                 )
-                if len(found) >= max_triples:
-                    break
+            )
+            if len(found) >= max_triples:
+                break
     info = GridInfo(
         resolution=cfg.grid_points,
         total_points=g,
@@ -268,13 +273,24 @@ def diff_report(
     endpoints) of some exact component, and every exact component longer
     than twice the slack is matched by some approximate interval.  The
     slack must be at least the grid spacing of the approximation.
+
+    Given a full decomposition, an approximate interval at most twice the
+    slack wide that contains one of its ``isolated_violations`` is also
+    matched: the grid marks such a breakpoint as a run of its own, which
+    no open component can account for.
     """
     slack = as_rational(slack)
-    exact_set = exact.components if isinstance(exact, ViolationDecomposition) else exact
+    if isinstance(exact, ViolationDecomposition):
+        exact_set, isolated = exact.components, exact.isolated_violations
+    else:
+        exact_set, isolated = exact, ()
     discrepancies: list[Discrepancy] = []
     for approx_iv in approx:
         if not any(
             _interval_distance(approx_iv, exact_iv) <= slack for exact_iv in exact_set
+        ) and not (
+            approx_iv.length <= 2 * slack
+            and any(approx_iv.contains(p) for p in isolated)
         ):
             discrepancies.append(Discrepancy("unmatched_approx", approx_iv))
     for exact_iv in exact_set:

@@ -187,14 +187,15 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     """Exact decomposition of {z in ]x, y[ : f(z) > max(f(x), f(y))}.
 
     Each returned interval is maximal: it cannot be enlarged within
-    ]x, y[ while staying inside the set (asserted).
+    ]x, y[ while staying inside the set (checked; a failure raises
+    :class:`ConsistencyError`).
     """
     require_exact(f, "violation_set")
     x, y = _validate_pair(f, x, y)
     threshold = xreal_max(f.evaluate(x), f.evaluate(y))
     components, isolated = _above_set(f, x, y, threshold)
     interval_set = normalize(components)
-    _assert_maximal(f, interval_set, threshold, x, y)
+    _check_maximal(f, interval_set, threshold)
     lsc_offenders: tuple[Fraction, ...] = ()
     if isinstance(f, PiecewiseConstant):
         report = check_semicontinuity(f)
@@ -211,19 +212,15 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     )
 
 
-def _assert_maximal(
-    f: Function1D,
-    components: OpenIntervalSet,
-    threshold: XReal,
-    x: Fraction,
-    y: Fraction,
+def _check_maximal(
+    f: Function1D, components: OpenIntervalSet, threshold: XReal
 ) -> None:
     previous_right = None
     for iv in components:
-        if previous_right is not None and previous_right == iv.left:
-            # Components sharing an endpoint must be separated by a point
-            # at or below the threshold, otherwise they should have merged.
-            assert not f.evaluate(iv.left) > threshold, (
+        # Components sharing an endpoint must be separated by a point at
+        # or below the threshold, otherwise they should have merged.
+        if previous_right == iv.left and f.evaluate(iv.left) > threshold:
+            raise ConsistencyError(
                 f"components touching at {iv.left} failed to merge"
             )
         previous_right = iv.right

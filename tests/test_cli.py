@@ -122,6 +122,20 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "knots[1]" in err
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ('{"type": "piecewise_constant", "breaks": "01", "piece_values": ["0"], "point_values": ["0", "0"]}', "breaks"),
+            ('{"type": "cantor", "depth": true, "mode": "set"}', "depth"),
+        ],
+    )
+    def test_malformed_list_and_depth_exit_1(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, _, err = run(["analyze", str(path)], capsys)
+        assert code == 1
+        assert f"{field}:" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(["analyze", "not-there.json"], capsys)
         assert code == 1
@@ -239,6 +253,30 @@ class TestOracleCommand:
             capsys,
         )
         assert code == 0
+
+    def test_compare_matches_isolated_spike(self, tmp_path, capsys):
+        # Not lsc at 1/2: the grid marks the spike as a run of its own,
+        # which the exact side lists under isolated_violations.
+        path = tmp_path / "spike.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "type": "piecewise_constant",
+                    "breaks": ["0", "1/3", "1"],
+                    "piece_values": ["0", "0"],
+                    "point_values": ["0", "1", "0"],
+                }
+            )
+        )
+        code, out, _ = run(
+            ["oracle", str(path), "--grid", "201", "--compare", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        comparison = read_json(out)["comparison"]
+        assert comparison["consistent"] is True
+        assert comparison["discrepancies"] == []
+        assert comparison["exact_set"] == []
+        assert comparison["grid_set"] != []
 
 
 class TestUsageErrors:

@@ -32,6 +32,7 @@ from qcvx import (
 )
 from qcvx.corpus import constant, tent, vee
 from qcvx.errors import (
+    ConsistencyError,
     DegenerateSegmentError,
     DomainError,
     InexactModelError,
@@ -176,9 +177,20 @@ class TestCantorGenerator:
         with pytest.raises(ParameterRangeError):
             generate_cantor(0, "set")
         with pytest.raises(ParameterRangeError):
+            generate_cantor(True, "set")
+        with pytest.raises(ParameterRangeError):
             generate_cantor(21, "set")
         with pytest.raises(ParameterRangeError):
             generate_cantor(2, "open")
+
+    def test_wrong_complement_count_raises(self, monkeypatch):
+        # The self-check must raise, not assert, so it survives ``python -O``.
+        import qcvx.functions as functions
+
+        real = functions._cantor_components
+        monkeypatch.setattr(functions, "_cantor_components", lambda depth: real(depth - 1))
+        with pytest.raises(ConsistencyError, match="expected 3"):
+            generate_cantor(2, "complement")
 
 
 class TestInfimum:
@@ -320,3 +332,19 @@ class TestSerialization:
                     "point_values": ["0", "0", "0"],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"type": "piecewise_constant", "breaks": "01", "piece_values": ["0"], "point_values": ["0", "0"]}, "breaks"),
+            ({"type": "piecewise_constant", "breaks": ["0", "1"], "piece_values": "0", "point_values": ["0", "0"]}, "piece_values"),
+            ({"type": "piecewise_constant", "breaks": ["0", "1"], "piece_values": ["0"], "point_values": {"a": "0"}}, "point_values"),
+            ({"type": "tabulated", "positions": "01", "values": ["0", "1"]}, "positions"),
+            ({"type": "tabulated", "positions": ["0", "1"], "values": 7}, "values"),
+            ({"type": "cantor", "depth": True, "mode": "set"}, "depth"),
+        ],
+    )
+    def test_malformed_fields_named(self, doc, field):
+        with pytest.raises(ValidationError) as err:
+            function_from_dict(doc)
+        assert err.value.field == field

@@ -1,11 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_pwc
 from qcvx import (
+    MINUS_INF,
+    PLUS_INF,
     Blackbox,
     OpenInterval,
+    PiecewiseConstant,
+    Tabulated,
     ToleranceConfig,
+    XReal,
     build_grid,
     diff_report,
     generate_cantor,
@@ -15,7 +23,9 @@ from qcvx import (
     oracle_violation_set,
     violation_set,
 )
+from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
+from qcvx.oracle import ViolatingTriple
 
 F = Fraction
 
@@ -119,6 +129,72 @@ class TestQuasiconvexOracle:
         assert not verdict.is_quasiconvex_on_grid
 
 
+def _literal_triples(f, cfg, *, float_mode=False):
+    """Every violating grid triple, found by a plain loop over all
+    i < k < j that tests f(z) > max(f(x), f(y)) directly, in (i, k, j)
+    order."""
+    grid = build_grid(f, cfg, piece_midpoints=isinstance(f, PiecewiseConstant))
+    if float_mode:
+        values = [float(f.evaluate(t)) for t in grid]
+        eps = float(cfg.float_epsilon)
+
+        def violates(vx, vz, vy):
+            return vz > max(vx, vy) + eps
+
+    else:
+        values = [f.evaluate(t) for t in grid]
+
+        def violates(vx, vz, vy):
+            return vz > xreal_max(vx, vy)
+
+    g = len(grid)
+    return [
+        ViolatingTriple(t_x=grid[i], t_y=grid[j], t_z=grid[k])
+        for i in range(g)
+        for k in range(i + 1, g)
+        for j in range(k + 1, g)
+        if violates(values[i], values[k], values[j])
+    ]
+
+
+def _random_tabulated(seed):
+    rng = random.Random(seed)
+    positions = sorted({Fraction(rng.randint(0, 200), 200) for _ in range(48)})
+    pool = [XReal(v) for v in range(-4, 5)] + [PLUS_INF, MINUS_INF]
+    return Tabulated(tuple(positions), tuple(rng.choice(pool) for _ in positions))
+
+
+_CROSS_CHECK_MODELS = {
+    "random_pl_0": lambda: random_corpus(6)[0],
+    "random_pl_2": lambda: random_corpus(6)[2],
+    "random_pl_5": lambda: random_corpus(6)[5],
+    "pwc_inf_1": lambda: random_pwc(1, allow_infinite=True),
+    "pwc_inf_2": lambda: random_pwc(2, allow_infinite=True),
+    "pwc_inf_7": lambda: random_pwc(7, allow_infinite=True),
+    "tabulated": lambda: _random_tabulated(3),
+    "blackbox": lambda: Blackbox(0, 1, lambda t: math.sin(9 * float(t))),
+}
+
+
+class TestLiteralCrossCheck:
+    """The oracle against a definition-literal triple loop on ~40 points."""
+
+    @pytest.mark.parametrize("name", sorted(_CROSS_CHECK_MODELS))
+    def test_matches_triple_loop(self, name):
+        f = _CROSS_CHECK_MODELS[name]()
+        cfg = ToleranceConfig(grid_points=33)
+        expected = _literal_triples(f, cfg, float_mode=isinstance(f, Blackbox))
+        verdict = oracle_quasiconvex(f, cfg, max_triples=len(expected) + 1)
+        assert verdict.total_violations == len(expected)
+        assert list(verdict.violating_triples) == expected
+        assert verdict.is_quasiconvex_on_grid == (not expected)
+        assert len({t.t_x for t in expected}) > 1  # witnesses span rows
+        cap = len(expected) // 2
+        capped = oracle_quasiconvex(f, cfg, max_triples=cap)
+        assert list(capped.violating_triples) == expected[:cap]
+        assert capped.total_violations == len(expected)
+
+
 class TestViolationSetOracle:
     def test_cantor_complement_depth1_run(self):
         f = generate_cantor(1, "complement")
@@ -168,6 +244,24 @@ class TestDiffReport:
         exact = normalize([iv(0, "1/100")])
         report = diff_report(exact, normalize([]), F(1, 27))
         assert report.consistent  # shorter than twice the slack
+
+    def test_isolated_violation_run_matched(self):
+        # A spike at 1/2 above two flat pieces: the grid marks the single
+        # point 1/2, the exact decomposition has no component there but
+        # lists 1/2 as an isolated violation.
+        f = PiecewiseConstant(
+            (F(0), F(1, 2), F(1)), (XReal(0), XReal(0)), (XReal(0), XReal(1), XReal(0))
+        )
+        d = violation_set(f, 0, 1)
+        assert d.components.is_empty and d.isolated_violations == (F(1, 2),)
+        approx = oracle_violation_set(f, F(0), F(1), ToleranceConfig(grid_points=21))
+        assert approx == normalize([iv("9/20", "11/20")])
+        assert diff_report(d, approx, F(1, 20)).consistent
+        # The bare component set carries no isolated points.
+        assert not diff_report(d.components, approx, F(1, 20)).consistent
+        # Wider than twice the slack: still unmatched.
+        report = diff_report(d, approx, F(1, 40))
+        assert [x.kind for x in report.discrepancies] == ["unmatched_approx"]
 
     def test_accepts_decomposition(self):
         d = violation_set(tent(), 0, 1)

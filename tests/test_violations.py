@@ -155,6 +155,18 @@ class TestComponentChecks:
         with pytest.raises(ConsistencyError):
             verify_component_property(tent(), corrupted)
 
+    def test_unmerged_touching_components_raise(self, monkeypatch):
+        # The check must raise, not assert, so it survives ``python -O``.
+        import qcvx.violations as violations
+
+        monkeypatch.setattr(
+            violations,
+            "_above_set",
+            lambda f, lo, hi, threshold: ([iv(0, "1/2"), iv("1/2", 1)], []),
+        )
+        with pytest.raises(ConsistencyError, match="touching at 1/2"):
+            violation_set(tent(), 0, 1)
+
     def test_component_outside_pair_raises(self):
         corrupted = ViolationDecomposition(
             x=F(0), y=F(1, 2), threshold=XReal(1), components=normalize([iv("3/4", 1)])
