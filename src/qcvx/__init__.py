@@ -51,7 +51,7 @@ from .functions import (
     restrict_to_segment,
     supremum_on,
 )
-from .intervals import OpenInterval, OpenIntervalSet, contains, normalize, total_length
+from .intervals import OpenInterval, OpenIntervalSet, normalize
 from .oracle import (
     DiffReport,
     GridInfo,

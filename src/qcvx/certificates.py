@@ -12,19 +12,22 @@ condition for quasiconvexity (no local maximum strict from either side).
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import groupby
+from typing import Optional
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
 from .errors import InteriorRequiredError, SemicontinuityError
 from .functions import (
     ClosedSet1D,
     Function1D,
-    PiecewiseConstant,
     PiecewiseLinear,
     argmax_set,
     check_semicontinuity,
+    infimum_on,
     require_exact,
     supremum_on,
 )
@@ -76,140 +79,66 @@ class LocalMaximum:
         }
 
 
-@dataclass(frozen=True)
-class _Atom:
-    """One structural atom of an exact model: a breakpoint/knot or an
-    open constant span, with whether it weakly dominates its immediate
-    neighbors (the necessary condition for carrying local maxima at its
-    closure interface)."""
-
-    left: Fraction
-    right: Fraction
-    is_point: bool
-    value: XReal
-    dominating: bool
-
-
-def _piecewise_linear_atoms(f: PiecewiseLinear) -> Iterator[_Atom]:
-    knots = f.knots
-    slopes = [
-        (v1 - v0) / (p1 - p0)
-        for (p0, v0), (p1, v1) in zip(knots, knots[1:])
-    ]
-    m = len(knots) - 1
-    for i, (p, v) in enumerate(knots):
-        into_ok = i == 0 or slopes[i - 1] >= 0
-        out_ok = i == m or slopes[i] <= 0
-        yield _Atom(p, p, True, XReal(v), into_ok and out_ok)
-        if i < m:
-            flat = slopes[i] == 0
-            yield _Atom(p, knots[i + 1][0], False, XReal(v), flat)
-
-
-def _piecewise_constant_atoms(f: PiecewiseConstant) -> Iterator[_Atom]:
-    n = len(f.piece_values)
-    for i, b in enumerate(f.breaks):
-        w = f.point_values[i]
-        left_ok = i == 0 or w >= f.piece_values[i - 1]
-        right_ok = i == n or w >= f.piece_values[i]
-        yield _Atom(b, b, True, w, left_ok and right_ok)
-        if i < n:
-            v = f.piece_values[i]
-            dom = v >= w and v >= f.point_values[i + 1]
-            yield _Atom(b, f.breaks[i + 1], False, v, dom)
-
-
-def _adjacent_gap(breaks: tuple[Fraction, ...], position: Fraction, side: str) -> Optional[Fraction]:
-    """Width of the structural gap immediately left/right of a position."""
-    if side == "left":
-        below = [b for b in breaks if b < position]
-        return position - max(below) if below else None
-    above = [b for b in breaks if b > position]
-    return min(above) - position if above else None
-
-
 def enumerate_local_maxima(f: Function1D) -> list[LocalMaximum]:
     """All regions of interior local-maximum points, plateaus grouped.
 
-    A region is a maximal chain of equal-valued dominating atoms.  Within
-    a chain every point is a weak local maximum; one-sided strictness can
+    One walk over the structural atoms in order: breakpoint 0, the open
+    piece after it, breakpoint 1, and so on.  An atom can carry local
+    maxima only if it weakly dominates its immediate neighbors, and a
+    region is a maximal chain of equal-valued dominating atoms.  Within a
+    chain every point is a weak local maximum; one-sided strictness can
     only occur at a closed chain edge whose outside neighbor values lie
-    strictly below the chain value, which is read off the adjacent slope
-    (piecewise linear) or the adjacent piece value (piecewise constant).
+    strictly below the chain value, which the structure index records per
+    breakpoint side.
     """
     require_exact(f, "enumerate_local_maxima")
-    if isinstance(f, PiecewiseLinear):
-        atoms = list(_piecewise_linear_atoms(f))
-    else:
-        atoms = list(_piecewise_constant_atoms(f))
-    a, b = f.domain
-    breaks = f.breakpoints()
+    s = f._index
+    positions = s.positions
+    last = len(positions) - 1
+    linear = isinstance(f, PiecewiseLinear)
+
+    def atom(t: int) -> tuple[XReal, bool]:
+        i = t // 2
+        if t % 2 == 0:
+            return s.values[i], s.left_cmp[i] >= 0 and s.right_cmp[i] >= 0
+        value = s.values[i] if linear else s.pieces[i]
+        return value, s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
+
+    atoms = [atom(t) for t in range(2 * last + 1)]
     records: list[LocalMaximum] = []
-    i = 0
-    while i < len(atoms):
-        if not atoms[i].dominating:
-            i += 1
+    t = 0
+    while t < len(atoms):
+        value, dominating = atoms[t]
+        if not dominating:
+            t += 1
             continue
-        j = i
-        value = atoms[i].value
-        while (
-            j + 1 < len(atoms)
-            and atoms[j + 1].dominating
-            and atoms[j + 1].value == value
-        ):
-            j += 1
-        chain = atoms[i : j + 1]
-        i = j + 1
-        left, right = chain[0].left, chain[-1].right
-        left_closed, right_closed = chain[0].is_point, chain[-1].is_point
-        if left == right and not a < left < b:
+        e = t
+        while e + 1 < len(atoms) and atoms[e + 1][1] and atoms[e + 1][0] == value:
+            e += 1
+        # Chain atoms t..e span positions[lo:hi + 1]; even atoms are points.
+        lo, hi = t // 2, (e + 1) // 2
+        left_closed, right_closed = t % 2 == 0, e % 2 == 0
+        t = e + 1
+        if lo == hi and lo in (0, last):
             continue  # boundary extremum, not an interior local maximum
-        strict_left = bool(
-            left_closed and left > a and _outside_below(f, left, "left", value)
-        )
-        strict_right = bool(
-            right_closed and right < b and _outside_below(f, right, "right", value)
-        )
-        deltas = [
-            g
-            for g in (
-                _adjacent_gap(breaks, left, "left"),
-                _adjacent_gap(breaks, right, "right"),
-            )
-            if g is not None
-        ]
-        delta = min(deltas) if deltas else (b - a) / 2
+        gaps = []
+        if lo > 0:
+            gaps.append(positions[lo] - positions[lo - 1])
+        if hi < last:
+            gaps.append(positions[hi + 1] - positions[hi])
         records.append(
             LocalMaximum(
-                left=left,
-                right=right,
+                left=positions[lo],
+                right=positions[hi],
                 left_closed=left_closed,
                 right_closed=right_closed,
                 value=value,
-                strict_from_left=strict_left,
-                strict_from_right=strict_right,
-                witness_delta=delta,
+                strict_from_left=left_closed and s.left_cmp[lo] > 0,
+                strict_from_right=right_closed and s.right_cmp[hi] > 0,
+                witness_delta=min(gaps) if gaps else (positions[last] - positions[0]) / 2,
             )
         )
     return records
-
-
-def _outside_below(f: Function1D, edge: Fraction, side: str, value: XReal) -> bool:
-    """Whether f stays strictly below ``value`` immediately beyond an edge."""
-    if isinstance(f, PiecewiseConstant):
-        idx = f.breaks.index(edge)
-        neighbor = f.piece_values[idx - 1] if side == "left" else f.piece_values[idx]
-        return neighbor < value
-    positions = [p for p, _ in f.knots]
-    idx = positions.index(edge)
-    if side == "left":
-        p0, v0 = f.knots[idx - 1]
-        p1, v1 = f.knots[idx]
-    else:
-        p0, v0 = f.knots[idx]
-        p1, v1 = f.knots[idx + 1]
-    slope = (v1 - v0) / (p1 - p0)
-    return slope > 0 if side == "left" else slope < 0
 
 
 @dataclass(frozen=True)
@@ -275,14 +204,15 @@ def local_quasiconvexity_at(f: Function1D, p: RationalLike) -> LocalShape:
     if not a < p < b:
         raise InteriorRequiredError(f"{p} is not interior to [{a}, {b}]")
     breaks = f.breakpoints()
-    prev_b = max(x for x in breaks if x < p) if any(x < p for x in breaks) else a
-    next_b = min(x for x in breaks if x > p) if any(x > p for x in breaks) else b
-    delta = min(p - prev_b, next_b - p)
+    delta = min(
+        p - breaks[bisect_left(breaks, p) - 1],
+        breaks[bisect_right(breaks, p)] - p,
+    )
     fp = f.evaluate(p)
-    inf_left, _ = _side_extremum(f, p - delta, p, maximize=False)
-    inf_right, _ = _side_extremum(f, p, p + delta, maximize=False)
-    sup_left, att_left = _side_extremum(f, p - delta, p, maximize=True)
-    sup_right, att_right = _side_extremum(f, p, p + delta, maximize=True)
+    inf_left, _ = infimum_on(f, p - delta, p)
+    inf_right, _ = infimum_on(f, p, p + delta)
+    sup_left, att_left = supremum_on(f, p - delta, p)
+    sup_right, att_right = supremum_on(f, p, p + delta)
     locally_qc = inf_left >= fp or inf_right >= fp
     strict_left = sup_left < fp or (sup_left == fp and not att_left)
     strict_right = sup_right < fp or (sup_right == fp and not att_right)
@@ -292,14 +222,6 @@ def local_quasiconvexity_at(f: Function1D, p: RationalLike) -> LocalShape:
         locally_strictly_quasiconcave=strictly_qcc,
         delta=delta if (locally_qc or strictly_qcc) else None,
     )
-
-
-def _side_extremum(f, lo, hi, *, maximize):
-    from .functions import _extremum
-
-    return _extremum(
-        f, lo, hi, lo_closed=False, hi_closed=False, maximize=maximize
-    )[:2]
 
 
 @dataclass(frozen=True)
@@ -436,13 +358,14 @@ def revalidate_certificate(
     no interior value exceeds the supremum, values left of p and right of
     q stay strictly below it, and f(p) = f(q) = sup."""
     x0, y0 = cert.x0, cert.y0
-    positions = sorted(
-        set(
-            [x0 + (y0 - x0) * Fraction(i, grid_points - 1) for i in range(grid_points)]
-            + [p for p in f.breakpoints() if x0 <= p <= y0]
-            + [cert.p, cert.q]
-        )
+    breaks = f.breakpoints()
+    # Three sorted runs merged, equal neighbours dropped.
+    merged = heapq.merge(
+        (x0 + (y0 - x0) * Fraction(i, grid_points - 1) for i in range(grid_points)),
+        breaks[bisect_left(breaks, x0) : bisect_right(breaks, y0)],
+        (cert.p, cert.q),
     )
+    positions = [t for t, _ in groupby(merged)]
     failures: list[str] = []
     sup = cert.sup_value
     if f.evaluate(cert.p) != sup or f.evaluate(cert.q) != sup:

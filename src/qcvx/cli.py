@@ -281,6 +281,11 @@ def certify(function_file, interval, grid_points, out_path, no_timestamp):
 def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_timestamp):
     """Brute-force grid verdict, optionally checked for consistency."""
     f = _load_function(function_file)
+    if compare and not expect_path and not f.is_exact:
+        raise click.UsageError(
+            f"--compare needs an exact model, got {type(f).__name__}; "
+            "pass --expect with a stored exact result instead"
+        )
     cfg = ToleranceConfig(grid_points=grid_points)
     report = _base_report(f, function_file, no_timestamp, cfg, 1)
     verdict = oracle_quasiconvex(f, cfg)

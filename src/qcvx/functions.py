@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -30,8 +31,6 @@ from .core import (
     as_rational,
     format_rational,
     segment_point,
-    xreal_max,
-    xreal_min,
 )
 from .errors import (
     ConsistencyError,
@@ -112,6 +111,13 @@ class Function1D:
             f"{type(self).__name__} has no exact cell structure"
         )
 
+    def __getstate__(self) -> dict:
+        # The structure index is derived data: rebuilt on demand, never
+        # pickled (the worker pool pickles the model once per pair).
+        state = dict(vars(self))
+        state.pop("_index", None)
+        return state
+
 
 def require_exact(f: Function1D, operation: str) -> None:
     if not f.is_exact:
@@ -121,13 +127,100 @@ def require_exact(f: Function1D, operation: str) -> None:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(Function1D):
+class SemicontinuityReport:
+    is_lsc: bool
+    is_usc: bool
+    offending_points_lsc: tuple[Fraction, ...]
+    offending_points_usc: tuple[Fraction, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "is_lsc": self.is_lsc,
+            "is_usc": self.is_usc,
+            "offending_points_lsc": [format_rational(p) for p in self.offending_points_lsc],
+            "offending_points_usc": [format_rational(p) for p in self.offending_points_usc],
+        }
+
+
+@dataclass(frozen=True)
+class _StructureIndex:
+    """The structure of an exact model, built once per model.
+
+    ``positions`` are the sorted breakpoints and ``values`` the values of
+    f there; ``pieces[k]`` describes the open piece between positions k
+    and k + 1 (its value, or its slope for a linear model).
+    ``left_cmp[i]`` and ``right_cmp[i]`` compare f(positions[i]) with the
+    values of f immediately left and right of it: +1 above them, 0 equal,
+    -1 below; 0 at the domain ends, where that side does not exist.
+    """
+
+    positions: tuple[Fraction, ...]
+    values: tuple[XReal, ...]
+    pieces: tuple
+    left_cmp: tuple[int, ...]
+    right_cmp: tuple[int, ...]
+    semicontinuity: SemicontinuityReport
+
+
+def _cmp(u, v) -> int:
+    return (v < u) - (u < v)
+
+
+class _ExactModel(Function1D):
+    """Point evaluation and cell walks over the structure index; each
+    lookup bisects, so a walk over ]lo, hi[ costs O(log n + k) for the k
+    breakpoints inside."""
+
+    is_exact = True
+
+    def _inside(self, k: int, t: Fraction) -> XReal:
+        """f(t) for t strictly inside piece k."""
+        raise NotImplementedError
+
+    def _span_cell(self, k: int, left: Fraction, right: Fraction, v_left: XReal, v_right: XReal) -> Cell:
+        """The open span ]left, right[ of piece k, with f's values at its ends."""
+        raise NotImplementedError
+
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return self._index.positions
+
+    def evaluate(self, t: RationalLike) -> XReal:
+        t = self._check_domain(as_rational(t))
+        s = self._index
+        idx = bisect_left(s.positions, t)
+        if s.positions[idx] == t:
+            return s.values[idx]
+        return self._inside(idx - 1, t)
+
+    def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
+        lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
+        if not lo < hi:
+            raise ParameterRangeError("cells_in needs lo < hi")
+        s = self._index
+        positions = s.positions
+        # positions[i:j] are the breakpoints strictly inside ]lo, hi[; lo
+        # lies in piece i - 1 or on its left end, hi in piece j - 1 or on
+        # its right end.
+        i = bisect_right(positions, lo)
+        j = bisect_left(positions, hi, i)
+        cuts = [lo, *positions[i:j], hi]
+        values = [
+            s.values[i - 1] if positions[i - 1] == lo else self._inside(i - 1, lo),
+            *s.values[i:j],
+            s.values[j] if positions[j] == hi else self._inside(j - 1, hi),
+        ]
+        yield PointCell(lo, values[0])
+        for m in range(len(cuts) - 1):
+            yield self._span_cell(i - 1 + m, cuts[m], cuts[m + 1], values[m], values[m + 1])
+            yield PointCell(cuts[m + 1], values[m + 1])
+
+
+@dataclass(frozen=True)
+class PiecewiseLinear(_ExactModel):
     """Continuous piecewise-linear function through strictly increasing
     knots with finite rational values."""
 
     knots: tuple[tuple[Fraction, Fraction], ...]
-
-    is_exact = True
 
     def __post_init__(self):
         knots = tuple(
@@ -141,54 +234,49 @@ class PiecewiseLinear(Function1D):
                 raise ValidationError(
                     "knots", f"positions must strictly increase ({p0} !< {p1})"
                 )
-        object.__setattr__(self, "_positions", tuple(p for p, _ in knots))
+
+    @cached_property
+    def _index(self) -> _StructureIndex:
+        knots = self.knots
+        slopes = tuple(
+            (v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in zip(knots, knots[1:])
+        )
+        rises = [(m > 0) - (m < 0) for m in slopes]
+        return _StructureIndex(
+            positions=tuple(p for p, _ in knots),
+            values=tuple(XReal(v) for _, v in knots),
+            pieces=slopes,
+            left_cmp=(0, *rises),
+            right_cmp=(*(-r for r in rises), 0),
+            semicontinuity=SemicontinuityReport(True, True, (), ()),
+        )
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.knots[0][0], self.knots[-1][0])
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.knots)
-
     def value_at(self, t: RationalLike) -> Fraction:
-        t = self._check_domain(as_rational(t))
-        positions = self._positions
-        idx = bisect_left(positions, t)
-        if idx < len(positions) and positions[idx] == t:
-            return self.knots[idx][1]
-        p0, v0 = self.knots[idx - 1]
-        p1, v1 = self.knots[idx]
-        return v0 + (v1 - v0) * (t - p0) / (p1 - p0)
+        return self.evaluate(t).finite_value
 
-    def evaluate(self, t: RationalLike) -> XReal:
-        return XReal(self.value_at(t))
+    def _inside(self, k: int, t: Fraction) -> XReal:
+        p0, v0 = self.knots[k]
+        return XReal(v0 + self._index.pieces[k] * (t - p0))
+
+    def _span_cell(self, k, left, right, v_left, v_right) -> AffineCell:
+        return AffineCell(left, right, v_left.finite_value, v_right.finite_value)
 
     def negate(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((p, -v) for p, v in self.knots))
 
-    def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
-        lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
-        if not lo < hi:
-            raise ParameterRangeError("cells_in needs lo < hi")
-        inner = [p for p, _ in self.knots if lo < p < hi]
-        positions = [lo, *inner, hi]
-        values = [self.value_at(p) for p in positions]
-        yield PointCell(positions[0], XReal(values[0]))
-        for i in range(len(positions) - 1):
-            yield AffineCell(positions[i], positions[i + 1], values[i], values[i + 1])
-            yield PointCell(positions[i + 1], XReal(values[i + 1]))
-
 
 @dataclass(frozen=True)
-class PiecewiseConstant(Function1D):
+class PiecewiseConstant(_ExactModel):
     """Open constant pieces between breakpoints, with an explicit value at
     every breakpoint.  Piece values and point values may be infinite."""
 
     breaks: tuple[Fraction, ...]
     piece_values: tuple[XReal, ...]
     point_values: tuple[XReal, ...]
-
-    is_exact = True
 
     def __post_init__(self):
         breaks = tuple(as_rational(b) for b in self.breaks)
@@ -217,23 +305,37 @@ class PiecewiseConstant(Function1D):
                 f"expected {len(breaks)} point values, got {len(self.point_values)}",
             )
 
+    @cached_property
+    def _index(self) -> _StructureIndex:
+        """Semicontinuity is decided here, once: the one-sided limits at a
+        breakpoint are the adjacent piece values, so lsc fails where the
+        point value lies above one of them and usc where it lies below."""
+        w, v = self.point_values, self.piece_values
+        left = (0, *(_cmp(w[k + 1], v[k]) for k in range(len(v))))
+        right = (*(_cmp(w[k], v[k]) for k in range(len(v))), 0)
+        sides = list(zip(self.breaks, left, right))
+        bad_lsc = tuple(b for b, l, r in sides if l > 0 or r > 0)
+        bad_usc = tuple(b for b, l, r in sides if l < 0 or r < 0)
+        return _StructureIndex(
+            positions=self.breaks,
+            values=w,
+            pieces=v,
+            left_cmp=left,
+            right_cmp=right,
+            semicontinuity=SemicontinuityReport(
+                not bad_lsc, not bad_usc, bad_lsc, bad_usc
+            ),
+        )
+
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.breaks[0], self.breaks[-1])
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return self.breaks
+    def _inside(self, k: int, t: Fraction) -> XReal:
+        return self.piece_values[k]
 
-    def _piece_index(self, t: Fraction) -> int:
-        """Index of the open piece containing t (t not a breakpoint)."""
-        return bisect_right(self.breaks, t) - 1
-
-    def evaluate(self, t: RationalLike) -> XReal:
-        t = self._check_domain(as_rational(t))
-        idx = bisect_left(self.breaks, t)
-        if idx < len(self.breaks) and self.breaks[idx] == t:
-            return self.point_values[idx]
-        return self.piece_values[idx - 1]
+    def _span_cell(self, k, left, right, v_left, v_right) -> ConstCell:
+        return ConstCell(left, right, self.piece_values[k])
 
     def negate(self) -> "PiecewiseConstant":
         return PiecewiseConstant(
@@ -241,19 +343,6 @@ class PiecewiseConstant(Function1D):
             tuple(-v for v in self.piece_values),
             tuple(-v for v in self.point_values),
         )
-
-    def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
-        lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
-        if not lo < hi:
-            raise ParameterRangeError("cells_in needs lo < hi")
-        inner = [b for b in self.breaks if lo < b < hi]
-        positions = [lo, *inner, hi]
-        yield PointCell(lo, self.evaluate(lo))
-        for i in range(len(positions) - 1):
-            left, right = positions[i], positions[i + 1]
-            piece = self.piece_values[self._piece_index((left + right) / 2)]
-            yield ConstCell(left, right, piece)
-            yield PointCell(right, self.evaluate(right))
 
 
 @dataclass(frozen=True)
@@ -370,22 +459,6 @@ def restrict_to_segment(
 # Semicontinuity audit.
 
 
-@dataclass(frozen=True)
-class SemicontinuityReport:
-    is_lsc: bool
-    is_usc: bool
-    offending_points_lsc: tuple[Fraction, ...]
-    offending_points_usc: tuple[Fraction, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "is_lsc": self.is_lsc,
-            "is_usc": self.is_usc,
-            "offending_points_lsc": [format_rational(p) for p in self.offending_points_lsc],
-            "offending_points_usc": [format_rational(p) for p in self.offending_points_usc],
-        }
-
-
 def check_semicontinuity(f: Function1D) -> SemicontinuityReport:
     """Decide lower/upper semicontinuity exactly for an exact model.
 
@@ -393,34 +466,15 @@ def check_semicontinuity(f: Function1D) -> SemicontinuityReport:
     piecewise-constant functions the one-sided limits at a breakpoint are
     the adjacent piece values: lsc requires the point value to be at most
     every adjacent piece value, usc at least every one.  At the domain
-    ends only the inner side constrains.  Semicontinuity of sampled or
-    black-box models is undecidable and rejected.
+    ends only the inner side constrains.  The audit runs once per model,
+    with its structure index.  Semicontinuity of sampled or black-box
+    models is undecidable and rejected.
     """
-    if isinstance(f, PiecewiseLinear):
-        return SemicontinuityReport(True, True, (), ())
-    if not isinstance(f, PiecewiseConstant):
+    if not f.is_exact:
         raise InexactModelError(
             f"semicontinuity undecidable for {type(f).__name__}"
         )
-    bad_lsc: list[Fraction] = []
-    bad_usc: list[Fraction] = []
-    n_pieces = len(f.piece_values)
-    for i, b in enumerate(f.breaks):
-        limits = []
-        if i > 0:
-            limits.append(f.piece_values[i - 1])
-        if i < n_pieces:
-            limits.append(f.piece_values[i])
-        w = f.point_values[i]
-        lo_limit = limits[0] if len(limits) == 1 else xreal_min(*limits)
-        hi_limit = limits[0] if len(limits) == 1 else xreal_max(*limits)
-        if not w <= lo_limit:
-            bad_lsc.append(b)
-        if not w >= hi_limit:
-            bad_usc.append(b)
-    return SemicontinuityReport(
-        not bad_lsc, not bad_usc, tuple(bad_lsc), tuple(bad_usc)
-    )
+    return f._index.semicontinuity
 
 
 # ---------------------------------------------------------------------------
@@ -485,46 +539,6 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
 # Exact extrema.
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    value: XReal
-    attained: bool
-    interior: bool
-    witness: Optional[Fraction]
-
-
-def _candidates(
-    f: Function1D,
-    lo: Fraction,
-    hi: Fraction,
-    lo_closed: bool,
-    hi_closed: bool,
-) -> list[_Candidate]:
-    continuous = isinstance(f, PiecewiseLinear)
-    out: list[_Candidate] = []
-    for cell in f.cells_in(lo, hi):
-        if isinstance(cell, PointCell):
-            pos, val = cell.position, cell.value
-            if lo < pos < hi:
-                out.append(_Candidate(val, True, True, pos))
-            elif (pos == lo and lo_closed) or (pos == hi and hi_closed):
-                out.append(_Candidate(val, True, False, pos))
-            elif continuous:
-                # Excluded endpoint of a continuous model still bounds the
-                # extremum as an unattained limit.
-                out.append(_Candidate(val, False, False, None))
-        elif isinstance(cell, ConstCell):
-            mid = (cell.left + cell.right) / 2
-            out.append(_Candidate(cell.value, True, True, mid))
-        else:
-            if cell.left_value == cell.right_value:
-                mid = (cell.left + cell.right) / 2
-                out.append(_Candidate(XReal(cell.left_value), True, True, mid))
-            # Non-constant affine spans attain extrema only at their ends,
-            # which the surrounding point cells already cover.
-    return out
-
-
 def _extremum(
     f: Function1D,
     lo: Fraction,
@@ -533,20 +547,29 @@ def _extremum(
     lo_closed: bool,
     hi_closed: bool,
     maximize: bool,
-) -> tuple[XReal, bool, Optional[Fraction]]:
-    cands = _candidates(f, lo, hi, lo_closed, hi_closed)
-    best = cands[0].value
-    for c in cands[1:]:
-        if (c.value > best) if maximize else (c.value < best):
-            best = c.value
-    witness = None
-    attained_interior = False
-    for c in cands:
-        if c.value == best and c.attained and c.interior:
-            attained_interior = True
-            witness = c.witness
-            break
-    return best, attained_interior, witness
+) -> tuple[XReal, bool]:
+    """The extremum of f over the interval with the given end flags, and
+    whether a point of the open interior attains it."""
+    cells = list(f.cells_in(lo, hi))
+    inner: list[XReal] = []
+    for cell in cells[1:-1]:
+        if not isinstance(cell, AffineCell):
+            inner.append(cell.value)
+        elif cell.left_value == cell.right_value:
+            inner.append(XReal(cell.left_value))
+        # Non-constant affine spans attain extrema only at their ends,
+        # which the surrounding point cells already cover.
+    # An excluded end of a continuous model still bounds the extremum as
+    # an unattained limit.
+    continuous = isinstance(f, PiecewiseLinear)
+    ends = [
+        cell.value
+        for cell, closed in ((cells[0], lo_closed), (cells[-1], hi_closed))
+        if closed or continuous
+    ]
+    pick = max if maximize else min
+    best = pick(inner + ends)
+    return best, bool(inner) and pick(inner) == best
 
 
 def _validate_subinterval(f: Function1D, lo, hi) -> tuple[Fraction, Fraction]:
@@ -574,10 +597,9 @@ def infimum_on(
     """
     require_exact(f, "infimum_on")
     lo, hi = _validate_subinterval(f, lo, hi)
-    value, attained, _ = _extremum(
+    return _extremum(
         f, lo, hi, lo_closed=lo_closed, hi_closed=hi_closed, maximize=False
     )
-    return value, attained
 
 
 def supremum_on(
@@ -592,10 +614,9 @@ def supremum_on(
     true iff some point of the open interior achieves it."""
     require_exact(f, "supremum_on")
     lo, hi = _validate_subinterval(f, lo, hi)
-    value, attained, _ = _extremum(
+    return _extremum(
         f, lo, hi, lo_closed=lo_closed, hi_closed=hi_closed, maximize=True
     )
-    return value, attained
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +705,22 @@ def argmax_set(
     """
     require_exact(f, "argmax_set")
     x0, y0 = _validate_subinterval(f, x0, y0)
-    sup, _, _ = _extremum(
+    sup, _ = _extremum(
         f, x0, y0, lo_closed=False, hi_closed=False, maximize=True
     )
     parts: list[tuple[Fraction, Fraction]] = []
-    for cell in f.cells_in(x0, y0):
+    cells = list(f.cells_in(x0, y0))
+    for k, cell in enumerate(cells):
         if isinstance(cell, PointCell):
             if cell.value == sup:
                 parts.append((cell.position, cell.position))
         elif isinstance(cell, ConstCell):
             if cell.value == sup:
-                for endpoint in (cell.left, cell.right):
-                    if f.evaluate(endpoint) != sup:
+                for end in (cells[k - 1], cells[k + 1]):
+                    if end.value != sup:
                         raise PreconditionError(
                             "argmax set is not closed at "
-                            f"{endpoint}; upper semicontinuity of the "
+                            f"{end.position}; upper semicontinuity of the "
                             "certificate flow is violated there"
                         )
                 parts.append((cell.left, cell.right))

@@ -124,10 +124,3 @@ def normalize(raw: Iterable[OpenInterval | tuple]) -> OpenIntervalSet:
     merged.append(OpenInterval(cur_left, cur_right))
     return OpenIntervalSet(tuple(merged))
 
-
-def contains(s: OpenIntervalSet, t: RationalLike) -> bool:
-    return s.contains(t)
-
-
-def total_length(s: OpenIntervalSet) -> Fraction:
-    return s.total_length()

@@ -15,9 +15,10 @@ convexity violation set.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
 from .errors import (
@@ -28,7 +29,6 @@ from .errors import (
 from .functions import (
     ConstCell,
     Function1D,
-    PiecewiseConstant,
     PointCell,
     check_semicontinuity,
     infimum_on,
@@ -116,11 +116,9 @@ def _above_set(
     interior to it (possible only when f is not lower semicontinuous)."""
     spans: list[OpenInterval] = []
     above_points: set[Fraction] = set()
-    for cell in f.cells_in(lo, hi):
+    for cell in list(f.cells_in(lo, hi))[1:-1]:
         if isinstance(cell, PointCell):
-            if lo < cell.position < hi and cell.value > _threshold_value(
-                threshold, cell.position
-            ):
+            if cell.value > _threshold_value(threshold, cell.position):
                 above_points.add(cell.position)
         else:
             span = _cell_above(cell, threshold)
@@ -196,19 +194,14 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     components, isolated = _above_set(f, x, y, threshold)
     interval_set = normalize(components)
     _check_maximal(f, interval_set, threshold)
-    lsc_offenders: tuple[Fraction, ...] = ()
-    if isinstance(f, PiecewiseConstant):
-        report = check_semicontinuity(f)
-        lsc_offenders = tuple(
-            p for p in report.offending_points_lsc if x <= p <= y
-        )
+    offenders = check_semicontinuity(f).offending_points_lsc
     return ViolationDecomposition(
         x=x,
         y=y,
         threshold=threshold,
         components=interval_set,
         isolated_violations=tuple(isolated),
-        lsc_offenders=lsc_offenders,
+        lsc_offenders=offenders[bisect_left(offenders, x) : bisect_right(offenders, y)],
     )
 
 
@@ -257,28 +250,51 @@ class ComponentCheck:
         return out
 
 
-def _interior_strictly_above(
-    f: Function1D, u: Fraction, v: Fraction, threshold: _Threshold
-) -> tuple[bool, Optional[Fraction]]:
-    """Whether f > threshold holds at every point of ]u, v[; on failure
-    returns an offending point."""
-    for cell in f.cells_in(u, v):
+def _component_checks(
+    f: Function1D,
+    spans: Iterable[tuple[Fraction, Fraction]],
+    threshold: _Threshold,
+) -> list[ComponentCheck]:
+    """Check each span ]u, v[ against the threshold: neither end lies
+    above it and every interior point lies strictly above it.  One cell
+    walk per span gives the end values and the interior."""
+    checks: list[ComponentCheck] = []
+    for u, v in spans:
+        cells = list(f.cells_in(u, v))
+        endpoint_bad = next(
+            (
+                c.position
+                for c in (cells[0], cells[-1])
+                if c.value > _threshold_value(threshold, c.position)
+            ),
+            None,
+        )
+        probe = _first_not_above(cells[1:-1], threshold)
+        checks.append(
+            ComponentCheck(
+                endpoints_outside=endpoint_bad is None,
+                interior_strict=probe is None,
+                failing_point=endpoint_bad if endpoint_bad is not None else probe,
+            )
+        )
+    return checks
+
+
+def _first_not_above(cells, threshold: _Threshold) -> Optional[Fraction]:
+    """A point of the given interior cells where f <= threshold, if any."""
+    for cell in cells:
         if isinstance(cell, PointCell):
-            if u < cell.position < v and not cell.value > _threshold_value(
-                threshold, cell.position
-            ):
-                return False, cell.position
+            if not cell.value > _threshold_value(threshold, cell.position):
+                return cell.position
         else:
             span = _cell_above(cell, threshold)
-            if span is None or span.left != cell.left or span.right != cell.right:
-                if span is None:
-                    probe = (cell.left + cell.right) / 2
-                elif span.left != cell.left:
-                    probe = (cell.left + span.left) / 2
-                else:
-                    probe = (span.right + cell.right) / 2
-                return False, probe
-    return True, None
+            if span is None:
+                return (cell.left + cell.right) / 2
+            if span.left != cell.left:
+                return (cell.left + span.left) / 2
+            if span.right != cell.right:
+                return (span.right + cell.right) / 2
+    return None
 
 
 def verify_component_property(
@@ -302,23 +318,11 @@ def verify_component_property(
     for iv in decomposition.components:
         if not (x <= iv.left and iv.right <= y):
             raise ConsistencyError(f"component {iv} not within ]{x}, {y}[")
-    checks: list[ComponentCheck] = []
-    threshold = decomposition.threshold
-    for iv in decomposition.components:
-        endpoint_bad = None
-        for endpoint in (iv.left, iv.right):
-            if f.evaluate(endpoint) > threshold:
-                endpoint_bad = endpoint
-                break
-        strict, probe = _interior_strictly_above(f, iv.left, iv.right, threshold)
-        checks.append(
-            ComponentCheck(
-                endpoints_outside=endpoint_bad is None,
-                interior_strict=strict,
-                failing_point=endpoint_bad if endpoint_bad is not None else probe,
-            )
-        )
-    return checks
+    return _component_checks(
+        f,
+        ((iv.left, iv.right) for iv in decomposition.components),
+        decomposition.threshold,
+    )
 
 
 @dataclass(frozen=True)
@@ -479,20 +483,8 @@ def verify_chord_components(
     def to_position(t: Fraction) -> Fraction:
         return y - t * (y - x)
 
-    checks: list[ComponentCheck] = []
-    for iv in components_in_params:
-        u, v = to_position(iv.right), to_position(iv.left)
-        endpoint_bad = None
-        for endpoint in (u, v):
-            if f.evaluate(endpoint) > XReal(chord.at(endpoint)):
-                endpoint_bad = endpoint
-                break
-        strict, probe = _interior_strictly_above(f, u, v, chord)
-        checks.append(
-            ComponentCheck(
-                endpoints_outside=endpoint_bad is None,
-                interior_strict=strict,
-                failing_point=endpoint_bad if endpoint_bad is not None else probe,
-            )
-        )
-    return checks
+    return _component_checks(
+        f,
+        ((to_position(iv.right), to_position(iv.left)) for iv in components_in_params),
+        chord,
+    )

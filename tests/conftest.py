@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, XReal
+from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, PiecewiseLinear, XReal, generate_cantor
+from qcvx.corpus import random_piecewise_linear
+from qcvx.functions import AffineCell, ConstCell, PointCell
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -128,3 +130,66 @@ def has_violating_triple_on_grid(f, grid: list[Fraction]) -> bool:
         if prefix[k - 1] < values[k] and suffix[k + 1] < values[k]:
             return True
     return False
+
+
+def kernel_models() -> dict[str, list]:
+    """Exact models of every kind the structure index serves: Cantor
+    indicators (usc or lsc only), piecewise-constant models with +-inf
+    values that are often neither lsc nor usc, and piecewise-linear ones."""
+    return {
+        "cantor": [generate_cantor(d, m) for d in (1, 2, 3, 4) for m in ("set", "complement")],
+        "pwc": [random_pwc(s, pieces=2 + s % 12, allow_infinite=True) for s in range(30)],
+        "pl": [random_piecewise_linear(2 + s % 14, 700 + s) for s in range(30)],
+    }
+
+
+def structural_positions(f) -> list[Fraction]:
+    """Breakpoints read from the model's own fields."""
+    if isinstance(f, PiecewiseLinear):
+        return [p for p, _ in f.knots]
+    return list(f.breaks)
+
+
+def reference_value(f, t: Fraction) -> XReal:
+    """f(t) by a linear scan over the model's own fields."""
+    t = Fraction(t)
+    if isinstance(f, PiecewiseLinear):
+        for (p0, v0), (p1, v1) in zip(f.knots, f.knots[1:]):
+            if p0 <= t <= p1:
+                return XReal(v0 + (v1 - v0) * (t - p0) / (p1 - p0))
+    else:
+        for i, b in enumerate(f.breaks):
+            if b == t:
+                return f.point_values[i]
+        for i, (b0, b1) in enumerate(zip(f.breaks, f.breaks[1:])):
+            if b0 < t < b1:
+                return f.piece_values[i]
+    raise ValueError(f"{t} outside the domain")
+
+
+def reference_cells(f, lo: Fraction, hi: Fraction) -> list:
+    """The cell walk over ]lo, hi[ by filtering every breakpoint."""
+    cuts = [lo] + [p for p in structural_positions(f) if lo < p < hi] + [hi]
+    cells = [PointCell(lo, reference_value(f, lo))]
+    for left, right in zip(cuts, cuts[1:]):
+        if isinstance(f, PiecewiseLinear):
+            cells.append(
+                AffineCell(
+                    left,
+                    right,
+                    reference_value(f, left).finite_value,
+                    reference_value(f, right).finite_value,
+                )
+            )
+        else:
+            cells.append(ConstCell(left, right, reference_value(f, (left + right) / 2)))
+        cells.append(PointCell(right, reference_value(f, right)))
+    return cells
+
+
+def probe_points(f, rng: random.Random) -> list[Fraction]:
+    """Every breakpoint (domain ends included) and one random point inside
+    each piece, sorted."""
+    bps = structural_positions(f)
+    inside = [b0 + (b1 - b0) * Fraction(rng.randint(1, 7), 8) for b0, b1 in zip(bps, bps[1:])]
+    return sorted(set(bps) | set(inside))

@@ -1,14 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     is_local_max_on_grid,
+    kernel_models,
     middle_thirds_components,
+    probe_points,
+    reference_value,
     refined_grid,
+    structural_positions,
     uniform_grid,
 )
 from qcvx import (
+    LocalMaximum,
+    LocalShape,
     PiecewiseConstant,
     PiecewiseLinear,
     XReal,
@@ -248,6 +255,104 @@ class TestLocalMaxima:
                 )
                 assert probe["local_max"]
                 assert probe["strict_left"] == record.strict_from_left
+
+
+def reference_local_maxima(f) -> list[LocalMaximum]:
+    """Chains of equal-valued dominating atoms, with every neighbour and
+    gap found by scanning the breakpoints."""
+    bps = structural_positions(f)
+    last = len(bps) - 1
+    if isinstance(f, PiecewiseLinear):
+        slopes = [(v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in zip(f.knots, f.knots[1:])]
+        atoms = []
+        for i, (p, v) in enumerate(f.knots):
+            into_ok = i == 0 or slopes[i - 1] >= 0
+            out_ok = i == last or slopes[i] <= 0
+            atoms.append((p, p, True, XReal(v), into_ok and out_ok))
+            if i < last:
+                atoms.append((p, bps[i + 1], False, XReal(v), slopes[i] == 0))
+        below_left = lambda i, value: slopes[i - 1] > 0
+        below_right = lambda i, value: slopes[i] < 0
+    else:
+        w, v = f.point_values, f.piece_values
+        atoms = []
+        for i, b in enumerate(bps):
+            left_ok = i == 0 or w[i] >= v[i - 1]
+            right_ok = i == last or w[i] >= v[i]
+            atoms.append((b, b, True, w[i], left_ok and right_ok))
+            if i < last:
+                atoms.append((b, bps[i + 1], False, v[i], v[i] >= w[i] and v[i] >= w[i + 1]))
+        below_left = lambda i, value: v[i - 1] < value
+        below_right = lambda i, value: v[i] < value
+    a, b = bps[0], bps[-1]
+    records = []
+    i = 0
+    while i < len(atoms):
+        if not atoms[i][4]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(atoms) and atoms[j + 1][4] and atoms[j + 1][3] == atoms[i][3]:
+            j += 1
+        left, right, left_closed, value = atoms[i][0], atoms[j][1], atoms[i][2], atoms[i][3]
+        right_closed = atoms[j][2]
+        i = j + 1
+        if left == right and not a < left < b:
+            continue
+        gaps = [left - max(x for x in bps if x < left)] if left > a else []
+        gaps += [min(x for x in bps if x > right) - right] if right < b else []
+        records.append(
+            LocalMaximum(
+                left=left,
+                right=right,
+                left_closed=left_closed,
+                right_closed=right_closed,
+                value=value,
+                strict_from_left=left_closed and left > a and below_left(bps.index(left), value),
+                strict_from_right=right_closed and right < b and below_right(bps.index(right), value),
+                witness_delta=min(gaps) if gaps else (b - a) / 2,
+            )
+        )
+    return records
+
+
+def reference_local_shape(f, p: Fraction) -> LocalShape:
+    """Both punctured sides of radius delta lie inside one piece, where f
+    is constant or affine, so one probe per side decides each predicate."""
+    bps = structural_positions(f)
+    delta = min(p - max(x for x in bps if x < p), min(x for x in bps if x > p) - p)
+    fp = reference_value(f, p)
+    sides = [reference_value(f, p - delta / 2), reference_value(f, p + delta / 2)]
+    qc = any(w >= fp for w in sides)
+    qcc = all(w < fp for w in sides)
+    return LocalShape(qc, qcc, delta if qc or qcc else None)
+
+
+class TestIndexedWalksAgainstScans:
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_local_maxima(self, family):
+        for f in kernel_models()[family]:
+            assert enumerate_local_maxima(f) == reference_local_maxima(f)
+
+    def test_local_maxima_with_plateaus(self):
+        f = PiecewiseLinear(
+            ((0, 0), (1, 1), (2, 1), (3, 0), (4, 0), (5, 2), (6, 2), (7, 2), (8, 1))
+        )
+        g = PiecewiseConstant(
+            (0, 1, 2, 3, 4, 5),
+            (XReal(1), XReal(1), XReal(0), XReal(1), XReal(1)),
+            (XReal(0), XReal(1), XReal(1), XReal(0), XReal(1), XReal(1)),
+        )
+        for model in (f, g, g.negate(), f.negate()):
+            assert enumerate_local_maxima(model) == reference_local_maxima(model)
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_local_shape(self, family):
+        for index, f in enumerate(kernel_models()[family]):
+            a, b = f.domain
+            for p in probe_points(f, random.Random(index)):
+                if a < p < b:
+                    assert local_quasiconvexity_at(f, p) == reference_local_shape(f, p), (index, p)
 
 
 class TestStrictSidedHypothesis:

@@ -278,6 +278,49 @@ class TestOracleCommand:
         assert comparison["exact_set"] == []
         assert comparison["grid_set"] != []
 
+    @pytest.fixture()
+    def tabulated_file(self, tmp_path):
+        path = tmp_path / "tab.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "type": "tabulated",
+                    "positions": [f"{i}/59" for i in range(60)],
+                    "values": [str(abs(i - 30)) for i in range(60)],
+                }
+            )
+        )
+        return path
+
+    def test_compare_on_inexact_model_rejected_before_grid_work(
+        self, tabulated_file, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle ran before --compare was rejected")
+
+        monkeypatch.setattr("qcvx.cli.oracle_quasiconvex", unreachable)
+        code, out, err = run(
+            ["oracle", str(tabulated_file), "--compare", "--no-timestamp"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "--compare" in err and "Tabulated" in err
+
+    def test_expectation_on_inexact_model_still_compares(self, tabulated_file, tmp_path, capsys):
+        expect = tmp_path / "expect.json"
+        expect.write_text('{"components": []}')
+        code, out, _ = run(
+            [
+                "oracle", str(tabulated_file), "--compare", "--expect", str(expect),
+                "--grid", "61", "--no-timestamp",
+            ],
+            capsys,
+        )
+        assert code == 0
+        comparison = read_json(out)["comparison"]
+        assert comparison["consistent"] is True
+        assert comparison["exact_set"] == comparison["grid_set"] == []
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

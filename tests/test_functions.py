@@ -1,12 +1,19 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     cantor_membership,
+    kernel_models,
     middle_thirds_components,
+    probe_points,
     random_pwc,
+    reference_cells,
+    reference_value,
     removed_open_intervals,
+    structural_positions,
     sweep_min,
     uniform_grid,
 )
@@ -137,6 +144,66 @@ class TestSemicontinuity:
         assert direct.is_lsc == negated.is_usc
         assert direct.is_usc == negated.is_lsc
         assert direct.offending_points_lsc == negated.offending_points_usc
+
+
+class TestStructureKernel:
+    """The indexed cell walk, point evaluation and semicontinuity audit
+    against literal scans of the model's own fields."""
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_cells_in_matches_breakpoint_filter(self, family):
+        for index, f in enumerate(kernel_models()[family]):
+            rng = random.Random(index)
+            ends = probe_points(f, rng)
+            pairs = [(ends[0], ends[-1])] + [
+                tuple(sorted(rng.sample(ends, 2))) for _ in range(40)
+            ]
+            for lo, hi in pairs:
+                assert list(f.cells_in(lo, hi)) == reference_cells(f, lo, hi), (index, lo, hi)
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_evaluate_matches_scan(self, family):
+        for index, f in enumerate(kernel_models()[family]):
+            for t in probe_points(f, random.Random(index)):
+                assert f.evaluate(t) == reference_value(f, t)
+            assert f.breakpoints() == tuple(structural_positions(f))
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc"])
+    def test_audit_matches_literal_definition(self, family):
+        for f in kernel_models()[family]:
+            bad_lsc, bad_usc = [], []
+            for i, b in enumerate(f.breaks):
+                limits = f.piece_values[max(i - 1, 0) : i + 1]
+                if any(f.point_values[i] > v for v in limits):
+                    bad_lsc.append(b)
+                if any(f.point_values[i] < v for v in limits):
+                    bad_usc.append(b)
+            report = check_semicontinuity(f)
+            assert report.offending_points_lsc == tuple(bad_lsc)
+            assert report.offending_points_usc == tuple(bad_usc)
+            assert (report.is_lsc, report.is_usc) == (not bad_lsc, not bad_usc)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate_cantor(3, "set"), lambda: random_pwc(5, allow_infinite=True), tent],
+    )
+    def test_cached_index_stays_out_of_identity_and_pickles(self, make):
+        f, twin = make(), make()
+        report = check_semicontinuity(f)  # builds f's index only
+        assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
+        assert function_to_dict(f) == function_to_dict(twin)
+        assert pickle.dumps(f) == pickle.dumps(twin)
+        clone = pickle.loads(pickle.dumps(f))
+        assert clone == f
+        assert check_semicontinuity(clone) == report
+
+    def test_negation_gets_its_own_audit(self):
+        f = generate_cantor(2, "set")
+        report = check_semicontinuity(f)
+        negated = check_semicontinuity(f.negate())
+        assert (negated.is_lsc, negated.is_usc) == (True, False)
+        assert negated.offending_points_usc == report.offending_points_lsc
+        assert check_semicontinuity(f) == report
 
 
 class TestCantorGenerator:

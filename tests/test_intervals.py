@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qcvx import OpenInterval, OpenIntervalSet, contains, normalize, total_length
+from qcvx import OpenInterval, OpenIntervalSet, normalize
 from qcvx.errors import MalformedIntervalError
 
 F = Fraction
@@ -63,33 +63,33 @@ class TestNormalize:
 
 class TestContains:
     def test_inside(self):
-        assert contains(normalize([iv("1/3", "2/3")]), F(1, 2))
+        assert normalize([iv("1/3", "2/3")]).contains(F(1, 2))
 
     def test_endpoints_excluded(self):
-        assert not contains(normalize([iv("1/3", "2/3")]), F(1, 3))
+        assert not normalize([iv("1/3", "2/3")]).contains(F(1, 3))
 
     def test_gap(self):
         s = normalize([iv(0, "1/4"), iv("3/4", 1)])
-        assert not contains(s, F(1, 2))
+        assert not s.contains(F(1, 2))
 
 
 class TestTotalLength:
     def test_single(self):
-        assert total_length(normalize([iv("1/3", "2/3")])) == F(1, 3)
+        assert normalize([iv("1/3", "2/3")]).total_length() == F(1, 3)
 
     def test_empty(self):
-        assert total_length(normalize([])) == 0
+        assert normalize([]).total_length() == 0
 
     @given(raw_intervals)
     def test_invariant_under_normalize_when_disjoint(self, raw):
         s = normalize(raw)
         # The normalized intervals are disjoint by construction, so
         # re-normalizing them cannot change the measure.
-        assert total_length(normalize(s.intervals)) == s.total_length()
+        assert normalize(s.intervals).total_length() == s.total_length()
 
     @given(raw_intervals)
     def test_never_exceeds_raw_sum(self, raw):
-        assert total_length(normalize(raw)) <= sum((r.length for r in raw), F(0))
+        assert normalize(raw).total_length() <= sum((r.length for r in raw), F(0))
 
 
 def test_serialization_sorted():

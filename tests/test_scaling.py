@@ -1,0 +1,86 @@
+"""Work per query must not grow with the size of the model.
+
+The work is counted, not timed: every ordering comparison between two
+Fractions (``<``, ``<=``, ``>``, ``>=``) goes through
+``Fraction._richcmp``, which the test wraps with a counter, so the bounds
+are deterministic.  The models are Cantor complements with 32 and 512
+breakpoints (depths 4 and 8).  Each model's structure index is built
+before counting, because it is built once per model and not per query.
+"""
+
+from fractions import Fraction
+
+from qcvx import (
+    check_semicontinuity,
+    enumerate_local_maxima,
+    generate_cantor,
+    local_quasiconvexity_at,
+)
+from qcvx.cli import analyze_pair
+
+SMALL, LARGE = 32, 512
+
+
+def comparisons(monkeypatch, call) -> int:
+    count = 0
+    original = Fraction._richcmp
+
+    def counting(self, other, op):
+        nonlocal count
+        count += 1
+        return original(self, other, op)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "_richcmp", counting)
+        call()
+    return count
+
+
+def cantor_complement(breakpoints: int):
+    f = generate_cantor(breakpoints.bit_length() - 2, "complement")
+    assert len(f.breakpoints()) == breakpoints
+    check_semicontinuity(f)  # builds the structure index
+    return f
+
+
+def middle_breakpoints(f) -> tuple[Fraction, ...]:
+    """Four consecutive breakpoints around the removed middle third."""
+    bps = f.breakpoints()
+    k = len(bps) // 2 - 2
+    return bps[k : k + 4]
+
+
+def counts(monkeypatch, query) -> list[int]:
+    out = []
+    for n in (SMALL, LARGE):
+        f = cantor_complement(n)
+        out.append(comparisons(monkeypatch, lambda: query(f)))
+    return out
+
+
+def test_three_piece_pair_analysis_is_flat(monkeypatch):
+    def query(f):
+        x, _, _, y = middle_breakpoints(f)
+        analyze_pair(f, x, y)
+
+    small, large = counts(monkeypatch, query)
+    assert small > 0
+    assert large <= 2 * small, (small, large)
+
+
+def test_local_shape_is_flat(monkeypatch):
+    def query(f):
+        _, p, q, _ = middle_breakpoints(f)
+        local_quasiconvexity_at(f, p)
+        local_quasiconvexity_at(f, (p + q) / 2)
+
+    small, large = counts(monkeypatch, query)
+    assert small > 0
+    assert large <= 2 * small, (small, large)
+
+
+def test_local_maxima_enumeration_is_linear(monkeypatch):
+    small, large = counts(monkeypatch, enumerate_local_maxima)
+    assert small > 0
+    # 16 times the breakpoints; a quadratic walk would grow about 256 times.
+    assert large <= 20 * small, (small, large)

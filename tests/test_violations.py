@@ -1,8 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_pwc, refined_grid, removed_open_intervals, uniform_grid
+from conftest import (
+    kernel_models,
+    probe_points,
+    random_pwc,
+    refined_grid,
+    removed_open_intervals,
+    uniform_grid,
+)
 from qcvx import (
     OpenInterval,
     PLUS_INF,
@@ -147,6 +155,17 @@ class TestComponentChecks:
         (check,) = verify_component_property(f, corrupted)
         assert not check.endpoints_outside
         assert check.failing_point == F(1, 4)
+
+    def test_corrupted_component_fails_right_endpoint_check(self):
+        corrupted = ViolationDecomposition(
+            x=F(0),
+            y=F(1),
+            threshold=XReal(0),
+            components=normalize([iv("0", "3/4")]),
+        )
+        (check,) = verify_component_property(tent(), corrupted)
+        assert not check.endpoints_outside
+        assert check.failing_point == F(3, 4)
 
     def test_stale_threshold_raises(self):
         corrupted = ViolationDecomposition(
@@ -345,3 +364,117 @@ class TestChordViolations:
         chord = convexity_violation_set(f, 0, 1)
         checks = verify_chord_components(f, 0, 1, chord)
         assert all(c.passed for c in checks)
+
+
+def _map_values(f, phi):
+    """The model phi(f) for a strictly increasing phi that fixes +-inf.
+    Exact for piecewise-constant models under any such phi, and for
+    piecewise-linear ones when phi is affine."""
+    def apply(v):
+        return XReal(phi(v.finite_value)) if v.is_finite else v
+
+    if isinstance(f, PiecewiseLinear):
+        return PiecewiseLinear(tuple((p, phi(v)) for p, v in f.knots))
+    return PiecewiseConstant(
+        f.breaks,
+        tuple(apply(v) for v in f.piece_values),
+        tuple(apply(v) for v in f.point_values),
+    )
+
+
+def _reflect(f):
+    """t -> f(a + b - t) on the same domain."""
+    a, b = f.domain
+    if isinstance(f, PiecewiseLinear):
+        return PiecewiseLinear(tuple((a + b - p, v) for p, v in reversed(f.knots)))
+    return PiecewiseConstant(
+        tuple(a + b - t for t in reversed(f.breaks)),
+        tuple(reversed(f.piece_values)),
+        tuple(reversed(f.point_values)),
+    )
+
+
+def _pairs(f, seed, count=25):
+    rng = random.Random(seed)
+    ends = probe_points(f, rng)
+    return [(ends[0], ends[-1])] + [tuple(sorted(rng.sample(ends, 2))) for _ in range(count)]
+
+
+def _cube(v):
+    return v**3
+
+
+def _affine(v):
+    return 2 * v + 5
+
+
+class TestMetamorphic:
+    """Invariances of the exact analyses (Boyd & Vandenberghe, Convex
+    Optimization, section 3.4): sublevel-set properties survive a strictly
+    increasing value map, the chord comparison only an increasing affine
+    one, and every verdict survives reflecting the domain."""
+
+    @staticmethod
+    def cases(maps_for_linear):
+        models = kernel_models()
+        for family, fs in models.items():
+            maps = maps_for_linear if family == "pl" else (_cube, _affine)
+            for index, f in enumerate(fs):
+                for phi in maps:
+                    yield index, f, phi
+
+    def test_increasing_value_map_keeps_verdicts_and_violation_sets(self):
+        # v -> v**3 is not piecewise linear on affine pieces, so linear
+        # models take the affine map only.
+        for index, f, phi in self.cases((_affine,)):
+            g = _map_values(f, phi)
+            assert is_quasiconvex(g).is_quasiconvex == is_quasiconvex(f).is_quasiconvex
+            for x, y in _pairs(f, index):
+                d, e = violation_set(f, x, y), violation_set(g, x, y)
+                assert e.components == d.components, (index, x, y)
+                assert e.isolated_violations == d.isolated_violations
+                assert e.lsc_offenders == d.lsc_offenders
+                assert interior_witness_exists(g, x, y) == interior_witness_exists(f, x, y)
+
+    def test_positive_affine_value_map_keeps_chord_sets(self):
+        def phi(v):
+            return F(3, 2) * v - F(7, 3)
+
+        for family, fs in kernel_models().items():
+            for index, f in enumerate(fs):
+                g = _map_values(f, phi)
+                for x, y in _pairs(f, index):
+                    try:
+                        expected = convexity_violation_set(f, x, y)
+                    except UnsupportedChordError:
+                        with pytest.raises(UnsupportedChordError):
+                            convexity_violation_set(g, x, y)
+                        continue
+                    assert convexity_violation_set(g, x, y) == expected, (family, index, x, y)
+
+    def test_cubing_can_change_chord_sets(self):
+        f = PiecewiseConstant(
+            (F(0), F(1, 2), F(1)),
+            (XReal(F(3, 2)), XReal(F(3, 2))),
+            (XReal(0), XReal(F(3, 2)), XReal(2)),
+        )
+        cubed = _map_values(f, _cube)
+        assert convexity_violation_set(cubed, 0, 1) != convexity_violation_set(f, 0, 1)
+        assert violation_set(cubed, 0, 1).components == violation_set(f, 0, 1).components
+
+    def test_domain_reflection_keeps_verdicts(self):
+        for family, fs in kernel_models().items():
+            for index, f in enumerate(fs):
+                a, b = f.domain
+                g = _reflect(f)
+                assert is_quasiconvex(g).is_quasiconvex == is_quasiconvex(f).is_quasiconvex
+                for x, y in _pairs(f, index):
+                    rx, ry = a + b - y, a + b - x
+                    assert interior_witness_exists(g, rx, ry) == interior_witness_exists(f, x, y)
+                    d, e = violation_set(f, x, y), violation_set(g, rx, ry)
+                    assert e.components == normalize(
+                        (a + b - iv.right, a + b - iv.left) for iv in d.components
+                    ), (family, index, x, y)
+                    assert e.isolated_violations == tuple(
+                        sorted(a + b - t for t in d.isolated_violations)
+                    )
