@@ -366,17 +366,23 @@ def revalidate_certificate(
         (cert.p, cert.q),
     )
     positions = [t for t, _ in groupby(merged)]
+    values = f.evaluate_sorted(positions)
     failures: list[str] = []
     sup = cert.sup_value
     if f.evaluate(cert.p) != sup or f.evaluate(cert.q) != sup:
         failures.append("endpoint values differ from supremum")
-    for t in positions:
-        v = f.evaluate(t)
-        if x0 < t < y0 and v > sup:
+    # positions[inner:outer] lie in ]x0, y0[, positions[inner:left_end]
+    # in ]x0, p[ and positions[right_start:outer] in ]q, y0[.
+    inner, outer = bisect_right(positions, x0), bisect_left(positions, y0)
+    left_end = bisect_left(positions, cert.p)
+    right_start = bisect_right(positions, cert.q)
+    for k in range(inner, outer):
+        t, v = positions[k], values[k]
+        if sup < v:
             failures.append(f"f({format_rational(t)}) exceeds the supremum")
-        if x0 < t < cert.p and not v < sup:
+        if k < left_end and not v < sup:
             failures.append(f"f({format_rational(t)}) not strictly below left of p")
-        if cert.q < t < y0 and not v < sup:
+        if k >= right_start and not v < sup:
             failures.append(f"f({format_rational(t)}) not strictly below right of q")
     return Revalidation(
         grid_points=grid_points,

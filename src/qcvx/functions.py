@@ -93,6 +93,14 @@ class Function1D:
     def evaluate(self, t: RationalLike) -> XReal:
         raise NotImplementedError
 
+    def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
+        """``[self.evaluate(t) for t in ts]`` for ascending ``ts``.
+
+        Models with a sorted structure answer in one walk over it; this
+        default evaluates point by point, in order.
+        """
+        return [self.evaluate(t) for t in ts]
+
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Structural positions (knots or breaks), domain ends included."""
         raise NotImplementedError
@@ -166,6 +174,44 @@ def _cmp(u, v) -> int:
     return (v < u) - (u < v)
 
 
+def _sorted_slots(
+    f: Function1D, positions: Sequence[Fraction], ts: Sequence[RationalLike]
+) -> Iterator[tuple[Fraction, int, bool]]:
+    """Place each of the ascending ``ts`` among the sorted ``positions``
+    (whose last entry is the right end of f's domain): yield ``(t, i,
+    hit)`` with ``i = bisect_left(positions, t)`` and ``hit`` true iff
+    ``positions[i] == t``.
+
+    One bisect places ``ts[0]``; after it the walk only moves forward and
+    compares integer cross products, so its Fraction work does not grow
+    with ``len(ts)``.  The first t outside the domain raises the
+    DomainError that ``f.evaluate`` raises.
+    """
+    if not ts:
+        return
+    first = f._check_domain(as_rational(ts[0]))
+    i = bisect_left(positions, first)
+    last = len(positions) - 1
+    pn, pd = positions[i].numerator, positions[i].denominator
+    prev_n, prev_d = first.numerator, first.denominator
+    for t in ts:
+        t = as_rational(t)
+        tn, td = t.numerator, t.denominator
+        if tn * prev_d < prev_n * td:
+            raise ParameterRangeError(
+                f"positions must ascend ({format_rational(t)} after "
+                f"{format_rational(Fraction(prev_n, prev_d))})"
+            )
+        prev_n, prev_d = tn, td
+        while pn * td < tn * pd:
+            if i == last:
+                f._check_domain(t)
+            i += 1
+            pn, pd = positions[i].numerator, positions[i].denominator
+        # Fractions are kept in lowest terms, so equal values have equal parts.
+        yield t, i, pn == tn and pd == td
+
+
 class _ExactModel(Function1D):
     """Point evaluation and cell walks over the structure index; each
     lookup bisects, so a walk over ]lo, hi[ costs O(log n + k) for the k
@@ -191,6 +237,13 @@ class _ExactModel(Function1D):
         if s.positions[idx] == t:
             return s.values[idx]
         return self._inside(idx - 1, t)
+
+    def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
+        s = self._index
+        return [
+            s.values[i] if hit else self._inside(i - 1, t)
+            for t, i, hit in _sorted_slots(self, s.positions, ts)
+        ]
 
     def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
         lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
@@ -260,7 +313,14 @@ class PiecewiseLinear(_ExactModel):
 
     def _inside(self, k: int, t: Fraction) -> XReal:
         p0, v0 = self.knots[k]
-        return XReal(v0 + self._index.pieces[k] * (t - p0))
+        m = self._index.pieces[k]
+        # v0 + m * (t - p0) as one integer fraction, reduced once.
+        pn, pd = p0.numerator, p0.denominator
+        vn, vd = v0.numerator, v0.denominator
+        mn, md = m.numerator, m.denominator
+        tn, td = t.numerator, t.denominator
+        den = md * td * pd
+        return XReal(Fraction(vn * den + vd * mn * (tn * pd - pn * td), vd * den))
 
     def _span_cell(self, k, left, right, v_left, v_right) -> AffineCell:
         return AffineCell(left, right, v_left.finite_value, v_right.finite_value)
@@ -386,6 +446,14 @@ class Tabulated(Function1D):
         if idx < len(self.positions) and self.positions[idx] == t:
             return self.values[idx]
         raise NoSampleError(f"{t} is not a sample position")
+
+    def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
+        out = []
+        for t, i, hit in _sorted_slots(self, self.positions, ts):
+            if not hit:
+                raise NoSampleError(f"{t} is not a sample position")
+            out.append(self.values[i])
+        return out
 
     def negate(self) -> "Tabulated":
         return Tabulated(self.positions, tuple(-v for v in self.values))

@@ -6,16 +6,30 @@ exact analyzer.  With boolean matrices ``left[i, k]`` (i < k and
 f(k) > f(i)) and ``right[k, j]`` (k < j and f(k) > f(j)), the triple
 (i, k, j) violates iff both hold, so the matrix product ``left @ right``
 counts, for each outer pair (i, j), every violating middle k literally.
-Witnesses are collected row by row in (i, k, j) index order.  Exact
-models compare as rationals through an order-preserving rank encoding;
-black-box models compare as floats with an epsilon margin on strictness.
+Witnesses are collected row by row in (i, k, j) index order.
+
+Exact models compare as integers: each finite value is scaled to the
+least common multiple of the finite denominators on the grid, -inf sits
+below every such key and +inf above.  Every per-point step (placing
+breakpoints and piece midpoints among the uniform points, evaluating the
+model in one sorted walk, comparing values) runs on Python integers, so
+the Fraction work of one call grows with the breakpoint count only.
+Black-box models compare as floats with an epsilon margin on strictness.
+
+On piecewise-constant models both the triple grid and the violation-set
+grid hold every piece midpoint, so a piece narrower than the uniform
+spacing still has a sample.  The triple count needs g x g arrays, so a
+merged grid of more than ``MAX_GRID_POINTS`` points is refused before
+any is allocated.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +38,9 @@ from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet, normalize
 from .violations import ViolationDecomposition
+
+# About 600 MB of g x g arrays at this size.
+MAX_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -98,33 +115,62 @@ def build_grid(
 
     With ``piece_midpoints`` the midpoint of every pair of consecutive
     breakpoints is added, so constant pieces narrower than the uniform
-    spacing always receive an interior sample.
+    spacing always receive an interior sample.  Each breakpoint and
+    midpoint finds its slot among the uniform points by one integer
+    division, which also tells whether it is a uniform point already, so
+    the list comes out sorted and without repeats.
     """
     a, b = f.domain
     lo = a if lo is None else as_rational(lo)
     hi = b if hi is None else as_rational(hi)
     if not lo < hi:
         raise ParameterRangeError("grid needs lo < hi")
+    bps = f.breakpoints()
+    breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
     if isinstance(f, Tabulated):
-        return [p for p in f.positions if lo <= p <= hi]
-    step = (hi - lo) / (cfg.grid_points - 1)
-    # lo + i * step over one common denominator: one Fraction per point.
+        return list(breaks)
+    extras = breaks
+    if piece_midpoints:
+        extras = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
+        extras += breaks[-1:]
+    n = cfg.grid_points
+    step = (hi - lo) / (n - 1)
+    # Uniform point i is (start + stride * i) / den.
     den = lo.denominator * step.denominator
     start = lo.numerator * step.denominator
     stride = step.numerator * lo.denominator
-    points = [Fraction(start + stride * i, den) for i in range(cfg.grid_points)]
-    breaks = [p for p in f.breakpoints() if lo <= p <= hi]
-    points += breaks
-    if piece_midpoints:
-        points += [(b0 + b1) / 2 for b0, b1 in zip(breaks, breaks[1:])]
-    # Ascending runs: the sort merges them in linear time.
-    points.sort()
-    return [p for p, prev in zip(points, [None] + points) if p != prev]
+    points: list[Fraction] = []
+    i = 0
+    for p in extras:
+        # p lies r / (stride * p.denominator) of a step past uniform point q.
+        q, r = divmod(p.numerator * den - start * p.denominator, stride * p.denominator)
+        points += [Fraction(start + stride * j, den) for j in range(i, q + 1)]
+        i = q + 1
+        if r:
+            points.append(p)
+    points += [Fraction(start + stride * j, den) for j in range(i, n)]
+    return points
+
+
+def _integer_keys(values: Sequence[XReal]) -> list[int]:
+    """Order-preserving integer keys: each finite value times the least
+    common multiple of the finite denominators, -inf one below the least
+    such key and +inf one above the greatest."""
+    finite = [v.finite_value for v in values if v.is_finite]
+    scale = math.lcm(*{q.denominator for q in finite})
+    scaled = [q.numerator * (scale // q.denominator) for q in finite]
+    below, above = min(scaled, default=0) - 1, max(scaled, default=0) + 1
+    keys = iter(scaled)
+    return [
+        next(keys) if v.is_finite else above if v.is_plus_infinity else below
+        for v in values
+    ]
 
 
 def _rank_values(values: Sequence[XReal]) -> np.ndarray:
-    order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return np.array([order[v] for v in values], dtype=np.int64)
+    keys = _integer_keys(values)
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([order[k] for k in keys], dtype=np.int64)
 
 
 def oracle_quasiconvex(
@@ -135,25 +181,32 @@ def oracle_quasiconvex(
 ) -> OracleVerdict:
     """Check every ordered grid triple against the defining inequality.
 
-    Exact models use exact rational comparisons (via ranks); black-box
+    Exact models compare exactly (through integer keys); black-box
     models compare floats, where strict violation means exceeding the
     competitor by more than ``cfg.float_epsilon``.  The triples list is
     capped at ``max_triples`` in deterministic index order;
-    ``total_violations`` counts all of them.
+    ``total_violations`` counts all of them.  A merged grid of more than
+    ``MAX_GRID_POINTS`` points raises :class:`ParameterRangeError`.
     """
     cfg = cfg or ToleranceConfig()
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
     grid = build_grid(
         f, cfg, piece_midpoints=isinstance(f, PiecewiseConstant)
     )
+    g = len(grid)
+    if g > MAX_GRID_POINTS:
+        raise ParameterRangeError(
+            f"oracle grid has {g} points at resolution {cfg.grid_points}, "
+            f"over the limit of {MAX_GRID_POINTS}"
+        )
+    values = f.evaluate_sorted(grid)
     if float_mode:
-        vals = np.array([float(f.evaluate(t)) for t in grid], dtype=np.float64)
+        vals = np.array([float(v) for v in values], dtype=np.float64)
         eps = float(cfg.float_epsilon)
         above = vals[None, :] > vals[:, None] + eps  # above[i, k]: f(k) > f(i) + eps
     else:
-        ranks = _rank_values([f.evaluate(t) for t in grid])
+        ranks = _rank_values(values)
         above = ranks[None, :] > ranks[:, None]  # above[i, k]: f(k) > f(i)
-    g = len(grid)
     idx = np.arange(g)
     lower = idx[:, None] < idx[None, :]
     left = above & lower          # left[i, k]: i < k and f(k) > f(i)
@@ -203,8 +256,10 @@ def oracle_violation_set(
 
     Marks grid points with f strictly above max(f(x), f(y)) and reports
     each maximal run of consecutive marked points as the open interval
-    between the unmarked neighbors of its first and last point.  This is
-    a resolution-limited approximation: components narrower than the
+    between the unmarked neighbors of its first and last point.  On a
+    piecewise-constant model the grid holds every piece midpoint, so
+    each piece between breakpoints in ]x, y[ is sampled.  This is a
+    resolution-limited approximation: components narrower than the
     local spacing can be missed, and reported endpoints are accurate only
     to one grid cell.
     """
@@ -212,14 +267,14 @@ def oracle_violation_set(
     x, y = as_rational(x), as_rational(y)
     if not x < y:
         raise ParameterRangeError("oracle_violation_set needs x < y")
-    grid = build_grid(f, cfg, x, y)
+    grid = build_grid(f, cfg, x, y, piece_midpoints=isinstance(f, PiecewiseConstant))
     if grid[0] != x:
         grid.insert(0, x)
     if grid[-1] != y:
         grid.append(y)
-    values = [f.evaluate(t) for t in grid]
-    threshold = max(values[0], values[-1])
-    marked = [v > threshold for v in values]
+    keys = _integer_keys(f.evaluate_sorted(grid))
+    threshold = max(keys[0], keys[-1])
+    marked = [k > threshold for k in keys]
     runs: list[OpenInterval] = []
     i = 0
     while i < len(grid):
@@ -258,8 +313,26 @@ class DiffReport:
         }
 
 
-def _interval_distance(a: OpenInterval, b: OpenInterval) -> Fraction:
-    return max(abs(a.left - b.left), abs(a.right - b.right))
+def _near_any(
+    intervals: OpenIntervalSet, slack: Fraction
+) -> Callable[[OpenInterval], bool]:
+    """A test for whether some interval of the set has both ends within
+    slack of the ends of a given interval.  The intervals of a set are
+    sorted and disjoint, so their left ends ascend and so do their right
+    ends: each end condition selects one index range, found by bisection."""
+    lefts = [iv.left for iv in intervals]
+    rights = [iv.right for iv in intervals]
+
+    def near(iv: OpenInterval) -> bool:
+        first = max(
+            bisect_left(lefts, iv.left - slack), bisect_left(rights, iv.right - slack)
+        )
+        stop = min(
+            bisect_right(lefts, iv.left + slack), bisect_right(rights, iv.right + slack)
+        )
+        return first < stop
+
+    return near
 
 
 def diff_report(
@@ -278,25 +351,29 @@ def diff_report(
     slack wide that contains one of its ``isolated_violations`` is also
     matched: the grid marks such a breakpoint as a run of its own, which
     no open component can account for.
+
+    Each match is found by bisection, so m exact and n approximate
+    intervals cost O((m + n) log(m + n)) comparisons.
     """
     slack = as_rational(slack)
     if isinstance(exact, ViolationDecomposition):
-        exact_set, isolated = exact.components, exact.isolated_violations
+        exact_set, isolated = exact.components, sorted(exact.isolated_violations)
     else:
-        exact_set, isolated = exact, ()
+        exact_set, isolated = exact, []
+    near_exact, near_approx = _near_any(exact_set, slack), _near_any(approx, slack)
+
+    def holds_isolated(iv: OpenInterval) -> bool:
+        k = bisect_right(isolated, iv.left)
+        return k < len(isolated) and isolated[k] < iv.right
+
     discrepancies: list[Discrepancy] = []
     for approx_iv in approx:
-        if not any(
-            _interval_distance(approx_iv, exact_iv) <= slack for exact_iv in exact_set
-        ) and not (
-            approx_iv.length <= 2 * slack
-            and any(approx_iv.contains(p) for p in isolated)
+        if not near_exact(approx_iv) and not (
+            approx_iv.length <= 2 * slack and holds_isolated(approx_iv)
         ):
             discrepancies.append(Discrepancy("unmatched_approx", approx_iv))
     for exact_iv in exact_set:
-        if exact_iv.length > 2 * slack and not any(
-            _interval_distance(approx_iv, exact_iv) <= slack for approx_iv in approx
-        ):
+        if exact_iv.length > 2 * slack and not near_approx(exact_iv):
             discrepancies.append(Discrepancy("missed_exact", exact_iv))
     return DiffReport(
         consistent=not discrepancies, discrepancies=tuple(discrepancies)

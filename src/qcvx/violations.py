@@ -380,7 +380,7 @@ def is_quasiconvex(f: Function1D) -> QuasiconvexityVerdict:
     """
     require_exact(f, "is_quasiconvex")
     positions = _candidate_positions(f)
-    values = [f.evaluate(p) for p in positions]
+    values = f.evaluate_sorted(positions)
     n = len(positions)
     suffix_min: list[XReal] = [values[-1]] * n
     for i in range(n - 2, -1, -1):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_pwc
+from qcvx import function_to_dict
 from qcvx.cli import main
 
 F = Fraction
@@ -277,6 +279,41 @@ class TestOracleCommand:
         assert comparison["discrepancies"] == []
         assert comparison["exact_set"] == []
         assert comparison["grid_set"] != []
+
+    @pytest.mark.parametrize("seed,pieces", [(203, 15), (205, 21)])
+    def test_compare_samples_pieces_narrower_than_spacing(self, tmp_path, capsys, seed, pieces):
+        # A -inf piece 1/60 wide separates two exact components; with no
+        # grid point inside it the grid joined them into one run.
+        path = tmp_path / "pwc.json"
+        f = random_pwc(seed, pieces=pieces, allow_infinite=True)
+        path.write_text(json.dumps(function_to_dict(f)))
+        code, out, _ = run(
+            ["oracle", str(path), "--grid", "61", "--compare", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        comparison = read_json(out)["comparison"]
+        assert comparison["consistent"] is True
+        assert comparison["discrepancies"] == []
+
+    @pytest.mark.parametrize(
+        "doc,grid",
+        [
+            ({"type": "piecewise_linear", "knots": [["0", "0"], ["1", "1"]]}, "5000"),
+            ({"type": "cantor", "depth": 11, "mode": "set"}, "201"),
+        ],
+    )
+    def test_grid_over_budget_exit_1(self, tmp_path, capsys, monkeypatch, doc, grid):
+        def unreachable(self, ts):
+            raise AssertionError("the grid was evaluated")
+
+        # Refused before evaluation, hence before any g x g array exists.
+        monkeypatch.setattr("qcvx.functions._ExactModel.evaluate_sorted", unreachable)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["oracle", str(path), "--grid", grid, "--no-timestamp"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "4096" in err and "points" in err
 
     @pytest.fixture()
     def tabulated_file(self, tmp_path):

@@ -206,6 +206,83 @@ class TestStructureKernel:
         assert check_semicontinuity(f) == report
 
 
+def _sorted_walk_inputs(f, rng: random.Random) -> list[list[Fraction]]:
+    """Ascending position lists: breakpoints, piece interiors and uniform
+    points merged, the whole list and tails starting in mid-model, a
+    single point, and a run with repeats."""
+    a, b = f.domain
+    merged = sorted(set(probe_points(f, rng)) | set(uniform_grid(a, b, 41)))
+    starts = [0, 1, len(merged) // 3, len(merged) - 1] + rng.sample(range(len(merged)), 3)
+    runs = [merged[s:] for s in starts] + [merged[s : s + 5] for s in starts]
+    runs.append(sorted(rng.choices(merged, k=12)))
+    runs.append([])
+    return runs
+
+
+class TestEvaluateSorted:
+    """One sorted walk against point-by-point evaluation."""
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_matches_evaluate(self, family):
+        for index, f in enumerate(kernel_models()[family]):
+            for ts in _sorted_walk_inputs(f, random.Random(index)):
+                assert f.evaluate_sorted(ts) == [f.evaluate(t) for t in ts], (index, ts)
+
+    def test_deep_cantor_and_integer_positions(self):
+        f = generate_cantor(6, "complement")
+        for ts in _sorted_walk_inputs(f, random.Random(6)):
+            assert f.evaluate_sorted(ts) == [f.evaluate(t) for t in ts]
+        assert f.evaluate_sorted([0, "1/2", 1]) == [XReal(0), XReal(1), XReal(0)]
+
+    def test_tabulated_reads_samples(self):
+        rng = random.Random(3)
+        positions = sorted({F(rng.randint(0, 90), 90) for _ in range(30)})
+        pool = [XReal(v) for v in range(-3, 4)] + [PLUS_INF, MINUS_INF]
+        f = Tabulated(tuple(positions), tuple(rng.choice(pool) for _ in positions))
+        for start in (0, 1, len(positions) // 2, len(positions) - 1):
+            ts = positions[start:]
+            assert f.evaluate_sorted(ts) == [f.evaluate(t) for t in ts]
+        between = (positions[3] + positions[4]) / 2
+        with pytest.raises(NoSampleError, match=str(between)):
+            f.evaluate_sorted([positions[0], positions[3], between, positions[5]])
+
+    def test_blackbox_keeps_callback_order(self):
+        seen = []
+
+        def callback(t):
+            seen.append(t)
+            return float(t) ** 2
+
+        f = Blackbox(0, 1, callback)
+        ts = uniform_grid(F(0), F(1), 9)
+        assert f.evaluate_sorted(ts) == [XReal.coerce(float(t) ** 2) for t in ts]
+        assert seen == ts
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_cantor(3, "set"),
+            lambda: random_pwc(5, allow_infinite=True),
+            tent,
+            lambda: Tabulated((F(0), F(1, 2), F(1)), (XReal(0), XReal(1), XReal(0))),
+        ],
+    )
+    def test_outside_domain_raises_like_evaluate(self, make):
+        f = make()
+        for ts in ([F(-1, 3), F(0)], [F(0), F(1, 2), F(4, 3), F(5, 3)], [F(2)]):
+            first_outside = next(t for t in ts if not 0 <= t <= 1)
+            with pytest.raises(DomainError) as point:
+                f.evaluate(first_outside)
+            with pytest.raises(DomainError) as walk:
+                f.evaluate_sorted(ts)
+            assert str(walk.value) == str(point.value)
+
+    def test_descending_positions_rejected(self):
+        f = tent()
+        with pytest.raises(ParameterRangeError, match="ascend"):
+            f.evaluate_sorted([F(0), F(3, 4), F(1, 4)])
+
+
 class TestCantorGenerator:
     def test_depth1_complement_structure(self):
         f = generate_cantor(1, "complement")

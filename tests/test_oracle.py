@@ -25,7 +25,9 @@ from qcvx import (
 )
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
-from qcvx.oracle import ViolatingTriple
+from qcvx.errors import ParameterRangeError
+from qcvx.oracle import MAX_GRID_POINTS, ViolatingTriple, _rank_values
+from qcvx.violations import ViolationDecomposition
 
 F = Fraction
 
@@ -267,3 +269,146 @@ class TestDiffReport:
         d = violation_set(tent(), 0, 1)
         approx = oracle_violation_set(tent(), F(0), F(1), ToleranceConfig(grid_points=21))
         assert diff_report(d, approx, F(1, 20)).consistent
+
+
+def _reference_grid(f, cfg, lo=None, hi=None, *, piece_midpoints=False):
+    """The grid as a sort of every point followed by de-duplication."""
+    a, b = f.domain
+    lo = a if lo is None else F(lo)
+    hi = b if hi is None else F(hi)
+    if isinstance(f, Tabulated):
+        return [p for p in f.positions if lo <= p <= hi]
+    n = cfg.grid_points
+    breaks = [p for p in f.breakpoints() if lo <= p <= hi]
+    points = [lo + (hi - lo) * F(i, n - 1) for i in range(n)] + breaks
+    if piece_midpoints:
+        points += [(b0 + b1) / 2 for b0, b1 in zip(breaks, breaks[1:])]
+    return sorted(set(points))
+
+
+_GRID_MODELS = [generate_cantor(d, m) for d in (1, 3, 4) for m in ("set", "complement")]
+_GRID_MODELS += [random_pwc(s, pieces=3 + s, allow_infinite=True) for s in range(0, 20, 4)]
+_GRID_MODELS += random_corpus(6) + [_random_tabulated(4)]
+
+
+class TestGridMerge:
+    """The index-merged grid against a literal sort and de-duplication."""
+
+    @pytest.mark.parametrize("n", [3, 4, 21, 61, 201])
+    def test_matches_sorted_union(self, n):
+        cfg = ToleranceConfig(grid_points=n)
+        rng = random.Random(n)
+        for f in _GRID_MODELS:
+            a, b = f.domain
+            bps = f.breakpoints()
+            ranges = [
+                (None, None),
+                (bps[1], bps[-2]) if len(bps) > 3 else (None, None),
+                (a + (b - a) * F(rng.randint(1, 30), 61), b - (b - a) * F(rng.randint(1, 30), 61)),
+                (bps[0], bps[0] + (bps[1] - bps[0]) / 3),
+            ]
+            for lo, hi in ranges:
+                for mid in (False, True):
+                    got = build_grid(f, cfg, lo, hi, piece_midpoints=mid)
+                    assert got == _reference_grid(f, cfg, lo, hi, piece_midpoints=mid), (f, n, lo, hi, mid)
+
+
+class TestIntegerKeys:
+    """Integer-key ranks against the ranks of the sorted distinct values."""
+
+    @staticmethod
+    def reference_ranks(values):
+        order = {v: i for i, v in enumerate(sorted(set(values)))}
+        return [order[v] for v in values]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [PLUS_INF, MINUS_INF, PLUS_INF],
+            [MINUS_INF, MINUS_INF],
+            [PLUS_INF],
+            [XReal(F(7, 3))] * 4,
+            [XReal(F(-1, 6)), PLUS_INF, XReal(F(1, 4)), MINUS_INF, XReal(F(-1, 6)), XReal(0)],
+            [XReal(F(1, 10**30)), XReal(F(1, 10**30 + 1)), XReal(0), XReal(F(-2, 3))],
+        ],
+    )
+    def test_ranks_match_sorted_values(self, values):
+        assert _rank_values(values).tolist() == self.reference_ranks(values)
+
+    def test_ranks_on_random_values(self):
+        rng = random.Random(11)
+        pool = [PLUS_INF, MINUS_INF]
+        for _ in range(200):
+            values = [
+                rng.choice(pool) if rng.random() < 0.15
+                else XReal(F(rng.randint(-40, 40), rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 30))
+            ]
+            assert _rank_values(values).tolist() == self.reference_ranks(values)
+
+
+class TestGridBudget:
+    """Refused before evaluation, hence before any g x g array exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def unreachable(self, ts):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr("qcvx.functions._ExactModel.evaluate_sorted", unreachable)
+
+    def test_large_resolution_refused(self):
+        with pytest.raises(ParameterRangeError, match=f"{MAX_GRID_POINTS + 1} points"):
+            oracle_quasiconvex(tent(), ToleranceConfig(grid_points=MAX_GRID_POINTS + 1))
+
+    def test_limit_counts_breakpoints_and_midpoints(self):
+        f = generate_cantor(11, "set")
+        with pytest.raises(ParameterRangeError, match=str(MAX_GRID_POINTS)):
+            oracle_quasiconvex(f, ToleranceConfig(grid_points=201))
+
+
+def _literal_diff(exact, approx, slack):
+    """``diff_report`` as first written: every pair of intervals compared."""
+    if isinstance(exact, ViolationDecomposition):
+        exact_set, isolated = exact.components, exact.isolated_violations
+    else:
+        exact_set, isolated = exact, ()
+
+    def near(a, b):
+        return max(abs(a.left - b.left), abs(a.right - b.right)) <= slack
+
+    out = []
+    for a in approx:
+        if not any(near(a, e) for e in exact_set) and not (
+            a.length <= 2 * slack and any(a.contains(p) for p in isolated)
+        ):
+            out.append(("unmatched_approx", a))
+    for e in exact_set:
+        if e.length > 2 * slack and not any(near(a, e) for a in approx):
+            out.append(("missed_exact", e))
+    return out
+
+
+def _random_interval_set(rng, count, scale):
+    ends = sorted({F(rng.randint(0, scale), scale) for _ in range(2 * count)})
+    return normalize([iv(ends[i], ends[i + 1]) for i in range(0, len(ends) - 1, 2)])
+
+
+class TestDiffReportBisection:
+    def test_matches_all_pairs_definition(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            scale = rng.choice((40, 200))
+            exact = _random_interval_set(rng, rng.randint(0, 15), scale)
+            approx = _random_interval_set(rng, rng.randint(0, 15), scale)
+            slack = F(rng.randint(0, 12), scale)
+            if rng.random() < 0.5:
+                isolated = tuple(sorted({F(rng.randint(0, scale), scale) for _ in range(5)}))
+                exact = ViolationDecomposition(
+                    x=F(0), y=F(1), threshold=XReal(0), components=exact,
+                    isolated_violations=isolated, lsc_offenders=(),
+                )
+            report = diff_report(exact, approx, slack)
+            expected = _literal_diff(exact, approx, slack)
+            assert [(d.kind, d.interval) for d in report.discrepancies] == expected
+            assert report.consistent == (not expected)

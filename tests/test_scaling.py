@@ -6,17 +6,24 @@ Fractions (``<``, ``<=``, ``>``, ``>=``) goes through
 are deterministic.  The models are Cantor complements with 32 and 512
 breakpoints (depths 4 and 8).  Each model's structure index is built
 before counting, because it is built once per model and not per query.
+The oracle's count is taken on one 16-knot linear model at two grid
+resolutions: its Fraction work may depend on the breakpoints, not on the
+grid size.
 """
 
 from fractions import Fraction
 
 from qcvx import (
+    ToleranceConfig,
     check_semicontinuity,
     enumerate_local_maxima,
     generate_cantor,
     local_quasiconvexity_at,
+    oracle_quasiconvex,
+    oracle_violation_set,
 )
 from qcvx.cli import analyze_pair
+from qcvx.corpus import random_piecewise_linear
 
 SMALL, LARGE = 32, 512
 
@@ -84,3 +91,28 @@ def test_local_maxima_enumeration_is_linear(monkeypatch):
     assert small > 0
     # 16 times the breakpoints; a quadratic walk would grow about 256 times.
     assert large <= 20 * small, (small, large)
+
+
+def oracle_counts(monkeypatch, query) -> list[int]:
+    f = random_piecewise_linear(16, 41)
+    check_semicontinuity(f)
+    return [
+        comparisons(monkeypatch, lambda: query(f, ToleranceConfig(grid_points=n)))
+        for n in (201, 801)
+    ]
+
+
+def test_oracle_fraction_work_is_flat_in_grid_size(monkeypatch):
+    small, large = oracle_counts(monkeypatch, oracle_quasiconvex)
+    assert small > 0
+    assert large == small, (small, large)
+
+
+def test_oracle_violation_set_fraction_work_is_flat_in_grid_size(monkeypatch):
+    def query(f, cfg):
+        bps = f.breakpoints()
+        return oracle_violation_set(f, bps[2], bps[-3], cfg)
+
+    small, large = oracle_counts(monkeypatch, query)
+    assert small > 0
+    assert large == small, (small, large)
