@@ -20,7 +20,7 @@ from itertools import groupby
 from typing import Optional
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
-from .errors import InteriorRequiredError, SemicontinuityError
+from .errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
 from .functions import (
     ClosedSet1D,
     Function1D,
@@ -356,8 +356,19 @@ def revalidate_certificate(
 ) -> Revalidation:
     """Re-check the certificate on a breakpoint-refined evaluation grid:
     no interior value exceeds the supremum, values left of p and right of
-    q stay strictly below it, and f(p) = f(q) = sup."""
+    q stay strictly below it, and f(p) = f(q) = sup.
+
+    The certificate's points must be ordered x0 <= p <= q <= y0, as
+    :func:`paired_maxima_certificate` builds them; otherwise
+    :class:`ParameterRangeError` is raised.
+    """
     x0, y0 = cert.x0, cert.y0
+    if not x0 <= cert.p <= cert.q <= y0:
+        raise ParameterRangeError(
+            "certificate needs x0 <= p <= q <= y0, got "
+            f"x0 = {format_rational(x0)}, p = {format_rational(cert.p)}, "
+            f"q = {format_rational(cert.q)}, y0 = {format_rational(y0)}"
+        )
     breaks = f.breakpoints()
     # Three sorted runs merged, equal neighbours dropped.
     merged = heapq.merge(
@@ -372,7 +383,8 @@ def revalidate_certificate(
     if f.evaluate(cert.p) != sup or f.evaluate(cert.q) != sup:
         failures.append("endpoint values differ from supremum")
     # positions[inner:outer] lie in ]x0, y0[, positions[inner:left_end]
-    # in ]x0, p[ and positions[right_start:outer] in ]q, y0[.
+    # in ]x0, p[ and positions[right_start:outer] in ]q, y0[; the last two
+    # ranges lie inside the first because x0 <= p <= q <= y0.
     inner, outer = bisect_right(positions, x0), bisect_left(positions, y0)
     left_end = bisect_left(positions, cert.p)
     right_start = bisect_right(positions, cert.q)

@@ -174,42 +174,12 @@ def _cmp(u, v) -> int:
     return (v < u) - (u < v)
 
 
-def _sorted_slots(
-    f: Function1D, positions: Sequence[Fraction], ts: Sequence[RationalLike]
-) -> Iterator[tuple[Fraction, int, bool]]:
-    """Place each of the ascending ``ts`` among the sorted ``positions``
-    (whose last entry is the right end of f's domain): yield ``(t, i,
-    hit)`` with ``i = bisect_left(positions, t)`` and ``hit`` true iff
-    ``positions[i] == t``.
-
-    One bisect places ``ts[0]``; after it the walk only moves forward and
-    compares integer cross products, so its Fraction work does not grow
-    with ``len(ts)``.  The first t outside the domain raises the
-    DomainError that ``f.evaluate`` raises.
-    """
-    if not ts:
-        return
-    first = f._check_domain(as_rational(ts[0]))
-    i = bisect_left(positions, first)
-    last = len(positions) - 1
-    pn, pd = positions[i].numerator, positions[i].denominator
-    prev_n, prev_d = first.numerator, first.denominator
-    for t in ts:
-        t = as_rational(t)
-        tn, td = t.numerator, t.denominator
-        if tn * prev_d < prev_n * td:
-            raise ParameterRangeError(
-                f"positions must ascend ({format_rational(t)} after "
-                f"{format_rational(Fraction(prev_n, prev_d))})"
-            )
-        prev_n, prev_d = tn, td
-        while pn * td < tn * pd:
-            if i == last:
-                f._check_domain(t)
-            i += 1
-            pn, pd = positions[i].numerator, positions[i].denominator
-        # Fractions are kept in lowest terms, so equal values have equal parts.
-        yield t, i, pn == tn and pd == td
+def with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
+    """The ascending breakpoints with the midpoint of each consecutive
+    pair between them: ``[b0, (b0 + b1) / 2, b1, ..., b_last]``."""
+    out = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
+    out += breaks[-1:]
+    return out
 
 
 class _ExactModel(Function1D):
@@ -239,11 +209,38 @@ class _ExactModel(Function1D):
         return self._inside(idx - 1, t)
 
     def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
+        """One bisect places ``ts[0]`` among the breakpoints; after it the
+        walk only moves forward and compares integer cross products, so
+        its Fraction work does not grow with ``len(ts)``.  The first t
+        outside the domain raises the DomainError that ``evaluate``
+        raises."""
+        if not ts:
+            return []
         s = self._index
-        return [
-            s.values[i] if hit else self._inside(i - 1, t)
-            for t, i, hit in _sorted_slots(self, s.positions, ts)
-        ]
+        positions = s.positions
+        first = self._check_domain(as_rational(ts[0]))
+        i = bisect_left(positions, first)
+        last = len(positions) - 1
+        pn, pd = positions[i].numerator, positions[i].denominator
+        prev_n, prev_d = first.numerator, first.denominator
+        out: list[XReal] = []
+        for t in ts:
+            t = as_rational(t)
+            tn, td = t.numerator, t.denominator
+            if tn * prev_d < prev_n * td:
+                raise ParameterRangeError(
+                    f"positions must ascend ({format_rational(t)} after "
+                    f"{format_rational(Fraction(prev_n, prev_d))})"
+                )
+            prev_n, prev_d = tn, td
+            while pn * td < tn * pd:
+                if i == last:
+                    self._check_domain(t)
+                i += 1
+                pn, pd = positions[i].numerator, positions[i].denominator
+            # Fractions are kept in lowest terms, so equal values have equal parts.
+            out.append(s.values[i] if pn == tn and pd == td else self._inside(i - 1, t))
+        return out
 
     def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
         lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
@@ -446,14 +443,6 @@ class Tabulated(Function1D):
         if idx < len(self.positions) and self.positions[idx] == t:
             return self.values[idx]
         raise NoSampleError(f"{t} is not a sample position")
-
-    def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
-        out = []
-        for t, i, hit in _sorted_slots(self, self.positions, ts):
-            if not hit:
-                raise NoSampleError(f"{t} is not a sample position")
-            out.append(self.values[i])
-        return out
 
     def negate(self) -> "Tabulated":
         return Tabulated(self.positions, tuple(-v for v in self.values))

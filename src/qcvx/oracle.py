@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import ToleranceConfig, XReal, as_rational, format_rational
 from .errors import ParameterRangeError
-from .functions import Function1D, PiecewiseConstant, Tabulated
+from .functions import Function1D, PiecewiseConstant, Tabulated, with_piece_midpoints
 from .intervals import OpenInterval, OpenIntervalSet, normalize
 from .violations import ViolationDecomposition
 
@@ -129,10 +129,7 @@ def build_grid(
     breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
     if isinstance(f, Tabulated):
         return list(breaks)
-    extras = breaks
-    if piece_midpoints:
-        extras = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
-        extras += breaks[-1:]
+    extras = with_piece_midpoints(breaks) if piece_midpoints else breaks
     n = cfg.grid_points
     step = (hi - lo) / (n - 1)
     # Uniform point i is (start + stride * i) / den.

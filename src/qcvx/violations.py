@@ -33,6 +33,7 @@ from .functions import (
     check_semicontinuity,
     infimum_on,
     require_exact,
+    with_piece_midpoints,
 )
 from .intervals import OpenInterval, OpenIntervalSet, normalize
 
@@ -359,13 +360,7 @@ def _candidate_positions(f: Function1D) -> list[Fraction]:
     violating triple can be moved onto this finite set without changing
     the compared values.
     """
-    breaks = list(f.breakpoints())
-    out: list[Fraction] = []
-    for b0, b1 in zip(breaks, breaks[1:]):
-        out.append(b0)
-        out.append((b0 + b1) / 2)
-    out.append(breaks[-1])
-    return out
+    return with_piece_midpoints(f.breakpoints())
 
 
 def is_quasiconvex(f: Function1D) -> QuasiconvexityVerdict:

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -14,6 +16,8 @@ from conftest import (
     uniform_grid,
 )
 from qcvx import (
+    MINUS_INF,
+    PLUS_INF,
     LocalMaximum,
     LocalShape,
     PiecewiseConstant,
@@ -28,6 +32,7 @@ from qcvx import (
     paired_maxima_certificate,
     revalidate_certificate,
 )
+from qcvx.core import format_rational
 from qcvx.corpus import (
     constant,
     monotone,
@@ -38,7 +43,7 @@ from qcvx.corpus import (
     usc_corpus,
     vee,
 )
-from qcvx.errors import InteriorRequiredError, SemicontinuityError
+from qcvx.errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
 
 F = Fraction
 
@@ -131,6 +136,94 @@ class TestCertificateExtraction:
         assert cert.p == cert.q
         shape = local_quasiconvexity_at(tent(), cert.p)
         assert shape.locally_strictly_quasiconcave
+
+
+def _literal_revalidation(f, cert, grid_points):
+    """The revalidation failures by the per-position conditions, each
+    position evaluated on its own."""
+    x0, y0, p, q, sup = cert.x0, cert.y0, cert.p, cert.q, cert.sup_value
+    uniform = [x0 + (y0 - x0) * F(i, grid_points - 1) for i in range(grid_points)]
+    breaks = [b for b in f.breakpoints() if x0 <= b <= y0]
+    positions = sorted(set(chain(uniform, breaks, (p, q))))
+    failures = []
+    if f.evaluate(p) != sup or f.evaluate(q) != sup:
+        failures.append("endpoint values differ from supremum")
+    for t in positions:
+        v = f.evaluate(t)
+        if x0 < t < y0 and v > sup:
+            failures.append(f"f({format_rational(t)}) exceeds the supremum")
+        if x0 < t < p and not v < sup:
+            failures.append(f"f({format_rational(t)}) not strictly below left of p")
+        if q < t < y0 and not v < sup:
+            failures.append(f"f({format_rational(t)}) not strictly below right of q")
+    return len(positions), failures
+
+
+def _tampered_certificates(f, rng, template):
+    """Certificates on f with the supremum raised, lowered or replaced,
+    and p and q moved inward or outward within [x0, y0]."""
+    bps = f.breakpoints()
+    for _ in range(12):
+        x0, y0 = sorted(rng.sample(bps, 2)) if len(bps) > 2 else (bps[0], bps[-1])
+        inside = [b for b in bps if x0 <= b <= y0]
+        inside += [x0 + (y0 - x0) * F(rng.randint(0, 12), 12) for _ in range(3)]
+        p, q = sorted(rng.choices(inside, k=2))
+        values = [f.evaluate(t) for t in (p, q, (x0 + y0) / 2)]
+        sups = values + [PLUS_INF, MINUS_INF]
+        sups += [XReal(v.finite_value + d) for v in values if v.is_finite for d in (F(-1, 3), F(1, 3))]
+        for sup in rng.sample(sups, 3):
+            yield replace(template, x0=x0, y0=y0, p=p, q=q, sup_value=sup)
+    for x0, y0 in [(bps[0], bps[-1]), (bps[0], bps[len(bps) // 2])]:
+        try:
+            cert = paired_maxima_certificate(f, x0, y0)
+        except SemicontinuityError:
+            continue
+        if cert is None:
+            continue
+        p, q, sup = cert.p, cert.q, cert.sup_value
+        yield cert
+        if sup.is_finite:
+            yield replace(cert, sup_value=XReal(sup.finite_value - F(1, 7)))
+            yield replace(cert, sup_value=XReal(sup.finite_value + F(1, 7)))
+        yield replace(cert, p=(p + q) / 2)
+        yield replace(cert, q=(p + q) / 2)
+        yield replace(cert, p=(x0 + p) / 2, q=(q + y0) / 2)
+        yield replace(cert, p=x0)
+        yield replace(cert, q=y0)
+
+
+class TestRevalidationFailures:
+    """Tampered certificates: the failures and their order against the
+    literal per-position conditions."""
+
+    def test_matches_per_position_conditions(self):
+        template = paired_maxima_certificate(tent(), 0, 1)
+        rng = random.Random(29)
+        seen = set()
+        models = kernel_models()
+        for f in chain(models["cantor"], models["pwc"][::3], models["pl"][::3], [tent()]):
+            for cert in _tampered_certificates(f, rng, template):
+                for grid_points in (5, 21):
+                    reval = revalidate_certificate(f, cert, grid_points)
+                    checked, failures = _literal_revalidation(f, cert, grid_points)
+                    assert reval.checked_points == checked
+                    assert list(reval.failures) == failures[:10], cert
+                    assert reval.all_passed == (not failures)
+                    seen.update(text.rsplit(")", 1)[-1] for text in failures)
+        assert seen == {
+            "endpoint values differ from supremum",
+            " exceeds the supremum",
+            " not strictly below left of p",
+            " not strictly below right of q",
+        }
+
+    @pytest.mark.parametrize(
+        "p,q", [(F(3, 4), F(1, 4)), (F(-1, 8), F(1, 2)), (F(1, 2), F(9, 8))]
+    )
+    def test_unordered_points_rejected(self, p, q):
+        cert = replace(paired_maxima_certificate(tent(), 0, 1), p=p, q=q)
+        with pytest.raises(ParameterRangeError, match="x0 <= p <= q <= y0"):
+            revalidate_certificate(tent(), cert, 21)
 
 
 class TestLocalShape:
