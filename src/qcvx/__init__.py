@@ -17,9 +17,7 @@ from .core import (
     format_rational,
     parse_rational,
     segment_point,
-    xreal_compare,
     xreal_max,
-    xreal_min,
 )
 from .certificates import (
     CertificateChecks,

@@ -167,21 +167,8 @@ PLUS_INF = XReal._make(_PLUS, Fraction(0))
 MINUS_INF = XReal._make(_MINUS, Fraction(0))
 
 
-def xreal_compare(a: XReal, b: XReal) -> int:
-    """Three-way comparison: -1 (less), 0 (equal), +1 (greater)."""
-    if a < b:
-        return -1
-    if a == b:
-        return 0
-    return 1
-
-
 def xreal_max(a: XReal, b: XReal) -> XReal:
     return b if a < b else a
-
-
-def xreal_min(a: XReal, b: XReal) -> XReal:
-    return a if a < b else b
 
 
 @dataclass(frozen=True)

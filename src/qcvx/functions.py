@@ -16,6 +16,7 @@ the violation and certificate analyses build on.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,7 +122,7 @@ class Function1D:
 
     def __getstate__(self) -> dict:
         # The structure index is derived data: rebuilt on demand, never
-        # pickled (the worker pool pickles the model once per pair).
+        # pickled.
         state = dict(vars(self))
         state.pop("_index", None)
         return state
@@ -150,16 +151,31 @@ class SemicontinuityReport:
         }
 
 
+# Integer keys stand for +inf and -inf: they order outside every finite
+# key and are compared, never multiplied.
+PLUS_KEY = math.inf
+MINUS_KEY = -math.inf
+
+
 @dataclass(frozen=True)
 class _StructureIndex:
     """The structure of an exact model, built once per model.
 
     ``positions`` are the sorted breakpoints and ``values`` the values of
     f there; ``pieces[k]`` describes the open piece between positions k
-    and k + 1 (its value, or its slope for a linear model).
+    and k + 1: its value for a constant model, and for a linear model the
+    integers ``(a, b, c)``, without a common factor and with c > 0, such
+    that f(t) = (a + b * t) / c on it.
     ``left_cmp[i]`` and ``right_cmp[i]`` compare f(positions[i]) with the
     values of f immediately left and right of it: +1 above them, 0 equal,
     -1 below; 0 at the domain ends, where that side does not exist.
+
+    The same structure as integers: ``position_keys[i]`` is
+    ``positions[i] * den``, with ``den`` the least common multiple of the
+    position denominators, and ``value_keys[i]`` and ``piece_keys[k]``
+    (constant models only) are the finite values times ``scale``, the
+    least common multiple of the finite value denominators, or
+    ``PLUS_KEY`` / ``MINUS_KEY``.
     """
 
     positions: tuple[Fraction, ...]
@@ -168,6 +184,46 @@ class _StructureIndex:
     left_cmp: tuple[int, ...]
     right_cmp: tuple[int, ...]
     semicontinuity: SemicontinuityReport
+    den: int
+    position_keys: tuple[int, ...]
+    scale: int
+    value_keys: tuple
+    piece_keys: tuple = ()
+
+    def locate(self, t: Fraction) -> tuple[Union[int, Fraction], int]:
+        """``(t * den, i)``: ``t * den`` is an int when t is a multiple
+        of ``1 / den``, and positions[:i] are the breakpoints at or left
+        of t, so t is breakpoint i - 1 exactly when
+        ``position_keys[i - 1] == t * den``."""
+        n, d = t.numerator * self.den, t.denominator
+        q, r = divmod(n, d)
+        return (q if r == 0 else Fraction(n, d)), bisect_right(self.position_keys, q)
+
+
+def _keyed(
+    positions: Sequence[Fraction],
+    values: Sequence[XReal],
+    piece_values: Sequence[XReal] = (),
+) -> dict:
+    """The integer fields of a ``_StructureIndex``."""
+    den = math.lcm(*{p.denominator for p in positions})
+    scale = math.lcm(
+        *{v.finite_value.denominator for v in (*values, *piece_values) if v.is_finite}
+    )
+
+    def key(v: XReal):
+        if not v.is_finite:
+            return PLUS_KEY if v.is_plus_infinity else MINUS_KEY
+        q = v.finite_value
+        return q.numerator * (scale // q.denominator)
+
+    return {
+        "den": den,
+        "position_keys": tuple(p.numerator * (den // p.denominator) for p in positions),
+        "scale": scale,
+        "value_keys": tuple(map(key, values)),
+        "piece_keys": tuple(map(key, piece_values)),
+    }
 
 
 def _cmp(u, v) -> int:
@@ -196,6 +252,13 @@ class _ExactModel(Function1D):
     def _span_cell(self, k: int, left: Fraction, right: Fraction, v_left: XReal, v_right: XReal) -> Cell:
         """The open span ]left, right[ of piece k, with f's values at its ends."""
         raise NotImplementedError
+
+    def _located_value(self, t: Fraction, scaled: Union[int, Fraction], i: int) -> XReal:
+        """f(t) for a t in the domain located by ``_index.locate``."""
+        s = self._index
+        if s.position_keys[i - 1] == scaled:
+            return s.values[i - 1]
+        return self._inside(i - 1, t)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return self._index.positions
@@ -287,18 +350,26 @@ class PiecewiseLinear(_ExactModel):
 
     @cached_property
     def _index(self) -> _StructureIndex:
-        knots = self.knots
-        slopes = tuple(
-            (v1 - v0) / (p1 - p0) for (p0, v0), (p1, v1) in zip(knots, knots[1:])
-        )
-        rises = [(m > 0) - (m < 0) for m in slopes]
+        positions = tuple(p for p, _ in self.knots)
+        values = tuple(XReal(v) for _, v in self.knots)
+        keyed = _keyed(positions, values)
+        den, scale = keyed["den"], keyed["scale"]
+        ps, ks = keyed["position_keys"], keyed["value_keys"]
+        lines = []
+        for p0, p1, k0, k1 in zip(ps, ps[1:], ks, ks[1:]):
+            # f(t) = (k0 * p1 - k1 * p0 + (k1 - k0) * den * t) / ((p1 - p0) * scale)
+            a, b, c = k0 * p1 - k1 * p0, (k1 - k0) * den, (p1 - p0) * scale
+            g = math.gcd(a, b, c)
+            lines.append((a // g, b // g, c // g))
+        rises = [(b > 0) - (b < 0) for _, b, _ in lines]
         return _StructureIndex(
-            positions=tuple(p for p, _ in knots),
-            values=tuple(XReal(v) for _, v in knots),
-            pieces=slopes,
+            positions=positions,
+            values=values,
+            pieces=tuple(lines),
             left_cmp=(0, *rises),
             right_cmp=(*(-r for r in rises), 0),
             semicontinuity=SemicontinuityReport(True, True, (), ()),
+            **keyed,
         )
 
     @property
@@ -309,15 +380,9 @@ class PiecewiseLinear(_ExactModel):
         return self.evaluate(t).finite_value
 
     def _inside(self, k: int, t: Fraction) -> XReal:
-        p0, v0 = self.knots[k]
-        m = self._index.pieces[k]
-        # v0 + m * (t - p0) as one integer fraction, reduced once.
-        pn, pd = p0.numerator, p0.denominator
-        vn, vd = v0.numerator, v0.denominator
-        mn, md = m.numerator, m.denominator
-        tn, td = t.numerator, t.denominator
-        den = md * td * pd
-        return XReal(Fraction(vn * den + vd * mn * (tn * pd - pn * td), vd * den))
+        a, b, c = self._index.pieces[k]
+        td = t.denominator
+        return XReal(Fraction(a * td + b * t.numerator, c * td))
 
     def _span_cell(self, k, left, right, v_left, v_right) -> AffineCell:
         return AffineCell(left, right, v_left.finite_value, v_right.finite_value)
@@ -382,6 +447,7 @@ class PiecewiseConstant(_ExactModel):
             semicontinuity=SemicontinuityReport(
                 not bad_lsc, not bad_usc, bad_lsc, bad_usc
             ),
+            **_keyed(self.breaks, w, v),
         )
 
     @property
@@ -449,11 +515,7 @@ class Tabulated(Function1D):
 
 
 class Blackbox(Function1D):
-    """A callback-backed model; marked inexact.
-
-    ``serial=True`` declares the callback unsafe for concurrent
-    invocation; analyses must not parallelize over such a function.
-    """
+    """A callback-backed model; marked inexact."""
 
     is_exact = False
 
@@ -463,7 +525,6 @@ class Blackbox(Function1D):
         hi: RationalLike,
         callback: Callable[[Fraction], object],
         *,
-        serial: bool = False,
         config: Optional[ToleranceConfig] = None,
     ):
         self._lo = as_rational(lo)
@@ -471,7 +532,6 @@ class Blackbox(Function1D):
         if not self._lo < self._hi:
             raise ValidationError("domain", "need lo < hi")
         self._callback = callback
-        self.serial = serial
         self.config = config or ToleranceConfig()
 
     @property
@@ -491,7 +551,6 @@ class Blackbox(Function1D):
             self._lo,
             self._hi,
             lambda t: -XReal.coerce(inner(t)),
-            serial=self.serial,
             config=self.config,
         )
 

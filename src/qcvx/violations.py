@@ -10,32 +10,41 @@ f <= max(f(x), f(y)) while every interior value stays strictly above it.
 The exact piecewise models always yield a finite family, computed here in
 closed form by sign analysis against the threshold.  The same machinery
 runs against the chord through (x, f(x)) and (y, f(y)) to produce the
-convexity violation set.
+convexity violation set, and behind the component checks and interior
+witnesses.
+
+The walk runs on the integer keys of the model's structure index: the
+threshold becomes integers once per walk, bisection finds the breakpoints
+inside ]x, y[ among integer positions, and the sign of f - threshold at
+each of them is an integer product.  A ``Fraction`` is made only for a
+reported position (a component end, a crossing root, a failing point) and
+for an end of the walk that is not a breakpoint.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
 from .errors import (
     ConsistencyError,
     OrderingError,
+    ParameterRangeError,
     UnsupportedChordError,
 )
 from .functions import (
-    ConstCell,
+    MINUS_KEY,
+    PLUS_KEY,
     Function1D,
-    PointCell,
     check_semicontinuity,
-    infimum_on,
     require_exact,
     with_piece_midpoints,
 )
-from .intervals import OpenInterval, OpenIntervalSet, normalize
+from .intervals import OpenInterval, OpenIntervalSet
 
 
 @dataclass(frozen=True)
@@ -46,98 +55,183 @@ class _AffineThreshold:
     intercept: Fraction
     slope: Fraction
 
-    def at(self, t: Fraction) -> Fraction:
-        return self.intercept + self.slope * t
-
 
 _Threshold = Union[XReal, _AffineThreshold]
 
-
-def _threshold_value(threshold: _Threshold, t: Fraction) -> XReal:
-    if isinstance(threshold, _AffineThreshold):
-        return XReal(threshold.at(t))
-    return threshold
-
-
-def _linear_above(
-    left: Fraction,
-    right: Fraction,
-    d_left: Fraction,
-    d_right: Fraction,
-) -> Optional[OpenInterval]:
-    """Open sub-span of ]left, right[ where the affine difference with the
-    given one-sided boundary values is strictly positive."""
-    if d_left > 0 and d_right > 0:
-        return OpenInterval(left, right)
-    if d_left > 0 >= d_right:
-        root = left + (right - left) * d_left / (d_left - d_right)
-        return OpenInterval(left, root)
-    if d_right > 0 >= d_left:
-        root = left + (right - left) * d_left / (d_left - d_right)
-        return OpenInterval(root, right)
-    return None
+# (m, a, b, plus): f - threshold at position p / den, where f has the
+# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
+# the sign of ``plus`` and a MINUS_KEY value is never above.
+_KeyThreshold = tuple[int, int, int, int]
 
 
-def _cell_above(cell, threshold: _Threshold) -> Optional[OpenInterval]:
-    """Strictly-above sub-span of a piece cell, exact."""
+def _key_threshold(f: Function1D, threshold: _Threshold) -> _KeyThreshold:
+    """The threshold in the integer keys of f's structure index.  An
+    infinite threshold becomes the constant sign it gives every finite
+    value (m = 0)."""
+    s = f._index
     if isinstance(threshold, XReal):
         if threshold.is_plus_infinity:
-            return None
+            return 0, 1, 0, -1
         if threshold.is_minus_infinity:
-            if isinstance(cell, ConstCell) and cell.value.is_minus_infinity:
-                return None
-            return OpenInterval(cell.left, cell.right)
-    if isinstance(cell, ConstCell):
-        if not cell.value.is_finite:
-            if cell.value.is_plus_infinity:
-                return OpenInterval(cell.left, cell.right)
-            return None
-        v = cell.value.finite_value
-        left_value = right_value = v
-    else:
-        left_value, right_value = cell.left_value, cell.right_value
-    if isinstance(threshold, XReal):
-        thr_left = thr_right = threshold.finite_value
-    else:
-        thr_left = threshold.at(cell.left)
-        thr_right = threshold.at(cell.right)
-    return _linear_above(
-        cell.left, cell.right, left_value - thr_left, right_value - thr_right
-    )
+            return 0, -1, 0, 1
+        q = threshold.finite_value
+        return q.denominator, q.numerator * s.scale, 0, 1
+    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
+    c, slope = threshold.intercept, threshold.slope
+    cd, sd = c.denominator, slope.denominator
+    m = cd * sd * s.den
+    a = c.numerator * sd * s.den * s.scale
+    b = slope.numerator * cd * s.scale
+    g = math.gcd(m, a, b)
+    return m // g, a // g, b // g, 1
+
+
+def _differ(thr: _KeyThreshold):
+    """``diff(key, p)``: an int, or a Fraction if key or p is one, with
+    the sign of f - threshold at position p / den where f has the key."""
+    m, a, b, plus = thr
+
+    def diff(key, p):
+        if key is PLUS_KEY:
+            return plus
+        if key is MINUS_KEY:
+            return -1
+        # b is 0 for a constant threshold; skipping b * p keeps the
+        # difference an int at an end that is not a breakpoint.
+        return key * m - a - b * p if b else key * m - a
+
+    return diff
+
+
+# A position t located in f's structure index: (t, t * den, i), see
+# ``_StructureIndex.locate``.
+_Located = tuple[Fraction, Union[int, Fraction], int]
+
+
+def _locate(f: Function1D, t: Fraction) -> _Located:
+    """Locate a t that must lie in the domain."""
+    keys = f._index.position_keys
+    scaled, i = f._index.locate(t)
+    if i == 0 or (i == len(keys) and scaled != keys[-1]):
+        f._check_domain(t)
+    return t, scaled, i
+
+
+def _value_key(f: Function1D, at: _Located):
+    """The key of f(t): a Fraction only inside a linear piece."""
+    t, scaled, i = at
+    s = f._index
+    if s.position_keys[i - 1] == scaled:
+        return s.value_keys[i - 1]
+    if s.piece_keys:
+        return s.piece_keys[i - 1]
+    return f._inside(i - 1, t).finite_value * s.scale
+
+
+def _located_pair(f: Function1D, x, y) -> tuple[_Located, _Located, XReal, XReal]:
+    """The validated pair located in f's index, with f(x) and f(y)."""
+    x, y = _validate_pair(f, x, y)
+    at_x, at_y = _locate(f, x), _locate(f, y)
+    return at_x, at_y, f._located_value(*at_x), f._located_value(*at_y)
+
+
+# How the part of a piece span ]l, r[ above the threshold looks.
+_NONE, _WHOLE, _LEFT, _RIGHT = range(4)  # empty, ]l, r[, ]l, root[, ]root, r[
+
+
+def _sweep(
+    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
+) -> Iterator[tuple[Fraction, Fraction, int, Optional[Fraction], bool]]:
+    """Walk ]lo, hi[ against the threshold on integer keys.
+
+    Yields ``(left, right, part, root, right_above)`` for each piece span
+    ]left, right[ of ]lo, hi[, left to right: ``part`` says which part of
+    the span lies strictly above the threshold (``root`` is the crossing
+    point of a ``_LEFT`` or ``_RIGHT`` part), and ``right_above`` whether
+    f(right) does.  The last span ends at hi, which is not interior and is
+    reported as above so that no consumer stops or splits there.
+
+    Each difference f - threshold is an integer (a Fraction only at an end
+    that is not a breakpoint), and a root is the same Fraction the
+    rational difference gives, since the differences of one span share
+    one positive scale.
+    """
+    s = f._index
+    den = s.den
+    keys, value_keys, piece_keys = s.position_keys, s.value_keys, s.piece_keys
+    (left, p_left, i), (hi_t, p_hi, i_hi) = lo, hi
+    if not p_left < p_hi:
+        raise ParameterRangeError("a walk needs lo < hi")
+    # positions[i:j] lie strictly inside ]lo, hi[.
+    j = i_hi - 1 if keys[i_hi - 1] == p_hi else i_hi
+    diff, sloped = _differ(thr), thr[2] != 0
+    if not piece_keys:
+        d_left = diff(_value_key(f, lo), p_left)
+    for n in range(i, j + 1):
+        if n < j:
+            right, p_right = s.positions[n], keys[n]
+            d_point = diff(value_keys[n], p_right)
+        else:
+            right, p_right = hi_t, p_hi
+            d_point = None
+        if piece_keys:
+            dl = diff(piece_keys[n - 1], p_left)
+            dr = diff(piece_keys[n - 1], p_right) if sloped else dl
+        else:
+            # A linear piece runs into the values at its ends.
+            if d_point is None:
+                d_point = diff(_value_key(f, hi), p_hi)
+            dl, dr = d_left, d_point
+            d_left = d_point
+        if dl > 0:
+            part = _WHOLE if dr >= 0 else _LEFT
+        elif dr > 0:
+            part = _WHOLE if dl == 0 else _RIGHT
+        else:
+            part = _NONE
+        root = None
+        if part == _LEFT or part == _RIGHT:
+            # left + (right - left) * dl / (dl - dr), over den.
+            root = Fraction(p_right * dl - p_left * dr, (dl - dr) * den)
+        yield left, right, part, root, n == j or d_point > 0
+        left, p_left = right, p_right
 
 
 def _above_set(
     f: Function1D,
-    lo: Fraction,
-    hi: Fraction,
+    lo: _Located,
+    hi: _Located,
     threshold: _Threshold,
-) -> tuple[list[OpenInterval], list[Fraction]]:
-    """The set {z in ]lo, hi[ : f(z) > threshold(z)} as maximal open
-    intervals plus the breakpoints that belong to the set without being
-    interior to it (possible only when f is not lower semicontinuous)."""
-    spans: list[OpenInterval] = []
-    above_points: set[Fraction] = set()
-    for cell in list(f.cells_in(lo, hi))[1:-1]:
-        if isinstance(cell, PointCell):
-            if cell.value > _threshold_value(threshold, cell.position):
-                above_points.add(cell.position)
-        else:
-            span = _cell_above(cell, threshold)
-            if span is not None:
-                spans.append(span)
-    merged: list[OpenInterval] = []
-    for span in spans:
-        if (
-            merged
-            and merged[-1].right == span.left
-            and span.left in above_points
-        ):
-            merged[-1] = OpenInterval(merged[-1].left, span.right)
-        else:
-            merged.append(span)
-    interval_set = OpenIntervalSet(tuple(merged))
-    boundary = sorted(p for p in above_points if not interval_set.contains(p))
-    return merged, boundary
+) -> tuple[list[tuple[Fraction, Fraction]], list[Fraction]]:
+    """The set {z in ]lo, hi[ : f(z) > threshold(z)} as the ends of its
+    maximal open intervals, in order, plus the breakpoints that belong to
+    the set without being interior to it (possible only when f is not
+    lower semicontinuous)."""
+    runs: list[tuple[Fraction, Fraction]] = []
+    isolated: list[Fraction] = []
+    start = None  # left end of the run that reaches the current cut
+    cut_above = False  # whether the current cut, a breakpoint, is above
+    for left, right, part, root, right_above in _sweep(
+        f, lo, hi, _key_threshold(f, threshold)
+    ):
+        if not (start is not None and cut_above and part in (_WHOLE, _LEFT)):
+            if start is not None:
+                runs.append((start, left))
+                start = None
+            if cut_above:
+                isolated.append(left)
+        if part == _WHOLE:
+            if start is None:
+                start = left
+        elif part == _LEFT:
+            runs.append((left if start is None else start, root))
+            start = None
+        elif part == _RIGHT:
+            start = root
+        cut_above = right_above
+    if start is not None:
+        runs.append((start, hi[0]))
+    return runs, isolated
 
 
 def _validate_pair(f: Function1D, x, y) -> tuple[Fraction, Fraction]:
@@ -190,19 +284,29 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     :class:`ConsistencyError`).
     """
     require_exact(f, "violation_set")
-    x, y = _validate_pair(f, x, y)
-    threshold = xreal_max(f.evaluate(x), f.evaluate(y))
-    components, isolated = _above_set(f, x, y, threshold)
-    interval_set = normalize(components)
+    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    x, y = at_x[0], at_y[0]
+    threshold = xreal_max(fx, fy)
+    runs, isolated = _above_set(f, at_x, at_y, threshold)
+    interval_set = OpenIntervalSet(tuple(OpenInterval(u, v) for u, v in runs))
     _check_maximal(f, interval_set, threshold)
     offenders = check_semicontinuity(f).offending_points_lsc
+    den = f._index.den
+
+    def key(p: Fraction) -> int:
+        return p.numerator * (den // p.denominator)
+
     return ViolationDecomposition(
         x=x,
         y=y,
         threshold=threshold,
         components=interval_set,
         isolated_violations=tuple(isolated),
-        lsc_offenders=offenders[bisect_left(offenders, x) : bisect_right(offenders, y)],
+        lsc_offenders=offenders[
+            bisect_left(offenders, math.ceil(at_x[1]), key=key) : bisect_right(
+                offenders, math.floor(at_y[1]), key=key
+            )
+        ],
     )
 
 
@@ -257,20 +361,18 @@ def _component_checks(
     threshold: _Threshold,
 ) -> list[ComponentCheck]:
     """Check each span ]u, v[ against the threshold: neither end lies
-    above it and every interior point lies strictly above it.  One cell
-    walk per span gives the end values and the interior."""
+    above it and every interior point lies strictly above it."""
+    thr = _key_threshold(f, threshold)
+    diff = _differ(thr)
+
+    def above(at: _Located) -> bool:
+        return diff(_value_key(f, at), at[1]) > 0
+
     checks: list[ComponentCheck] = []
     for u, v in spans:
-        cells = list(f.cells_in(u, v))
-        endpoint_bad = next(
-            (
-                c.position
-                for c in (cells[0], cells[-1])
-                if c.value > _threshold_value(threshold, c.position)
-            ),
-            None,
-        )
-        probe = _first_not_above(cells[1:-1], threshold)
+        at_u, at_v = _locate(f, u), _locate(f, v)
+        endpoint_bad = u if above(at_u) else v if above(at_v) else None
+        probe = _first_not_above(f, at_u, at_v, thr)
         checks.append(
             ComponentCheck(
                 endpoints_outside=endpoint_bad is None,
@@ -281,20 +383,21 @@ def _component_checks(
     return checks
 
 
-def _first_not_above(cells, threshold: _Threshold) -> Optional[Fraction]:
-    """A point of the given interior cells where f <= threshold, if any."""
-    for cell in cells:
-        if isinstance(cell, PointCell):
-            if not cell.value > _threshold_value(threshold, cell.position):
-                return cell.position
-        else:
-            span = _cell_above(cell, threshold)
-            if span is None:
-                return (cell.left + cell.right) / 2
-            if span.left != cell.left:
-                return (cell.left + span.left) / 2
-            if span.right != cell.right:
-                return (span.right + cell.right) / 2
+def _first_not_above(
+    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
+) -> Optional[Fraction]:
+    """The first point of ]lo, hi[ found where f <= threshold, if any: an
+    interior breakpoint, or the midpoint of the span or span part that
+    lies at or below the threshold."""
+    for left, right, part, root, right_above in _sweep(f, lo, hi, thr):
+        if part == _NONE:
+            return (left + right) / 2
+        if part == _LEFT:
+            return (root + right) / 2
+        if part == _RIGHT:
+            return (left + root) / 2
+        if not right_above:
+            return right
     return None
 
 
@@ -309,8 +412,9 @@ def verify_component_property(
     :class:`ConsistencyError`; a merely wrong one returns failing checks.
     """
     require_exact(f, "verify_component_property")
-    x, y = _validate_pair(f, decomposition.x, decomposition.y)
-    expected = xreal_max(f.evaluate(x), f.evaluate(y))
+    at_x, at_y, fx, fy = _located_pair(f, decomposition.x, decomposition.y)
+    x, y = at_x[0], at_y[0]
+    expected = xreal_max(fx, fy)
     if decomposition.threshold != expected:
         raise ConsistencyError(
             f"threshold {decomposition.threshold.to_string()} does not match "
@@ -405,19 +509,18 @@ def interior_witness_exists(
 ) -> bool:
     """Whether some z in ]x, y[ satisfies f(z) <= max(f(x), f(y)).
 
-    Decided exactly through the infimum over the open interval: true iff
-    the infimum lies below the threshold (then values below it exist), or
-    equals it with an interior point attaining it.  The midpoint is
-    probed first as a constructive shortcut; a hit settles the question
-    without the full scan.
+    Decided by the walk behind the component checks: some z exists
+    unless every piece span of ]x, y[ lies wholly above the threshold and
+    so does every breakpoint inside.  The walk stops at the first span or
+    breakpoint that does not.
     """
     require_exact(f, "interior_witness_exists")
-    x, y = _validate_pair(f, x, y)
-    threshold = xreal_max(f.evaluate(x), f.evaluate(y))
-    if f.evaluate((x + y) / 2) <= threshold:
-        return True
-    value, attained = infimum_on(f, x, y)
-    return value < threshold or (value == threshold and attained)
+    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    thr = _key_threshold(f, xreal_max(fx, fy))
+    return any(
+        part != _WHOLE or not right_above
+        for _, _, part, _, right_above in _sweep(f, at_x, at_y, thr)
+    )
 
 
 def convexity_violation_set(
@@ -434,21 +537,21 @@ def convexity_violation_set(
     can only occur when f is not lower semicontinuous).
     """
     require_exact(f, "convexity_violation_set")
-    x, y = _validate_pair(f, x, y)
-    fx, fy = f.evaluate(x), f.evaluate(y)
+    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    x, y = at_x[0], at_y[0]
     if not (fx.is_finite and fy.is_finite):
         raise UnsupportedChordError(
             "chord analysis needs finite endpoint values, got "
             f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
         )
     chord = _chord_threshold(x, y, fx.finite_value, fy.finite_value)
-    spans, _ = _above_set(f, x, y, chord)
-
-    def to_param(position: Fraction) -> Fraction:
-        return (y - position) / (y - x)
-
-    return normalize(
-        OpenInterval(to_param(iv.right), to_param(iv.left)) for iv in spans
+    runs, _ = _above_set(f, at_x, at_y, chord)
+    width = y - x
+    return OpenIntervalSet(
+        tuple(
+            OpenInterval((y - right) / width, (y - left) / width)
+            for left, right in reversed(runs)
+        )
     )
 
 
@@ -469,8 +572,8 @@ def verify_chord_components(
     threshold, for a convexity violation set given in parameter
     coordinates."""
     require_exact(f, "verify_chord_components")
-    x, y = _validate_pair(f, x, y)
-    fx, fy = f.evaluate(x), f.evaluate(y)
+    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    x, y = at_x[0], at_y[0]
     if not (fx.is_finite and fy.is_finite):
         raise UnsupportedChordError("chord checks need finite endpoint values")
     chord = _chord_threshold(x, y, fx.finite_value, fy.finite_value)

@@ -132,6 +132,19 @@ def has_violating_triple_on_grid(f, grid: list[Fraction]) -> bool:
     return False
 
 
+def coprime_linear(seed: int, knots: int = 10) -> PiecewiseLinear:
+    """A piecewise-linear model whose positions and values have distinct
+    prime denominators near 10^4, so the common denominators of its
+    positions and of its values are products of many primes."""
+    rng = random.Random(seed)
+    primes = [p for p in range(10007, 10500) if all(p % q for q in range(2, 103))]
+    chosen = rng.sample(primes, 2 * knots)
+    inner = sorted({Fraction(rng.randint(1, p - 1), p) for p in chosen[:knots]})
+    positions = [Fraction(0), *inner, Fraction(1)]
+    values = [Fraction(rng.randint(-40, 40), rng.choice(chosen[knots:])) for _ in positions]
+    return PiecewiseLinear(tuple(zip(positions, values)))
+
+
 def kernel_models() -> dict[str, list]:
     """Exact models of every kind the structure index serves: Cantor
     indicators (usc or lsc only), piecewise-constant models with +-inf

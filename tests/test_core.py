@@ -13,7 +13,6 @@ from qcvx import (
     parse_rational,
     format_rational,
     segment_point,
-    xreal_compare,
     xreal_max,
 )
 from qcvx.errors import (
@@ -30,13 +29,14 @@ xreals = st.one_of(
 
 class TestXRealOrder:
     def test_minus_infinity_below_zero(self):
-        assert xreal_compare(MINUS_INF, XReal(0)) == -1
+        assert MINUS_INF < XReal(0) and not XReal(0) < MINUS_INF
 
     def test_equal_fractions(self):
-        assert xreal_compare(XReal(Fraction(1, 3)), XReal(Fraction(1, 3))) == 0
+        third = XReal(Fraction(1, 3))
+        assert third == XReal(Fraction(1, 3)) and not third < XReal(Fraction(1, 3))
 
     def test_plus_infinity_above_large_finite(self):
-        assert xreal_compare(PLUS_INF, XReal(10**6)) == 1
+        assert XReal(10**6) < PLUS_INF and not PLUS_INF < XReal(10**6)
 
     def test_max_examples(self):
         assert xreal_max(XReal(2), XReal(5)) == XReal(5)

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import (
     cantor_membership,
+    coprime_linear,
     kernel_models,
     middle_thirds_components,
     probe_points,
@@ -38,6 +40,7 @@ from qcvx import (
     supremum_on,
 )
 from qcvx.corpus import constant, tent, vee
+from qcvx.functions import MINUS_KEY, PLUS_KEY
 from qcvx.errors import (
     ConsistencyError,
     DegenerateSegmentError,
@@ -190,12 +193,34 @@ class TestStructureKernel:
     def test_cached_index_stays_out_of_identity_and_pickles(self, make):
         f, twin = make(), make()
         report = check_semicontinuity(f)  # builds f's index only
+        keys = integer_keys(f)
         assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
         assert function_to_dict(f) == function_to_dict(twin)
         assert pickle.dumps(f) == pickle.dumps(twin)
+        assert b"position_keys" not in pickle.dumps(f)
         clone = pickle.loads(pickle.dumps(f))
         assert clone == f
+        assert "_index" not in vars(clone)
         assert check_semicontinuity(clone) == report
+        assert integer_keys(clone) == keys
+
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    def test_integer_keys_match_fields(self, family):
+        for f in kernel_models()[family] + [coprime_linear(5)] * (family == "pl"):
+            s = f._index
+            positions = structural_positions(f)
+            values = [reference_value(f, p) for p in positions]
+            pieces = [] if isinstance(f, PiecewiseLinear) else list(f.piece_values)
+            finite = [v.finite_value for v in values + pieces if v.is_finite]
+            assert s.den == math.lcm(*(p.denominator for p in positions))
+            assert s.scale == math.lcm(*(q.denominator for q in finite))
+            assert [F(k, s.den) for k in s.position_keys] == positions
+            for key, v in zip(s.value_keys + s.piece_keys, values + pieces):
+                if v.is_finite:
+                    assert type(key) is int and F(key, s.scale) == v.finite_value
+                else:
+                    assert key is (PLUS_KEY if v.is_plus_infinity else MINUS_KEY)
+            assert len(s.piece_keys) == len(pieces)
 
     def test_negation_gets_its_own_audit(self):
         f = generate_cantor(2, "set")
@@ -204,6 +229,11 @@ class TestStructureKernel:
         assert (negated.is_lsc, negated.is_usc) == (True, False)
         assert negated.offending_points_usc == report.offending_points_lsc
         assert check_semicontinuity(f) == report
+
+
+def integer_keys(f) -> tuple:
+    s = f._index
+    return s.den, s.position_keys, s.scale, s.value_keys, s.piece_keys
 
 
 def _sorted_walk_inputs(f, rng: random.Random) -> list[list[Fraction]]:

@@ -6,7 +6,9 @@ Fractions (``<``, ``<=``, ``>``, ``>=``) goes through
 are deterministic.  The models are Cantor complements with 32 and 512
 breakpoints (depths 4 and 8).  Each model's structure index is built
 before counting, because it is built once per model and not per query.
-The oracle's count is taken on one 16-knot linear model at two grid
+A whole-domain violation set of the Cantor set indicator, whose
+threshold lies above every value, reports nothing, so its count must not
+change at all.  The oracle's count is taken on one 16-knot linear model at two grid
 resolutions: its Fraction work may depend on the breakpoints, not on the
 grid size.
 """
@@ -21,6 +23,7 @@ from qcvx import (
     local_quasiconvexity_at,
     oracle_quasiconvex,
     oracle_violation_set,
+    violation_set,
 )
 from qcvx.cli import analyze_pair
 from qcvx.corpus import random_piecewise_linear
@@ -43,8 +46,8 @@ def comparisons(monkeypatch, call) -> int:
     return count
 
 
-def cantor_complement(breakpoints: int):
-    f = generate_cantor(breakpoints.bit_length() - 2, "complement")
+def cantor_complement(breakpoints: int, mode: str = "complement"):
+    f = generate_cantor(breakpoints.bit_length() - 2, mode)
     assert len(f.breakpoints()) == breakpoints
     check_semicontinuity(f)  # builds the structure index
     return f
@@ -73,6 +76,18 @@ def test_three_piece_pair_analysis_is_flat(monkeypatch):
     small, large = counts(monkeypatch, query)
     assert small > 0
     assert large <= 2 * small, (small, large)
+
+
+def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):
+    # The walk locates and compares positions and values as integer keys,
+    # so only the pair's own checks compare Fractions: the same number of
+    # them at 32 and at 512 breakpoints.
+    small, large = (
+        comparisons(monkeypatch, lambda f=cantor_complement(n, "set"): violation_set(f, 0, 1))
+        for n in (SMALL, LARGE)
+    )
+    assert small > 0
+    assert large == small, (small, large)
 
 
 def test_local_shape_is_flat(monkeypatch):

@@ -4,15 +4,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    coprime_linear,
     kernel_models,
     probe_points,
     random_pwc,
+    reference_value,
     refined_grid,
     removed_open_intervals,
+    structural_positions,
     uniform_grid,
 )
 from qcvx import (
+    MINUS_INF,
     OpenInterval,
+    OpenIntervalSet,
     PLUS_INF,
     PiecewiseConstant,
     PiecewiseLinear,
@@ -31,6 +36,7 @@ from qcvx.corpus import (
     monotone,
     monotone_concave,
     random_corpus,
+    random_piecewise_linear,
     tent,
     vee,
 )
@@ -40,7 +46,7 @@ from qcvx.errors import (
     OrderingError,
     UnsupportedChordError,
 )
-from qcvx.violations import ViolationDecomposition
+from qcvx.violations import ComponentCheck, ViolationDecomposition
 
 F = Fraction
 
@@ -181,7 +187,7 @@ class TestComponentChecks:
         monkeypatch.setattr(
             violations,
             "_above_set",
-            lambda f, lo, hi, threshold: ([iv(0, "1/2"), iv("1/2", 1)], []),
+            lambda f, lo, hi, threshold: ([(F(0), F(1, 2)), (F(1, 2), F(1))], []),
         )
         with pytest.raises(ConsistencyError, match="touching at 1/2"):
             violation_set(tent(), 0, 1)
@@ -210,6 +216,165 @@ class TestComponentChecks:
                 continue
             d = violation_set(f, x, y)
             assert all(c.passed for c in verify_component_property(f, d))
+
+
+def _above(f, t, thr) -> bool:
+    return reference_value(f, t) > thr(t)
+
+
+def _reference_walk(f, lo, hi, thr) -> list[tuple]:
+    """]lo, hi[ as ``(kind, a, b, above)`` items in order: each interior
+    breakpoint ``("point", p, p, above)`` and each open piece span, split
+    at the crossing root of f - thr when one lies inside it, as
+    ``("span", a, b, above)``.  The root comes from the values at the
+    span's thirds; aboveness from f and thr at the point or the part's
+    midpoint, all in plain Fractions."""
+    cuts = [lo, *(p for p in structural_positions(f) if lo < p < hi), hi]
+    items = []
+    for l, r in zip(cuts, cuts[1:]):
+        t1, t2 = l + (r - l) / 3, l + 2 * (r - l) / 3
+        values = [reference_value(f, t1), thr(t1), reference_value(f, t2), thr(t2)]
+        parts = [l, r]
+        if all(v.is_finite for v in values):
+            d1 = values[0].finite_value - values[1].finite_value
+            d2 = values[2].finite_value - values[3].finite_value
+            if d1 != d2:
+                root = t1 - d1 * (t2 - t1) / (d2 - d1)
+                if l < root < r:
+                    parts = [l, root, r]
+        for a, b in zip(parts, parts[1:]):
+            items.append(("span", a, b, _above(f, (a + b) / 2, thr)))
+        if r != hi:
+            items.append(("point", r, r, _above(f, r, thr)))
+    return items
+
+
+def _reference_above_set(f, lo, hi, thr):
+    """Maximal open intervals of {z in ]lo, hi[ : f(z) > thr(z)} and the
+    breakpoints in the set that are not interior to it."""
+    items = _reference_walk(f, lo, hi, thr)
+    components, isolated, joined = [], [], False
+    for n, (kind, a, b, up) in enumerate(items):
+        if kind == "span":
+            if up and joined:
+                components[-1] = (components[-1][0], b)
+            elif up:
+                components.append((a, b))
+            joined = False
+        elif up:
+            if items[n - 1][3] and items[n + 1][3]:
+                joined = True
+            else:
+                isolated.append(a)
+    return components, isolated
+
+
+def _reference_first_not_above(f, lo, hi, thr):
+    return next(
+        ((a + b) / 2 for _, a, b, up in _reference_walk(f, lo, hi, thr) if not up),
+        None,
+    )
+
+
+def _reference_checks(f, spans, thr) -> list[ComponentCheck]:
+    checks = []
+    for u, v in spans:
+        bad = next((t for t in (u, v) if _above(f, t, thr)), None)
+        probe = _reference_first_not_above(f, u, v, thr)
+        checks.append(ComponentCheck(bad is None, probe is None, bad if bad is not None else probe))
+    return checks
+
+
+def _walk_models() -> list:
+    """Piecewise-constant models with +-inf values (some pairs get +-inf
+    thresholds), piecewise-linear ones, coprime denominators and Cantor
+    indicators."""
+    infinite_ends = PiecewiseConstant(
+        (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+        (XReal(1), MINUS_INF, PLUS_INF, XReal(-2)),
+        (MINUS_INF, PLUS_INF, XReal(0), MINUS_INF, MINUS_INF),
+    )
+    return [
+        infinite_ends,
+        *(random_pwc(s, pieces=2 + s % 9, allow_infinite=True) for s in range(16)),
+        *(random_piecewise_linear(3 + s % 9, 300 + s) for s in range(10)),
+        coprime_linear(1),
+        coprime_linear(2),
+        generate_cantor(2, "set"),
+        generate_cantor(3, "complement"),
+    ]
+
+
+class TestThresholdWalk:
+    """Violation sets, component checks (also of tampered decompositions),
+    chord sets and witnesses against the literal reference above, on
+    pairs whose ends lie on and off breakpoints."""
+
+    @pytest.mark.parametrize("index", range(len(_walk_models())))
+    def test_matches_reference(self, index):
+        f = _walk_models()[index]
+        rng = random.Random(index)
+        points = probe_points(f, rng)
+        bps = f.breakpoints()
+        pairs = [(bps[0], bps[-1])] + [tuple(sorted(rng.sample(points, 2))) for _ in range(14)]
+        for x, y in pairs:
+            fx, fy = reference_value(f, x), reference_value(f, y)
+            level = max(fx, fy)
+            const = lambda t: level
+            d = violation_set(f, x, y)
+            components, isolated = _reference_above_set(f, x, y, const)
+            assert d.threshold == level
+            assert [(iv.left, iv.right) for iv in d.components] == components, (x, y)
+            assert list(d.isolated_violations) == isolated, (x, y)
+            assert verify_component_property(f, d) == _reference_checks(f, components, const)
+            assert interior_witness_exists(f, x, y) == (
+                _reference_first_not_above(f, x, y, const) is not None
+            )
+            inner = [t for t in points if x <= t <= y]
+            for _ in range(3):
+                spans = sorted({tuple(sorted(rng.sample(inner, 2))) for _ in range(2)} if len(inner) > 1 else set())
+                spans = [(u, v) for u, v in spans if u < v]
+                kept = [s for n, s in enumerate(spans) if n == 0 or spans[n - 1][1] <= s[0]]
+                tampered = ViolationDecomposition(
+                    x=x, y=y, threshold=level, components=OpenIntervalSet(tuple(iv(u, v) for u, v in kept))
+                )
+                assert verify_component_property(f, tampered) == _reference_checks(f, kept, const)
+            self._check_chord(f, x, y, fx, fy, rng, points)
+
+    def _check_chord(self, f, x, y, fx, fy, rng, points):
+        if not (fx.is_finite and fy.is_finite):
+            with pytest.raises(UnsupportedChordError):
+                convexity_violation_set(f, x, y)
+            return
+        fx, fy = fx.finite_value, fy.finite_value
+        chord = lambda t: XReal(fx + (fy - fx) * (t - x) / (y - x))
+        components, _ = _reference_above_set(f, x, y, chord)
+        width = y - x
+        expected = [((y - b) / width, (y - a) / width) for a, b in reversed(components)]
+        got = convexity_violation_set(f, x, y)
+        assert [(iv.left, iv.right) for iv in got] == expected, (x, y)
+        # The checks follow the parameter order, which reverses positions.
+        assert verify_chord_components(f, x, y, got) == _reference_checks(
+            f, reversed(components), chord
+        )
+        inner = [t for t in points if x <= t <= y]
+        if len(inner) > 1:
+            u, v = sorted(rng.sample(inner, 2))
+            params = OpenIntervalSet((iv((y - v) / width, (y - u) / width),))
+            assert verify_chord_components(f, x, y, params) == _reference_checks(f, [(u, v)], chord)
+
+    def test_infinite_thresholds_are_covered(self):
+        f = _walk_models()[0]
+        assert violation_set(f, F(1, 4), F(1, 2)).threshold == PLUS_INF
+        assert violation_set(f, 0, 1).threshold == MINUS_INF
+        d = violation_set(f, 0, 1)
+        assert [(iv.left, iv.right) for iv in d.components] == [
+            (F(0), F(1, 4)),
+            (F(1, 2), F(3, 4)),
+            (F(3, 4), F(1)),
+        ]
+        assert d.isolated_violations == (F(1, 4), F(1, 2))
+        assert not interior_witness_exists(f, F(1, 2), F(3, 4))
 
 
 class TestQuasiconvexityDecision:
