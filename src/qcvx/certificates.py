@@ -359,9 +359,12 @@ def revalidate_certificate(
     q stay strictly below it, and f(p) = f(q) = sup.
 
     The certificate's points must be ordered x0 <= p <= q <= y0, as
-    :func:`paired_maxima_certificate` builds them; otherwise
-    :class:`ParameterRangeError` is raised.
+    :func:`paired_maxima_certificate` builds them, and the uniform grid
+    needs at least its two ends; otherwise :class:`ParameterRangeError`
+    is raised.
     """
+    if grid_points < 2:
+        raise ParameterRangeError(f"grid_points must be at least 2, got {grid_points}")
     x0, y0 = cert.x0, cert.y0
     if not x0 <= cert.p <= cert.q <= y0:
         raise ParameterRangeError(

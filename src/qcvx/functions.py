@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     Point,
@@ -45,41 +45,6 @@ from .errors import (
 )
 
 MAX_CANTOR_DEPTH = 20
-
-
-# ---------------------------------------------------------------------------
-# Cells: a uniform walk over the structure of an exact model.
-
-
-@dataclass(frozen=True)
-class PointCell:
-    """A single position with its exact value."""
-
-    position: Fraction
-    value: XReal
-
-
-@dataclass(frozen=True)
-class ConstCell:
-    """An open span ]left, right[ on which f is constant."""
-
-    left: Fraction
-    right: Fraction
-    value: XReal
-
-
-@dataclass(frozen=True)
-class AffineCell:
-    """An open span ]left, right[ on which f is affine with finite
-    one-sided limits ``left_value`` and ``right_value``."""
-
-    left: Fraction
-    right: Fraction
-    left_value: Fraction
-    right_value: Fraction
-
-
-Cell = Union[PointCell, ConstCell, AffineCell]
 
 
 class Function1D:
@@ -114,11 +79,6 @@ class Function1D:
         if not (a <= t <= b):
             raise DomainError(f"{t} outside domain [{a}, {b}]")
         return t
-
-    def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
-        raise InexactModelError(
-            f"{type(self).__name__} has no exact cell structure"
-        )
 
     def __getstate__(self) -> dict:
         # The structure index is derived data: rebuilt on demand, never
@@ -239,9 +199,9 @@ def with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
 
 
 class _ExactModel(Function1D):
-    """Point evaluation and cell walks over the structure index; each
-    lookup bisects, so a walk over ]lo, hi[ costs O(log n + k) for the k
-    breakpoints inside."""
+    """Point evaluation and interval lookups over the structure index; each
+    lookup bisects the integer position keys, so a query on ]lo, hi[ costs
+    O(log n + k) for the k breakpoints inside."""
 
     is_exact = True
 
@@ -249,8 +209,8 @@ class _ExactModel(Function1D):
         """f(t) for t strictly inside piece k."""
         raise NotImplementedError
 
-    def _span_cell(self, k: int, left: Fraction, right: Fraction, v_left: XReal, v_right: XReal) -> Cell:
-        """The open span ]left, right[ of piece k, with f's values at its ends."""
+    def _flat_value(self, k: int) -> Optional[XReal]:
+        """f's value on piece k if f is constant there, else None."""
         raise NotImplementedError
 
     def _located_value(self, t: Fraction, scaled: Union[int, Fraction], i: int) -> XReal:
@@ -265,11 +225,7 @@ class _ExactModel(Function1D):
 
     def evaluate(self, t: RationalLike) -> XReal:
         t = self._check_domain(as_rational(t))
-        s = self._index
-        idx = bisect_left(s.positions, t)
-        if s.positions[idx] == t:
-            return s.values[idx]
-        return self._inside(idx - 1, t)
+        return self._located_value(t, *self._index.locate(t))
 
     def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
         """One bisect places ``ts[0]`` among the breakpoints; after it the
@@ -305,27 +261,17 @@ class _ExactModel(Function1D):
             out.append(s.values[i] if pn == tn and pd == td else self._inside(i - 1, t))
         return out
 
-    def cells_in(self, lo: Fraction, hi: Fraction) -> Iterator[Cell]:
-        lo, hi = self._check_domain(as_rational(lo)), self._check_domain(as_rational(hi))
-        if not lo < hi:
-            raise ParameterRangeError("cells_in needs lo < hi")
+    def _span(self, lo: Fraction, hi: Fraction) -> tuple[int, int, XReal, XReal]:
+        """``(i, j, f(lo), f(hi))`` for lo < hi in the domain: positions[i:j]
+        are the breakpoints strictly inside ]lo, hi[, so lo lies in piece
+        i - 1 or on its left end and hi in piece j - 1 or on its right end."""
         s = self._index
-        positions = s.positions
-        # positions[i:j] are the breakpoints strictly inside ]lo, hi[; lo
-        # lies in piece i - 1 or on its left end, hi in piece j - 1 or on
-        # its right end.
-        i = bisect_right(positions, lo)
-        j = bisect_left(positions, hi, i)
-        cuts = [lo, *positions[i:j], hi]
-        values = [
-            s.values[i - 1] if positions[i - 1] == lo else self._inside(i - 1, lo),
-            *s.values[i:j],
-            s.values[j] if positions[j] == hi else self._inside(j - 1, hi),
-        ]
-        yield PointCell(lo, values[0])
-        for m in range(len(cuts) - 1):
-            yield self._span_cell(i - 1 + m, cuts[m], cuts[m + 1], values[m], values[m + 1])
-            yield PointCell(cuts[m + 1], values[m + 1])
+        scaled_lo, i = s.locate(lo)
+        scaled_hi, j = s.locate(hi)
+        v_hi = self._located_value(hi, scaled_hi, j)
+        if s.position_keys[j - 1] == scaled_hi:
+            j -= 1
+        return i, j, self._located_value(lo, scaled_lo, i), v_hi
 
 
 @dataclass(frozen=True)
@@ -384,8 +330,9 @@ class PiecewiseLinear(_ExactModel):
         td = t.denominator
         return XReal(Fraction(a * td + b * t.numerator, c * td))
 
-    def _span_cell(self, k, left, right, v_left, v_right) -> AffineCell:
-        return AffineCell(left, right, v_left.finite_value, v_right.finite_value)
+    def _flat_value(self, k: int) -> Optional[XReal]:
+        s = self._index
+        return s.values[k] if s.pieces[k][1] == 0 else None
 
     def negate(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((p, -v) for p, v in self.knots))
@@ -457,8 +404,8 @@ class PiecewiseConstant(_ExactModel):
     def _inside(self, k: int, t: Fraction) -> XReal:
         return self.piece_values[k]
 
-    def _span_cell(self, k, left, right, v_left, v_right) -> ConstCell:
-        return ConstCell(left, right, self.piece_values[k])
+    def _flat_value(self, k: int) -> XReal:
+        return self.piece_values[k]
 
     def negate(self) -> "PiecewiseConstant":
         return PiecewiseConstant(
@@ -666,22 +613,16 @@ def _extremum(
 ) -> tuple[XReal, bool]:
     """The extremum of f over the interval with the given end flags, and
     whether a point of the open interior attains it."""
-    cells = list(f.cells_in(lo, hi))
-    inner: list[XReal] = []
-    for cell in cells[1:-1]:
-        if not isinstance(cell, AffineCell):
-            inner.append(cell.value)
-        elif cell.left_value == cell.right_value:
-            inner.append(XReal(cell.left_value))
-        # Non-constant affine spans attain extrema only at their ends,
-        # which the surrounding point cells already cover.
+    i, j, v_lo, v_hi = f._span(lo, hi)
+    # Pieces on which f is not constant attain extrema only at their
+    # ends, which the breakpoint values and the end values cover.
+    flats = (f._flat_value(k) for k in range(i - 1, j))
+    inner = [*f._index.values[i:j], *(v for v in flats if v is not None)]
     # An excluded end of a continuous model still bounds the extremum as
     # an unattained limit.
     continuous = isinstance(f, PiecewiseLinear)
     ends = [
-        cell.value
-        for cell, closed in ((cells[0], lo_closed), (cells[-1], hi_closed))
-        if closed or continuous
+        v for v, closed in ((v_lo, lo_closed), (v_hi, hi_closed)) if closed or continuous
     ]
     pick = max if maximize else min
     best = pick(inner + ends)
@@ -824,25 +765,24 @@ def argmax_set(
     sup, _ = _extremum(
         f, x0, y0, lo_closed=False, hi_closed=False, maximize=True
     )
-    parts: list[tuple[Fraction, Fraction]] = []
-    cells = list(f.cells_in(x0, y0))
-    for k, cell in enumerate(cells):
-        if isinstance(cell, PointCell):
-            if cell.value == sup:
-                parts.append((cell.position, cell.position))
-        elif isinstance(cell, ConstCell):
-            if cell.value == sup:
-                for end in (cells[k - 1], cells[k + 1]):
-                    if end.value != sup:
-                        raise PreconditionError(
-                            "argmax set is not closed at "
-                            f"{end.position}; upper semicontinuity of the "
-                            "certificate flow is violated there"
-                        )
-                parts.append((cell.left, cell.right))
-        else:
-            if cell.left_value == cell.right_value and XReal(cell.left_value) == sup:
-                parts.append((cell.left, cell.right))
+    i, j, v_lo, v_hi = f._span(x0, y0)
+    cuts = [x0, *f._index.positions[i:j], y0]
+    values = [v_lo, *f._index.values[i:j], v_hi]
+    parts = [(t, t) for t, v in zip(cuts, values) if v == sup]
+    for m in range(len(cuts) - 1):
+        flat = f._flat_value(i - 1 + m)
+        if flat is None or flat != sup:
+            continue
+        # A flat linear piece has its value at its ends too, so only a
+        # piecewise-constant model can fail here.
+        for end, value in ((cuts[m], values[m]), (cuts[m + 1], values[m + 1])):
+            if value != sup:
+                raise PreconditionError(
+                    "argmax set is not closed at "
+                    f"{end}; upper semicontinuity of the "
+                    "certificate flow is violated there"
+                )
+        parts.append((cuts[m], cuts[m + 1]))
     if not parts:
         raise SupremumNotAttainedError(
             f"no point of [{x0}, {y0}] attains the interior supremum {sup.to_string()}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .core import RationalLike, as_rational, format_rational
@@ -82,6 +83,12 @@ class OpenIntervalSet:
         return candidate.left < t < candidate.right
 
     def total_length(self) -> Fraction:
+        return self._total_length
+
+    @cached_property
+    def _total_length(self) -> Fraction:
+        # A report asks for the total more than once; the sum is a chain
+        # of Fraction additions, so it is made once per set.
         return sum((iv.length for iv in self.intervals), Fraction(0))
 
     def to_json(self) -> list[dict]:

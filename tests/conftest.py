@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, PiecewiseLinear, XReal, generate_cantor
 from qcvx.corpus import random_piecewise_linear
-from qcvx.functions import AffineCell, ConstCell, PointCell
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -180,23 +179,22 @@ def reference_value(f, t: Fraction) -> XReal:
     raise ValueError(f"{t} outside the domain")
 
 
-def reference_cells(f, lo: Fraction, hi: Fraction) -> list:
-    """The cell walk over ]lo, hi[ by filtering every breakpoint."""
+def reference_cells(f, lo: Fraction, hi: Fraction) -> list[tuple]:
+    """The structure of f on [lo, hi] by filtering every breakpoint, as
+    tuples in order: ``("point", t, f(t))`` for lo, each breakpoint inside
+    and hi, and between each two of them ``("const", l, r, value)`` for a
+    piecewise-constant model or ``("affine", l, r, f(l), f(r))`` for a
+    piecewise-linear one."""
     cuts = [lo] + [p for p in structural_positions(f) if lo < p < hi] + [hi]
-    cells = [PointCell(lo, reference_value(f, lo))]
+    cells = [("point", lo, reference_value(f, lo))]
     for left, right in zip(cuts, cuts[1:]):
         if isinstance(f, PiecewiseLinear):
             cells.append(
-                AffineCell(
-                    left,
-                    right,
-                    reference_value(f, left).finite_value,
-                    reference_value(f, right).finite_value,
-                )
+                ("affine", left, right, reference_value(f, left), reference_value(f, right))
             )
         else:
-            cells.append(ConstCell(left, right, reference_value(f, (left + right) / 2)))
-        cells.append(PointCell(right, reference_value(f, right)))
+            cells.append(("const", left, right, reference_value(f, (left + right) / 2)))
+        cells.append(("point", right, reference_value(f, right)))
     return cells
 
 

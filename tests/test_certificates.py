@@ -225,6 +225,18 @@ class TestRevalidationFailures:
         with pytest.raises(ParameterRangeError, match="x0 <= p <= q <= y0"):
             revalidate_certificate(tent(), cert, 21)
 
+    @pytest.mark.parametrize("grid_points", [1, 0, -3])
+    def test_grid_without_both_ends_rejected(self, grid_points):
+        cert = paired_maxima_certificate(tent(), 0, 1)
+        with pytest.raises(ParameterRangeError, match=f"grid_points must be at least 2, got {grid_points}"):
+            revalidate_certificate(tent(), cert, grid_points)
+
+    def test_two_point_grid_checks_the_ends(self):
+        cert = paired_maxima_certificate(tent(), 0, 1)
+        reval = revalidate_certificate(tent(), cert, 2)
+        assert reval.all_passed and reval.grid_points == 2
+        assert reval.checked_points == 3  # 0, the peak p = q = 1/2, and 1
+
 
 class TestLocalShape:
     def test_tent_peak_strictly_quasiconcave(self):

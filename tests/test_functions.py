@@ -48,6 +48,8 @@ from qcvx.errors import (
     InexactModelError,
     NoSampleError,
     ParameterRangeError,
+    PreconditionError,
+    SupremumNotAttainedError,
     ValidationError,
 )
 
@@ -149,12 +151,57 @@ class TestSemicontinuity:
         assert direct.offending_points_lsc == negated.offending_points_usc
 
 
+def reference_extremum(cells: list, lo_closed: bool, hi_closed: bool, maximize: bool):
+    """``(value, attained_interior)`` from the candidate values of a
+    ``reference_cells`` walk: interior points and constant spans attain
+    their value, a sloped affine span only approaches its end values, and
+    a closed end contributes its value without being interior."""
+    candidates = [(cell[2], True) for cell in cells[2:-2:2]]
+    for cell in cells[1::2]:
+        if cell[0] == "const" or cell[3] == cell[4]:
+            candidates.append((cell[3], True))
+        else:
+            candidates += [(cell[3], False), (cell[4], False)]
+    for cell, closed in ((cells[0], lo_closed), (cells[-1], hi_closed)):
+        if closed:
+            candidates.append((cell[2], False))
+    best = (max if maximize else min)(v for v, _ in candidates)
+    return best, any(attained for v, attained in candidates if v == best)
+
+
+def reference_argmax(cells: list, lo: Fraction, hi: Fraction):
+    """``(sup, ClosedSet1D)``, or the ``(type, text)`` of the error that
+    ``argmax_set`` raises, from a ``reference_cells`` walk."""
+    sup, _ = reference_extremum(cells, False, False, True)
+    parts = [(cell[1], cell[1]) for cell in cells[::2] if cell[2] == sup]
+    for k in range(1, len(cells), 2):
+        cell = cells[k]
+        if cell[0] == "affine" and not cell[3] == cell[4] == sup:
+            continue
+        if cell[0] == "const" and cell[3] != sup:
+            continue
+        for end in (cells[k - 1], cells[k + 1]):
+            if end[2] != sup:
+                return PreconditionError, (
+                    f"argmax set is not closed at {end[1]}; upper semicontinuity "
+                    "of the certificate flow is violated there"
+                )
+        parts.append((cell[1], cell[2]))
+    if not parts:
+        return SupremumNotAttainedError, (
+            f"no point of [{lo}, {hi}] attains the interior supremum {sup.to_string()}"
+        )
+    return sup, ClosedSet1D.from_parts(parts)
+
+
 class TestStructureKernel:
-    """The indexed cell walk, point evaluation and semicontinuity audit
-    against literal scans of the model's own fields."""
+    """Extrema, argmax sets, point evaluation and the semicontinuity
+    audit over the structure index against literal scans of the model's
+    own fields."""
 
     @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
-    def test_cells_in_matches_breakpoint_filter(self, family):
+    def test_extrema_and_argmax_match_breakpoint_filter(self, family):
+        flags = [(lc, hc) for lc in (False, True) for hc in (False, True)]
         for index, f in enumerate(kernel_models()[family]):
             rng = random.Random(index)
             ends = probe_points(f, rng)
@@ -162,7 +209,18 @@ class TestStructureKernel:
                 tuple(sorted(rng.sample(ends, 2))) for _ in range(40)
             ]
             for lo, hi in pairs:
-                assert list(f.cells_in(lo, hi)) == reference_cells(f, lo, hi), (index, lo, hi)
+                cells = reference_cells(f, lo, hi)
+                for lc, hc in flags:
+                    where = (index, lo, hi, lc, hc)
+                    got = infimum_on(f, lo, hi, lo_closed=lc, hi_closed=hc)
+                    assert got == reference_extremum(cells, lc, hc, False), where
+                    got = supremum_on(f, lo, hi, lo_closed=lc, hi_closed=hc)
+                    assert got == reference_extremum(cells, lc, hc, True), where
+                try:
+                    got = argmax_set(f, lo, hi)
+                except (PreconditionError, SupremumNotAttainedError) as exc:
+                    got = type(exc), str(exc)
+                assert got == reference_argmax(cells, lo, hi), (index, lo, hi)
 
     @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
     def test_evaluate_matches_scan(self, family):

@@ -8,7 +8,8 @@ breakpoints (depths 4 and 8).  Each model's structure index is built
 before counting, because it is built once per model and not per query.
 A whole-domain violation set of the Cantor set indicator, whose
 threshold lies above every value, reports nothing, so its count must not
-change at all.  The oracle's count is taken on one 16-knot linear model at two grid
+change at all, and neither may the count of one point evaluation.  The
+oracle's count is taken on one 16-knot linear model at two grid
 resolutions: its Fraction work may depend on the breakpoints, not on the
 grid size.
 """
@@ -17,12 +18,14 @@ from fractions import Fraction
 
 from qcvx import (
     ToleranceConfig,
+    argmax_set,
     check_semicontinuity,
     enumerate_local_maxima,
     generate_cantor,
     local_quasiconvexity_at,
     oracle_quasiconvex,
     oracle_violation_set,
+    paired_maxima_certificate,
     violation_set,
 )
 from qcvx.cli import analyze_pair
@@ -88,6 +91,39 @@ def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):
     )
     assert small > 0
     assert large == small, (small, large)
+
+
+def test_point_evaluation_compares_no_breakpoints(monkeypatch):
+    # evaluate locates t among the integer position keys; only its domain
+    # check compares Fractions, the same number of times at both sizes.
+    def query(f):
+        _, p, q, _ = middle_breakpoints(f)
+        return lambda: f.evaluate((p + q) / 2)
+
+    small, large = (
+        comparisons(monkeypatch, query(cantor_complement(n, "set"))) for n in (SMALL, LARGE)
+    )
+    assert small > 0
+    assert large == small, (small, large)
+
+
+def test_argmax_and_certificate_are_flat(monkeypatch):
+    # From the middle of one removed gap to the middle of another, across
+    # the two retained pieces around the middle third: five pieces, with
+    # value 0 at both ends and 1 inside, so a certificate exists.
+    def query(f):
+        bps = f.breakpoints()
+        k = len(bps) // 2 - 2
+        x0, y0 = (bps[k - 1] + bps[k]) / 2, (bps[k + 3] + bps[k + 4]) / 2
+        assert len(argmax_set(f, x0, y0)[1]) == 2
+        assert paired_maxima_certificate(f, x0, y0).checks.all_passed
+
+    small, large = (
+        comparisons(monkeypatch, lambda f=cantor_complement(n, "set"): query(f))
+        for n in (SMALL, LARGE)
+    )
+    assert small > 0
+    assert large <= 2 * small, (small, large)
 
 
 def test_local_shape_is_flat(monkeypatch):
