@@ -24,10 +24,8 @@ from .errors import InteriorRequiredError, ParameterRangeError, SemicontinuityEr
 from .functions import (
     ClosedSet1D,
     Function1D,
-    PiecewiseLinear,
     argmax_set,
     check_semicontinuity,
-    infimum_on,
     require_exact,
     supremum_on,
 )
@@ -57,10 +55,6 @@ class LocalMaximum:
     strict_from_left: bool
     strict_from_right: bool
     witness_delta: Fraction
-
-    @property
-    def is_plateau(self) -> bool:
-        return self.left < self.right
 
     @property
     def strict_somewhere(self) -> bool:
@@ -95,14 +89,13 @@ def enumerate_local_maxima(f: Function1D) -> list[LocalMaximum]:
     s = f._index
     positions = s.positions
     last = len(positions) - 1
-    linear = isinstance(f, PiecewiseLinear)
 
-    def atom(t: int) -> tuple[XReal, bool]:
+    def atom(t: int) -> tuple[Optional[XReal], bool]:
         i = t // 2
         if t % 2 == 0:
             return s.values[i], s.left_cmp[i] >= 0 and s.right_cmp[i] >= 0
-        value = s.values[i] if linear else s.pieces[i]
-        return value, s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
+        # A piece that is not flat rises or falls, so it never dominates.
+        return f._flat_value(i), s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
 
     atoms = [atom(t) for t in range(2 * last + 1)]
     records: list[LocalMaximum] = []
@@ -175,52 +168,44 @@ class LocalShape:
     ``locally_quasiconvex``: for some delta, every pair taken from the
     two one-sided punctured neighborhoods has max value >= f(p).
     ``locally_strictly_quasiconcave``: for some delta, f stays strictly
-    below f(p) on both punctured sides.  ``delta`` reports the witnessing
-    radius when either predicate holds.
+    below f(p) on both punctured sides.  ``delta`` is the witnessing
+    radius; on a piecewise model exactly one of the two predicates holds
+    at every interior point.
     """
 
     locally_quasiconvex: bool
     locally_strictly_quasiconcave: bool
-    delta: Optional[Fraction]
+    delta: Fraction
 
     def to_json(self) -> dict:
         return {
             "locally_quasiconvex": self.locally_quasiconvex,
             "locally_strictly_quasiconcave": self.locally_strictly_quasiconcave,
-            "delta": None if self.delta is None else format_rational(self.delta),
+            "delta": format_rational(self.delta),
         }
 
 
 def local_quasiconvexity_at(f: Function1D, p: RationalLike) -> LocalShape:
     """Decide the local predicates exactly at an interior point.
 
-    Both predicates stabilize once delta is small enough that each
-    punctured side lies within a single structural regime, so it
-    suffices to evaluate them at the largest such delta.
+    Within delta, the distance to the nearest other breakpoint, each
+    punctured side lies inside one piece, where f is constant or strictly
+    monotone, so f(p) compares with every value on a side as it compares
+    with the value just beside p.  The structure index records that
+    comparison: f is locally quasiconvex iff it is not above its values on
+    some side, and locally strictly quasiconcave iff it is above them on
+    both.
     """
     require_exact(f, "local_quasiconvexity_at")
     p = as_rational(p)
     a, b = f.domain
     if not a < p < b:
         raise InteriorRequiredError(f"{p} is not interior to [{a}, {b}]")
-    breaks = f.breakpoints()
-    delta = min(
-        p - breaks[bisect_left(breaks, p) - 1],
-        breaks[bisect_right(breaks, p)] - p,
-    )
-    fp = f.evaluate(p)
-    inf_left, _ = infimum_on(f, p - delta, p)
-    inf_right, _ = infimum_on(f, p, p + delta)
-    sup_left, att_left = supremum_on(f, p - delta, p)
-    sup_right, att_right = supremum_on(f, p, p + delta)
-    locally_qc = inf_left >= fp or inf_right >= fp
-    strict_left = sup_left < fp or (sup_left == fp and not att_left)
-    strict_right = sup_right < fp or (sup_right == fp and not att_right)
-    strictly_qcc = strict_left and strict_right
+    left, right, delta = f._sides(p)
     return LocalShape(
-        locally_quasiconvex=locally_qc,
-        locally_strictly_quasiconcave=strictly_qcc,
-        delta=delta if (locally_qc or strictly_qcc) else None,
+        locally_quasiconvex=left <= 0 or right <= 0,
+        locally_strictly_quasiconcave=left > 0 and right > 0,
+        delta=delta,
     )
 
 

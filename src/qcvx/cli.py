@@ -157,15 +157,17 @@ def _pair_worker(pair: tuple[Fraction, Fraction]) -> dict:
 
 
 def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], jobs: int) -> list[dict]:
-    """The pair records in order.  With ``jobs`` > 1 a process pool runs
-    them: the model goes to each worker once, through the pool
-    initializer, and the pairs go in chunks of about a quarter of each
-    worker's share."""
-    if jobs <= 1 or len(pairs) <= 1:
+    """The pair records in order.  They run in a process pool when the
+    least of ``jobs``, the pair count and the CPU count is above 1, with
+    that many workers: the model goes to each worker once, through the
+    pool initializer, and the pairs go in chunks of about a quarter of
+    each worker's share."""
+    workers = min(jobs, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
         return [analyze_pair(f, x, y) for x, y in pairs]
-    chunksize = max(1, len(pairs) // (4 * jobs))
+    chunksize = max(1, len(pairs) // (4 * workers))
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(f,)
+        max_workers=workers, initializer=_init_worker, initargs=(f,)
     ) as pool:
         return list(pool.map(_pair_worker, pairs, chunksize=chunksize))
 
@@ -189,16 +191,6 @@ def _collect_pairs(
     return pairs
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("QCVX_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 @click.group(name="qcvx")
 @click.version_option(version=__version__, prog_name="qcvx")
 def cli():
@@ -210,7 +202,7 @@ def cli():
 @click.option("--pair", "pairs", nargs=2, multiple=True, metavar="X Y", help="Analyze the pair (X, Y); repeatable.")
 @click.option("--all-breakpoint-pairs", is_flag=True, help="Analyze every ordered breakpoint pair.")
 @click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Grid resolution for oracle/plot data.")
-@click.option("--jobs", type=int, default=None, help="Worker pool size for pair analyses (default: QCVX_JOBS or 1).")
+@click.option("--jobs", type=click.IntRange(min=1), envvar="QCVX_JOBS", default=1, show_envvar=True, help="Worker pool size for pair analyses, at least 1.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
 @click.option("--no-timestamp", is_flag=True, help="Omit the timestamp for byte-identical reruns.")
@@ -231,7 +223,6 @@ def analyze(
     """Run the full exact analysis of FUNCTION_FILE."""
     f = _load_function(function_file)
     cfg = ToleranceConfig(grid_points=grid_points)
-    jobs = jobs if jobs is not None else _default_jobs()
     report = _base_report(f, function_file, no_timestamp, cfg, jobs)
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     verdict = is_quasiconvex(f)

@@ -220,9 +220,6 @@ class Segment:
         if self.is_degenerate:
             raise DegenerateSegmentError("segment endpoints coincide")
 
-    def point_at(self, t: RationalLike) -> Point:
-        return segment_point(self, t)
-
 
 def segment_point(segment: Segment, t: RationalLike) -> Point:
     """Evaluate z(t) = (1-t)x + t*y coordinatewise in exact rationals."""

@@ -27,7 +27,6 @@ from .core import (
     Point,
     RationalLike,
     Segment,
-    ToleranceConfig,
     XReal,
     as_rational,
     format_rational,
@@ -273,6 +272,27 @@ class _ExactModel(Function1D):
             j -= 1
         return i, j, self._located_value(lo, scaled_lo, i), v_hi
 
+    def _sides(self, t: Fraction) -> tuple[int, int, Fraction]:
+        """``(left, right, radius)`` for t strictly inside the domain: left
+        and right compare f(t) with the values of f immediately left and
+        right of t (+1 above them, 0 equal, -1 below), and radius is the
+        distance from t to the nearest other breakpoint, so that each of
+        ]t - radius, t[ and ]t, t + radius[ lies inside one piece."""
+        s = self._index
+        scaled, i = s.locate(t)
+        keys = s.position_keys
+        if keys[i - 1] == scaled:
+            k = i - 1
+            left, right = s.left_cmp[k], s.right_cmp[k]
+            below, above = keys[k - 1], keys[k + 1]
+        else:
+            # Inside piece i - 1, f is constant or strictly monotone with
+            # the direction of its right end's left comparison.
+            rise = 0 if self._flat_value(i - 1) is not None else s.left_cmp[i]
+            left, right = rise, -rise
+            below, above = keys[i - 1], keys[i]
+        return left, right, Fraction(min(scaled - below, above - scaled), s.den)
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear(_ExactModel):
@@ -321,9 +341,6 @@ class PiecewiseLinear(_ExactModel):
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.knots[0][0], self.knots[-1][0])
-
-    def value_at(self, t: RationalLike) -> Fraction:
-        return self.evaluate(t).finite_value
 
     def _inside(self, k: int, t: Fraction) -> XReal:
         a, b, c = self._index.pieces[k]
@@ -471,15 +488,12 @@ class Blackbox(Function1D):
         lo: RationalLike,
         hi: RationalLike,
         callback: Callable[[Fraction], object],
-        *,
-        config: Optional[ToleranceConfig] = None,
     ):
         self._lo = as_rational(lo)
         self._hi = as_rational(hi)
         if not self._lo < self._hi:
             raise ValidationError("domain", "need lo < hi")
         self._callback = callback
-        self.config = config or ToleranceConfig()
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -494,28 +508,17 @@ class Blackbox(Function1D):
 
     def negate(self) -> "Blackbox":
         inner = self._callback
-        return Blackbox(
-            self._lo,
-            self._hi,
-            lambda t: -XReal.coerce(inner(t)),
-            config=self.config,
-        )
+        return Blackbox(self._lo, self._hi, lambda t: -XReal.coerce(inner(t)))
 
 
-def restrict_to_segment(
-    g: Callable[[Point], object],
-    segment: Segment,
-    config: Optional[ToleranceConfig] = None,
-) -> Blackbox:
+def restrict_to_segment(g: Callable[[Point], object], segment: Segment) -> Blackbox:
     """Restrict an n-dimensional black box to a segment.
 
     Returns h on [0, 1] with h(t) = g((1-t)x + t*y), so h(0) = g(x) and
     h(1) = g(y).
     """
     segment.require_non_degenerate()
-    return Blackbox(
-        0, 1, lambda t: g(segment_point(segment, t)), config=config
-    )
+    return Blackbox(0, 1, lambda t: g(segment_point(segment, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +761,10 @@ def argmax_set(
     union of closed intervals whenever the interior supremum dominates the
     endpoint values.  If the attaining set fails to be closed (possible
     only when that hypothesis is violated), a precondition error is
-    raised rather than returning a set with wrong membership.
+    raised rather than returning a set with wrong membership.  The set is
+    never empty: the interior supremum is the value of a breakpoint
+    inside, of a flat piece or, for a continuous model, of an end, and
+    each of these is a candidate below.
     """
     require_exact(f, "argmax_set")
     x0, y0 = _validate_subinterval(f, x0, y0)
@@ -783,10 +789,6 @@ def argmax_set(
                     "certificate flow is violated there"
                 )
         parts.append((cuts[m], cuts[m + 1]))
-    if not parts:
-        raise SupremumNotAttainedError(
-            f"no point of [{x0}, {y0}] attains the interior supremum {sup.to_string()}"
-        )
     return sup, ClosedSet1D.from_parts(parts)
 
 

@@ -108,14 +108,12 @@ def build_grid(
     cfg: ToleranceConfig,
     lo: Optional[Fraction] = None,
     hi: Optional[Fraction] = None,
-    *,
-    piece_midpoints: bool = False,
 ) -> list[Fraction]:
     """Uniformly spaced rationals plus the model's breakpoints in range.
 
-    With ``piece_midpoints`` the midpoint of every pair of consecutive
-    breakpoints is added, so constant pieces narrower than the uniform
-    spacing always receive an interior sample.  Each breakpoint and
+    On a piecewise-constant model the midpoint of every pair of
+    consecutive breakpoints is added, so constant pieces narrower than the
+    uniform spacing always receive an interior sample.  Each breakpoint and
     midpoint finds its slot among the uniform points by one integer
     division, which also tells whether it is a uniform point already, so
     the list comes out sorted and without repeats.
@@ -129,7 +127,7 @@ def build_grid(
     breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
     if isinstance(f, Tabulated):
         return list(breaks)
-    extras = with_piece_midpoints(breaks) if piece_midpoints else breaks
+    extras = with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
     n = cfg.grid_points
     step = (hi - lo) / (n - 1)
     # Uniform point i is (start + stride * i) / den.
@@ -187,9 +185,7 @@ def oracle_quasiconvex(
     """
     cfg = cfg or ToleranceConfig()
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
-    grid = build_grid(
-        f, cfg, piece_midpoints=isinstance(f, PiecewiseConstant)
-    )
+    grid = build_grid(f, cfg)
     g = len(grid)
     if g > MAX_GRID_POINTS:
         raise ParameterRangeError(
@@ -264,7 +260,7 @@ def oracle_violation_set(
     x, y = as_rational(x), as_rational(y)
     if not x < y:
         raise ParameterRangeError("oracle_violation_set needs x < y")
-    grid = build_grid(f, cfg, x, y, piece_midpoints=isinstance(f, PiecewiseConstant))
+    grid = build_grid(f, cfg, x, y)
     if grid[0] != x:
         grid.insert(0, x)
     if grid[-1] != y:

@@ -6,6 +6,7 @@ from itertools import chain
 import pytest
 
 from conftest import (
+    coprime_linear,
     is_local_max_on_grid,
     kernel_models,
     middle_thirds_components,
@@ -451,9 +452,12 @@ class TestIndexedWalksAgainstScans:
         for model in (f, g, g.negate(), f.negate()):
             assert enumerate_local_maxima(model) == reference_local_maxima(model)
 
-    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl", "coprime"])
     def test_local_shape(self, family):
-        for index, f in enumerate(kernel_models()[family]):
+        # The radius divides position keys by the common denominator, which
+        # the coprime family makes a product of many primes.
+        models = {**kernel_models(), "coprime": [coprime_linear(s) for s in range(6)]}
+        for index, f in enumerate(models[family]):
             a, b = f.domain
             for p in probe_points(f, random.Random(index)):
                 if a < p < b:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_pwc
 from qcvx import function_to_dict
+from qcvx import cli
 from qcvx.cli import main
 
 F = Fraction
@@ -375,6 +376,98 @@ def test_jobs_default_from_environment(tent_file, capsys, monkeypatch):
     code, out, _ = run(["analyze", str(tent_file), "--no-timestamp"], capsys)
     assert code == 0
     assert read_json(out)["config"]["jobs"] == 3
+
+
+class TestJobsBounds:
+    """The pool size for ``--jobs`` and ``QCVX_JOBS``.  A stub stands in
+    for the process pool: it records the worker count and maps in-process,
+    so no test here starts a process."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                created.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_worker_model", None)
+        monkeypatch.delenv("QCVX_JOBS", raising=False)
+        return created
+
+    @pytest.fixture()
+    def cantor_file(self, tmp_path):
+        path = tmp_path / "cantor2c.json"
+        path.write_text(json.dumps({"type": "cantor", "depth": 2, "mode": "complement"}))
+        return path
+
+    def analyze(self, path, capsys, *flags):
+        capsys.readouterr()  # drop the corpus command's output
+        code, out, err = run(
+            ["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp", *flags], capsys
+        )
+        assert code == 0, err
+        return read_json(out)
+
+    @pytest.mark.parametrize(
+        "model, jobs, cpus, workers",
+        [
+            ("tent", 64, 8, 3),  # three pairs
+            ("cantor", 5000, 2, 2),  # two CPUs
+            ("cantor", 2, 8, 2),
+            ("cantor", 64, 8, 8),
+            ("cantor", 4, 1, None),  # one CPU: in-process
+            ("tent", 1, 8, None),
+        ],
+    )
+    def test_workers_bounded_by_pairs_and_cpus(
+        self, pools, monkeypatch, capsys, tent_file, cantor_file, model, jobs, cpus, workers
+    ):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = tent_file if model == "tent" else cantor_file
+        serial = self.analyze(path, capsys)
+        report = self.analyze(path, capsys, "--jobs", str(jobs))
+        assert pools == ([] if workers is None else [workers])
+        assert report["config"]["jobs"] == jobs
+        serial["config"]["jobs"] = jobs
+        assert report == serial
+
+    def test_environment_sets_the_requested_jobs(self, pools, monkeypatch, capsys, cantor_file):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("QCVX_JOBS", "300")
+        assert self.analyze(cantor_file, capsys)["config"]["jobs"] == 300
+        assert pools == [4]
+        # The option wins over the environment.
+        assert self.analyze(cantor_file, capsys, "--jobs", "1")["config"]["jobs"] == 1
+        assert pools == [4]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_option_below_one_rejected(self, pools, capsys, tent_file, jobs):
+        capsys.readouterr()
+        code, out, err = run(["analyze", str(tent_file), "--jobs", jobs], capsys)
+        assert code == 1 and out == ""
+        assert "'--jobs'" in err and "x>=1" in err
+        assert pools == []
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_invalid_environment_rejected(self, pools, monkeypatch, capsys, tent_file, value):
+        monkeypatch.setenv("QCVX_JOBS", value)
+        capsys.readouterr()
+        code, out, err = run(["analyze", str(tent_file)], capsys)
+        assert code == 1 and out == ""
+        assert "QCVX_JOBS" in err
+        assert pools == []
 
 
 def test_console_entrypoint_runs():

@@ -135,7 +135,7 @@ def _literal_triples(f, cfg, *, float_mode=False):
     """Every violating grid triple, found by a plain loop over all
     i < k < j that tests f(z) > max(f(x), f(y)) directly, in (i, k, j)
     order."""
-    grid = build_grid(f, cfg, piece_midpoints=isinstance(f, PiecewiseConstant))
+    grid = build_grid(f, cfg)
     if float_mode:
         values = [float(f.evaluate(t)) for t in grid]
         eps = float(cfg.float_epsilon)
@@ -271,8 +271,9 @@ class TestDiffReport:
         assert diff_report(d, approx, F(1, 20)).consistent
 
 
-def _reference_grid(f, cfg, lo=None, hi=None, *, piece_midpoints=False):
-    """The grid as a sort of every point followed by de-duplication."""
+def _reference_grid(f, cfg, lo=None, hi=None):
+    """The grid as a sort of every point followed by de-duplication; the
+    piece midpoints join it on piecewise-constant models."""
     a, b = f.domain
     lo = a if lo is None else F(lo)
     hi = b if hi is None else F(hi)
@@ -281,7 +282,7 @@ def _reference_grid(f, cfg, lo=None, hi=None, *, piece_midpoints=False):
     n = cfg.grid_points
     breaks = [p for p in f.breakpoints() if lo <= p <= hi]
     points = [lo + (hi - lo) * F(i, n - 1) for i in range(n)] + breaks
-    if piece_midpoints:
+    if isinstance(f, PiecewiseConstant):
         points += [(b0 + b1) / 2 for b0, b1 in zip(breaks, breaks[1:])]
     return sorted(set(points))
 
@@ -308,9 +309,7 @@ class TestGridMerge:
                 (bps[0], bps[0] + (bps[1] - bps[0]) / 3),
             ]
             for lo, hi in ranges:
-                for mid in (False, True):
-                    got = build_grid(f, cfg, lo, hi, piece_midpoints=mid)
-                    assert got == _reference_grid(f, cfg, lo, hi, piece_midpoints=mid), (f, n, lo, hi, mid)
+                assert build_grid(f, cfg, lo, hi) == _reference_grid(f, cfg, lo, hi), (f, n, lo, hi)
 
 
 class TestIntegerKeys:
