@@ -95,7 +95,7 @@ def enumerate_local_maxima(f: Function1D) -> list[LocalMaximum]:
         if t % 2 == 0:
             return s.values[i], s.left_cmp[i] >= 0 and s.right_cmp[i] >= 0
         # A piece that is not flat rises or falls, so it never dominates.
-        return f._flat_value(i), s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
+        return s.flats[i], s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
 
     atoms = [atom(t) for t in range(2 * last + 1)]
     records: list[LocalMaximum] = []

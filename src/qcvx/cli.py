@@ -191,6 +191,12 @@ def _collect_pairs(
     return pairs
 
 
+def _plot_resolution(ctx, param, value: int) -> int:
+    if value != 0 and value < 2:
+        raise click.BadParameter(f"must be 0 (off) or at least 2, got {value}")
+    return value
+
+
 @click.group(name="qcvx")
 @click.version_option(version=__version__, prog_name="qcvx")
 def cli():
@@ -207,7 +213,7 @@ def cli():
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
 @click.option("--no-timestamp", is_flag=True, help="Omit the timestamp for byte-identical reruns.")
 @click.option("--with-oracle", is_flag=True, help="Embed a brute-force oracle verdict.")
-@click.option("--plot-points", type=int, default=0, help="Include (t, f(t)) columns at this resolution.")
+@click.option("--plot-points", type=int, default=0, callback=_plot_resolution, help="Include (t, f(t)) columns at this resolution: 0 (off) or at least 2.")
 def analyze(
     function_file,
     pairs,
@@ -232,7 +238,7 @@ def analyze(
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if with_oracle:
         report["oracle"] = oracle_quasiconvex(f, cfg).to_json()
-    if plot_points >= 2:
+    if plot_points:
         a, b = f.domain
         samples = []
         for i in range(plot_points):

@@ -64,10 +64,13 @@ def random_piecewise_linear(knot_count: int, seed: int) -> PiecewiseLinear:
     given knot count and rational values in [0, 10].
 
     Values land on a coarse 1/16 grid so ties (plateaus) occur with
-    realistic frequency.
+    realistic frequency.  The knots lie on a grid of
+    ``_POSITION_GRAIN + 1`` positions, so that is the largest knot count.
     """
-    if knot_count < 2:
-        raise ParameterRangeError("need at least two knots")
+    if not 2 <= knot_count <= _POSITION_GRAIN + 1:
+        raise ParameterRangeError(
+            f"knot count must be in [2, {_POSITION_GRAIN + 1}], got {knot_count}"
+        )
     rng = random.Random(seed)
     inner = sorted(rng.sample(range(1, _POSITION_GRAIN), knot_count - 2))
     positions = [Fraction(0)] + [Fraction(i, _POSITION_GRAIN) for i in inner] + [Fraction(1)]

@@ -118,28 +118,32 @@ MINUS_KEY = -math.inf
 
 @dataclass(frozen=True)
 class _StructureIndex:
-    """The structure of an exact model, built once per model.
+    """The structure of an exact model, built once per model by
+    ``_build_index``.
 
     ``positions`` are the sorted breakpoints and ``values`` the values of
-    f there; ``pieces[k]`` describes the open piece between positions k
-    and k + 1: its value for a constant model, and for a linear model the
-    integers ``(a, b, c)``, without a common factor and with c > 0, such
-    that f(t) = (a + b * t) / c on it.
+    f there.  On the open piece k between positions k and k + 1, f is
+    the constant ``flats[k]``, or, where that is None, linear between
+    the finite values at the piece ends: ``lines[k]`` holds the integers
+    ``(a, b, c)``, without a common factor and with c > 0, such that
+    f(t) = (a + b * t) / c there.  ``lines`` has entries only for these
+    non-constant pieces.
     ``left_cmp[i]`` and ``right_cmp[i]`` compare f(positions[i]) with the
     values of f immediately left and right of it: +1 above them, 0 equal,
     -1 below; 0 at the domain ends, where that side does not exist.
 
     The same structure as integers: ``position_keys[i]`` is
     ``positions[i] * den``, with ``den`` the least common multiple of the
-    position denominators, and ``value_keys[i]`` and ``piece_keys[k]``
-    (constant models only) are the finite values times ``scale``, the
-    least common multiple of the finite value denominators, or
+    position denominators, and ``value_keys[i]`` and ``flat_keys[k]``
+    (None where ``flats[k]`` is) are the finite values times ``scale``,
+    the least common multiple of the finite value denominators, or
     ``PLUS_KEY`` / ``MINUS_KEY``.
     """
 
     positions: tuple[Fraction, ...]
     values: tuple[XReal, ...]
-    pieces: tuple
+    flats: tuple[Optional[XReal], ...]
+    lines: dict[int, tuple[int, int, int]]
     left_cmp: tuple[int, ...]
     right_cmp: tuple[int, ...]
     semicontinuity: SemicontinuityReport
@@ -147,7 +151,7 @@ class _StructureIndex:
     position_keys: tuple[int, ...]
     scale: int
     value_keys: tuple
-    piece_keys: tuple = ()
+    flat_keys: tuple
 
     def locate(self, t: Fraction) -> tuple[Union[int, Fraction], int]:
         """``(t * den, i)``: ``t * den`` is an int when t is a multiple
@@ -159,30 +163,56 @@ class _StructureIndex:
         return (q if r == 0 else Fraction(n, d)), bisect_right(self.position_keys, q)
 
 
-def _keyed(
-    positions: Sequence[Fraction],
-    values: Sequence[XReal],
-    piece_values: Sequence[XReal] = (),
-) -> dict:
-    """The integer fields of a ``_StructureIndex``."""
+def _build_index(
+    positions: tuple[Fraction, ...],
+    values: tuple[XReal, ...],
+    flats: tuple[Optional[XReal], ...],
+) -> _StructureIndex:
+    """The index of f with ``values`` at ``positions`` and, on piece k,
+    the constant ``flats[k]``, or where that is None, the line between
+    the values at the piece ends.  A side comparison is with the piece
+    constant, or with the value at the linear piece's other end; the
+    audit is explained at ``check_semicontinuity``."""
     den = math.lcm(*{p.denominator for p in positions})
-    scale = math.lcm(
-        *{v.finite_value.denominator for v in (*values, *piece_values) if v.is_finite}
-    )
+    finite = [v for v in (*values, *flats) if v is not None and v.is_finite]
+    scale = math.lcm(*{v.finite_value.denominator for v in finite})
 
-    def key(v: XReal):
+    def key(v: Optional[XReal]):
+        if v is None:
+            return None
         if not v.is_finite:
             return PLUS_KEY if v.is_plus_infinity else MINUS_KEY
         q = v.finite_value
         return q.numerator * (scale // q.denominator)
 
-    return {
-        "den": den,
-        "position_keys": tuple(p.numerator * (den // p.denominator) for p in positions),
-        "scale": scale,
-        "value_keys": tuple(map(key, values)),
-        "piece_keys": tuple(map(key, piece_values)),
-    }
+    ps = tuple(p.numerator * (den // p.denominator) for p in positions)
+    ks, flat_keys = tuple(map(key, values)), tuple(map(key, flats))
+    pieces = list(zip(ps, ps[1:], ks, ks[1:], flat_keys))
+    lines = {}
+    for k, (p0, p1, k0, k1, flat) in enumerate(pieces):
+        if flat is None:
+            # f(t) = (k0 * p1 - k1 * p0 + (k1 - k0) * den * t) / ((p1 - p0) * scale)
+            a, b, c = k0 * p1 - k1 * p0, (k1 - k0) * den, (p1 - p0) * scale
+            g = math.gcd(a, b, c)
+            lines[k] = (a // g, b // g, c // g)
+    left = (0, *(_cmp(k1, k0 if c is None else c) for _, _, k0, k1, c in pieces))
+    right = (*(_cmp(k0, k1 if c is None else c) for _, _, k0, k1, c in pieces), 0)
+    # The side comparisons beside constant pieces, where f can jump.
+    jumps = list(
+        zip(
+            positions,
+            (0, *(l if c is not None else 0 for l, c in zip(left[1:], flat_keys))),
+            (*(r if c is not None else 0 for r, c in zip(right, flat_keys)), 0),
+        )
+    )
+    bad_lsc = tuple(p for p, l, r in jumps if l > 0 or r > 0)
+    bad_usc = tuple(p for p, l, r in jumps if l < 0 or r < 0)
+    return _StructureIndex(
+        positions=positions, values=values, flats=flats, lines=lines,
+        left_cmp=left, right_cmp=right,
+        semicontinuity=SemicontinuityReport(not bad_lsc, not bad_usc, bad_lsc, bad_usc),
+        den=den, position_keys=ps, scale=scale, value_keys=ks, flat_keys=flat_keys,
+    )
 
 
 def _cmp(u, v) -> int:
@@ -206,11 +236,13 @@ class _ExactModel(Function1D):
 
     def _inside(self, k: int, t: Fraction) -> XReal:
         """f(t) for t strictly inside piece k."""
-        raise NotImplementedError
-
-    def _flat_value(self, k: int) -> Optional[XReal]:
-        """f's value on piece k if f is constant there, else None."""
-        raise NotImplementedError
+        s = self._index
+        flat = s.flats[k]
+        if flat is not None:
+            return flat
+        a, b, c = s.lines[k]
+        td = t.denominator
+        return XReal(Fraction(a * td + b * t.numerator, c * td))
 
     def _located_value(self, t: Fraction, scaled: Union[int, Fraction], i: int) -> XReal:
         """f(t) for a t in the domain located by ``_index.locate``."""
@@ -288,7 +320,7 @@ class _ExactModel(Function1D):
         else:
             # Inside piece i - 1, f is constant or strictly monotone with
             # the direction of its right end's left comparison.
-            rise = 0 if self._flat_value(i - 1) is not None else s.left_cmp[i]
+            rise = 0 if s.flats[i - 1] is not None else s.left_cmp[i]
             left, right = rise, -rise
             below, above = keys[i - 1], keys[i]
         return left, right, Fraction(min(scaled - below, above - scaled), s.den)
@@ -316,40 +348,15 @@ class PiecewiseLinear(_ExactModel):
 
     @cached_property
     def _index(self) -> _StructureIndex:
-        positions = tuple(p for p, _ in self.knots)
-        values = tuple(XReal(v) for _, v in self.knots)
-        keyed = _keyed(positions, values)
-        den, scale = keyed["den"], keyed["scale"]
-        ps, ks = keyed["position_keys"], keyed["value_keys"]
-        lines = []
-        for p0, p1, k0, k1 in zip(ps, ps[1:], ks, ks[1:]):
-            # f(t) = (k0 * p1 - k1 * p0 + (k1 - k0) * den * t) / ((p1 - p0) * scale)
-            a, b, c = k0 * p1 - k1 * p0, (k1 - k0) * den, (p1 - p0) * scale
-            g = math.gcd(a, b, c)
-            lines.append((a // g, b // g, c // g))
-        rises = [(b > 0) - (b < 0) for _, b, _ in lines]
-        return _StructureIndex(
-            positions=positions,
-            values=values,
-            pieces=tuple(lines),
-            left_cmp=(0, *rises),
-            right_cmp=(*(-r for r in rises), 0),
-            semicontinuity=SemicontinuityReport(True, True, (), ()),
-            **keyed,
-        )
+        knots = self.knots
+        values = tuple(XReal(v) for _, v in knots)
+        # A linear piece between equal values is a constant piece.
+        flats = (x if v0 == v1 else None for x, (_, v0), (_, v1) in zip(values, knots, knots[1:]))
+        return _build_index(tuple(p for p, _ in knots), values, tuple(flats))
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.knots[0][0], self.knots[-1][0])
-
-    def _inside(self, k: int, t: Fraction) -> XReal:
-        a, b, c = self._index.pieces[k]
-        td = t.denominator
-        return XReal(Fraction(a * td + b * t.numerator, c * td))
-
-    def _flat_value(self, k: int) -> Optional[XReal]:
-        s = self._index
-        return s.values[k] if s.pieces[k][1] == 0 else None
 
     def negate(self) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((p, -v) for p, v in self.knots))
@@ -393,36 +400,11 @@ class PiecewiseConstant(_ExactModel):
 
     @cached_property
     def _index(self) -> _StructureIndex:
-        """Semicontinuity is decided here, once: the one-sided limits at a
-        breakpoint are the adjacent piece values, so lsc fails where the
-        point value lies above one of them and usc where it lies below."""
-        w, v = self.point_values, self.piece_values
-        left = (0, *(_cmp(w[k + 1], v[k]) for k in range(len(v))))
-        right = (*(_cmp(w[k], v[k]) for k in range(len(v))), 0)
-        sides = list(zip(self.breaks, left, right))
-        bad_lsc = tuple(b for b, l, r in sides if l > 0 or r > 0)
-        bad_usc = tuple(b for b, l, r in sides if l < 0 or r < 0)
-        return _StructureIndex(
-            positions=self.breaks,
-            values=w,
-            pieces=v,
-            left_cmp=left,
-            right_cmp=right,
-            semicontinuity=SemicontinuityReport(
-                not bad_lsc, not bad_usc, bad_lsc, bad_usc
-            ),
-            **_keyed(self.breaks, w, v),
-        )
+        return _build_index(self.breaks, self.point_values, self.piece_values)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.breaks[0], self.breaks[-1])
-
-    def _inside(self, k: int, t: Fraction) -> XReal:
-        return self.piece_values[k]
-
-    def _flat_value(self, k: int) -> XReal:
-        return self.piece_values[k]
 
     def negate(self) -> "PiecewiseConstant":
         return PiecewiseConstant(
@@ -528,13 +510,13 @@ def restrict_to_segment(g: Callable[[Point], object], segment: Segment) -> Black
 def check_semicontinuity(f: Function1D) -> SemicontinuityReport:
     """Decide lower/upper semicontinuity exactly for an exact model.
 
-    Piecewise-linear functions are continuous, hence both.  For
-    piecewise-constant functions the one-sided limits at a breakpoint are
-    the adjacent piece values: lsc requires the point value to be at most
-    every adjacent piece value, usc at least every one.  At the domain
-    ends only the inner side constrains.  The audit runs once per model,
-    with its structure index.  Semicontinuity of sampled or black-box
-    models is undecidable and rejected.
+    f runs into the ends of a linear piece, so only a constant piece can
+    leave a jump, and the one-sided limit there is the piece value: lsc
+    requires each breakpoint value to be at most every constant piece
+    value beside it, usc at least every one.  At the domain ends only the
+    inner side constrains.  The audit runs once per model, with its
+    structure index.  Semicontinuity of sampled or black-box models is
+    undecidable and rejected.
     """
     if not f.is_exact:
         raise InexactModelError(
@@ -617,15 +599,16 @@ def _extremum(
     """The extremum of f over the interval with the given end flags, and
     whether a point of the open interior attains it."""
     i, j, v_lo, v_hi = f._span(lo, hi)
-    # Pieces on which f is not constant attain extrema only at their
-    # ends, which the breakpoint values and the end values cover.
-    flats = (f._flat_value(k) for k in range(i - 1, j))
-    inner = [*f._index.values[i:j], *(v for v in flats if v is not None)]
-    # An excluded end of a continuous model still bounds the extremum as
-    # an unattained limit.
-    continuous = isinstance(f, PiecewiseLinear)
+    s = f._index
+    # Linear pieces attain extrema only at their ends, which the
+    # breakpoint values and the end values cover.
+    inner = [*s.values[i:j], *(v for v in s.flats[i - 1 : j] if v is not None)]
+    # An excluded end on a linear piece still bounds the extremum as an
+    # unattained limit; lo lies on piece i - 1 and hi on piece j - 1.
     ends = [
-        v for v, closed in ((v_lo, lo_closed), (v_hi, hi_closed)) if closed or continuous
+        v
+        for v, closed, k in ((v_lo, lo_closed, i - 1), (v_hi, hi_closed, j - 1))
+        if closed or s.flats[k] is None
     ]
     pick = max if maximize else min
     best = pick(inner + ends)
@@ -763,7 +746,7 @@ def argmax_set(
     only when that hypothesis is violated), a precondition error is
     raised rather than returning a set with wrong membership.  The set is
     never empty: the interior supremum is the value of a breakpoint
-    inside, of a flat piece or, for a continuous model, of an end, and
+    inside, of a flat piece or of an end on a linear piece, and
     each of these is a candidate below.
     """
     require_exact(f, "argmax_set")
@@ -776,11 +759,11 @@ def argmax_set(
     values = [v_lo, *f._index.values[i:j], v_hi]
     parts = [(t, t) for t, v in zip(cuts, values) if v == sup]
     for m in range(len(cuts) - 1):
-        flat = f._flat_value(i - 1 + m)
+        flat = f._index.flats[i - 1 + m]
         if flat is None or flat != sup:
             continue
-        # A flat linear piece has its value at its ends too, so only a
-        # piecewise-constant model can fail here.
+        # f runs into the ends of a linear piece that is flat, so only a
+        # jump beside a constant piece can fail here.
         for end, value in ((cuts[m], values[m]), (cuts[m + 1], values[m + 1])):
             if value != sup:
                 raise PreconditionError(

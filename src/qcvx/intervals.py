@@ -49,8 +49,8 @@ class OpenInterval:
 class OpenIntervalSet:
     """A sorted tuple of pairwise disjoint nonempty open intervals.
 
-    Construct through :func:`normalize`; the constructor checks but does
-    not repair ordering and disjointness.
+    The constructor checks but does not repair ordering and disjointness;
+    :func:`normalize` builds one from intervals in any order.
     """
 
     intervals: tuple[OpenInterval, ...] = ()

@@ -36,7 +36,7 @@ import numpy as np
 from .core import ToleranceConfig, XReal, as_rational, format_rational
 from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated, with_piece_midpoints
-from .intervals import OpenInterval, OpenIntervalSet, normalize
+from .intervals import OpenInterval, OpenIntervalSet
 from .violations import ViolationDecomposition
 
 # About 600 MB of g x g arrays at this size.
@@ -278,7 +278,8 @@ def oracle_violation_set(
             runs.append(OpenInterval(grid[i - 1], grid[j + 1]))
             i = j + 1
         i += 1
-    return normalize(runs)
+    # The runs come out sorted and never overlap, as the constructor checks.
+    return OpenIntervalSet(tuple(runs))
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,9 @@ def _value_key(f: Function1D, at: _Located):
     s = f._index
     if s.position_keys[i - 1] == scaled:
         return s.value_keys[i - 1]
-    if s.piece_keys:
-        return s.piece_keys[i - 1]
+    flat = s.flat_keys[i - 1]
+    if flat is not None:
+        return flat
     return f._inside(i - 1, t).finite_value * s.scale
 
 
@@ -158,15 +159,14 @@ def _sweep(
     """
     s = f._index
     den = s.den
-    keys, value_keys, piece_keys = s.position_keys, s.value_keys, s.piece_keys
+    keys, value_keys, flat_keys = s.position_keys, s.value_keys, s.flat_keys
     (left, p_left, i), (hi_t, p_hi, i_hi) = lo, hi
     if not p_left < p_hi:
         raise ParameterRangeError("a walk needs lo < hi")
     # positions[i:j] lie strictly inside ]lo, hi[.
     j = i_hi - 1 if keys[i_hi - 1] == p_hi else i_hi
     diff, sloped = _differ(thr), thr[2] != 0
-    if not piece_keys:
-        d_left = diff(_value_key(f, lo), p_left)
+    d_left = diff(_value_key(f, lo), p_left)  # at the left end of the span
     for n in range(i, j + 1):
         if n < j:
             right, p_right = s.positions[n], keys[n]
@@ -174,15 +174,16 @@ def _sweep(
         else:
             right, p_right = hi_t, p_hi
             d_point = None
-        if piece_keys:
-            dl = diff(piece_keys[n - 1], p_left)
-            dr = diff(piece_keys[n - 1], p_right) if sloped else dl
+        flat = flat_keys[n - 1]
+        if flat is not None:
+            dl = diff(flat, p_left)
+            dr = diff(flat, p_right) if sloped else dl
         else:
             # A linear piece runs into the values at its ends.
             if d_point is None:
                 d_point = diff(_value_key(f, hi), p_hi)
             dl, dr = d_left, d_point
-            d_left = d_point
+        d_left = d_point
         if dl > 0:
             part = _WHOLE if dr >= 0 else _LEFT
         elif dr > 0:

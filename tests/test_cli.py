@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_pwc
+import qcvx
 from qcvx import function_to_dict
 from qcvx import cli
 from qcvx.cli import main
@@ -62,6 +64,16 @@ class TestCorpusCommand:
         code, _, err = run(["corpus", "bogus"], capsys)
         assert code == 1
         assert "unknown corpus name" in err
+
+    def test_random_pl_knot_count_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, out, err = run(
+            ["corpus", "random-pl", "--knots", "3000", "--seed", "1", "--out", str(path)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: knot count must be in [2, 2521], got 3000\n"
+        assert not path.exists()
 
     def test_cantor_requires_parameters(self, capsys):
         code, _, err = run(["corpus", "cantor"], capsys)
@@ -149,6 +161,20 @@ class TestAnalyzeCommand:
         )
         report = read_json(out)
         assert report["plot"]["samples"][2] == ["1/2", "1", 0.5, 1.0]
+
+    @pytest.mark.parametrize("value", ["1", "-4"])
+    def test_plot_points_rejected(self, tent_file, capsys, value):
+        code, out, err = run(
+            ["analyze", str(tent_file), "--no-timestamp", "--plot-points", value], capsys
+        )
+        assert code == 1 and out == ""
+        assert "--plot-points" in err and "0 (off) or at least 2" in err
+
+    def test_plot_points_zero_is_off(self, tent_file, capsys):
+        code, out, _ = run(
+            ["analyze", str(tent_file), "--no-timestamp", "--plot-points", "0"], capsys
+        )
+        assert code == 0 and "plot" not in read_json(out)
 
     def test_parallel_jobs_match_serial(self, tent_file, tmp_path, capsys):
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
@@ -471,10 +497,18 @@ class TestJobsBounds:
 
 
 def test_console_entrypoint_runs():
+    # The subprocess imports qcvx from where this process did, whether or
+    # not qcvx is installed.
+    package_root = os.path.dirname(os.path.dirname(qcvx.__file__))
+    inherited = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-m", "qcvx.cli", "--version"],
         capture_output=True,
         text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (package_root, inherited))),
+        },
     )
     assert proc.returncode == 0
     assert "qcvx" in proc.stdout

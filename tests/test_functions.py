@@ -39,7 +39,7 @@ from qcvx import (
     restrict_to_segment,
     supremum_on,
 )
-from qcvx.corpus import constant, tent, vee
+from qcvx.corpus import constant, ramp_plateau, random_piecewise_linear, tent, vee
 from qcvx.functions import MINUS_KEY, PLUS_KEY
 from qcvx.errors import (
     ConsistencyError,
@@ -229,15 +229,15 @@ class TestStructureKernel:
                 assert f.evaluate(t) == reference_value(f, t)
             assert f.breakpoints() == tuple(structural_positions(f))
 
-    @pytest.mark.parametrize("family", ["cantor", "pwc"])
+    @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
     def test_audit_matches_literal_definition(self, family):
-        for f in kernel_models()[family]:
+        for f in kernel_models()[family] + [ramp_plateau(), constant()] * (family == "pl"):
             bad_lsc, bad_usc = [], []
-            for i, b in enumerate(f.breaks):
-                limits = f.piece_values[max(i - 1, 0) : i + 1]
-                if any(f.point_values[i] > v for v in limits):
+            for i, b in enumerate(structural_positions(f)):
+                value, limits = reference_value(f, b), one_sided_limits(f, i)
+                if any(value > v for v in limits):
                     bad_lsc.append(b)
-                if any(f.point_values[i] < v for v in limits):
+                if any(value < v for v in limits):
                     bad_usc.append(b)
             report = check_semicontinuity(f)
             assert report.offending_points_lsc == tuple(bad_lsc)
@@ -264,21 +264,34 @@ class TestStructureKernel:
 
     @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
     def test_integer_keys_match_fields(self, family):
-        for f in kernel_models()[family] + [coprime_linear(5)] * (family == "pl"):
+        extra = [coprime_linear(5), ramp_plateau(), constant()] * (family == "pl")
+        linear = set()  # whether a piece is linear, over the family
+        for f in kernel_models()[family] + extra:
             s = f._index
             positions = structural_positions(f)
             values = [reference_value(f, p) for p in positions]
-            pieces = [] if isinstance(f, PiecewiseLinear) else list(f.piece_values)
-            finite = [v.finite_value for v in values + pieces if v.is_finite]
+            flats = piece_constants(f)
+            linear.update(v is None for v in flats)
+            constants = [v for v in flats if v is not None]
+            finite = [v.finite_value for v in values + constants if v.is_finite]
             assert s.den == math.lcm(*(p.denominator for p in positions))
             assert s.scale == math.lcm(*(q.denominator for q in finite))
             assert [F(k, s.den) for k in s.position_keys] == positions
-            for key, v in zip(s.value_keys + s.piece_keys, values + pieces):
-                if v.is_finite:
+            assert s.flats == tuple(flats)
+            assert len(s.flat_keys) == len(flats)
+            for key, v in zip(s.value_keys + s.flat_keys, values + flats):
+                if v is None:
+                    assert key is None
+                elif v.is_finite:
                     assert type(key) is int and F(key, s.scale) == v.finite_value
                 else:
                     assert key is (PLUS_KEY if v.is_plus_infinity else MINUS_KEY)
-            assert len(s.piece_keys) == len(pieces)
+            assert sorted(s.lines) == [k for k, v in enumerate(flats) if v is None]
+            for k, (a, b, c) in s.lines.items():
+                assert c > 0 and math.gcd(a, b, c) == 1
+                for t in positions[k : k + 2]:
+                    assert XReal(F(a + b * t, c)) == reference_value(f, t)
+        assert linear == ({True, False} if family == "pl" else {False})
 
     def test_negation_gets_its_own_audit(self):
         f = generate_cantor(2, "set")
@@ -291,7 +304,30 @@ class TestStructureKernel:
 
 def integer_keys(f) -> tuple:
     s = f._index
-    return s.den, s.position_keys, s.scale, s.value_keys, s.piece_keys
+    return s.den, s.position_keys, s.scale, s.value_keys, s.flat_keys, s.lines
+
+
+def piece_constants(f) -> list:
+    """The constant of each piece read from the model's own fields: a
+    piece value, a linear piece's value where its end values are equal,
+    and None for a linear piece between unequal values."""
+    if isinstance(f, PiecewiseLinear):
+        return [XReal(v0) if v0 == v1 else None for (_, v0), (_, v1) in zip(f.knots, f.knots[1:])]
+    return list(f.piece_values)
+
+
+def one_sided_limits(f, i: int) -> list[XReal]:
+    """The limits of f at breakpoint i from the pieces beside it, read
+    from the model's own fields: a piece value, or a linear piece's
+    affine formula evaluated at the breakpoint."""
+    if isinstance(f, PiecewiseLinear):
+        b = f.knots[i][0]
+        return [
+            XReal(v0 + (v1 - v0) * (b - p0) / (p1 - p0))
+            for (p0, v0), (p1, v1) in zip(f.knots, f.knots[1:])
+            if b in (p0, p1)
+        ]
+    return list(f.piece_values[max(i - 1, 0) : i + 1])
 
 
 def _sorted_walk_inputs(f, rng: random.Random) -> list[list[Fraction]]:
@@ -369,6 +405,16 @@ class TestEvaluateSorted:
         f = tent()
         with pytest.raises(ParameterRangeError, match="ascend"):
             f.evaluate_sorted([F(0), F(3, 4), F(1, 4)])
+
+
+class TestRandomPiecewiseLinear:
+    def test_knot_count_range(self):
+        # Knots lie on 2521 grid positions, domain ends included.
+        f = random_piecewise_linear(2521, 3)
+        assert [p for p, _ in f.knots] == [F(i, 2520) for i in range(2521)]
+        for count in (1, 2522, 3000):
+            with pytest.raises(ParameterRangeError, match=r"must be in \[2, 2521\], got"):
+                random_piecewise_linear(count, 3)
 
 
 class TestCantorGenerator:
