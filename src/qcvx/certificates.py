@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Optional
 
-from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
+from .core import RationalLike, XReal, as_rational, format_rational
 from .errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
 from .functions import (
     ClosedSet1D,
@@ -29,7 +29,7 @@ from .functions import (
     require_exact,
     supremum_on,
 )
-from .violations import _validate_pair
+from .violations import _pair
 
 
 @dataclass(frozen=True)
@@ -284,10 +284,10 @@ def paired_maxima_certificate(
             + ", ".join(format_rational(p) for p in report.offending_points_usc),
             offending=report.offending_points_usc,
         )
-    x0, y0 = _validate_pair(f, x0, y0)
-    threshold = xreal_max(f.evaluate(x0), f.evaluate(y0))
+    at_x, at_y, level, _ = _pair(f, x0, y0)
+    x0, y0 = at_x[0], at_y[0]
     sup_open, _ = supremum_on(f, x0, y0)
-    if not sup_open > threshold:
+    if not sup_open > level:
         return None
     sup, attaining = argmax_set(f, x0, y0)
     p = attaining.min_point()

@@ -38,6 +38,8 @@ from .errors import (
 )
 from .functions import (
     Function1D,
+    _check_cantor_parameters,
+    _parse_rational_field,
     check_semicontinuity,
     function_from_dict,
     function_to_dict,
@@ -337,13 +339,18 @@ def _load_expected_components(path: str) -> OpenIntervalSet:
         raise ValidationError("expect", f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict) or "components" not in doc:
         raise ValidationError("expect.components", "missing components list")
+    spans = []
     try:
-        return normalize(
-            (parse_rational(entry["u"]), parse_rational(entry["v"]))
-            for entry in doc["components"]
-        )
+        for i, entry in enumerate(doc["components"]):
+            field = f"expect.components[{i}]"
+            u = _parse_rational_field(f"{field}.u", entry["u"])
+            v = _parse_rational_field(f"{field}.v", entry["v"])
+            if not u < v:
+                raise ValidationError(field, f"needs u < v, got u = {u}, v = {v}")
+            spans.append((u, v))
     except (KeyError, TypeError) as exc:
         raise ValidationError("expect.components", f"malformed entry: {exc}") from exc
+    return normalize(spans)
 
 
 @cli.command()
@@ -358,8 +365,7 @@ def corpus(name, depth, mode, knots, seed, out_path):
     if name == "cantor":
         if depth is None or mode is None:
             raise click.UsageError("cantor needs --depth and --mode")
-        # Generate (validates the parameters), but store the compact form.
-        corpus_function("cantor", depth=depth, mode=mode)
+        _check_cantor_parameters(depth, mode)
         doc = {"type": "cantor", "depth": depth, "mode": mode}
         default_name = f"cantor{depth}{mode[0]}.json"
     elif name == "random-pl":

@@ -541,15 +541,9 @@ def _cantor_components(depth: int) -> list[tuple[Fraction, Fraction]]:
     return parts
 
 
-def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
-    """Indicator of the depth-k middle-thirds approximant, or of its open
-    complement, as an exact piecewise-constant model on [0, 1].
-
-    ``mode="set"``: value 1 on the union of 2**k closed intervals that
-    remains after removing middle thirds k times, 0 elsewhere; breakpoint
-    values are 1 (the retained intervals are closed).  ``mode="complement"``:
-    the pointwise 1-complement, the indicator of the removed open set.
-    """
+def _check_cantor_parameters(depth: int, mode: str) -> None:
+    """Raise ParameterRangeError unless ``generate_cantor(depth, mode)``
+    accepts the parameters; generates nothing."""
     if (
         isinstance(depth, bool)
         or not isinstance(depth, int)
@@ -560,6 +554,18 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
         )
     if mode not in ("set", "complement"):
         raise ParameterRangeError(f"mode must be 'set' or 'complement', got {mode!r}")
+
+
+def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
+    """Indicator of the depth-k middle-thirds approximant, or of its open
+    complement, as an exact piecewise-constant model on [0, 1].
+
+    ``mode="set"``: value 1 on the union of 2**k closed intervals that
+    remains after removing middle thirds k times, 0 elsewhere; breakpoint
+    values are 1 (the retained intervals are closed).  ``mode="complement"``:
+    the pointwise 1-complement, the indicator of the removed open set.
+    """
+    _check_cantor_parameters(depth, mode)
     components = _cantor_components(depth)
     breaks: list[Fraction] = []
     for a, b in components:

@@ -13,8 +13,10 @@ runs against the chord through (x, f(x)) and (y, f(y)) to produce the
 convexity violation set, and behind the component checks and interior
 witnesses.
 
-The walk runs on the integer keys of the model's structure index: the
-threshold becomes integers once per walk, bisection finds the breakpoints
+Every entry point starts from one pair: it is validated, its ends are
+located in the model's structure index and evaluated once, and the
+threshold, the level or the chord, becomes integers once per pair.  The
+walk then runs on the index's integer keys: bisection finds the breakpoints
 inside ]x, y[ among integer positions, and the sign of f - threshold at
 each of them is an integer product.  A ``Fraction`` is made only for a
 reported position (a component end, a crossing root, a failing point) and
@@ -47,43 +49,11 @@ from .functions import (
 from .intervals import OpenInterval, OpenIntervalSet
 
 
-@dataclass(frozen=True)
-class _AffineThreshold:
-    """The affine map t -> intercept + slope * t, used as a pointwise
-    threshold.  A constant finite threshold is the slope-zero case."""
-
-    intercept: Fraction
-    slope: Fraction
-
-
-_Threshold = Union[XReal, _AffineThreshold]
-
 # (m, a, b, plus): f - threshold at position p / den, where f has the
 # finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
-# the sign of ``plus`` and a MINUS_KEY value is never above.
+# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
+# level is the constant sign it gives every finite value (m = 0).
 _KeyThreshold = tuple[int, int, int, int]
-
-
-def _key_threshold(f: Function1D, threshold: _Threshold) -> _KeyThreshold:
-    """The threshold in the integer keys of f's structure index.  An
-    infinite threshold becomes the constant sign it gives every finite
-    value (m = 0)."""
-    s = f._index
-    if isinstance(threshold, XReal):
-        if threshold.is_plus_infinity:
-            return 0, 1, 0, -1
-        if threshold.is_minus_infinity:
-            return 0, -1, 0, 1
-        q = threshold.finite_value
-        return q.denominator, q.numerator * s.scale, 0, 1
-    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
-    c, slope = threshold.intercept, threshold.slope
-    cd, sd = c.denominator, slope.denominator
-    m = cd * sd * s.den
-    a = c.numerator * sd * s.den * s.scale
-    b = slope.numerator * cd * s.scale
-    g = math.gcd(m, a, b)
-    return m // g, a // g, b // g, 1
 
 
 def _differ(thr: _KeyThreshold):
@@ -129,11 +99,46 @@ def _value_key(f: Function1D, at: _Located):
     return f._inside(i - 1, t).finite_value * s.scale
 
 
-def _located_pair(f: Function1D, x, y) -> tuple[_Located, _Located, XReal, XReal]:
-    """The validated pair located in f's index, with f(x) and f(y)."""
-    x, y = _validate_pair(f, x, y)
+def _pair(
+    f: Function1D, x, y, chord: bool = False
+) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
+    """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
+    ends located in f's index, level = max(f(x), f(y)), and the walk
+    threshold in the index's integer keys, which is the level or, with
+    ``chord``, the chord through (x, f(x)) and (y, f(y))."""
+    x, y = as_rational(x), as_rational(y)
+    lo, hi = f.domain
+    if not (lo <= x and y <= hi):
+        raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
+    if not x < y:
+        raise OrderingError(f"pair needs x < y, got ({x}, {y})")
     at_x, at_y = _locate(f, x), _locate(f, y)
-    return at_x, at_y, f._located_value(*at_x), f._located_value(*at_y)
+    fx, fy = f._located_value(*at_x), f._located_value(*at_y)
+    level = xreal_max(fx, fy)
+    s = f._index
+    if chord:
+        if not (fx.is_finite and fy.is_finite):
+            raise UnsupportedChordError(
+                "chord analysis needs finite endpoint values, got "
+                f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
+            )
+        # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
+        slope = (fy.finite_value - fx.finite_value) / (y - x)
+        c = fx.finite_value - slope * x
+        cd, sd = c.denominator, slope.denominator
+        m = cd * sd * s.den
+        a = c.numerator * sd * s.den * s.scale
+        b = slope.numerator * cd * s.scale
+        g = math.gcd(m, a, b)
+        thr = m // g, a // g, b // g, 1
+    elif level.is_plus_infinity:
+        thr = 0, 1, 0, -1
+    elif level.is_minus_infinity:
+        thr = 0, -1, 0, 1
+    else:
+        q = level.finite_value
+        thr = q.denominator, q.numerator * s.scale, 0, 1
+    return at_x, at_y, level, thr
 
 
 # How the part of a piece span ]l, r[ above the threshold looks.
@@ -202,7 +207,7 @@ def _above_set(
     f: Function1D,
     lo: _Located,
     hi: _Located,
-    threshold: _Threshold,
+    thr: _KeyThreshold,
 ) -> tuple[list[tuple[Fraction, Fraction]], list[Fraction]]:
     """The set {z in ]lo, hi[ : f(z) > threshold(z)} as the ends of its
     maximal open intervals, in order, plus the breakpoints that belong to
@@ -212,9 +217,7 @@ def _above_set(
     isolated: list[Fraction] = []
     start = None  # left end of the run that reaches the current cut
     cut_above = False  # whether the current cut, a breakpoint, is above
-    for left, right, part, root, right_above in _sweep(
-        f, lo, hi, _key_threshold(f, threshold)
-    ):
+    for left, right, part, root, right_above in _sweep(f, lo, hi, thr):
         if not (start is not None and cut_above and part in (_WHOLE, _LEFT)):
             if start is not None:
                 runs.append((start, left))
@@ -233,16 +236,6 @@ def _above_set(
     if start is not None:
         runs.append((start, hi[0]))
     return runs, isolated
-
-
-def _validate_pair(f: Function1D, x, y) -> tuple[Fraction, Fraction]:
-    x, y = as_rational(x), as_rational(y)
-    a, b = f.domain
-    if not (a <= x and y <= b):
-        raise OrderingError(f"pair ({x}, {y}) not within domain [{a}, {b}]")
-    if not x < y:
-        raise OrderingError(f"pair needs x < y, got ({x}, {y})")
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -285,12 +278,10 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     :class:`ConsistencyError`).
     """
     require_exact(f, "violation_set")
-    at_x, at_y, fx, fy = _located_pair(f, x, y)
-    x, y = at_x[0], at_y[0]
-    threshold = xreal_max(fx, fy)
-    runs, isolated = _above_set(f, at_x, at_y, threshold)
+    at_x, at_y, level, thr = _pair(f, x, y)
+    runs, isolated = _above_set(f, at_x, at_y, thr)
     interval_set = OpenIntervalSet(tuple(OpenInterval(u, v) for u, v in runs))
-    _check_maximal(f, interval_set, threshold)
+    _check_maximal(f, interval_set, level)
     offenders = check_semicontinuity(f).offending_points_lsc
     den = f._index.den
 
@@ -298,9 +289,9 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
         return p.numerator * (den // p.denominator)
 
     return ViolationDecomposition(
-        x=x,
-        y=y,
-        threshold=threshold,
+        x=at_x[0],
+        y=at_y[0],
+        threshold=level,
         components=interval_set,
         isolated_violations=tuple(isolated),
         lsc_offenders=offenders[
@@ -359,11 +350,10 @@ class ComponentCheck:
 def _component_checks(
     f: Function1D,
     spans: Iterable[tuple[Fraction, Fraction]],
-    threshold: _Threshold,
+    thr: _KeyThreshold,
 ) -> list[ComponentCheck]:
     """Check each span ]u, v[ against the threshold: neither end lies
     above it and every interior point lies strictly above it."""
-    thr = _key_threshold(f, threshold)
     diff = _differ(thr)
 
     def above(at: _Located) -> bool:
@@ -413,13 +403,12 @@ def verify_component_property(
     :class:`ConsistencyError`; a merely wrong one returns failing checks.
     """
     require_exact(f, "verify_component_property")
-    at_x, at_y, fx, fy = _located_pair(f, decomposition.x, decomposition.y)
+    at_x, at_y, level, thr = _pair(f, decomposition.x, decomposition.y)
     x, y = at_x[0], at_y[0]
-    expected = xreal_max(fx, fy)
-    if decomposition.threshold != expected:
+    if decomposition.threshold != level:
         raise ConsistencyError(
             f"threshold {decomposition.threshold.to_string()} does not match "
-            f"max(f(x), f(y)) = {expected.to_string()}"
+            f"max(f(x), f(y)) = {level.to_string()}"
         )
     for iv in decomposition.components:
         if not (x <= iv.left and iv.right <= y):
@@ -427,7 +416,7 @@ def verify_component_property(
     return _component_checks(
         f,
         ((iv.left, iv.right) for iv in decomposition.components),
-        decomposition.threshold,
+        thr,
     )
 
 
@@ -457,29 +446,21 @@ class QuasiconvexityVerdict:
         return out
 
 
-def _candidate_positions(f: Function1D) -> list[Fraction]:
-    """Breakpoints plus one interior point per piece.
-
-    On every piece of an exact model the extreme values occur at the
-    piece ends (affine pieces) or uniformly (constant pieces), so any
-    violating triple can be moved onto this finite set without changing
-    the compared values.
-    """
-    return with_piece_midpoints(f.breakpoints())
-
-
 def is_quasiconvex(f: Function1D) -> QuasiconvexityVerdict:
     """Decide whether f(z) <= max(f(x), f(y)) for every x < z < y.
 
-    Scans the finite candidate set (breakpoints and piece midpoints): a
-    violating triple exists iff some candidate has a strictly smaller
-    candidate value on each side, which is checked for every candidate
-    via running one-sided minima.  This is the all-triples criterion with
-    the inner quantifiers factored; the brute-force oracle cross-checks
-    it in the test suite.
+    Scans the finite candidate set of breakpoints plus one interior point
+    (the midpoint) per piece.  On every piece of an exact model the
+    extreme values occur at the piece ends (affine pieces) or uniformly
+    (constant pieces), so any violating triple can be moved onto this set
+    without changing the compared values.  A violating triple exists iff
+    some candidate has a strictly smaller candidate value on each side,
+    which is checked for every candidate via running one-sided minima.
+    This is the all-triples criterion with the inner quantifiers factored;
+    the brute-force oracle cross-checks it in the test suite.
     """
     require_exact(f, "is_quasiconvex")
-    positions = _candidate_positions(f)
+    positions = with_piece_midpoints(f.breakpoints())
     values = f.evaluate_sorted(positions)
     n = len(positions)
     suffix_min: list[XReal] = [values[-1]] * n
@@ -516,8 +497,7 @@ def interior_witness_exists(
     breakpoint that does not.
     """
     require_exact(f, "interior_witness_exists")
-    at_x, at_y, fx, fy = _located_pair(f, x, y)
-    thr = _key_threshold(f, xreal_max(fx, fy))
+    at_x, at_y, _, thr = _pair(f, x, y)
     return any(
         part != _WHOLE or not right_above
         for _, _, part, _, right_above in _sweep(f, at_x, at_y, thr)
@@ -538,14 +518,8 @@ def convexity_violation_set(
     can only occur when f is not lower semicontinuous).
     """
     require_exact(f, "convexity_violation_set")
-    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    at_x, at_y, _, chord = _pair(f, x, y, chord=True)
     x, y = at_x[0], at_y[0]
-    if not (fx.is_finite and fy.is_finite):
-        raise UnsupportedChordError(
-            "chord analysis needs finite endpoint values, got "
-            f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
-        )
-    chord = _chord_threshold(x, y, fx.finite_value, fy.finite_value)
     runs, _ = _above_set(f, at_x, at_y, chord)
     width = y - x
     return OpenIntervalSet(
@@ -554,13 +528,6 @@ def convexity_violation_set(
             for left, right in reversed(runs)
         )
     )
-
-
-def _chord_threshold(
-    x: Fraction, y: Fraction, fx: Fraction, fy: Fraction
-) -> _AffineThreshold:
-    slope = (fy - fx) / (y - x)
-    return _AffineThreshold(intercept=fx - slope * x, slope=slope)
 
 
 def verify_chord_components(
@@ -573,11 +540,8 @@ def verify_chord_components(
     threshold, for a convexity violation set given in parameter
     coordinates."""
     require_exact(f, "verify_chord_components")
-    at_x, at_y, fx, fy = _located_pair(f, x, y)
+    at_x, at_y, _, chord = _pair(f, x, y, chord=True)
     x, y = at_x[0], at_y[0]
-    if not (fx.is_finite and fy.is_finite):
-        raise UnsupportedChordError("chord checks need finite endpoint values")
-    chord = _chord_threshold(x, y, fx.finite_value, fy.finite_value)
 
     def to_position(t: Fraction) -> Fraction:
         return y - t * (y - x)

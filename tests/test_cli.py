@@ -79,6 +79,33 @@ class TestCorpusCommand:
         code, _, err = run(["corpus", "cantor"], capsys)
         assert code == 1
 
+    @pytest.fixture()
+    def no_cantor_model(self, monkeypatch):
+        # The compact document needs only the checked parameters; building
+        # the model would cost time and memory doubling with each depth.
+        def fail(depth):
+            raise AssertionError("the corpus command generated the model")
+
+        monkeypatch.setattr(qcvx.functions, "_cantor_components", fail)
+
+    def test_cantor_document_without_generating(self, no_cantor_model, tmp_path, capsys):
+        path = tmp_path / "c20.json"
+        code, out, err = run(
+            ["corpus", "cantor", "--depth", "20", "--mode", "set", "--out", str(path)], capsys
+        )
+        assert (code, out, err) == (0, f"{path}\n", "")
+        assert json.loads(path.read_text()) == {"type": "cantor", "depth": 20, "mode": "set"}
+
+    @pytest.mark.parametrize("depth", ["21", "0"])
+    def test_cantor_depth_out_of_range(self, no_cantor_model, depth, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        code, out, err = run(
+            ["corpus", "cantor", "--depth", depth, "--mode", "set", "--out", str(path)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: depth must be an integer in [1, 20], got {depth}\n"
+        assert not path.exists()
+
 
 class TestAnalyzeCommand:
     def test_tent_report(self, tent_file, capsys):
@@ -273,6 +300,26 @@ class TestOracleCommand:
             capsys,
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ('{"u": 1, "v": "1"}', "expect.components[0].u: expected a rational string, got 1"),
+            ('{"u": "1/2", "v": "1/4"}', "expect.components[0]: needs u < v, got u = 1/2, v = 1/4"),
+            ('{"u": "0", "v": "abc"}', "expect.components[0].v: not a rational: 'abc'"),
+        ],
+        ids=["non-string", "empty", "unparsable"],
+    )
+    def test_malformed_expectation_names_field(self, tent_file, tmp_path, capsys, entry, field):
+        expect = tmp_path / "expect.json"
+        expect.write_text('{"components": [%s]}' % entry)
+        code, out, err = run(
+            ["oracle", str(tent_file), "--grid", "11", "--expect", str(expect), "--no-timestamp"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: invalid function document: {field}\n"
+        assert "Traceback" not in err
 
     def test_correct_expectation_passes(self, tent_file, tmp_path, capsys):
         expect = tmp_path / "expect.json"

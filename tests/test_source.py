@@ -20,3 +20,55 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _module_level_private_names(tree: ast.Module):
+    """``(name, node)`` for each private name a module binds at its top
+    level: functions, classes and assignment targets, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_no_orphan_private_helpers():
+    # A module-level private name that no other code of the package reads
+    # is dead: a helper left behind by a refactor.  References are names,
+    # attributes and imports in the syntax tree, so a docstring or comment
+    # that mentions a helper does not keep it alive.
+    trees = {
+        path.relative_to(PACKAGE): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert trees
+    orphans = []
+    for module, tree in trees.items():
+        for name, definition in _module_level_private_names(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(
+                id(node) not in own and _reads(node, name)
+                for other in trees.values()
+                for node in ast.walk(other)
+            ):
+                orphans.append(f"{module}:{definition.lineno} {name}")
+    assert not orphans, orphans
+
+
+def _reads(node: ast.AST, name: str) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name and not isinstance(node.ctx, ast.Store)
+    if isinstance(node, ast.Attribute):
+        return node.attr == name
+    return isinstance(node, ast.alias) and node.name == name

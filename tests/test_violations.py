@@ -28,6 +28,7 @@ from qcvx import (
     interior_witness_exists,
     is_quasiconvex,
     normalize,
+    paired_maxima_certificate,
     verify_chord_components,
     verify_component_property,
     violation_set,
@@ -123,6 +124,40 @@ class TestViolationSet:
     def test_ordering_enforced(self):
         with pytest.raises(OrderingError):
             violation_set(tent(), 1, 0)
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (F(1, 2), F(1, 2), "pair needs x < y, got (1/2, 1/2)"),
+            (F(1, 2), F(3, 2), "pair (1/2, 3/2) not within domain [0, 1]"),
+            (F(-1), F(1, 2), "pair (-1, 1/2) not within domain [0, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            violation_set,
+            interior_witness_exists,
+            convexity_violation_set,
+            paired_maxima_certificate,
+            lambda f, x, y: verify_chord_components(f, x, y, OpenIntervalSet()),
+            lambda f, x, y: verify_component_property(
+                f, ViolationDecomposition(x=x, y=y, threshold=XReal(0), components=OpenIntervalSet())
+            ),
+        ],
+        ids=[
+            "violation_set",
+            "interior_witness_exists",
+            "convexity_violation_set",
+            "paired_maxima_certificate",
+            "verify_chord_components",
+            "verify_component_property",
+        ],
+    )
+    def test_every_entry_point_validates_its_pair(self, entry, x, y, message):
+        with pytest.raises(OrderingError) as raised:
+            entry(tent(), x, y)
+        assert str(raised.value) == message
 
     def test_inexact_rejected(self):
         from qcvx import Blackbox
@@ -522,6 +557,25 @@ class TestChordViolations:
         )
         with pytest.raises(UnsupportedChordError):
             convexity_violation_set(f, 0, 1)
+
+    @pytest.mark.parametrize(
+        "points, named",
+        [
+            ((PLUS_INF, XReal(0)), "f(x) = inf, f(y) = 0"),
+            ((XReal(F(1, 2)), MINUS_INF), "f(x) = 1/2, f(y) = -inf"),
+            ((MINUS_INF, PLUS_INF), "f(x) = -inf, f(y) = inf"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["convexity_violation_set", "verify_chord_components"])
+    def test_one_chord_error_names_both_values(self, points, named, entry):
+        # Both chord entry points raise the one error naming f(x) and f(y).
+        f = PiecewiseConstant((F(0), F(1)), (XReal(0),), points)
+        with pytest.raises(UnsupportedChordError) as raised:
+            if entry == "convexity_violation_set":
+                convexity_violation_set(f, 0, 1)
+            else:
+                verify_chord_components(f, 0, 1, OpenIntervalSet())
+        assert str(raised.value) == f"chord analysis needs finite endpoint values, got {named}"
 
     @pytest.mark.parametrize("index", range(12))
     def test_chord_components_verify_for_continuous_models(self, index):
