@@ -19,15 +19,16 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Optional
 
-from .core import RationalLike, XReal, as_rational, format_rational
+from .core import RationalLike, XReal, _decimal, as_rational, format_rational
 from .errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
 from .functions import (
     ClosedSet1D,
     Function1D,
-    argmax_set,
+    _attaining_set,
+    _extremum,
+    _Located,
     check_semicontinuity,
     require_exact,
-    supremum_on,
 )
 from .violations import _pair
 
@@ -246,20 +247,15 @@ class PairedMaximaCertificate:
     checks: CertificateChecks
 
     def to_json(self) -> dict:
-        sup_decimal = (
-            float(self.sup_value)
-            if self.sup_value.is_finite
-            else self.sup_value.to_string()
-        )
         return {
             "interval": [format_rational(self.x0), format_rational(self.y0)],
             "sup_value": self.sup_value.to_string(),
-            "sup_value_decimal": sup_decimal,
+            "sup_value_decimal": _decimal(self.sup_value),
             "argmax": self.argmax.to_json(),
             "p": format_rational(self.p),
-            "p_decimal": float(self.p),
+            "p_decimal": _decimal(self.p),
             "q": format_rational(self.q),
-            "q_decimal": float(self.q),
+            "q_decimal": _decimal(self.q),
             "checks": self.checks.to_json(),
         }
 
@@ -273,7 +269,8 @@ def paired_maxima_certificate(
 
     Upper semicontinuity is a hard precondition: the argmax set of a
     non-usc function may be empty or fail to be closed, and the audit
-    failure is raised, not warned.
+    failure is raised, not warned.  x0, y0, p and q are located once
+    each, and every later lookup reads those located ends.
     """
     require_exact(f, "paired_maxima_certificate")
     report = check_semicontinuity(f)
@@ -285,21 +282,20 @@ def paired_maxima_certificate(
             offending=report.offending_points_usc,
         )
     at_x, at_y, level, _ = _pair(f, x0, y0)
-    x0, y0 = at_x[0], at_y[0]
-    sup_open, _ = supremum_on(f, x0, y0)
-    if not sup_open > level:
+    sup, _ = _extremum(f, at_x, at_y)
+    if not sup > level:
         return None
-    sup, attaining = argmax_set(f, x0, y0)
-    p = attaining.min_point()
-    q = attaining.max_point()
-    fp, fq = f.evaluate(p), f.evaluate(q)
+    attaining = _attaining_set(f, at_x, at_y, sup)
+    p, q = attaining.min_point(), attaining.max_point()
+    at_p, at_q = f._locate(p), f._locate(q)
+    fp, fq = f._located_value(at_p), f._located_value(at_q)
     values_equal = fp == sup and fq == sup
-    both_local_maxima = sup_open <= fp and sup_open <= fq
-    strict_left = _strictly_below_on(f, x0, p, fp)
-    strict_right = _strictly_below_on(f, q, y0, fq)
+    both_local_maxima = sup <= fp and sup <= fq
+    strict_left = _strictly_below_on(f, at_x, at_p, fp)
+    strict_right = _strictly_below_on(f, at_q, at_y, fq)
     return PairedMaximaCertificate(
-        x0=x0,
-        y0=y0,
+        x0=at_x[0],
+        y0=at_y[0],
         sup_value=sup,
         argmax=attaining,
         p=p,
@@ -312,9 +308,9 @@ def paired_maxima_certificate(
     )
 
 
-def _strictly_below_on(f, lo: Fraction, hi: Fraction, bound: XReal) -> bool:
+def _strictly_below_on(f: Function1D, lo: _Located, hi: _Located, bound: XReal) -> bool:
     """Whether f < bound at every point of ]lo, hi[."""
-    sup, attained = supremum_on(f, lo, hi)
+    sup, attained = _extremum(f, lo, hi)
     return sup < bound or (sup == bound and not attained)
 
 

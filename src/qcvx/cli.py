@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import click
 
 from . import __version__
-from .core import ToleranceConfig, XReal, format_rational, parse_rational
+from .core import ToleranceConfig, _decimal, format_rational, parse_rational
 from .corpus import corpus_function
 from .certificates import paired_maxima_certificate, revalidate_certificate
 from .certificates import check_no_strict_sided_maxima
@@ -59,17 +59,6 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
-
-
-def _decimal(value) -> object:
-    """JSON-safe decimal companion for an exact value."""
-    if isinstance(value, XReal):
-        if value.is_plus_infinity:
-            return "inf"
-        if value.is_minus_infinity:
-            return "-inf"
-        return float(value)
-    return float(value)
 
 
 def _load_function(path: str) -> Function1D:
@@ -209,7 +198,7 @@ def cli():
 @click.argument("function_file", type=click.Path())
 @click.option("--pair", "pairs", nargs=2, multiple=True, metavar="X Y", help="Analyze the pair (X, Y); repeatable.")
 @click.option("--all-breakpoint-pairs", is_flag=True, help="Analyze every ordered breakpoint pair.")
-@click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Grid resolution for oracle/plot data.")
+@click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Oracle grid resolution for --with-oracle.")
 @click.option("--jobs", type=click.IntRange(min=1), envvar="QCVX_JOBS", default=1, show_envvar=True, help="Worker pool size for pair analyses, at least 1.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
@@ -307,7 +296,10 @@ def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_
         approx = oracle_violation_set(f, x, y, cfg)
         slack = (y - x) / (cfg.grid_points - 1)
         if expect_path:
-            exact = exact_set = _load_expected_components(expect_path)
+            try:
+                exact = exact_set = _load_expected_components(expect_path)
+            except ValidationError as exc:
+                raise click.UsageError(f"invalid expectation file: {exc}") from exc
         else:
             exact = violation_set(f, x, y)
             exact_set = exact.components

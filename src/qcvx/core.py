@@ -32,11 +32,25 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+# The largest decimal exponent magnitude accepted: building 10**e costs
+# time that grows faster than e.  CPython's default limit on int string
+# digits, fixed here because a process may lift its own.
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"n"`` or a decimal string into a Fraction.
 
-    Fraction's own parser already handles all three forms exactly.
+    Fraction's own parser already handles all three forms exactly.  A
+    decimal exponent above ``_MAX_EXPONENT`` in magnitude is refused
+    before the number is built.
     """
+    _, e, exponent = text.strip().lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+        raise ParameterRangeError(
+            f"decimal exponent above {_MAX_EXPONENT} in magnitude: {text!r}"
+        )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -169,6 +183,20 @@ MINUS_INF = XReal._make(_MINUS, Fraction(0))
 
 def xreal_max(a: XReal, b: XReal) -> XReal:
     return b if a < b else a
+
+
+def _decimal(value: Union[XReal, Fraction]) -> Union[float, str]:
+    """JSON-safe decimal companion for an exact value: the nearest double,
+    or ``"inf"`` / ``"-inf"`` for an infinite value or one beyond the
+    double range."""
+    if isinstance(value, XReal):
+        if not value.is_finite:
+            return value.to_string()
+        value = value.finite_value
+    try:
+        return float(value)
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"
 
 
 @dataclass(frozen=True)

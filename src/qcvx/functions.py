@@ -219,12 +219,9 @@ def _cmp(u, v) -> int:
     return (v < u) - (u < v)
 
 
-def with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
-    """The ascending breakpoints with the midpoint of each consecutive
-    pair between them: ``[b0, (b0 + b1) / 2, b1, ..., b_last]``."""
-    out = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
-    out += breaks[-1:]
-    return out
+# A position t located in the structure index: (t, t * den, i), see
+# ``_StructureIndex.locate``.
+_Located = tuple[Fraction, Union[int, Fraction], int]
 
 
 class _ExactModel(Function1D):
@@ -244,19 +241,39 @@ class _ExactModel(Function1D):
         td = t.denominator
         return XReal(Fraction(a * td + b * t.numerator, c * td))
 
-    def _located_value(self, t: Fraction, scaled: Union[int, Fraction], i: int) -> XReal:
-        """f(t) for a t in the domain located by ``_index.locate``."""
+    def _locate(self, t: Fraction) -> _Located:
+        """Locate a t that must lie in the domain."""
+        s = self._index
+        keys = s.position_keys
+        scaled, i = s.locate(t)
+        if i == 0 or (i == len(keys) and scaled != keys[-1]):
+            self._check_domain(t)
+        return t, scaled, i
+
+    def _located_value(self, at: _Located) -> XReal:
+        """f(t) for a located t."""
+        t, scaled, i = at
         s = self._index
         if s.position_keys[i - 1] == scaled:
             return s.values[i - 1]
         return self._inside(i - 1, t)
 
+    def _value_key(self, at: _Located):
+        """The key of f(t): a Fraction only inside a linear piece."""
+        t, scaled, i = at
+        s = self._index
+        if s.position_keys[i - 1] == scaled:
+            return s.value_keys[i - 1]
+        flat = s.flat_keys[i - 1]
+        if flat is not None:
+            return flat
+        return self._inside(i - 1, t).finite_value * s.scale
+
     def breakpoints(self) -> tuple[Fraction, ...]:
         return self._index.positions
 
     def evaluate(self, t: RationalLike) -> XReal:
-        t = self._check_domain(as_rational(t))
-        return self._located_value(t, *self._index.locate(t))
+        return self._located_value(self._locate(self._check_domain(as_rational(t))))
 
     def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
         """One bisect places ``ts[0]`` among the breakpoints; after it the
@@ -292,17 +309,14 @@ class _ExactModel(Function1D):
             out.append(s.values[i] if pn == tn and pd == td else self._inside(i - 1, t))
         return out
 
-    def _span(self, lo: Fraction, hi: Fraction) -> tuple[int, int, XReal, XReal]:
-        """``(i, j, f(lo), f(hi))`` for lo < hi in the domain: positions[i:j]
-        are the breakpoints strictly inside ]lo, hi[, so lo lies in piece
-        i - 1 or on its left end and hi in piece j - 1 or on its right end."""
-        s = self._index
-        scaled_lo, i = s.locate(lo)
-        scaled_hi, j = s.locate(hi)
-        v_hi = self._located_value(hi, scaled_hi, j)
-        if s.position_keys[j - 1] == scaled_hi:
+    def _span(self, lo: _Located, hi: _Located) -> tuple[int, int]:
+        """``(i, j)`` for located lo < hi: positions[i:j] are the breakpoints
+        strictly inside ]lo, hi[, so lo lies in piece i - 1 or on its left
+        end and hi in piece j - 1 or on its right end."""
+        _, scaled_hi, j = hi
+        if self._index.position_keys[j - 1] == scaled_hi:
             j -= 1
-        return i, j, self._located_value(lo, scaled_lo, i), v_hi
+        return lo[2], j
 
     def _sides(self, t: Fraction) -> tuple[int, int, Fraction]:
         """``(left, right, radius)`` for t strictly inside the domain: left
@@ -595,16 +609,16 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
 
 def _extremum(
     f: Function1D,
-    lo: Fraction,
-    hi: Fraction,
+    lo: _Located,
+    hi: _Located,
     *,
-    lo_closed: bool,
-    hi_closed: bool,
-    maximize: bool,
+    lo_closed: bool = False,
+    hi_closed: bool = False,
+    maximize: bool = True,
 ) -> tuple[XReal, bool]:
-    """The extremum of f over the interval with the given end flags, and
-    whether a point of the open interior attains it."""
-    i, j, v_lo, v_hi = f._span(lo, hi)
+    """The extremum of f between the located ends lo < hi with the given
+    end flags, and whether a point of the open interior attains it."""
+    i, j = f._span(lo, hi)
     s = f._index
     # Linear pieces attain extrema only at their ends, which the
     # breakpoint values and the end values cover.
@@ -612,8 +626,8 @@ def _extremum(
     # An excluded end on a linear piece still bounds the extremum as an
     # unattained limit; lo lies on piece i - 1 and hi on piece j - 1.
     ends = [
-        v
-        for v, closed, k in ((v_lo, lo_closed, i - 1), (v_hi, hi_closed, j - 1))
+        f._located_value(at)
+        for at, closed, k in ((lo, lo_closed, i - 1), (hi, hi_closed, j - 1))
         if closed or s.flats[k] is None
     ]
     pick = max if maximize else min
@@ -621,14 +635,15 @@ def _extremum(
     return best, bool(inner) and pick(inner) == best
 
 
-def _validate_subinterval(f: Function1D, lo, hi) -> tuple[Fraction, Fraction]:
+def _subinterval(f: Function1D, lo, hi) -> tuple[_Located, _Located]:
+    """The ends of a subinterval lo < hi of the domain, located."""
     lo, hi = as_rational(lo), as_rational(hi)
     a, b = f.domain
     if not (a <= lo and hi <= b):
         raise DomainError(f"[{lo}, {hi}] not within domain [{a}, {b}]")
     if not lo < hi:
         raise ParameterRangeError("interval needs nonempty interior (lo < hi)")
-    return lo, hi
+    return f._locate(lo), f._locate(hi)
 
 
 def infimum_on(
@@ -645,9 +660,8 @@ def infimum_on(
     point of the open interior achieves the infimum.
     """
     require_exact(f, "infimum_on")
-    lo, hi = _validate_subinterval(f, lo, hi)
     return _extremum(
-        f, lo, hi, lo_closed=lo_closed, hi_closed=hi_closed, maximize=False
+        f, *_subinterval(f, lo, hi), lo_closed=lo_closed, hi_closed=hi_closed, maximize=False
     )
 
 
@@ -662,9 +676,8 @@ def supremum_on(
     """Exact supremum of f over a subinterval with end flags; the flag is
     true iff some point of the open interior achieves it."""
     require_exact(f, "supremum_on")
-    lo, hi = _validate_subinterval(f, lo, hi)
     return _extremum(
-        f, lo, hi, lo_closed=lo_closed, hi_closed=hi_closed, maximize=True
+        f, *_subinterval(f, lo, hi), lo_closed=lo_closed, hi_closed=hi_closed, maximize=True
     )
 
 
@@ -756,13 +769,17 @@ def argmax_set(
     each of these is a candidate below.
     """
     require_exact(f, "argmax_set")
-    x0, y0 = _validate_subinterval(f, x0, y0)
-    sup, _ = _extremum(
-        f, x0, y0, lo_closed=False, hi_closed=False, maximize=True
-    )
-    i, j, v_lo, v_hi = f._span(x0, y0)
-    cuts = [x0, *f._index.positions[i:j], y0]
-    values = [v_lo, *f._index.values[i:j], v_hi]
+    lo, hi = _subinterval(f, x0, y0)
+    sup, _ = _extremum(f, lo, hi)
+    return sup, _attaining_set(f, lo, hi, sup)
+
+
+def _attaining_set(f: Function1D, lo: _Located, hi: _Located, sup: XReal) -> ClosedSet1D:
+    """The points of [lo, hi] where f equals sup, the supremum of f on
+    ]lo, hi[, for located ends lo < hi; see ``argmax_set``."""
+    i, j = f._span(lo, hi)
+    cuts = [lo[0], *f._index.positions[i:j], hi[0]]
+    values = [f._located_value(lo), *f._index.values[i:j], f._located_value(hi)]
     parts = [(t, t) for t, v in zip(cuts, values) if v == sup]
     for m in range(len(cuts) - 1):
         flat = f._index.flats[i - 1 + m]
@@ -778,7 +795,7 @@ def argmax_set(
                     "certificate flow is violated there"
                 )
         parts.append((cuts[m], cuts[m + 1]))
-    return sup, ClosedSet1D.from_parts(parts)
+    return ClosedSet1D.from_parts(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import ToleranceConfig, XReal, as_rational, format_rational
 from .errors import ParameterRangeError
-from .functions import Function1D, PiecewiseConstant, Tabulated, with_piece_midpoints
+from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
 from .violations import ViolationDecomposition
 
@@ -103,6 +103,16 @@ class OracleVerdict:
         }
 
 
+def _with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
+    """The ascending breakpoints with the midpoint of each consecutive
+    pair between them: ``[b0, (b0 + b1) / 2, b1, ..., b_last]``.  The
+    exact analyzer builds its own candidate list, so a fault here cannot
+    hide from the differential tests."""
+    out = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
+    out += breaks[-1:]
+    return out
+
+
 def build_grid(
     f: Function1D,
     cfg: ToleranceConfig,
@@ -127,7 +137,7 @@ def build_grid(
     breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
     if isinstance(f, Tabulated):
         return list(breaks)
-    extras = with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
+    extras = _with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
     n = cfg.grid_points
     step = (hi - lo) / (n - 1)
     # Uniform point i is (start + stride * i) / den.

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
 from .errors import (
@@ -42,9 +42,9 @@ from .functions import (
     MINUS_KEY,
     PLUS_KEY,
     Function1D,
+    _Located,
     check_semicontinuity,
     require_exact,
-    with_piece_midpoints,
 )
 from .intervals import OpenInterval, OpenIntervalSet
 
@@ -73,32 +73,6 @@ def _differ(thr: _KeyThreshold):
     return diff
 
 
-# A position t located in f's structure index: (t, t * den, i), see
-# ``_StructureIndex.locate``.
-_Located = tuple[Fraction, Union[int, Fraction], int]
-
-
-def _locate(f: Function1D, t: Fraction) -> _Located:
-    """Locate a t that must lie in the domain."""
-    keys = f._index.position_keys
-    scaled, i = f._index.locate(t)
-    if i == 0 or (i == len(keys) and scaled != keys[-1]):
-        f._check_domain(t)
-    return t, scaled, i
-
-
-def _value_key(f: Function1D, at: _Located):
-    """The key of f(t): a Fraction only inside a linear piece."""
-    t, scaled, i = at
-    s = f._index
-    if s.position_keys[i - 1] == scaled:
-        return s.value_keys[i - 1]
-    flat = s.flat_keys[i - 1]
-    if flat is not None:
-        return flat
-    return f._inside(i - 1, t).finite_value * s.scale
-
-
 def _pair(
     f: Function1D, x, y, chord: bool = False
 ) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
@@ -112,8 +86,8 @@ def _pair(
         raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
     if not x < y:
         raise OrderingError(f"pair needs x < y, got ({x}, {y})")
-    at_x, at_y = _locate(f, x), _locate(f, y)
-    fx, fy = f._located_value(*at_x), f._located_value(*at_y)
+    at_x, at_y = f._locate(x), f._locate(y)
+    fx, fy = f._located_value(at_x), f._located_value(at_y)
     level = xreal_max(fx, fy)
     s = f._index
     if chord:
@@ -165,13 +139,12 @@ def _sweep(
     s = f._index
     den = s.den
     keys, value_keys, flat_keys = s.position_keys, s.value_keys, s.flat_keys
-    (left, p_left, i), (hi_t, p_hi, i_hi) = lo, hi
+    (left, p_left, _), (hi_t, p_hi, _) = lo, hi
     if not p_left < p_hi:
         raise ParameterRangeError("a walk needs lo < hi")
-    # positions[i:j] lie strictly inside ]lo, hi[.
-    j = i_hi - 1 if keys[i_hi - 1] == p_hi else i_hi
+    i, j = f._span(lo, hi)
     diff, sloped = _differ(thr), thr[2] != 0
-    d_left = diff(_value_key(f, lo), p_left)  # at the left end of the span
+    d_left = diff(f._value_key(lo), p_left)  # at the left end of the span
     for n in range(i, j + 1):
         if n < j:
             right, p_right = s.positions[n], keys[n]
@@ -186,7 +159,7 @@ def _sweep(
         else:
             # A linear piece runs into the values at its ends.
             if d_point is None:
-                d_point = diff(_value_key(f, hi), p_hi)
+                d_point = diff(f._value_key(hi), p_hi)
             dl, dr = d_left, d_point
         d_left = d_point
         if dl > 0:
@@ -357,11 +330,11 @@ def _component_checks(
     diff = _differ(thr)
 
     def above(at: _Located) -> bool:
-        return diff(_value_key(f, at), at[1]) > 0
+        return diff(f._value_key(at), at[1]) > 0
 
     checks: list[ComponentCheck] = []
     for u, v in spans:
-        at_u, at_v = _locate(f, u), _locate(f, v)
+        at_u, at_v = f._locate(u), f._locate(v)
         endpoint_bad = u if above(at_u) else v if above(at_v) else None
         probe = _first_not_above(f, at_u, at_v, thr)
         checks.append(
@@ -460,7 +433,9 @@ def is_quasiconvex(f: Function1D) -> QuasiconvexityVerdict:
     the brute-force oracle cross-checks it in the test suite.
     """
     require_exact(f, "is_quasiconvex")
-    positions = with_piece_midpoints(f.breakpoints())
+    breaks = f.breakpoints()
+    positions = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
+    positions.append(breaks[-1])
     values = f.evaluate_sorted(positions)
     n = len(positions)
     suffix_min: list[XReal] = [values[-1]] * n
@@ -498,10 +473,7 @@ def interior_witness_exists(
     """
     require_exact(f, "interior_witness_exists")
     at_x, at_y, _, thr = _pair(f, x, y)
-    return any(
-        part != _WHOLE or not right_above
-        for _, _, part, _, right_above in _sweep(f, at_x, at_y, thr)
-    )
+    return _first_not_above(f, at_x, at_y, thr) is not None
 
 
 def convexity_violation_set(

@@ -24,6 +24,7 @@ from qcvx import (
     PiecewiseConstant,
     PiecewiseLinear,
     XReal,
+    argmax_set,
     check_no_strict_sided_maxima,
     check_semicontinuity,
     enumerate_local_maxima,
@@ -44,7 +45,12 @@ from qcvx.corpus import (
     usc_corpus,
     vee,
 )
-from qcvx.errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
+from qcvx.errors import (
+    InteriorRequiredError,
+    ParameterRangeError,
+    PreconditionError,
+    SemicontinuityError,
+)
 
 F = Fraction
 
@@ -78,6 +84,16 @@ class TestCertificateExtraction:
         assert cert.checks.values_equal
         assert cert.checks.both_local_maxima
         assert cert.checks.one_sided_strictness
+
+    def test_supremum_meets_level_before_any_argmax_set(self):
+        # usc, with f(0) = 5 above everything inside ]0, 2[: the interior
+        # supremum 0 does not exceed the level, so there is no certificate,
+        # although the argmax set of ]0, 2[ is not closed at 0.
+        f = PiecewiseConstant((0, 1, 2), (0, 0), (5, 0, 0))
+        assert check_semicontinuity(f).is_usc
+        assert paired_maxima_certificate(f, 0, 2) is None
+        with pytest.raises(PreconditionError, match="not closed at 0"):
+            argmax_set(f, 0, 2)
 
     def test_usc_audit_is_hard(self):
         f = generate_cantor(1, "complement")

@@ -273,6 +273,64 @@ class TestCertifyCommand:
         assert "1/3" in err and "2/3" in err
 
 
+class TestDecimalsBeyondDoubleRange:
+    # Exact values past the double range get the decimal companion that
+    # infinite values have; every exact string stays as it is.
+    @pytest.fixture(params=[("1e400", "2e400", "inf"), ("-2e400", "-1e400", "-inf")], ids=["plus", "minus"])
+    def huge(self, request, tmp_path):
+        end, middle, decimal = request.param
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"type": "piecewise_linear", "knots": [["0", end], ["1/2", middle], ["1", end]]}
+        ))
+        return str(path), str(Fraction(middle)), decimal
+
+    def test_certify(self, huge, capsys):
+        path, middle, decimal = huge
+        code, out, err = run(["certify", path, "--interval", "0", "1", "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        cert = read_json(out)["certificate"]
+        assert (cert["sup_value"], cert["sup_value_decimal"]) == (middle, decimal)
+        assert (cert["p_decimal"], cert["q_decimal"]) == (0.5, 0.5)
+
+    def test_analyze_pair(self, huge, capsys):
+        path, middle, decimal = huge
+        code, out, err = run(["analyze", path, "--pair", "0", "1/2", "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        (record,) = read_json(out)["pairs"]
+        assert (record["threshold"], record["threshold_decimal"]) == (middle, decimal)
+
+    def test_analyze_plot(self, huge, capsys):
+        path, middle, decimal = huge
+        code, out, err = run(["analyze", path, "--plot-points", "3", "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        samples = read_json(out)["plot"]["samples"]
+        assert [s[1] for s in samples][1] == middle
+        assert [s[3] for s in samples] == [decimal] * 3
+        assert [s[2] for s in samples] == [0.0, 0.5, 1.0]
+
+
+class TestHugeExponents:
+    def test_document_field_is_named(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"type": "piecewise_linear", "knots": [["0", "0"], ["1", "1e4301"]]}
+        ))
+        code, out, err = run(["analyze", str(path), "--no-timestamp"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid function document: knots[1][1]: "
+            "decimal exponent above 4300 in magnitude: '1e4301'\n"
+        )
+
+    def test_pair_end(self, tent_file, capsys):
+        code, out, err = run(
+            ["analyze", str(tent_file), "--pair", "1e-4301", "1", "--no-timestamp"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: decimal exponent above 4300 in magnitude: '1e-4301'\n"
+
+
 class TestOracleCommand:
     def test_compare_consistent(self, tent_file, capsys):
         code, out, _ = run(
@@ -318,7 +376,7 @@ class TestOracleCommand:
             capsys,
         )
         assert (code, out) == (1, "")
-        assert err == f"error: invalid function document: {field}\n"
+        assert err == f"error: invalid expectation file: {field}\n"
         assert "Traceback" not in err
 
     def test_correct_expectation_passes(self, tent_file, tmp_path, capsys):

@@ -88,6 +88,21 @@ class TestRationalHelpers:
         with pytest.raises(ParameterRangeError):
             parse_rational("one third")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4301", "1e-4301", "-2.5E+4301", "1e10000000", "1e" + "9" * 5000],
+        ids=["1e4301", "1e-4301", "-2.5E+4301", "1e10000000", "5000-digit"],
+    )
+    def test_parse_refuses_huge_exponents(self, text):
+        # Refused before 10**e is built, so even a huge exponent is quick.
+        with pytest.raises(ParameterRangeError, match="exponent above 4300"):
+            parse_rational(text)
+
+    def test_parse_keeps_exponents_up_to_the_limit(self):
+        assert parse_rational("1e400") == 10**400
+        assert parse_rational(" 1e-4300 ") == Fraction(1, 10**4300)
+        assert parse_rational("1e0_4_300") == 10**4300
+
     @given(
         st.integers(-10**12, 10**12),
         st.integers(1, 10**12),

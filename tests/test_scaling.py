@@ -12,7 +12,8 @@ change at all, and neither may the count of one point evaluation or of
 two local shapes.  The
 oracle's count is taken on one 16-knot linear model at two grid
 resolutions: its Fraction work may depend on the breakpoints, not on the
-grid size.
+grid size.  Index lookups are counted the same way, by wrapping
+``_StructureIndex.locate``: an interval query locates each end once.
 """
 
 from fractions import Fraction
@@ -27,10 +28,12 @@ from qcvx import (
     oracle_quasiconvex,
     oracle_violation_set,
     paired_maxima_certificate,
+    supremum_on,
     violation_set,
 )
 from qcvx.cli import analyze_pair
 from qcvx.corpus import random_piecewise_linear
+from qcvx.functions import _StructureIndex
 
 SMALL, LARGE = 32, 512
 
@@ -108,14 +111,19 @@ def test_point_evaluation_compares_no_breakpoints(monkeypatch):
     assert large == small, (small, large)
 
 
+def five_piece_interval(f) -> tuple[Fraction, Fraction]:
+    """From the middle of one removed gap to the middle of another, across
+    the two retained pieces around the middle third of a Cantor set
+    indicator: five pieces, with value 0 at both ends and 1 inside, so a
+    certificate exists."""
+    bps = f.breakpoints()
+    k = len(bps) // 2 - 2
+    return (bps[k - 1] + bps[k]) / 2, (bps[k + 3] + bps[k + 4]) / 2
+
+
 def test_argmax_and_certificate_are_flat(monkeypatch):
-    # From the middle of one removed gap to the middle of another, across
-    # the two retained pieces around the middle third: five pieces, with
-    # value 0 at both ends and 1 inside, so a certificate exists.
     def query(f):
-        bps = f.breakpoints()
-        k = len(bps) // 2 - 2
-        x0, y0 = (bps[k - 1] + bps[k]) / 2, (bps[k + 3] + bps[k + 4]) / 2
+        x0, y0 = five_piece_interval(f)
         assert len(argmax_set(f, x0, y0)[1]) == 2
         assert paired_maxima_certificate(f, x0, y0).checks.all_passed
 
@@ -125,6 +133,34 @@ def test_argmax_and_certificate_are_flat(monkeypatch):
     )
     assert small > 0
     assert large <= 2 * small, (small, large)
+
+
+def test_interval_queries_locate_each_end_once(monkeypatch):
+    # A certificate locates x0 and y0 once, in its pair check, and p and q
+    # once each; its supremum, argmax set and strictness checks read those
+    # located ends.  argmax_set and supremum_on locate their two ends once.
+    f = cantor_complement(SMALL, "set")
+    x0, y0 = five_piece_interval(f)
+    located = []
+    original = _StructureIndex.locate
+
+    def counting(self, t):
+        located.append(t)
+        return original(self, t)
+
+    def locations(call) -> int:
+        located.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_StructureIndex, "locate", counting)
+            call()
+        return len(located)
+
+    cert = paired_maxima_certificate(f, x0, y0)
+    assert cert.checks.all_passed and cert.p < cert.q
+    assert locations(lambda: paired_maxima_certificate(f, x0, y0)) == 4
+    assert sorted(located) == [x0, cert.p, cert.q, y0]
+    assert locations(lambda: argmax_set(f, x0, y0)) == 2
+    assert locations(lambda: supremum_on(f, x0, y0)) == 2
 
 
 def test_local_shape_is_flat(monkeypatch):

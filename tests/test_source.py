@@ -72,3 +72,18 @@ def _reads(node: ast.AST, name: str) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr == name
     return isinstance(node, ast.alias) and node.name == name
+
+
+def test_only_functions_locates_positions():
+    # The structure index places a position in one module: the others
+    # take located ends from the model (``_locate``) or from ``_pair``.
+    calls = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "functions.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "locate"
+    ]
+    assert not calls, calls

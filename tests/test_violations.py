@@ -43,6 +43,7 @@ from qcvx.corpus import (
 )
 from qcvx.errors import (
     ConsistencyError,
+    DomainError,
     InexactModelError,
     OrderingError,
     UnsupportedChordError,
@@ -515,6 +516,14 @@ class TestInteriorWitness:
 class TestChordViolations:
     def test_tent_above_zero_chord(self):
         assert convexity_violation_set(tent(), 0, 1) == normalize([iv(0, 1)])
+
+    @pytest.mark.parametrize("u, v, end", [(-1, F(1, 2), 2), (F(1, 2), 2, -1)])
+    def test_chord_checks_refuse_ends_outside_the_domain(self, u, v, end):
+        # A parameter outside [0, 1] maps to a position outside the domain,
+        # which locating that end refuses instead of reading another piece.
+        with pytest.raises(DomainError) as raised:
+            verify_chord_components(tent(), 0, 1, OpenIntervalSet((OpenInterval(u, v),)))
+        assert str(raised.value) == f"{end} outside domain [0, 1]"
 
     def test_vee_below_chords(self):
         assert convexity_violation_set(vee(), 0, 1).is_empty
