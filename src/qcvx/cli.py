@@ -14,6 +14,7 @@ precondition/audit failure, 4 differential-test inconsistency.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +60,11 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
+
+# The most breakpoints ``--all-breakpoint-pairs`` may place strictly
+# inside its pairs, summed over the pairs: C(n, 3) for n breakpoints.
+# The pair walks and the report grow with this count.
+MAX_PAIR_INTERIOR_POINTS = 1_000_000
 
 
 def _load_function(path: str) -> Function1D:
@@ -168,6 +174,14 @@ def _collect_pairs(
     pair_options: Sequence[tuple[str, str]],
     all_breakpoint_pairs: bool,
 ) -> list[tuple[Fraction, Fraction]]:
+    if all_breakpoint_pairs:
+        n = len(f.breakpoints())
+        inside = math.comb(n, 3)
+        if inside > MAX_PAIR_INTERIOR_POINTS:
+            raise ParameterRangeError(
+                f"--all-breakpoint-pairs on {n} breakpoints puts {inside} "
+                f"breakpoints inside its pairs, over the limit of {MAX_PAIR_INTERIOR_POINTS}"
+            )
     pairs: list[tuple[Fraction, Fraction]] = []
     for x_text, y_text in pair_options:
         pairs.append(_parse_pair(x_text, y_text))

@@ -7,6 +7,7 @@ point only appears in black-box mode and in report decimals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -58,10 +59,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as ``"p/q"`` in lowest terms (``"p"`` for integers)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a Fraction as ``"p/q"`` in lowest terms (``"p"`` for integers).
+
+    A numerator or denominator with more digits than the interpreter
+    converts to a string (``sys.get_int_max_str_digits()``, 4300 by
+    default) raises :class:`ParameterRangeError`.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise ParameterRangeError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to a string"
+        ) from exc
 
 
 _FINITE = 0

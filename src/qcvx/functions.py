@@ -11,7 +11,11 @@ Four representations of an extended-real-valued function f on [a, b]:
 
 The exact variants support closed-form extremum queries (infimum and
 supremum over a subinterval with open/closed end flags, argmax sets) that
-the violation and certificate analyses build on.
+the violation and certificate analyses build on.  Each exact model keeps
+one structure index, whose integer keys only this module reads: the
+extremum and argmax queries, and the threshold walk ``_sweep`` with its
+threshold arithmetic, which hands the violation analyses one stream of
+breakpoint and span items.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Point,
@@ -539,6 +543,19 @@ def check_semicontinuity(f: Function1D) -> SemicontinuityReport:
     return f._index.semicontinuity
 
 
+def _lsc_offenders_in(f: Function1D, lo: _Located, hi: _Located) -> tuple[Fraction, ...]:
+    """The lsc offenders of f's audit in [lo, hi], for located ends.  The
+    bisection compares integer position keys, not Fractions."""
+    offenders = check_semicontinuity(f).offending_points_lsc
+    den = f._index.den
+
+    def key(p: Fraction) -> int:
+        return p.numerator * (den // p.denominator)
+
+    i = bisect_left(offenders, math.ceil(lo[1]), key=key)
+    return offenders[i : bisect_right(offenders, math.floor(hi[1]), key=key)]
+
+
 # ---------------------------------------------------------------------------
 # Cantor approximant generators.
 
@@ -796,6 +813,117 @@ def _attaining_set(f: Function1D, lo: _Located, hi: _Located, sup: XReal) -> Clo
                 )
         parts.append((cuts[m], cuts[m + 1]))
     return ClosedSet1D.from_parts(parts)
+
+
+# ---------------------------------------------------------------------------
+# Threshold walks on the integer keys.
+
+
+# (m, a, b, plus): f - threshold at position p / den, where f has the
+# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
+# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
+# level is the constant sign it gives every finite value (m = 0).
+_KeyThreshold = tuple[int, int, int, int]
+
+
+def _level_threshold(f: Function1D, level: XReal) -> _KeyThreshold:
+    """The constant threshold ``level`` in f's integer keys."""
+    if not level.is_finite:
+        return (0, 1, 0, -1) if level.is_plus_infinity else (0, -1, 0, 1)
+    q = level.finite_value
+    return q.denominator, q.numerator * f._index.scale, 0, 1
+
+
+def _chord_threshold(
+    f: Function1D, x: Fraction, fx: Fraction, y: Fraction, fy: Fraction
+) -> _KeyThreshold:
+    """The line through (x, fx) and (y, fy), x < y, in f's integer keys."""
+    s = f._index
+    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
+    slope = (fy - fx) / (y - x)
+    c = fx - slope * x
+    cd, sd = c.denominator, slope.denominator
+    m = cd * sd * s.den
+    a = c.numerator * sd * s.den * s.scale
+    b = slope.numerator * cd * s.scale
+    g = math.gcd(m, a, b)
+    return m // g, a // g, b // g, 1
+
+
+def _differ(thr: _KeyThreshold):
+    """``diff(key, p)``: an int, or a Fraction if key or p is one, with
+    the sign of f - threshold at position p / den where f has the key."""
+    m, a, b, plus = thr
+
+    def diff(key, p):
+        if key is PLUS_KEY:
+            return plus
+        if key is MINUS_KEY:
+            return -1
+        # b is 0 for a constant threshold; skipping b * p keeps the
+        # difference an int at an end that is not a breakpoint.
+        return key * m - a - b * p if b else key * m - a
+
+    return diff
+
+
+def _is_above(f: Function1D, at: _Located, thr: _KeyThreshold) -> bool:
+    """Whether f lies strictly above the threshold at a located point."""
+    return _differ(thr)(f._value_key(at), at[1]) > 0
+
+
+def _sweep(
+    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
+) -> Iterator[tuple[Fraction, Optional[Fraction], bool]]:
+    """Walk ]lo, hi[ against the threshold on integer keys.
+
+    Yields ``(a, b, above)`` items from left to right: each interior
+    breakpoint a once, with b None, and each open piece span ]a, b[ once,
+    or as two items split at the root where f crosses the threshold inside
+    it.  ``above`` says whether f lies strictly above the threshold at the
+    breakpoint or on the whole span.  The ends lo and hi are not items.
+
+    Each difference f - threshold is an integer (a Fraction only at an end
+    that is not a breakpoint), and a root is the same Fraction the
+    rational difference gives, since the differences of one span share
+    one positive scale.
+    """
+    s = f._index
+    den, positions = s.den, s.positions
+    keys, value_keys, flat_keys = s.position_keys, s.value_keys, s.flat_keys
+    (left, p_left, _), (hi_t, p_hi, _) = lo, hi
+    if not p_left < p_hi:
+        raise ParameterRangeError("a walk needs lo < hi")
+    i, j = f._span(lo, hi)
+    diff, sloped = _differ(thr), thr[2] != 0
+    d_left = diff(f._value_key(lo), p_left)  # at the left end of the span
+    for n in range(i, j + 1):
+        if n < j:
+            right, p_right = positions[n], keys[n]
+            d_point = diff(value_keys[n], p_right)
+        else:
+            right, p_right = hi_t, p_hi
+            d_point = None
+        flat = flat_keys[n - 1]
+        if flat is not None:
+            dl = diff(flat, p_left)
+            dr = diff(flat, p_right) if sloped else dl
+        else:
+            # A linear piece runs into the values at its ends.
+            if d_point is None:
+                d_point = diff(f._value_key(hi), p_hi)
+            dl, dr = d_left, d_point
+        if dl > 0 > dr or dr > 0 > dl:
+            # left + (right - left) * dl / (dl - dr), over den.
+            root = Fraction(p_right * dl - p_left * dr, (dl - dr) * den)
+            yield left, root, dl > 0
+            yield root, right, dr > 0
+        else:
+            yield left, right, dl > 0 or dr > 0
+        if n < j:
+            yield right, None, d_point > 0
+        d_left = d_point
+        left, p_left = right, p_right
 
 
 # ---------------------------------------------------------------------------

@@ -13,64 +13,37 @@ runs against the chord through (x, f(x)) and (y, f(y)) to produce the
 convexity violation set, and behind the component checks and interior
 witnesses.
 
-Every entry point starts from one pair: it is validated, its ends are
-located in the model's structure index and evaluated once, and the
-threshold, the level or the chord, becomes integers once per pair.  The
-walk then runs on the index's integer keys: bisection finds the breakpoints
-inside ]x, y[ among integer positions, and the sign of f - threshold at
-each of them is an integer product.  A ``Fraction`` is made only for a
-reported position (a component end, a crossing root, a failing point) and
-for an end of the walk that is not a breakpoint.
+Every entry point starts from one pair: ``_pair`` validates it, locates
+its ends in the model's structure index, evaluates f there once and
+turns the threshold, the level or the chord, into integers once.  The
+threshold walk, ``functions._sweep``, lives beside the index whose
+integer keys it reads; it yields one item stream, each interior
+breakpoint and each piece span (split where f crosses the threshold)
+with whether it lies above.  This module only consumes that stream: the
+violation and chord sets join it into maximal runs, and the component
+checks and the interior witness stop at its first item not above.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
-from .errors import (
-    ConsistencyError,
-    OrderingError,
-    ParameterRangeError,
-    UnsupportedChordError,
-)
+from .errors import ConsistencyError, OrderingError, UnsupportedChordError
 from .functions import (
-    MINUS_KEY,
-    PLUS_KEY,
     Function1D,
+    _chord_threshold,
+    _is_above,
+    _KeyThreshold,
+    _level_threshold,
     _Located,
-    check_semicontinuity,
+    _lsc_offenders_in,
+    _sweep,
     require_exact,
 )
 from .intervals import OpenInterval, OpenIntervalSet
-
-
-# (m, a, b, plus): f - threshold at position p / den, where f has the
-# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
-# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
-# level is the constant sign it gives every finite value (m = 0).
-_KeyThreshold = tuple[int, int, int, int]
-
-
-def _differ(thr: _KeyThreshold):
-    """``diff(key, p)``: an int, or a Fraction if key or p is one, with
-    the sign of f - threshold at position p / den where f has the key."""
-    m, a, b, plus = thr
-
-    def diff(key, p):
-        if key is PLUS_KEY:
-            return plus
-        if key is MINUS_KEY:
-            return -1
-        # b is 0 for a constant threshold; skipping b * p keeps the
-        # difference an int at an end that is not a breakpoint.
-        return key * m - a - b * p if b else key * m - a
-
-    return diff
 
 
 def _pair(
@@ -78,8 +51,8 @@ def _pair(
 ) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
     """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
     ends located in f's index, level = max(f(x), f(y)), and the walk
-    threshold in the index's integer keys, which is the level or, with
-    ``chord``, the chord through (x, f(x)) and (y, f(y))."""
+    threshold, which is the level or, with ``chord``, the chord through
+    (x, f(x)) and (y, f(y))."""
     x, y = as_rational(x), as_rational(y)
     lo, hi = f.domain
     if not (lo <= x and y <= hi):
@@ -89,91 +62,14 @@ def _pair(
     at_x, at_y = f._locate(x), f._locate(y)
     fx, fy = f._located_value(at_x), f._located_value(at_y)
     level = xreal_max(fx, fy)
-    s = f._index
-    if chord:
-        if not (fx.is_finite and fy.is_finite):
-            raise UnsupportedChordError(
-                "chord analysis needs finite endpoint values, got "
-                f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
-            )
-        # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
-        slope = (fy.finite_value - fx.finite_value) / (y - x)
-        c = fx.finite_value - slope * x
-        cd, sd = c.denominator, slope.denominator
-        m = cd * sd * s.den
-        a = c.numerator * sd * s.den * s.scale
-        b = slope.numerator * cd * s.scale
-        g = math.gcd(m, a, b)
-        thr = m // g, a // g, b // g, 1
-    elif level.is_plus_infinity:
-        thr = 0, 1, 0, -1
-    elif level.is_minus_infinity:
-        thr = 0, -1, 0, 1
-    else:
-        q = level.finite_value
-        thr = q.denominator, q.numerator * s.scale, 0, 1
-    return at_x, at_y, level, thr
-
-
-# How the part of a piece span ]l, r[ above the threshold looks.
-_NONE, _WHOLE, _LEFT, _RIGHT = range(4)  # empty, ]l, r[, ]l, root[, ]root, r[
-
-
-def _sweep(
-    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
-) -> Iterator[tuple[Fraction, Fraction, int, Optional[Fraction], bool]]:
-    """Walk ]lo, hi[ against the threshold on integer keys.
-
-    Yields ``(left, right, part, root, right_above)`` for each piece span
-    ]left, right[ of ]lo, hi[, left to right: ``part`` says which part of
-    the span lies strictly above the threshold (``root`` is the crossing
-    point of a ``_LEFT`` or ``_RIGHT`` part), and ``right_above`` whether
-    f(right) does.  The last span ends at hi, which is not interior and is
-    reported as above so that no consumer stops or splits there.
-
-    Each difference f - threshold is an integer (a Fraction only at an end
-    that is not a breakpoint), and a root is the same Fraction the
-    rational difference gives, since the differences of one span share
-    one positive scale.
-    """
-    s = f._index
-    den = s.den
-    keys, value_keys, flat_keys = s.position_keys, s.value_keys, s.flat_keys
-    (left, p_left, _), (hi_t, p_hi, _) = lo, hi
-    if not p_left < p_hi:
-        raise ParameterRangeError("a walk needs lo < hi")
-    i, j = f._span(lo, hi)
-    diff, sloped = _differ(thr), thr[2] != 0
-    d_left = diff(f._value_key(lo), p_left)  # at the left end of the span
-    for n in range(i, j + 1):
-        if n < j:
-            right, p_right = s.positions[n], keys[n]
-            d_point = diff(value_keys[n], p_right)
-        else:
-            right, p_right = hi_t, p_hi
-            d_point = None
-        flat = flat_keys[n - 1]
-        if flat is not None:
-            dl = diff(flat, p_left)
-            dr = diff(flat, p_right) if sloped else dl
-        else:
-            # A linear piece runs into the values at its ends.
-            if d_point is None:
-                d_point = diff(f._value_key(hi), p_hi)
-            dl, dr = d_left, d_point
-        d_left = d_point
-        if dl > 0:
-            part = _WHOLE if dr >= 0 else _LEFT
-        elif dr > 0:
-            part = _WHOLE if dl == 0 else _RIGHT
-        else:
-            part = _NONE
-        root = None
-        if part == _LEFT or part == _RIGHT:
-            # left + (right - left) * dl / (dl - dr), over den.
-            root = Fraction(p_right * dl - p_left * dr, (dl - dr) * den)
-        yield left, right, part, root, n == j or d_point > 0
-        left, p_left = right, p_right
+    if not chord:
+        return at_x, at_y, level, _level_threshold(f, level)
+    if not (fx.is_finite and fy.is_finite):
+        raise UnsupportedChordError(
+            "chord analysis needs finite endpoint values, got "
+            f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
+        )
+    return at_x, at_y, level, _chord_threshold(f, x, fx.finite_value, y, fy.finite_value)
 
 
 def _above_set(
@@ -185,27 +81,25 @@ def _above_set(
     """The set {z in ]lo, hi[ : f(z) > threshold(z)} as the ends of its
     maximal open intervals, in order, plus the breakpoints that belong to
     the set without being interior to it (possible only when f is not
-    lower semicontinuous)."""
+    lower semicontinuous).  A run of spans above the threshold joins
+    across a breakpoint only when that breakpoint is above it too."""
     runs: list[tuple[Fraction, Fraction]] = []
     isolated: list[Fraction] = []
-    start = None  # left end of the run that reaches the current cut
-    cut_above = False  # whether the current cut, a breakpoint, is above
-    for left, right, part, root, right_above in _sweep(f, lo, hi, thr):
-        if not (start is not None and cut_above and part in (_WHOLE, _LEFT)):
+    start = None  # left end of the run that reaches the current item
+    cut_above = False  # whether the item just before, a breakpoint, is above
+    for a, b, above in _sweep(f, lo, hi, thr):
+        if b is None:
+            cut_above = above
+            continue
+        if not (start is not None and cut_above and above):
             if start is not None:
-                runs.append((start, left))
+                runs.append((start, a))
                 start = None
             if cut_above:
-                isolated.append(left)
-        if part == _WHOLE:
-            if start is None:
-                start = left
-        elif part == _LEFT:
-            runs.append((left if start is None else start, root))
-            start = None
-        elif part == _RIGHT:
-            start = root
-        cut_above = right_above
+                isolated.append(a)
+        if above and start is None:
+            start = a
+        cut_above = False
     if start is not None:
         runs.append((start, hi[0]))
     return runs, isolated
@@ -255,23 +149,13 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     runs, isolated = _above_set(f, at_x, at_y, thr)
     interval_set = OpenIntervalSet(tuple(OpenInterval(u, v) for u, v in runs))
     _check_maximal(f, interval_set, level)
-    offenders = check_semicontinuity(f).offending_points_lsc
-    den = f._index.den
-
-    def key(p: Fraction) -> int:
-        return p.numerator * (den // p.denominator)
-
     return ViolationDecomposition(
         x=at_x[0],
         y=at_y[0],
         threshold=level,
         components=interval_set,
         isolated_violations=tuple(isolated),
-        lsc_offenders=offenders[
-            bisect_left(offenders, math.ceil(at_x[1]), key=key) : bisect_right(
-                offenders, math.floor(at_y[1]), key=key
-            )
-        ],
+        lsc_offenders=_lsc_offenders_in(f, at_x, at_y),
     )
 
 
@@ -327,15 +211,10 @@ def _component_checks(
 ) -> list[ComponentCheck]:
     """Check each span ]u, v[ against the threshold: neither end lies
     above it and every interior point lies strictly above it."""
-    diff = _differ(thr)
-
-    def above(at: _Located) -> bool:
-        return diff(f._value_key(at), at[1]) > 0
-
     checks: list[ComponentCheck] = []
     for u, v in spans:
         at_u, at_v = f._locate(u), f._locate(v)
-        endpoint_bad = u if above(at_u) else v if above(at_v) else None
+        endpoint_bad = u if _is_above(f, at_u, thr) else v if _is_above(f, at_v, thr) else None
         probe = _first_not_above(f, at_u, at_v, thr)
         checks.append(
             ComponentCheck(
@@ -353,15 +232,9 @@ def _first_not_above(
     """The first point of ]lo, hi[ found where f <= threshold, if any: an
     interior breakpoint, or the midpoint of the span or span part that
     lies at or below the threshold."""
-    for left, right, part, root, right_above in _sweep(f, lo, hi, thr):
-        if part == _NONE:
-            return (left + right) / 2
-        if part == _LEFT:
-            return (root + right) / 2
-        if part == _RIGHT:
-            return (left + root) / 2
-        if not right_above:
-            return right
+    for a, b, above in _sweep(f, lo, hi, thr):
+        if not above:
+            return a if b is None else (a + b) / 2
     return None
 
 

@@ -130,6 +130,34 @@ class TestAnalyzeCommand:
         assert report["quasiconvexity"]["is_quasiconvex"] is True
         assert all(p["component_count"] == 0 for p in report["pairs"])
 
+    def cantor_complement(self, tmp_path, capsys, depth):
+        path = tmp_path / "cantor.json"
+        run(["corpus", "cantor", "--depth", str(depth), "--mode", "complement", "--out", str(path)], capsys)
+        return str(path)
+
+    def test_all_pairs_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        # Depth 7 puts C(256, 3) = 2,763,520 breakpoints inside its pairs:
+        # refused before any pair is analyzed.
+        def unreachable(f, x, y):
+            raise AssertionError("a pair was analyzed")
+
+        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        path = self.cantor_complement(tmp_path, capsys, 7)
+        code, out, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --all-breakpoint-pairs on 256 breakpoints puts 2763520 "
+            "breakpoints inside its pairs, over the limit of 1000000\n"
+        )
+
+    def test_all_pairs_within_budget(self, tmp_path, capsys, monkeypatch):
+        # Depth 6 puts C(128, 3) = 341,376 breakpoints inside its pairs.
+        analyzed = []
+        monkeypatch.setattr(cli, "analyze_pair", lambda f, x, y: analyzed.append((x, y)) or {})
+        path = self.cantor_complement(tmp_path, capsys, 6)
+        code, _, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
+        assert (code, err, len(analyzed)) == (0, "", 8128)
+
     def test_cantor6_pair_component_count(self, tmp_path, capsys):
         path = tmp_path / "c6.json"
         run(["corpus", "cantor", "--depth", "6", "--mode", "complement", "--out", str(path)], capsys)
@@ -329,6 +357,25 @@ class TestHugeExponents:
         )
         assert (code, out) == (1, "")
         assert err == "error: decimal exponent above 4300 in magnitude: '1e-4301'\n"
+
+
+    def test_result_past_the_digit_limit(self, tmp_path, capsys):
+        # Every field is within the exponent limit; the crossing roots the
+        # walk computes are not printable.
+        path, report = tmp_path / "digits.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"type": "piecewise_linear", "knots": [
+            ["0", "0"], ["1e-4000", "1"], ["0." + "3" * 4000, "1e-4000"], ["1", "1"],
+        ]}))
+        code, out, err = run(
+            ["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(report)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to a string\n"
+        )
+        assert not report.exists()
 
 
 class TestOracleCommand:

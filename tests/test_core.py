@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,23 @@ class TestRationalHelpers:
         assert parse_rational("2/6") == Fraction(1, 3)
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+    @pytest.mark.parametrize("numerator", [True, False], ids=["numerator", "denominator"])
+    def test_format_refuses_past_the_digit_limit(self, numerator):
+        # One digit past the interpreter's limit, on either side of the bar;
+        # the limit itself still prints.
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited")
+        big = Fraction(10**limit) if numerator else Fraction(1, 10**limit)
+        with pytest.raises(ParameterRangeError) as raised:
+            format_rational(big)
+        assert str(raised.value) == (
+            f"a result has more than {limit} digits, "
+            "the limit for converting an integer to a string"
+        )
+        at_limit = big / 10 if numerator else big * 10
+        assert len(format_rational(at_limit)) == (limit if numerator else limit + 2)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ParameterRangeError):

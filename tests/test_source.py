@@ -87,3 +87,23 @@ def test_only_functions_locates_positions():
         and node.func.attr == "locate"
     ]
     assert not calls, calls
+
+
+KEY_LAYOUT_ATTRIBUTES = {"den", "scale", "position_keys", "value_keys", "flat_keys", "lines"}
+KEY_LAYOUT_NAMES = {"PLUS_KEY", "MINUS_KEY"}
+
+
+def test_only_functions_reads_the_key_layout():
+    # The structure index's integer keys are read in one module: the
+    # threshold walk and its threshold arithmetic live beside the index,
+    # and the other modules consume the walk's items.
+    reads = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "functions.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in KEY_LAYOUT_ATTRIBUTES)
+        or (isinstance(node, ast.Name) and node.id in KEY_LAYOUT_NAMES)
+        or (isinstance(node, ast.alias) and node.name in KEY_LAYOUT_NAMES)
+    ]
+    assert not reads, reads

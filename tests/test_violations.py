@@ -48,7 +48,8 @@ from qcvx.errors import (
     OrderingError,
     UnsupportedChordError,
 )
-from qcvx.violations import ComponentCheck, ViolationDecomposition
+from qcvx.functions import _sweep
+from qcvx.violations import ComponentCheck, ViolationDecomposition, _pair
 
 F = Fraction
 
@@ -413,6 +414,33 @@ class TestThresholdWalk:
         assert not interior_witness_exists(f, F(1, 2), F(3, 4))
 
 
+@pytest.mark.parametrize("index", range(len(_walk_models())))
+def test_sweep_items_match_reference_walk(index):
+    # The walk's one item stream, on the pairs of
+    # ``TestThresholdWalk.test_matches_reference``, against the level and
+    # the chord: each interior breakpoint once, as (p, None, above), and
+    # each piece span once or split at its crossing root.
+    f = _walk_models()[index]
+    rng = random.Random(index)
+    points = probe_points(f, rng)
+    bps = f.breakpoints()
+    pairs = [(bps[0], bps[-1])] + [tuple(sorted(rng.sample(points, 2))) for _ in range(14)]
+    for x, y in pairs:
+        fx, fy = reference_value(f, x), reference_value(f, y)
+        level = max(fx, fy)
+        thresholds = [(False, lambda t: level)]
+        if fx.is_finite and fy.is_finite:
+            u, v = fx.finite_value, fy.finite_value
+            thresholds.append((True, lambda t: XReal(u + (v - u) * (t - x) / (y - x))))
+        for chord, thr in thresholds:
+            at_x, at_y, _, key_thr = _pair(f, x, y, chord=chord)
+            items = [
+                ("point", a, a, above) if b is None else ("span", a, b, above)
+                for a, b, above in _sweep(f, at_x, at_y, key_thr)
+            ]
+            assert items == _reference_walk(f, x, y, thr), (x, y, chord)
+
+
 class TestQuasiconvexityDecision:
     def test_vee_is_quasiconvex(self):
         assert is_quasiconvex(vee()).is_quasiconvex
@@ -610,15 +638,18 @@ def _map_values(f, phi):
     )
 
 
-def _reflect(f):
-    """t -> f(a + b - t) on the same domain."""
-    a, b = f.domain
+def _map_domain(f, alpha, beta):
+    """g with g(alpha * t + beta) = f(t) on the image of f's domain, for
+    alpha != 0; a negative alpha reverses the pieces."""
+    def ordered(items):
+        return tuple(items) if alpha > 0 else tuple(reversed(items))
+
     if isinstance(f, PiecewiseLinear):
-        return PiecewiseLinear(tuple((a + b - p, v) for p, v in reversed(f.knots)))
+        return PiecewiseLinear(ordered([(alpha * p + beta, v) for p, v in f.knots]))
     return PiecewiseConstant(
-        tuple(a + b - t for t in reversed(f.breaks)),
-        tuple(reversed(f.piece_values)),
-        tuple(reversed(f.point_values)),
+        ordered([alpha * t + beta for t in f.breaks]),
+        ordered(f.piece_values),
+        ordered(f.point_values),
     )
 
 
@@ -640,7 +671,8 @@ class TestMetamorphic:
     """Invariances of the exact analyses (Boyd & Vandenberghe, Convex
     Optimization, section 3.4): sublevel-set properties survive a strictly
     increasing value map, the chord comparison only an increasing affine
-    one, and every verdict survives reflecting the domain."""
+    one, and every verdict survives an affine map t -> alpha * t + beta of
+    the domain, alpha != 0."""
 
     @staticmethod
     def cases(maps_for_linear):
@@ -691,18 +723,40 @@ class TestMetamorphic:
         assert violation_set(cubed, 0, 1).components == violation_set(f, 0, 1).components
 
     def test_domain_reflection_keeps_verdicts(self):
+        # t -> alpha * t + beta: the reflection onto the same domain,
+        # another reversing map, and increasing stretches with shifts.
+        # Sets move with the map, reversed when alpha < 0; an increasing
+        # map keeps chord parameters and moves the witness triple.
         for family, fs in kernel_models().items():
             for index, f in enumerate(fs):
                 a, b = f.domain
-                g = _reflect(f)
-                assert is_quasiconvex(g).is_quasiconvex == is_quasiconvex(f).is_quasiconvex
-                for x, y in _pairs(f, index):
-                    rx, ry = a + b - y, a + b - x
-                    assert interior_witness_exists(g, rx, ry) == interior_witness_exists(f, x, y)
-                    d, e = violation_set(f, x, y), violation_set(g, rx, ry)
-                    assert e.components == normalize(
-                        (a + b - iv.right, a + b - iv.left) for iv in d.components
-                    ), (family, index, x, y)
-                    assert e.isolated_violations == tuple(
-                        sorted(a + b - t for t in d.isolated_violations)
-                    )
+                verdict = is_quasiconvex(f)
+                for alpha, beta in ((F(-1), a + b), (F(-2), F(1, 3)), (F(3), F(-1, 7)), (F(1, 5), F(2))):
+                    def phi(t):
+                        return alpha * t + beta
+
+                    def moved(points):
+                        return [phi(t) for t in (points if alpha > 0 else reversed(points))]
+
+                    g = _map_domain(f, alpha, beta)
+                    mapped = is_quasiconvex(g)
+                    assert mapped.is_quasiconvex == verdict.is_quasiconvex
+                    if alpha > 0 and verdict.witness is not None:
+                        assert mapped.witness == tuple(moved(verdict.witness))
+                    for x, y in _pairs(f, index):
+                        gx, gy = moved([x, y])
+                        where = (family, index, alpha, x, y)
+                        assert interior_witness_exists(g, gx, gy) == interior_witness_exists(f, x, y)
+                        d, e = violation_set(f, x, y), violation_set(g, gx, gy)
+                        ends = moved([t for iv in d.components for t in (iv.left, iv.right)])
+                        assert [(iv.left, iv.right) for iv in e.components] == list(
+                            zip(ends[::2], ends[1::2])
+                        ), where
+                        assert list(e.isolated_violations) == moved(d.isolated_violations)
+                        assert list(e.lsc_offenders) == moved(d.lsc_offenders)
+                        if alpha > 0:
+                            try:
+                                chord = convexity_violation_set(f, x, y)
+                            except UnsupportedChordError:
+                                continue
+                            assert convexity_violation_set(g, gx, gy) == chord, where
