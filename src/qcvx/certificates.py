@@ -8,6 +8,8 @@ interior supremum.  This module extracts that certificate exactly for
 piecewise models, enumerates interior local maxima with one-sided
 strictness classification, and evaluates the derived sufficient
 condition for quasiconvexity (no local maximum strict from either side).
+The certificate's pair and the local shape's point are validated and
+located in functions.py, beside the structure index.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Optional
 
-from .core import RationalLike, XReal, _decimal, as_rational, format_rational
-from .errors import InteriorRequiredError, ParameterRangeError, SemicontinuityError
+from .core import RationalLike, XReal, _decimal, format_rational
+from .errors import ParameterRangeError, SemicontinuityError
 from .functions import (
     ClosedSet1D,
     Function1D,
     _attaining_set,
     _extremum,
     _Located,
+    _pair,
     check_semicontinuity,
     require_exact,
 )
-from .violations import _pair
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,6 @@ def local_quasiconvexity_at(f: Function1D, p: RationalLike) -> LocalShape:
     both.
     """
     require_exact(f, "local_quasiconvexity_at")
-    p = as_rational(p)
-    a, b = f.domain
-    if not a < p < b:
-        raise InteriorRequiredError(f"{p} is not interior to [{a}, {b}]")
     left, right, delta = f._sides(p)
     return LocalShape(
         locally_quasiconvex=left <= 0 or right <= 0,

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .functions import (
     Function1D,
-    _check_cantor_parameters,
+    _check_cantor_depth,
     _parse_rational_field,
     check_semicontinuity,
     function_from_dict,
@@ -239,10 +239,13 @@ def analyze(
     verdict = is_quasiconvex(f)
     report["quasiconvexity"] = verdict.to_json(f)
     pair_list = _collect_pairs(f, pairs, all_breakpoint_pairs)
+    # The oracle runs before the pairs, so that it refuses an oversized
+    # grid before any pair work; its block still follows the pairs.
+    oracle_block = oracle_quasiconvex(f, cfg).to_json() if with_oracle else None
     report["pairs"] = _run_pairs(f, pair_list, jobs)
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
-    if with_oracle:
-        report["oracle"] = oracle_quasiconvex(f, cfg).to_json()
+    if oracle_block is not None:
+        report["oracle"] = oracle_block
     if plot_points:
         a, b = f.domain
         samples = []
@@ -371,7 +374,7 @@ def corpus(name, depth, mode, knots, seed, out_path):
     if name == "cantor":
         if depth is None or mode is None:
             raise click.UsageError("cantor needs --depth and --mode")
-        _check_cantor_parameters(depth, mode)
+        _check_cantor_depth(depth)  # click has already checked the mode
         doc = {"type": "cantor", "depth": depth, "mode": mode}
         default_name = f"cantor{depth}{mode[0]}.json"
     elif name == "random-pl":

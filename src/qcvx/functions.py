@@ -13,9 +13,14 @@ The exact variants support closed-form extremum queries (infimum and
 supremum over a subinterval with open/closed end flags, argmax sets) that
 the violation and certificate analyses build on.  Each exact model keeps
 one structure index, whose integer keys only this module reads: the
-extremum and argmax queries, and the threshold walk ``_sweep`` with its
-threshold arithmetic, which hands the violation analyses one stream of
-breakpoint and span items.
+extremum and argmax queries, and the threshold walk ``_sweep``, which
+hands the violation analyses one stream of breakpoint and span items.
+A linear piece's line is built from that piece's own ends, so its
+integers do not grow with the model.
+
+This module also validates every position input where it locates it:
+a pair x < y in ``_pair``, an extremum or argmax interval in
+``_subinterval`` and the interior point of a local shape in ``_sides``.
 """
 
 from __future__ import annotations
@@ -35,15 +40,19 @@ from .core import (
     as_rational,
     format_rational,
     segment_point,
+    xreal_max,
 )
 from .errors import (
     ConsistencyError,
     DomainError,
     InexactModelError,
+    InteriorRequiredError,
     NoSampleError,
+    OrderingError,
     ParameterRangeError,
     PreconditionError,
     SupremumNotAttainedError,
+    UnsupportedChordError,
     ValidationError,
 )
 
@@ -192,13 +201,11 @@ def _build_index(
     ps = tuple(p.numerator * (den // p.denominator) for p in positions)
     ks, flat_keys = tuple(map(key, values)), tuple(map(key, flats))
     pieces = list(zip(ps, ps[1:], ks, ks[1:], flat_keys))
-    lines = {}
-    for k, (p0, p1, k0, k1, flat) in enumerate(pieces):
-        if flat is None:
-            # f(t) = (k0 * p1 - k1 * p0 + (k1 - k0) * den * t) / ((p1 - p0) * scale)
-            a, b, c = k0 * p1 - k1 * p0, (k1 - k0) * den, (p1 - p0) * scale
-            g = math.gcd(a, b, c)
-            lines[k] = (a // g, b // g, c // g)
+    lines = {
+        k: _line(positions[k], positions[k + 1], values[k].finite_value, values[k + 1].finite_value)
+        for k, flat in enumerate(flats)
+        if flat is None
+    }
     left = (0, *(_cmp(k1, k0 if c is None else c) for _, _, k0, k1, c in pieces))
     right = (*(_cmp(k0, k1 if c is None else c) for _, _, k0, k1, c in pieces), 0)
     # The side comparisons beside constant pieces, where f can jump.
@@ -217,6 +224,20 @@ def _build_index(
         semicontinuity=SemicontinuityReport(not bad_lsc, not bad_usc, bad_lsc, bad_usc),
         den=den, position_keys=ps, scale=scale, value_keys=ks, flat_keys=flat_keys,
     )
+
+
+def _line(p0: Fraction, p1: Fraction, v0: Fraction, v1: Fraction) -> tuple[int, int, int]:
+    """``(a, b, c)`` of the line through (p0, v0) and (p1, v1), p0 < p1,
+    from these four numbers alone, so its integers stay as wide as one
+    piece's denominators however many pieces the model has."""
+    d0, d1, e0, e1 = p0.denominator, p1.denominator, v0.denominator, v1.denominator
+    # The ends over d0 * d1 and the values over e0 * e1; the line
+    # (v0 * p1 - v1 * p0 + (v1 - v0) * t) / (p1 - p0) times d0 * d1 * e0 * e1.
+    s0, s1 = p0.numerator * d1, p1.numerator * d0
+    w0, w1 = v0.numerator * e1, v1.numerator * e0
+    a, b, c = w0 * s1 - w1 * s0, (w1 - w0) * d0 * d1, (s1 - s0) * e0 * e1
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
 def _cmp(u, v) -> int:
@@ -322,12 +343,17 @@ class _ExactModel(Function1D):
             j -= 1
         return lo[2], j
 
-    def _sides(self, t: Fraction) -> tuple[int, int, Fraction]:
+    def _sides(self, t: RationalLike) -> tuple[int, int, Fraction]:
         """``(left, right, radius)`` for t strictly inside the domain: left
         and right compare f(t) with the values of f immediately left and
         right of t (+1 above them, 0 equal, -1 below), and radius is the
         distance from t to the nearest other breakpoint, so that each of
-        ]t - radius, t[ and ]t, t + radius[ lies inside one piece."""
+        ]t - radius, t[ and ]t, t + radius[ lies inside one piece.  A t
+        that is not interior raises InteriorRequiredError."""
+        t = as_rational(t)
+        a, b = self.domain
+        if not a < t < b:
+            raise InteriorRequiredError(f"{t} is not interior to [{a}, {b}]")
         s = self._index
         scaled, i = s.locate(t)
         keys = s.position_keys
@@ -572,9 +598,7 @@ def _cantor_components(depth: int) -> list[tuple[Fraction, Fraction]]:
     return parts
 
 
-def _check_cantor_parameters(depth: int, mode: str) -> None:
-    """Raise ParameterRangeError unless ``generate_cantor(depth, mode)``
-    accepts the parameters; generates nothing."""
+def _check_cantor_depth(depth: int) -> None:
     if (
         isinstance(depth, bool)
         or not isinstance(depth, int)
@@ -583,6 +607,9 @@ def _check_cantor_parameters(depth: int, mode: str) -> None:
         raise ParameterRangeError(
             f"depth must be an integer in [1, {MAX_CANTOR_DEPTH}], got {depth}"
         )
+
+
+def _check_cantor_mode(mode: str) -> None:
     if mode not in ("set", "complement"):
         raise ParameterRangeError(f"mode must be 'set' or 'complement', got {mode!r}")
 
@@ -596,7 +623,8 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
     values are 1 (the retained intervals are closed).  ``mode="complement"``:
     the pointwise 1-complement, the indicator of the removed open set.
     """
-    _check_cantor_parameters(depth, mode)
+    _check_cantor_depth(depth)
+    _check_cantor_mode(mode)
     components = _cantor_components(depth)
     breaks: list[Fraction] = []
     for a, b in components:
@@ -618,6 +646,67 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
                 f"expected {2 ** depth - 1}"
             )
     return f
+
+
+# ---------------------------------------------------------------------------
+# Interval and pair checks: each validates its positions and locates them.
+
+
+def _subinterval(f: Function1D, lo, hi) -> tuple[_Located, _Located]:
+    """The ends of a subinterval lo < hi of the domain, located."""
+    lo, hi = as_rational(lo), as_rational(hi)
+    a, b = f.domain
+    if not (a <= lo and hi <= b):
+        raise DomainError(f"[{lo}, {hi}] not within domain [{a}, {b}]")
+    if not lo < hi:
+        raise ParameterRangeError("interval needs nonempty interior (lo < hi)")
+    return f._locate(lo), f._locate(hi)
+
+
+# (m, a, b, plus): f - threshold at position p / den, where f has the
+# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
+# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
+# level is the constant sign it gives every finite value (m = 0).
+_KeyThreshold = tuple[int, int, int, int]
+
+
+def _pair(
+    f: Function1D, x, y, chord: bool = False
+) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
+    """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
+    ends located in f's index, level = max(f(x), f(y)), and the walk
+    threshold in f's integer keys, which is the level or, with ``chord``,
+    the chord through (x, f(x)) and (y, f(y))."""
+    x, y = as_rational(x), as_rational(y)
+    lo, hi = f.domain
+    if not (lo <= x and y <= hi):
+        raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
+    if not x < y:
+        raise OrderingError(f"pair needs x < y, got ({x}, {y})")
+    at_x, at_y = f._locate(x), f._locate(y)
+    fx, fy = f._located_value(at_x), f._located_value(at_y)
+    level = xreal_max(fx, fy)
+    s = f._index
+    if not chord:
+        if not level.is_finite:
+            return at_x, at_y, level, ((0, 1, 0, -1) if level.is_plus_infinity else (0, -1, 0, 1))
+        q = level.finite_value
+        return at_x, at_y, level, (q.denominator, q.numerator * s.scale, 0, 1)
+    if not (fx.is_finite and fy.is_finite):
+        raise UnsupportedChordError(
+            "chord analysis needs finite endpoint values, got "
+            f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
+        )
+    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
+    fx, fy = fx.finite_value, fy.finite_value
+    slope = (fy - fx) / (y - x)
+    c = fx - slope * x
+    cd, sd = c.denominator, slope.denominator
+    m = cd * sd * s.den
+    a = c.numerator * sd * s.den * s.scale
+    b = slope.numerator * cd * s.scale
+    g = math.gcd(m, a, b)
+    return at_x, at_y, level, (m // g, a // g, b // g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +739,6 @@ def _extremum(
     pick = max if maximize else min
     best = pick(inner + ends)
     return best, bool(inner) and pick(inner) == best
-
-
-def _subinterval(f: Function1D, lo, hi) -> tuple[_Located, _Located]:
-    """The ends of a subinterval lo < hi of the domain, located."""
-    lo, hi = as_rational(lo), as_rational(hi)
-    a, b = f.domain
-    if not (a <= lo and hi <= b):
-        raise DomainError(f"[{lo}, {hi}] not within domain [{a}, {b}]")
-    if not lo < hi:
-        raise ParameterRangeError("interval needs nonempty interior (lo < hi)")
-    return f._locate(lo), f._locate(hi)
 
 
 def infimum_on(
@@ -819,37 +897,6 @@ def _attaining_set(f: Function1D, lo: _Located, hi: _Located, sup: XReal) -> Clo
 # Threshold walks on the integer keys.
 
 
-# (m, a, b, plus): f - threshold at position p / den, where f has the
-# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
-# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
-# level is the constant sign it gives every finite value (m = 0).
-_KeyThreshold = tuple[int, int, int, int]
-
-
-def _level_threshold(f: Function1D, level: XReal) -> _KeyThreshold:
-    """The constant threshold ``level`` in f's integer keys."""
-    if not level.is_finite:
-        return (0, 1, 0, -1) if level.is_plus_infinity else (0, -1, 0, 1)
-    q = level.finite_value
-    return q.denominator, q.numerator * f._index.scale, 0, 1
-
-
-def _chord_threshold(
-    f: Function1D, x: Fraction, fx: Fraction, y: Fraction, fy: Fraction
-) -> _KeyThreshold:
-    """The line through (x, fx) and (y, fy), x < y, in f's integer keys."""
-    s = f._index
-    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
-    slope = (fy - fx) / (y - x)
-    c = fx - slope * x
-    cd, sd = c.denominator, slope.denominator
-    m = cd * sd * s.den
-    a = c.numerator * sd * s.den * s.scale
-    b = slope.numerator * cd * s.scale
-    g = math.gcd(m, a, b)
-    return m // g, a // g, b // g, 1
-
-
 def _differ(thr: _KeyThreshold):
     """``diff(key, p)``: an int, or a Fraction if key or p is one, with
     the sign of f - threshold at position p / den where f has the key."""
@@ -965,29 +1012,34 @@ def _require_field(doc: dict, name: str):
     return doc[name]
 
 
-def _require_list(doc: dict, name: str) -> list:
+def _parse_list(doc: dict, name: str, parse: Callable[[str, object], object]) -> tuple:
+    """The list field ``name`` of doc, its entry i parsed by
+    ``parse("name[i]", entry)``."""
     value = _require_field(doc, name)
     if not isinstance(value, list):
         raise ValidationError(name, f"expected a list, got {value!r}")
-    return value
+    return tuple(parse(f"{name}[{i}]", entry) for i, entry in enumerate(value))
+
+
+def _parse_field(field: str, parse: Callable, value):
+    """``parse(value)``, its ParameterRangeError or TypeError raised as a
+    ValidationError naming field."""
+    try:
+        return parse(value)
+    except (ParameterRangeError, TypeError) as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _parse_rational_field(field: str, text) -> Fraction:
     if not isinstance(text, str):
         raise ValidationError(field, f"expected a rational string, got {text!r}")
-    try:
-        return as_rational(text)
-    except (ParameterRangeError, TypeError) as exc:
-        raise ValidationError(field, str(exc)) from exc
+    return _parse_field(field, as_rational, text)
 
 
 def _parse_xreal_field(field: str, text) -> XReal:
     if not isinstance(text, str):
         raise ValidationError(field, f"expected a value string, got {text!r}")
-    try:
-        return XReal.from_string(text)
-    except (ParameterRangeError, TypeError) as exc:
-        raise ValidationError(field, str(exc)) from exc
+    return _parse_field(field, XReal.from_string, text)
 
 
 def function_from_dict(doc: dict) -> Function1D:
@@ -1024,36 +1076,22 @@ def function_from_dict(doc: dict) -> Function1D:
                 raise ValidationError("domain", "does not match first/last knot positions")
         return f
     if kind == "piecewise_constant":
-        breaks = [
-            _parse_rational_field(f"breaks[{i}]", b)
-            for i, b in enumerate(_require_list(doc, "breaks"))
-        ]
-        piece_values = [
-            _parse_xreal_field(f"piece_values[{i}]", v)
-            for i, v in enumerate(_require_list(doc, "piece_values"))
-        ]
-        point_values = [
-            _parse_xreal_field(f"point_values[{i}]", v)
-            for i, v in enumerate(_require_list(doc, "point_values"))
-        ]
-        return PiecewiseConstant(tuple(breaks), tuple(piece_values), tuple(point_values))
+        return PiecewiseConstant(
+            _parse_list(doc, "breaks", _parse_rational_field),
+            _parse_list(doc, "piece_values", _parse_xreal_field),
+            _parse_list(doc, "point_values", _parse_xreal_field),
+        )
     if kind == "cantor":
         depth = _require_field(doc, "depth")
         mode = _require_field(doc, "mode")
         if isinstance(depth, bool) or not isinstance(depth, int):
             raise ValidationError("depth", f"expected an integer, got {depth!r}")
-        try:
-            return generate_cantor(depth, mode)
-        except ParameterRangeError as exc:
-            raise ValidationError("depth" if "depth" in str(exc) else "mode", str(exc)) from exc
+        _parse_field("depth", _check_cantor_depth, depth)
+        _parse_field("mode", _check_cantor_mode, mode)
+        return generate_cantor(depth, mode)
     if kind == "tabulated":
-        positions = [
-            _parse_rational_field(f"positions[{i}]", p)
-            for i, p in enumerate(_require_list(doc, "positions"))
-        ]
-        values = [
-            _parse_xreal_field(f"values[{i}]", v)
-            for i, v in enumerate(_require_list(doc, "values"))
-        ]
-        return Tabulated(tuple(positions), tuple(values))
+        return Tabulated(
+            _parse_list(doc, "positions", _parse_rational_field),
+            _parse_list(doc, "values", _parse_xreal_field),
+        )
     raise ValidationError("type", f"unknown function type {kind!r}")

@@ -13,15 +13,17 @@ runs against the chord through (x, f(x)) and (y, f(y)) to produce the
 convexity violation set, and behind the component checks and interior
 witnesses.
 
-Every entry point starts from one pair: ``_pair`` validates it, locates
-its ends in the model's structure index, evaluates f there once and
-turns the threshold, the level or the chord, into integers once.  The
-threshold walk, ``functions._sweep``, lives beside the index whose
-integer keys it reads; it yields one item stream, each interior
-breakpoint and each piece span (split where f crosses the threshold)
-with whether it lies above.  This module only consumes that stream: the
-violation and chord sets join it into maximal runs, and the component
-checks and the interior witness stop at its first item not above.
+Every entry point starts from one pair: ``functions._pair`` validates
+it, locates its ends in the model's structure index, evaluates f there
+once and turns the threshold, the level or the chord, into integers
+once.  The pair check and the threshold walk, ``functions._sweep``, live
+beside the index whose integer keys they read; the walk yields one item
+stream, each interior breakpoint and each piece span (split where f
+crosses the threshold) with whether it lies above.  This module only
+consumes that stream: the violation and chord sets join it into maximal
+runs, and the component checks and the interior witness stop at its
+first item not above.  A component check rejects a component outside the
+pair, ]x, y[ in positions or ]0, 1[ in chord parameters.
 """
 
 from __future__ import annotations
@@ -30,46 +32,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import RationalLike, XReal, as_rational, format_rational, xreal_max
-from .errors import ConsistencyError, OrderingError, UnsupportedChordError
+from .core import RationalLike, XReal, format_rational
+from .errors import ConsistencyError
 from .functions import (
     Function1D,
-    _chord_threshold,
     _is_above,
     _KeyThreshold,
-    _level_threshold,
     _Located,
     _lsc_offenders_in,
+    _pair,
     _sweep,
     require_exact,
 )
 from .intervals import OpenInterval, OpenIntervalSet
-
-
-def _pair(
-    f: Function1D, x, y, chord: bool = False
-) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
-    """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
-    ends located in f's index, level = max(f(x), f(y)), and the walk
-    threshold, which is the level or, with ``chord``, the chord through
-    (x, f(x)) and (y, f(y))."""
-    x, y = as_rational(x), as_rational(y)
-    lo, hi = f.domain
-    if not (lo <= x and y <= hi):
-        raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
-    if not x < y:
-        raise OrderingError(f"pair needs x < y, got ({x}, {y})")
-    at_x, at_y = f._locate(x), f._locate(y)
-    fx, fy = f._located_value(at_x), f._located_value(at_y)
-    level = xreal_max(fx, fy)
-    if not chord:
-        return at_x, at_y, level, _level_threshold(f, level)
-    if not (fx.is_finite and fy.is_finite):
-        raise UnsupportedChordError(
-            "chord analysis needs finite endpoint values, got "
-            f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
-        )
-    return at_x, at_y, level, _chord_threshold(f, x, fx.finite_value, y, fy.finite_value)
 
 
 def _above_set(
@@ -238,6 +213,13 @@ def _first_not_above(
     return None
 
 
+def _require_within(components: OpenIntervalSet, lo: Fraction, hi: Fraction) -> None:
+    """Raise ConsistencyError naming the first component not within ]lo, hi[."""
+    for iv in components:
+        if not (lo <= iv.left and iv.right <= hi):
+            raise ConsistencyError(f"component {iv} not within ]{lo}, {hi}[")
+
+
 def verify_component_property(
     f: Function1D, decomposition: ViolationDecomposition
 ) -> list[ComponentCheck]:
@@ -256,9 +238,7 @@ def verify_component_property(
             f"threshold {decomposition.threshold.to_string()} does not match "
             f"max(f(x), f(y)) = {level.to_string()}"
         )
-    for iv in decomposition.components:
-        if not (x <= iv.left and iv.right <= y):
-            raise ConsistencyError(f"component {iv} not within ]{x}, {y}[")
+    _require_within(decomposition.components, x, y)
     return _component_checks(
         f,
         ((iv.left, iv.right) for iv in decomposition.components),
@@ -383,10 +363,12 @@ def verify_chord_components(
 ) -> list[ComponentCheck]:
     """Run the per-component checks against the chord as the (affine)
     threshold, for a convexity violation set given in parameter
-    coordinates."""
+    coordinates.  A component outside ]0, 1[ raises
+    :class:`ConsistencyError`."""
     require_exact(f, "verify_chord_components")
     at_x, at_y, _, chord = _pair(f, x, y, chord=True)
     x, y = at_x[0], at_y[0]
+    _require_within(components_in_params, Fraction(0), Fraction(1))
 
     def to_position(t: Fraction) -> Fraction:
         return y - t * (y - x)

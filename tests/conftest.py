@@ -9,6 +9,7 @@ from) these.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -133,10 +134,13 @@ def has_violating_triple_on_grid(f, grid: list[Fraction]) -> bool:
 
 def coprime_linear(seed: int, knots: int = 10) -> PiecewiseLinear:
     """A piecewise-linear model whose positions and values have distinct
-    prime denominators near 10^4, so the common denominators of its
-    positions and of its values are products of many primes."""
+    prime denominators from 10^4 up, so the common denominators of its
+    positions and of its values are products of many primes.  The prime
+    pool grows with the knot count; up to 19 knots it is the primes in
+    [10007, 10500)."""
     rng = random.Random(seed)
-    primes = [p for p in range(10007, 10500) if all(p % q for q in range(2, 103))]
+    top = max(10500, 10007 + 25 * knots)
+    primes = [p for p in range(10007, top) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     chosen = rng.sample(primes, 2 * knots)
     inner = sorted({Fraction(rng.randint(1, p - 1), p) for p in chosen[:knots]})
     positions = [Fraction(0), *inner, Fraction(1)]

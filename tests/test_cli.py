@@ -150,6 +150,68 @@ class TestAnalyzeCommand:
             "breakpoints inside its pairs, over the limit of 1000000\n"
         )
 
+    def test_with_oracle_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        # The oracle runs before the pairs, so its grid is refused before
+        # any pair is analyzed.
+        def unreachable(f, x, y):
+            raise AssertionError("a pair was analyzed")
+
+        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        path = self.cantor_complement(tmp_path, capsys, 6)
+        code, out, err = run(
+            ["analyze", path, "--all-breakpoint-pairs", "--with-oracle", "--grid", "5000", "--no-timestamp"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: oracle grid has 5253 points at resolution 5000, over the limit of 4096\n"
+
+    def test_with_oracle_embeds_the_oracle_report(self, tmp_path, capsys):
+        path = tmp_path / "c3.json"
+        run(["corpus", "cantor", "--depth", "3", "--mode", "set", "--out", str(path)], capsys)
+        code, out, _ = run(
+            ["analyze", str(path), "--all-breakpoint-pairs", "--with-oracle", "--grid", "61", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        report = read_json(out)
+        assert list(report)[-2:] == ["local_maxima_hypothesis", "oracle"]
+        code, out, _ = run(["oracle", str(path), "--grid", "61", "--no-timestamp"], capsys)
+        assert code == 0
+        assert report["oracle"] == read_json(out)["oracle"]
+        assert report["oracle"]["is_quasiconvex_on_grid"] is False
+
+    def test_infinite_threshold_has_no_chord(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"type": "piecewise_constant", "breaks": ["0", "1/2", "1"], '
+            '"piece_values": ["0", "1"], "point_values": ["0", "0", "inf"]}'
+        )
+        code, out, _ = run(["analyze", str(path), "--pair", "0", "1", "--no-timestamp"], capsys)
+        assert code == 0
+        (pair,) = read_json(out)["pairs"]
+        assert (pair["threshold"], pair["threshold_decimal"]) == ("inf", "inf")
+        assert pair["chord_violations"] is None
+        assert "chord_violations_total_length" not in pair
+
+    def test_component_check_reports_its_failing_point(self, tmp_path, capsys):
+        # The depth-3 Cantor set indicator is 0 at 2/5 and 4/5 and 1 on
+        # the closed intervals [2/3, 19/27] and [20/27, 7/9] between them,
+        # so each open component has an end above the threshold 0.
+        path = tmp_path / "c3.json"
+        run(["corpus", "cantor", "--depth", "3", "--mode", "set", "--out", str(path)], capsys)
+        code, out, _ = run(
+            ["analyze", str(path), "--pair", "2/5", "4/5", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        (pair,) = read_json(out)["pairs"]
+        assert pair["components"] == [{"u": "2/3", "v": "19/27"}, {"u": "20/27", "v": "7/9"}]
+        assert pair["component_checks"][0] == {
+            "endpoints_outside": False,
+            "interior_strict": True,
+            "failing_point": "2/3",
+        }
+        assert pair["all_checks_passed"] is False
+
     def test_all_pairs_within_budget(self, tmp_path, capsys, monkeypatch):
         # Depth 6 puts C(128, 3) = 341,376 breakpoints inside its pairs.
         analyzed = []
@@ -197,6 +259,7 @@ class TestAnalyzeCommand:
         [
             ('{"type": "piecewise_constant", "breaks": "01", "piece_values": ["0"], "point_values": ["0", "0"]}', "breaks"),
             ('{"type": "cantor", "depth": true, "mode": "set"}', "depth"),
+            ('{"type": "cantor", "depth": 3, "mode": "depth"}', "mode"),
         ],
     )
     def test_malformed_list_and_depth_exit_1(self, tmp_path, capsys, doc, field):
@@ -205,6 +268,16 @@ class TestAnalyzeCommand:
         code, _, err = run(["analyze", str(path)], capsys)
         assert code == 1
         assert f"{field}:" in err
+
+    def test_cantor_mode_names_its_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"type": "cantor", "depth": 3, "mode": "depth"}')
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid function document: mode: "
+            "mode must be 'set' or 'complement', got 'depth'\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(["analyze", "not-there.json"], capsys)

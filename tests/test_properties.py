@@ -1,0 +1,101 @@
+"""Property tests over generated exact models.
+
+Two model strategies: piecewise-constant models with +-inf values and a
+breakpoint that is neither lower nor upper semicontinuous, and
+piecewise-linear models whose positions and values have distinct prime
+denominators.  The runs are derandomized and bounded, so the file is
+deterministic and takes a few seconds.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import reference_value, structural_positions
+from qcvx import (
+    MINUS_INF,
+    PLUS_INF,
+    PiecewiseConstant,
+    PiecewiseLinear,
+    ToleranceConfig,
+    XReal,
+    check_semicontinuity,
+    is_quasiconvex,
+    oracle_quasiconvex,
+)
+
+F = Fraction
+
+VALUES = [MINUS_INF, XReal(-1), XReal(0), XReal(F(1, 2)), XReal(2), PLUS_INF]
+
+# (left piece, breakpoint, right piece) with the breakpoint value strictly
+# between the piece values: above one side and below the other, so f is
+# neither lsc nor usc there.
+NEITHER = [
+    (MINUS_INF, XReal(0), PLUS_INF),
+    (XReal(-1), XReal(F(1, 2)), XReal(2)),
+    (PLUS_INF, XReal(2), XReal(0)),
+    (XReal(2), XReal(-1), MINUS_INF),
+]
+
+PRIMES = [p for p in range(1009, 1361) if all(p % q for q in range(2, 37))]
+
+
+@st.composite
+def piecewise_constant_models(draw) -> PiecewiseConstant:
+    inner = draw(st.lists(st.integers(1, 59), min_size=1, max_size=8, unique=True))
+    breaks = [F(0), *(F(i, 60) for i in sorted(inner)), F(1)]
+    # seq[2 * i] is the value at breaks[i] and seq[2 * i + 1] the value of
+    # the piece after it; breakpoint k is neither lsc nor usc.
+    seq = draw(st.lists(st.sampled_from(VALUES), min_size=2 * len(breaks) - 1, max_size=2 * len(breaks) - 1))
+    k = draw(st.integers(1, len(breaks) - 2))
+    left, point, right = draw(st.sampled_from(NEITHER))
+    if draw(st.booleans()):
+        # A valley, falling to the triple and rising after it, which is
+        # quasiconvex whichever way the triple runs.
+        seq[: 2 * k - 1] = sorted((max(v, left) for v in seq[: 2 * k - 1]), reverse=True)
+        seq[2 * k + 2 :] = sorted(max(v, right) for v in seq[2 * k + 2 :])
+    seq[2 * k - 1 : 2 * k + 2] = left, point, right
+    return PiecewiseConstant(tuple(breaks), tuple(seq[1::2]), tuple(seq[0::2]))
+
+
+@st.composite
+def coprime_linear_models(draw) -> PiecewiseLinear:
+    n = draw(st.integers(2, 12))
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=2 * n, max_size=2 * n, unique=True))
+    # A numerator below its prime denominator keeps the fraction in lowest
+    # terms, so distinct primes give distinct positions.
+    inner = sorted(F(draw(st.integers(1, p - 1)), p) for p in primes[: n - 2])
+    positions = [F(0), *inner, F(1)]
+    values = [F(draw(st.integers(-40, 40)), q) for q in primes[n:]]
+    return PiecewiseLinear(tuple(zip(positions, values)))
+
+
+MODELS = st.one_of(piecewise_constant_models(), coprime_linear_models())
+
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(piecewise_constant_models())
+def test_constant_strategy_has_a_breakpoint_neither_lsc_nor_usc(f):
+    report = check_semicontinuity(f)
+    assert not report.is_lsc and not report.is_usc
+
+
+@SETTINGS
+@given(MODELS)
+def test_verdict_matches_the_oracle(f):
+    oracle = oracle_quasiconvex(f, ToleranceConfig(grid_points=41))
+    assert is_quasiconvex(f).is_quasiconvex == oracle.is_quasiconvex_on_grid
+
+
+@SETTINGS
+@given(MODELS, st.data())
+def test_evaluate_interpolates_the_model_fields(f, data):
+    # One drawn point strictly inside each piece, where a linear model
+    # reads the line built for that piece.
+    bps = structural_positions(f)
+    for p0, p1 in zip(bps, bps[1:]):
+        t = p0 + (p1 - p0) * F(data.draw(st.integers(1, 999)), 1000)
+        assert f.evaluate(t) == reference_value(f, t)

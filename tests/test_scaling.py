@@ -14,10 +14,15 @@ oracle's count is taken on one 16-knot linear model at two grid
 resolutions: its Fraction work may depend on the breakpoints, not on the
 grid size.  Index lookups are counted the same way, by wrapping
 ``_StructureIndex.locate``: an interval query locates each end once.
+The index build is measured by the widest integer it hands to
+``math.gcd``, on piecewise-linear models with 200 and 800 knots whose
+denominators are distinct primes.
 """
 
+import math
 from fractions import Fraction
 
+from conftest import coprime_linear
 from qcvx import (
     ToleranceConfig,
     argmax_set,
@@ -207,3 +212,26 @@ def test_oracle_violation_set_fraction_work_is_flat_in_grid_size(monkeypatch):
     small, large = oracle_counts(monkeypatch, query)
     assert small > 0
     assert large == small, (small, large)
+
+
+def test_line_integers_do_not_grow_with_the_knot_count(monkeypatch):
+    # Each linear piece's line is built from the piece's own ends, not
+    # from the model-wide integer keys, whose common denominator is the
+    # product of all the position denominators.
+    def widest_gcd_argument(f) -> int:
+        width = 0
+        original = math.gcd
+
+        def recording(*args):
+            nonlocal width
+            width = max(width, *(abs(a).bit_length() for a in args))
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "gcd", recording)
+            f._index  # builds the structure index
+        return width
+
+    small, large = (widest_gcd_argument(coprime_linear(3, knots)) for knots in (200, 800))
+    assert small > 0
+    assert large <= 2 * small, (small, large)

@@ -107,3 +107,31 @@ def test_only_functions_reads_the_key_layout():
         or (isinstance(node, ast.alias) and node.name in KEY_LAYOUT_NAMES)
     ]
     assert not reads, reads
+
+
+POSITION_ERRORS = {"OrderingError", "DomainError", "InteriorRequiredError"}
+
+
+def test_only_functions_validates_positions():
+    # Pair, interval and point checks live beside ``_locate``, so no other
+    # module raises the errors that reject a position.
+    raises = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "functions.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(isinstance(n, ast.Name) and n.id in POSITION_ERRORS for n in ast.walk(node.exc))
+    ]
+    assert not raises, raises
+
+
+def test_certificates_do_not_import_violations():
+    tree = ast.parse((PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("violations")
+    ]
+    assert not imported, imported

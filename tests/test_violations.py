@@ -43,7 +43,6 @@ from qcvx.corpus import (
 )
 from qcvx.errors import (
     ConsistencyError,
-    DomainError,
     InexactModelError,
     OrderingError,
     UnsupportedChordError,
@@ -545,13 +544,23 @@ class TestChordViolations:
     def test_tent_above_zero_chord(self):
         assert convexity_violation_set(tent(), 0, 1) == normalize([iv(0, 1)])
 
-    @pytest.mark.parametrize("u, v, end", [(-1, F(1, 2), 2), (F(1, 2), 2, -1)])
-    def test_chord_checks_refuse_ends_outside_the_domain(self, u, v, end):
-        # A parameter outside [0, 1] maps to a position outside the domain,
-        # which locating that end refuses instead of reading another piece.
-        with pytest.raises(DomainError) as raised:
+    @pytest.mark.parametrize("u, v", [(-1, F(1, 2)), (F(1, 2), 2)])
+    def test_chord_checks_refuse_ends_outside_the_domain(self, u, v):
+        # A parameter outside [0, 1] would map to a position outside the
+        # domain; the component is refused before any end is mapped.
+        with pytest.raises(ConsistencyError) as raised:
             verify_chord_components(tent(), 0, 1, OpenIntervalSet((OpenInterval(u, v),)))
-        assert str(raised.value) == f"{end} outside domain [0, 1]"
+        assert str(raised.value) == f"component ]{u}, {v}[ not within ]0, 1["
+
+    @pytest.mark.parametrize("u, v", [(F(-1, 2), F(-1, 4)), (F(-3), F(-2))])
+    def test_chord_checks_refuse_components_outside_the_unit_interval(self, u, v):
+        # For the pair (1, 3), ]-1/2, -1/4[ maps to ]7/2, 15/4[, inside the
+        # domain but outside the pair, and ]-3, -2[ to ]5, 7[, outside the
+        # domain: neither is checked against the chord.
+        f = PiecewiseLinear(((0, 0), (1, 1), (2, 0), (3, 3), (4, 0)))
+        with pytest.raises(ConsistencyError) as raised:
+            verify_chord_components(f, 1, 3, OpenIntervalSet((OpenInterval(u, v),)))
+        assert str(raised.value) == f"component ]{u}, {v}[ not within ]0, 1["
 
     def test_vee_below_chords(self):
         assert convexity_violation_set(vee(), 0, 1).is_empty
