@@ -66,6 +66,10 @@ EXIT_INCONSISTENT = 4
 # The pair walks and the report grow with this count.
 MAX_PAIR_INTERIOR_POINTS = 1_000_000
 
+# The most samples ``--plot-points`` may ask for; the time, the memory and
+# the report grow linearly with the count.
+MAX_PLOT_POINTS = 100_000
+
 
 def _load_function(path: str) -> Function1D:
     try:
@@ -199,7 +203,21 @@ def _collect_pairs(
 def _plot_resolution(ctx, param, value: int) -> int:
     if value != 0 and value < 2:
         raise click.BadParameter(f"must be 0 (off) or at least 2, got {value}")
+    if value > MAX_PLOT_POINTS:
+        raise click.BadParameter(f"must be at most {MAX_PLOT_POINTS}, got {value}")
     return value
+
+
+def _plot_samples(f: Function1D, n: int) -> list[list]:
+    """n evenly spaced samples of f over its domain, a + (b - a) * i / (n - 1)
+    made over one common denominator and evaluated in one sorted walk."""
+    (an, ad), (bn, bd) = (q.as_integer_ratio() for q in f.domain)
+    start, step, den = an * bd * (n - 1), bn * ad - an * bd, ad * bd * (n - 1)
+    ts = [Fraction(start + step * i, den) for i in range(n)]
+    return [
+        [format_rational(t), v.to_string(), _decimal(t), _decimal(v)]
+        for t, v in zip(ts, f.evaluate_sorted(ts))
+    ]
 
 
 @click.group(name="qcvx")
@@ -218,7 +236,7 @@ def cli():
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
 @click.option("--no-timestamp", is_flag=True, help="Omit the timestamp for byte-identical reruns.")
 @click.option("--with-oracle", is_flag=True, help="Embed a brute-force oracle verdict.")
-@click.option("--plot-points", type=int, default=0, callback=_plot_resolution, help="Include (t, f(t)) columns at this resolution: 0 (off) or at least 2.")
+@click.option("--plot-points", type=int, default=0, callback=_plot_resolution, help=f"Include (t, f(t)) columns at this resolution: 0 (off), or 2 to {MAX_PLOT_POINTS}.")
 def analyze(
     function_file,
     pairs,
@@ -247,12 +265,7 @@ def analyze(
     if oracle_block is not None:
         report["oracle"] = oracle_block
     if plot_points:
-        a, b = f.domain
-        samples = []
-        for i in range(plot_points):
-            t = a + (b - a) * Fraction(i, plot_points - 1)
-            v = f.evaluate(t)
-            samples.append([format_rational(t), v.to_string(), _decimal(t), _decimal(v)])
+        samples = _plot_samples(f, plot_points)
         report["plot"] = {"resolution": plot_points, "columns": ["t", "f", "t_decimal", "f_decimal"], "samples": samples}
     _write_report(report, out_path)
     if fail_on_violation and not verdict.is_quasiconvex:

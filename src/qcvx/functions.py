@@ -283,17 +283,6 @@ class _ExactModel(Function1D):
             return s.values[i - 1]
         return self._inside(i - 1, t)
 
-    def _value_key(self, at: _Located):
-        """The key of f(t): a Fraction only inside a linear piece."""
-        t, scaled, i = at
-        s = self._index
-        if s.position_keys[i - 1] == scaled:
-            return s.value_keys[i - 1]
-        flat = s.flat_keys[i - 1]
-        if flat is not None:
-            return flat
-        return self._inside(i - 1, t).finite_value * s.scale
-
     def breakpoints(self) -> tuple[Fraction, ...]:
         return self._index.positions
 
@@ -678,15 +667,19 @@ def _pair(
     threshold in f's integer keys, which is the level or, with ``chord``,
     the chord through (x, f(x)) and (y, f(y))."""
     x, y = as_rational(x), as_rational(y)
-    lo, hi = f.domain
-    if not (lo <= x and y <= hi):
+    s = f._index
+    (sx, i), (sy, j) = s.locate(x), s.locate(y)
+    keys = s.position_keys
+    # x is below the domain if no key is at or below it; y above it if all are and none is y.
+    if i == 0 or (j == len(keys) and sy != keys[-1]):
+        lo, hi = f.domain
         raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
-    if not x < y:
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    if not xn * yd < yn * xd:
         raise OrderingError(f"pair needs x < y, got ({x}, {y})")
-    at_x, at_y = f._locate(x), f._locate(y)
+    at_x, at_y = (x, sx, i), (y, sy, j)
     fx, fy = f._located_value(at_x), f._located_value(at_y)
     level = xreal_max(fx, fy)
-    s = f._index
     if not chord:
         if not level.is_finite:
             return at_x, at_y, level, ((0, 1, 0, -1) if level.is_plus_infinity else (0, -1, 0, 1))
@@ -697,14 +690,10 @@ def _pair(
             "chord analysis needs finite endpoint values, got "
             f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
         )
-    # k / scale - (cn / cd) - (sn / sd) * p / den, times scale * cd * sd * den.
-    fx, fy = fx.finite_value, fy.finite_value
-    slope = (fy - fx) / (y - x)
-    c = fx - slope * x
-    cd, sd = c.denominator, slope.denominator
-    m = cd * sd * s.den
-    a = c.numerator * sd * s.den * s.scale
-    b = slope.numerator * cd * s.scale
+    # The chord is (a + b * t) / c; f - chord, where f has the key k at
+    # position p / den, times scale * c * den.
+    a, b, c = _line(x, y, fx.finite_value, fy.finite_value)
+    m, a, b = c * s.den, a * s.scale * s.den, b * s.scale
     g = math.gcd(m, a, b)
     return at_x, at_y, level, (m // g, a // g, b // g, 1)
 
@@ -914,9 +903,19 @@ def _differ(thr: _KeyThreshold):
     return diff
 
 
-def _is_above(f: Function1D, at: _Located, thr: _KeyThreshold) -> bool:
-    """Whether f lies strictly above the threshold at a located point."""
-    return _differ(thr)(f._value_key(at), at[1]) > 0
+def _diff_at(f: Function1D, at: _Located, thr: _KeyThreshold):
+    """``_differ``'s ``diff`` for f's key at a located point.  Inside a
+    linear piece (la + lb * t) / lc, at t = tn / td, it is one Fraction:
+    times lc * td, the key is (la * td + lb * tn) * scale and the position
+    tn * den * lc."""
+    t, scaled, i = at
+    s = f._index
+    key = s.value_keys[i - 1] if s.position_keys[i - 1] == scaled else s.flat_keys[i - 1]
+    if key is not None:
+        return _differ(thr)(key, scaled)
+    m, a, b, _ = thr
+    (la, lb, lc), (tn, td) = s.lines[i - 1], t.as_integer_ratio()
+    return Fraction((la * td + lb * tn) * s.scale * m - (a * td + b * tn * s.den) * lc, lc * td)
 
 
 def _sweep(
@@ -943,7 +942,7 @@ def _sweep(
         raise ParameterRangeError("a walk needs lo < hi")
     i, j = f._span(lo, hi)
     diff, sloped = _differ(thr), thr[2] != 0
-    d_left = diff(f._value_key(lo), p_left)  # at the left end of the span
+    d_left = _diff_at(f, lo, thr)  # at the left end of the span
     for n in range(i, j + 1):
         if n < j:
             right, p_right = positions[n], keys[n]
@@ -958,7 +957,7 @@ def _sweep(
         else:
             # A linear piece runs into the values at its ends.
             if d_point is None:
-                d_point = diff(f._value_key(hi), p_hi)
+                d_point = _diff_at(f, hi, thr)
             dl, dr = d_left, d_point
         if dl > 0 > dr or dr > 0 > dl:
             # left + (right - left) * dl / (dl - dr), over den.

@@ -3,15 +3,24 @@
 The canonical form merges overlapping intervals but keeps intervals that
 meet only at a single shared endpoint separate: that point belongs to
 neither open interval, and merging would change membership there.
+
+The exact analyses, the oracle and ``normalize`` build their sets with
+``OpenIntervalSet._from_runs`` from the ends of runs found in order.  It
+checks that each run has left < right, and the set constructor that
+each run starts at or after the right end of the one before, both on
+integer cross products of the ends' numerators and denominators, with
+the ``MalformedIntervalError`` texts of the public constructors.
+``total_length`` is one integer sum over the least common denominator of
+the ends.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import RationalLike, as_rational, format_rational
 from .errors import MalformedIntervalError
@@ -57,10 +66,25 @@ class OpenIntervalSet:
 
     def __post_init__(self):
         for prev, nxt in zip(self.intervals, self.intervals[1:]):
-            if not prev.right <= nxt.left:
+            (rn, rd), (ln, ld) = prev.right.as_integer_ratio(), nxt.left.as_integer_ratio()
+            if not rn * ld <= ln * rd:
                 raise MalformedIntervalError(
                     f"intervals {prev} and {nxt} out of order or overlapping"
                 )
+
+    @classmethod
+    def _from_runs(cls, runs: Sequence[tuple[Fraction, Fraction]]) -> "OpenIntervalSet":
+        """The set of the intervals ]left, right[ of ``runs``, checked on
+        integers with the errors of the constructors; ends kept as given."""
+        intervals = []
+        for left, right in runs:
+            (ln, ld), (rn, rd) = left.as_integer_ratio(), right.as_integer_ratio()
+            if not ln * rd < rn * ld:
+                raise MalformedIntervalError(f"open interval needs left < right, got ]{left}, {right}[")
+            iv = object.__new__(OpenInterval)  # made without __init__: checked above
+            iv.__dict__.update(left=left, right=right)
+            intervals.append(iv)
+        return cls(tuple(intervals))
 
     def __iter__(self) -> Iterator[OpenInterval]:
         return iter(self.intervals)
@@ -83,22 +107,18 @@ class OpenIntervalSet:
         return candidate.left < t < candidate.right
 
     def total_length(self) -> Fraction:
-        return self._total_length
-
-    @cached_property
-    def _total_length(self) -> Fraction:
-        # A report asks for the total more than once; the sum is a chain
-        # of Fraction additions, so it is made once per set.
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        """The sum of the interval lengths, each end taken over the least
+        common denominator of all the ends."""
+        ends = [q.as_integer_ratio() for iv in self.intervals for q in (iv.right, iv.left)]
+        den = math.lcm(*[d for _, d in ends])
+        scaled = [n * (den // d) for n, d in ends]
+        return Fraction(sum(scaled[::2]) - sum(scaled[1::2]), den)
 
     def to_json(self) -> list[dict]:
         return [
             {"u": format_rational(iv.left), "v": format_rational(iv.right)}
             for iv in self.intervals
         ]
-
-
-EMPTY_SET = OpenIntervalSet()
 
 
 def normalize(raw: Iterable[OpenInterval | tuple]) -> OpenIntervalSet:
@@ -109,25 +129,17 @@ def normalize(raw: Iterable[OpenInterval | tuple]) -> OpenIntervalSet:
     from the open union.  The result is sorted and independent of input
     order.
     """
-    items: list[OpenInterval] = []
+    items = []
     for entry in raw:
-        if isinstance(entry, OpenInterval):
-            items.append(entry)
-        else:
+        if not isinstance(entry, OpenInterval):
             left, right = entry
-            items.append(OpenInterval(as_rational(left), as_rational(right)))
-    if not items:
-        return EMPTY_SET
-    items.sort(key=lambda iv: (iv.left, iv.right))
-    merged: list[OpenInterval] = []
-    cur_left, cur_right = items[0].left, items[0].right
-    for iv in items[1:]:
-        if iv.left < cur_right:
-            if iv.right > cur_right:
-                cur_right = iv.right
+            entry = OpenInterval(left, right)
+        items.append((entry.left, entry.right))
+    items.sort()
+    merged: list[tuple[Fraction, Fraction]] = []
+    for left, right in items:
+        if merged and left < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(right, merged[-1][1]))
         else:
-            merged.append(OpenInterval(cur_left, cur_right))
-            cur_left, cur_right = iv.left, iv.right
-    merged.append(OpenInterval(cur_left, cur_right))
-    return OpenIntervalSet(tuple(merged))
-
+            merged.append((left, right))
+    return OpenIntervalSet._from_runs(merged)

@@ -278,18 +278,18 @@ def oracle_violation_set(
     keys = _integer_keys(f.evaluate_sorted(grid))
     threshold = max(keys[0], keys[-1])
     marked = [k > threshold for k in keys]
-    runs: list[OpenInterval] = []
+    runs: list[tuple[Fraction, Fraction]] = []
     i = 0
     while i < len(grid):
         if marked[i]:
             j = i
             while j + 1 < len(grid) and marked[j + 1]:
                 j += 1
-            runs.append(OpenInterval(grid[i - 1], grid[j + 1]))
+            runs.append((grid[i - 1], grid[j + 1]))
             i = j + 1
         i += 1
     # The runs come out sorted and never overlap, as the constructor checks.
-    return OpenIntervalSet(tuple(runs))
+    return OpenIntervalSet._from_runs(runs)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .core import RationalLike, XReal, format_rational
 from .errors import ConsistencyError
 from .functions import (
     Function1D,
-    _is_above,
+    _diff_at,
     _KeyThreshold,
     _Located,
     _lsc_offenders_in,
@@ -44,7 +44,7 @@ from .functions import (
     _sweep,
     require_exact,
 )
-from .intervals import OpenInterval, OpenIntervalSet
+from .intervals import OpenIntervalSet
 
 
 def _above_set(
@@ -122,7 +122,7 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     require_exact(f, "violation_set")
     at_x, at_y, level, thr = _pair(f, x, y)
     runs, isolated = _above_set(f, at_x, at_y, thr)
-    interval_set = OpenIntervalSet(tuple(OpenInterval(u, v) for u, v in runs))
+    interval_set = OpenIntervalSet._from_runs(runs)
     _check_maximal(f, interval_set, level)
     return ViolationDecomposition(
         x=at_x[0],
@@ -137,15 +137,11 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
 def _check_maximal(
     f: Function1D, components: OpenIntervalSet, threshold: XReal
 ) -> None:
-    previous_right = None
-    for iv in components:
-        # Components sharing an endpoint must be separated by a point at
-        # or below the threshold, otherwise they should have merged.
-        if previous_right == iv.left and f.evaluate(iv.left) > threshold:
-            raise ConsistencyError(
-                f"components touching at {iv.left} failed to merge"
-            )
-        previous_right = iv.right
+    # Components sharing an endpoint must be separated by a point at or
+    # below the threshold, otherwise they should have merged.
+    for prev, iv in zip(components.intervals, components.intervals[1:]):
+        if prev.right == iv.left and f.evaluate(iv.left) > threshold:
+            raise ConsistencyError(f"components touching at {iv.left} failed to merge")
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ def _component_checks(
     checks: list[ComponentCheck] = []
     for u, v in spans:
         at_u, at_v = f._locate(u), f._locate(v)
-        endpoint_bad = u if _is_above(f, at_u, thr) else v if _is_above(f, at_v, thr) else None
+        endpoint_bad = u if _diff_at(f, at_u, thr) > 0 else v if _diff_at(f, at_v, thr) > 0 else None
         probe = _first_not_above(f, at_u, at_v, thr)
         checks.append(
             ComponentCheck(
@@ -215,8 +211,10 @@ def _first_not_above(
 
 def _require_within(components: OpenIntervalSet, lo: Fraction, hi: Fraction) -> None:
     """Raise ConsistencyError naming the first component not within ]lo, hi[."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     for iv in components:
-        if not (lo <= iv.left and iv.right <= hi):
+        (un, ud), (vn, vd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
+        if not (ln * ud <= un * ld and vn * hd <= hn * vd):
             raise ConsistencyError(f"component {iv} not within ]{lo}, {hi}[")
 
 
@@ -326,7 +324,7 @@ def interior_witness_exists(
     """
     require_exact(f, "interior_witness_exists")
     at_x, at_y, _, thr = _pair(f, x, y)
-    return _first_not_above(f, at_x, at_y, thr) is not None
+    return not all(above for _, _, above in _sweep(f, at_x, at_y, thr))
 
 
 def convexity_violation_set(
@@ -344,15 +342,15 @@ def convexity_violation_set(
     """
     require_exact(f, "convexity_violation_set")
     at_x, at_y, _, chord = _pair(f, x, y, chord=True)
-    x, y = at_x[0], at_y[0]
     runs, _ = _above_set(f, at_x, at_y, chord)
-    width = y - x
-    return OpenIntervalSet(
-        tuple(
-            OpenInterval((y - right) / width, (y - left) / width)
-            for left, right in reversed(runs)
-        )
-    )
+    # t = (y - r) / (y - x) for a run end r, as one Fraction of integers.
+    (xn, xd), (yn, yd) = at_x[0].as_integer_ratio(), at_y[0].as_integer_ratio()
+
+    def param(r: Fraction) -> Fraction:
+        rn, rd = r.as_integer_ratio()
+        return Fraction((yn * rd - rn * yd) * xd, (yn * xd - xn * yd) * rd)
+
+    return OpenIntervalSet._from_runs([(param(v), param(u)) for u, v in reversed(runs)])
 
 
 def verify_chord_components(

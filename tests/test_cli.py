@@ -298,6 +298,35 @@ class TestAnalyzeCommand:
         assert code == 1 and out == ""
         assert "--plot-points" in err and "0 (off) or at least 2" in err
 
+    def test_plot_points_over_the_limit_exit_1(self, tent_file, capsys, monkeypatch):
+        # The limit is lowered, so the test never builds a large sample list.
+        monkeypatch.setattr(cli, "MAX_PLOT_POINTS", 5)
+        argv = ["analyze", str(tent_file), "--no-timestamp", "--plot-points"]
+        code, out, err = run([*argv, "6"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: Invalid value for '--plot-points': must be at most 5, got 6\n"
+        code, out, err = run([*argv, "5"], capsys)
+        assert (code, err) == (0, "")
+        assert len(read_json(out)["plot"]["samples"]) == 5
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            qcvx.generate_cantor(3, "set"),
+            random_pwc(4, pieces=7, allow_infinite=True),
+            qcvx.PiecewiseLinear(((F(-3, 7), F(2, 11)), (F(1, 13), F(-5, 3)), (F(9, 4), F(1, 9)))),
+        ],
+        ids=["cantor", "pwc", "linear"],
+    )
+    def test_plot_samples_match_point_evaluation(self, f):
+        a, b = f.domain
+        ts = [a + (b - a) * F(i, 40) for i in range(41)]
+        expected = [
+            [qcvx.format_rational(t), f.evaluate(t).to_string(), float(t), cli._decimal(f.evaluate(t))]
+            for t in ts
+        ]
+        assert cli._plot_samples(f, 41) == expected
+
     def test_plot_points_zero_is_off(self, tent_file, capsys):
         code, out, _ = run(
             ["analyze", str(tent_file), "--no-timestamp", "--plot-points", "0"], capsys

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcvx import OpenInterval, OpenIntervalSet, normalize
 from qcvx.errors import MalformedIntervalError
@@ -91,6 +91,49 @@ class TestTotalLength:
     @given(raw_intervals)
     def test_never_exceeds_raw_sum(self, raw):
         assert normalize(raw).total_length() <= sum((r.length for r in raw), F(0))
+
+
+# Ends whose denominators are distinct primes, so a sum over their least
+# common denominator works with products of many primes.
+PRIMES = [p for p in range(101, 400) if all(p % q for q in range(2, 20))]
+coprime_ends = st.builds(lambda p, k: F(k, p), st.sampled_from(PRIMES), st.integers(0, 800))
+# Runs as the walks hand them over, sorted ends paired in order (an equal
+# pair is malformed), or pairs in any order, most of them malformed.
+sorted_runs = st.lists(coprime_ends, max_size=12).map(lambda e: sorted(e)[: len(e) // 2 * 2]).map(
+    lambda e: list(zip(e[::2], e[1::2]))
+)
+any_runs = st.lists(st.tuples(coprime_ends, coprime_ends), max_size=6)
+BOUNDED = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+class TestFromRuns:
+    @BOUNDED
+    @given(st.one_of(sorted_runs, any_runs))
+    def test_matches_the_public_constructors(self, runs):
+        # The same set, or the same MalformedIntervalError text.
+        try:
+            expected = OpenIntervalSet(tuple(OpenInterval(u, v) for u, v in runs))
+        except MalformedIntervalError as exc:
+            with pytest.raises(MalformedIntervalError) as got:
+                OpenIntervalSet._from_runs(runs)
+            assert str(got.value) == str(exc)
+        else:
+            assert OpenIntervalSet._from_runs(runs) == expected
+
+    def test_messages(self):
+        with pytest.raises(MalformedIntervalError, match=r"^open interval needs left < right, got \]1/2, 1/3\[$"):
+            OpenIntervalSet._from_runs([(F(0), F(1, 4)), (F(1, 2), F(1, 3))])
+        with pytest.raises(
+            MalformedIntervalError, match=r"^intervals \]0, 1/2\[ and \]1/3, 1\[ out of order or overlapping$"
+        ):
+            OpenIntervalSet._from_runs([(F(0), F(1, 2)), (F(1, 3), F(1))])
+
+
+@BOUNDED
+@given(st.lists(st.tuples(coprime_ends, coprime_ends).filter(lambda p: p[0] != p[1]), max_size=10))
+def test_total_length_equals_the_fraction_sum(pairs):
+    s = normalize(tuple(sorted(p)) for p in pairs)
+    assert s.total_length() == sum((iv.right - iv.left for iv in s), F(0))
 
 
 def test_serialization_sorted():

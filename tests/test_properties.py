@@ -3,7 +3,8 @@
 Two model strategies: piecewise-constant models with +-inf values and a
 breakpoint that is neither lower nor upper semicontinuous, and
 piecewise-linear models whose positions and values have distinct prime
-denominators.  The runs are derandomized and bounded, so the file is
+denominators.  Pair properties draw each end as a breakpoint or a point
+inside a piece.  The runs are derandomized and bounded, so the file is
 deterministic and takes a few seconds.
 """
 
@@ -20,8 +21,14 @@ from qcvx import (
     ToleranceConfig,
     XReal,
     check_semicontinuity,
+    convexity_violation_set,
+    diff_report,
     is_quasiconvex,
     oracle_quasiconvex,
+    oracle_violation_set,
+    verify_chord_components,
+    verify_component_property,
+    violation_set,
 )
 
 F = Fraction
@@ -99,3 +106,52 @@ def test_evaluate_interpolates_the_model_fields(f, data):
     for p0, p1 in zip(bps, bps[1:]):
         t = p0 + (p1 - p0) * F(data.draw(st.integers(1, 999)), 1000)
         assert f.evaluate(t) == reference_value(f, t)
+
+
+def draw_pair(data, f) -> tuple[F, F]:
+    """Two points x < y of f's domain, each a breakpoint or a point inside
+    a piece."""
+    bps = structural_positions(f)
+    inside = (p0 + (p1 - p0) * F(data.draw(st.integers(1, 7)), 8) for p0, p1 in zip(bps, bps[1:]))
+    points = sorted({*bps, *inside})
+    ends = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+    i, j = sorted(ends)
+    return points[i], points[j]
+
+
+@SETTINGS
+@given(MODELS, st.data())
+def test_violation_set_matches_the_oracle(f, data):
+    # The oracle's grid holds every breakpoint, so a slack of one uniform
+    # grid step covers its error, as in ``qcvx oracle --compare``.
+    x, y = draw_pair(data, f)
+    approx = oracle_violation_set(f, x, y, ToleranceConfig(grid_points=41))
+    report = diff_report(violation_set(f, x, y), approx, (y - x) / 40)
+    assert report.consistent, report.to_json()
+
+
+@SETTINGS
+@given(MODELS, st.data())
+def test_chord_components_lie_above_the_chord(f, data):
+    x, y = draw_pair(data, f)
+    fx, fy = reference_value(f, x), reference_value(f, y)
+    if not (fx.is_finite and fy.is_finite):
+        return  # no chord
+    fx, fy = fx.finite_value, fy.finite_value
+    for iv in convexity_violation_set(f, x, y):
+        assert 0 <= iv.left and iv.right <= 1
+        # The component's midpoint, mapped back to a position.
+        z = y - (iv.left + iv.right) / 2 * (y - x)
+        assert reference_value(f, z) > XReal(fx + (fy - fx) * (z - x) / (y - x))
+
+
+@SETTINGS
+@given(coprime_linear_models(), st.data())
+def test_component_checks_pass_on_lsc_models(f, data):
+    assert check_semicontinuity(f).is_lsc
+    x, y = draw_pair(data, f)
+    checks = [
+        *verify_component_property(f, violation_set(f, x, y)),
+        *verify_chord_components(f, x, y, convexity_violation_set(f, x, y)),
+    ]
+    assert all(c.passed for c in checks)

@@ -6,6 +6,9 @@ Fractions (``<``, ``<=``, ``>``, ``>=``) goes through
 are deterministic.  The models are Cantor complements with 32 and 512
 breakpoints (depths 4 and 8).  Each model's structure index is built
 before counting, because it is built once per model and not per query.
+A whole-domain pair analysis of the Cantor complement, with one
+component per removed gap, builds and checks its interval sets on
+integers, so its count must not change at all.
 A whole-domain violation set of the Cantor set indicator, whose
 threshold lies above every value, reports nothing, so its count must not
 change at all, and neither may the count of one point evaluation or of
@@ -90,10 +93,23 @@ def test_three_piece_pair_analysis_is_flat(monkeypatch):
     assert large <= 2 * small, (small, large)
 
 
+def test_whole_domain_pair_analysis_compares_no_components(monkeypatch):
+    # The violation and chord sets are built, ordered, summed and checked
+    # within the pair on integer cross products, so only the level
+    # max(f(x), f(y)) of each pair query compares Fractions, whatever the
+    # number of components.
+    small, large = (
+        comparisons(monkeypatch, lambda f=cantor_complement(n): analyze_pair(f, 0, 1))
+        for n in (SMALL, LARGE)
+    )
+    assert small > 0
+    assert large == small, (small, large)
+
+
 def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):
     # The walk locates and compares positions and values as integer keys,
-    # so only the pair's own checks compare Fractions: the same number of
-    # them at 32 and at 512 breakpoints.
+    # so only the pair's level max(f(x), f(y)) compares Fractions: the
+    # same number of times at 32 and at 512 breakpoints.
     small, large = (
         comparisons(monkeypatch, lambda f=cantor_complement(n, "set"): violation_set(f, 0, 1))
         for n in (SMALL, LARGE)
