@@ -131,7 +131,7 @@ def analyze_pair(f: Function1D, x: Fraction, y: Fraction) -> dict:
     checks = verify_component_property(f, decomposition)
     record = decomposition.to_json()
     record["threshold_decimal"] = _decimal(decomposition.threshold)
-    record["total_length_decimal"] = _decimal(decomposition.components.total_length())
+    record["total_length_decimal"] = _decimal(decomposition._total_length)
     record["component_checks"] = [c.to_json() for c in checks]
     record["all_checks_passed"] = all(c.passed for c in checks)
     record["interior_witness_exists"] = interior_witness_exists(f, x, y)

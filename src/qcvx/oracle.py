@@ -37,7 +37,6 @@ from .core import ToleranceConfig, XReal, as_rational, format_rational
 from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
-from .violations import ViolationDecomposition
 
 # About 600 MB of g x g arrays at this size.
 MAX_GRID_POINTS = 4096
@@ -264,14 +263,15 @@ def oracle_violation_set(
     each piece between breakpoints in ]x, y[ is sampled.  This is a
     resolution-limited approximation: components narrower than the
     local spacing can be missed, and reported endpoints are accurate only
-    to one grid cell.
+    to one grid cell.  On a tabulated model an end that is not a sample,
+    even with no sample between x and y, raises :class:`NoSampleError`.
     """
     cfg = cfg or ToleranceConfig()
     x, y = as_rational(x), as_rational(y)
     if not x < y:
         raise ParameterRangeError("oracle_violation_set needs x < y")
     grid = build_grid(f, cfg, x, y)
-    if grid[0] != x:
+    if not grid or grid[0] != x:
         grid.insert(0, x)
     if grid[-1] != y:
         grid.append(y)
@@ -340,7 +340,7 @@ def _near_any(
 
 
 def diff_report(
-    exact: Union[ViolationDecomposition, OpenIntervalSet],
+    exact: Union["ViolationDecomposition", OpenIntervalSet],
     approx: OpenIntervalSet,
     slack: Fraction,
 ) -> DiffReport:
@@ -360,10 +360,10 @@ def diff_report(
     intervals cost O((m + n) log(m + n)) comparisons.
     """
     slack = as_rational(slack)
-    if isinstance(exact, ViolationDecomposition):
-        exact_set, isolated = exact.components, sorted(exact.isolated_violations)
-    else:
+    if isinstance(exact, OpenIntervalSet):
         exact_set, isolated = exact, []
+    else:
+        exact_set, isolated = exact.components, sorted(exact.isolated_violations)
     near_exact, near_approx = _near_any(exact_set, slack), _near_any(approx, slack)
 
     def holds_isolated(iv: OpenInterval) -> bool:

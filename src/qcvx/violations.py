@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import RationalLike, XReal, format_rational
@@ -99,6 +100,11 @@ class ViolationDecomposition:
     isolated_violations: tuple[Fraction, ...] = ()
     lsc_offenders: tuple[Fraction, ...] = ()
 
+    @cached_property
+    def _total_length(self) -> Fraction:
+        # Summed once for a report's exact and decimal forms.
+        return self.components.total_length()
+
     def to_json(self) -> dict:
         return {
             "x": format_rational(self.x),
@@ -106,7 +112,7 @@ class ViolationDecomposition:
             "threshold": self.threshold.to_string(),
             "components": self.components.to_json(),
             "component_count": len(self.components),
-            "total_length": format_rational(self.components.total_length()),
+            "total_length": format_rational(self._total_length),
             "isolated_violations": [format_rational(p) for p in self.isolated_violations],
             "lsc_offenders": [format_rational(p) for p in self.lsc_offenders],
         }

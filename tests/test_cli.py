@@ -639,6 +639,18 @@ class TestOracleCommand:
         assert comparison["consistent"] is True
         assert comparison["exact_set"] == comparison["grid_set"] == []
 
+    def test_pair_between_two_samples_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "tab.json"
+        path.write_text('{"type": "tabulated", "positions": ["0", "1/2", "1"], "values": ["1", "0", "1"]}')
+        expect = tmp_path / "expect.json"
+        expect.write_text('{"components": []}')
+        code, out, err = run(
+            ["oracle", str(path), "--expect", str(expect), "--pair", "1/8", "3/8", "--no-timestamp"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 1/8 is not a sample position\n"
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

@@ -25,7 +25,7 @@ from qcvx import (
 )
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
-from qcvx.errors import ParameterRangeError
+from qcvx.errors import NoSampleError, ParameterRangeError
 from qcvx.oracle import MAX_GRID_POINTS, ViolatingTriple, _rank_values
 from qcvx.violations import ViolationDecomposition
 
@@ -221,6 +221,13 @@ class TestViolationSetOracle:
         exact = violation_set(f, F(0), F(1)).components
         report = diff_report(exact, approx, F(1, 81))
         assert report.consistent
+
+    def test_tabulated_pair_between_two_samples_names_x(self):
+        # No sample lies in [1/8, 3/8], so the grid holds only the pair's
+        # ends; the first of them is reported as the missing sample.
+        f = Tabulated((F(0), F(1, 2), F(1)), (XReal(1), XReal(0), XReal(1)))
+        with pytest.raises(NoSampleError, match=r"^1/8 is not a sample position$"):
+            oracle_violation_set(f, F(1, 8), F(3, 8))
 
 
 class TestDiffReport:

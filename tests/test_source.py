@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import qcvx
 
 PACKAGE = Path(qcvx.__file__).parent
@@ -127,11 +129,16 @@ def test_only_functions_validates_positions():
     assert not raises, raises
 
 
-def test_certificates_do_not_import_violations():
-    tree = ast.parse((PACKAGE / "certificates.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", ["certificates.py", "oracle.py"])
+def test_certificates_and_oracle_do_not_import_violations(module):
+    # The certificates stand on the structure index alone, and the oracle
+    # shares nothing with the exact analyzer it checks.
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     imported = [
-        node.module
+        name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("violations")
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+        if name.endswith("violations")
     ]
     assert not imported, imported
