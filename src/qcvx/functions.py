@@ -18,8 +18,8 @@ hands the violation analyses one stream of breakpoint and span items.
 A linear piece's line is built from that piece's own ends, so its
 integers do not grow with the model.
 
-This module also validates every position input where it locates it:
-a pair x < y in ``_pair``, an extremum or argmax interval in
+This module also validates every position input, on its located key: a
+point in ``_locate``, a pair x < y in ``_pair``, an interval in
 ``_subinterval`` and the interior point of a local shape in ``_sides``.
 """
 
@@ -175,6 +175,14 @@ class _StructureIndex:
         q, r = divmod(n, d)
         return (q if r == 0 else Fraction(n, d)), bisect_right(self.position_keys, q)
 
+    def side(self, scaled: Union[int, Fraction], i: int) -> int:
+        """Where the t located at ``(scaled, i)`` lies in the domain
+        [a, b]: -2 below a, -1 at a, 0 strictly inside, 1 at b, 2 above b."""
+        keys = self.position_keys
+        if i == len(keys):
+            return 1 if scaled == keys[-1] else 2
+        return -2 if i == 0 else -1 if scaled == keys[0] else 0
+
 
 def _build_index(
     positions: tuple[Fraction, ...],
@@ -269,9 +277,8 @@ class _ExactModel(Function1D):
     def _locate(self, t: Fraction) -> _Located:
         """Locate a t that must lie in the domain."""
         s = self._index
-        keys = s.position_keys
         scaled, i = s.locate(t)
-        if i == 0 or (i == len(keys) and scaled != keys[-1]):
+        if abs(s.side(scaled, i)) == 2:
             self._check_domain(t)
         return t, scaled, i
 
@@ -287,20 +294,21 @@ class _ExactModel(Function1D):
         return self._index.positions
 
     def evaluate(self, t: RationalLike) -> XReal:
-        return self._located_value(self._locate(self._check_domain(as_rational(t))))
+        return self._located_value(self._locate(as_rational(t)))
 
     def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
-        """One bisect places ``ts[0]`` among the breakpoints; after it the
-        walk only moves forward and compares integer cross products, so
-        its Fraction work does not grow with ``len(ts)``.  The first t
-        outside the domain raises the DomainError that ``evaluate``
-        raises."""
+        """``_locate`` places ``ts[0]``; after it the walk only moves forward
+        and compares integer cross products, so its Fraction work grows with
+        neither ``len(ts)`` nor the model.  The first t outside the domain
+        raises the DomainError that ``evaluate`` raises."""
         if not ts:
             return []
         s = self._index
         positions = s.positions
-        first = self._check_domain(as_rational(ts[0]))
-        i = bisect_left(positions, first)
+        first, scaled, i = self._locate(as_rational(ts[0]))
+        # positions[i] is the first breakpoint at or right of ts[0].
+        if s.position_keys[i - 1] == scaled:
+            i -= 1
         last = len(positions) - 1
         pn, pd = positions[i].numerator, positions[i].denominator
         prev_n, prev_d = first.numerator, first.denominator
@@ -340,11 +348,11 @@ class _ExactModel(Function1D):
         ]t - radius, t[ and ]t, t + radius[ lies inside one piece.  A t
         that is not interior raises InteriorRequiredError."""
         t = as_rational(t)
-        a, b = self.domain
-        if not a < t < b:
-            raise InteriorRequiredError(f"{t} is not interior to [{a}, {b}]")
         s = self._index
         scaled, i = s.locate(t)
+        if s.side(scaled, i) != 0:
+            a, b = self.domain
+            raise InteriorRequiredError(f"{t} is not interior to [{a}, {b}]")
         keys = s.position_keys
         if keys[i - 1] == scaled:
             k = i - 1
@@ -359,6 +367,21 @@ class _ExactModel(Function1D):
         return left, right, Fraction(min(scaled - below, above - scaled), s.den)
 
 
+def _check_positions(field: str, positions: Sequence, items: str, noun: str = "positions") -> None:
+    """Reject, naming field, fewer than two positions or ones not increasing."""
+    if len(positions) < 2:
+        raise ValidationError(field, f"need at least two {items}")
+    for p0, p1 in zip(positions, positions[1:]):
+        if not p0 < p1:
+            raise ValidationError(field, f"{noun} must strictly increase ({p0} !< {p1})")
+
+
+def _check_count(field: str, values: Sequence, expected: int, noun: str) -> None:
+    """Reject, naming field, a list of values that is not ``expected`` long."""
+    if len(values) != expected:
+        raise ValidationError(field, f"expected {expected} {noun}, got {len(values)}")
+
+
 @dataclass(frozen=True)
 class PiecewiseLinear(_ExactModel):
     """Continuous piecewise-linear function through strictly increasing
@@ -367,17 +390,9 @@ class PiecewiseLinear(_ExactModel):
     knots: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        knots = tuple(
-            (as_rational(p), as_rational(v)) for p, v in self.knots
-        )
+        knots = tuple((as_rational(p), as_rational(v)) for p, v in self.knots)
         object.__setattr__(self, "knots", knots)
-        if len(knots) < 2:
-            raise ValidationError("knots", "need at least two knots")
-        for (p0, _), (p1, _) in zip(knots, knots[1:]):
-            if not p0 < p1:
-                raise ValidationError(
-                    "knots", f"positions must strictly increase ({p0} !< {p1})"
-                )
+        _check_positions("knots", [p for p, _ in knots], "knots")
 
     @cached_property
     def _index(self) -> _StructureIndex:
@@ -413,23 +428,9 @@ class PiecewiseConstant(_ExactModel):
         object.__setattr__(
             self, "point_values", tuple(XReal.coerce(v) for v in self.point_values)
         )
-        if len(breaks) < 2:
-            raise ValidationError("breaks", "need at least two breakpoints")
-        for b0, b1 in zip(breaks, breaks[1:]):
-            if not b0 < b1:
-                raise ValidationError(
-                    "breaks", f"breakpoints must strictly increase ({b0} !< {b1})"
-                )
-        if len(self.piece_values) != len(breaks) - 1:
-            raise ValidationError(
-                "piece_values",
-                f"expected {len(breaks) - 1} piece values, got {len(self.piece_values)}",
-            )
-        if len(self.point_values) != len(breaks):
-            raise ValidationError(
-                "point_values",
-                f"expected {len(breaks)} point values, got {len(self.point_values)}",
-            )
+        _check_positions("breaks", breaks, "breakpoints", noun="breakpoints")
+        _check_count("piece_values", self.piece_values, len(breaks) - 1, "piece values")
+        _check_count("point_values", self.point_values, len(breaks), "point values")
 
     @cached_property
     def _index(self) -> _StructureIndex:
@@ -462,18 +463,8 @@ class Tabulated(Function1D):
         object.__setattr__(
             self, "values", tuple(XReal.coerce(v) for v in self.values)
         )
-        if len(positions) < 2:
-            raise ValidationError("positions", "need at least two samples")
-        for p0, p1 in zip(positions, positions[1:]):
-            if not p0 < p1:
-                raise ValidationError(
-                    "positions", f"positions must strictly increase ({p0} !< {p1})"
-                )
-        if len(self.values) != len(positions):
-            raise ValidationError(
-                "values",
-                f"expected {len(positions)} values, got {len(self.values)}",
-            )
+        _check_positions("positions", positions, "samples")
+        _check_count("values", self.values, len(positions), "values")
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -638,18 +629,21 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
 
 
 # ---------------------------------------------------------------------------
-# Interval and pair checks: each validates its positions and locates them.
+# Interval and pair checks: each locates its ends once and checks them there.
 
 
 def _subinterval(f: Function1D, lo, hi) -> tuple[_Located, _Located]:
     """The ends of a subinterval lo < hi of the domain, located."""
     lo, hi = as_rational(lo), as_rational(hi)
-    a, b = f.domain
-    if not (a <= lo and hi <= b):
+    s = f._index
+    (sl, i), (sh, j) = s.locate(lo), s.locate(hi)
+    if s.side(sl, i) == -2 or s.side(sh, j) == 2:
+        a, b = f.domain
         raise DomainError(f"[{lo}, {hi}] not within domain [{a}, {b}]")
-    if not lo < hi:
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not ln * hd < hn * ld:
         raise ParameterRangeError("interval needs nonempty interior (lo < hi)")
-    return f._locate(lo), f._locate(hi)
+    return (lo, sl, i), (hi, sh, j)
 
 
 # (m, a, b, plus): f - threshold at position p / den, where f has the
@@ -669,9 +663,7 @@ def _pair(
     x, y = as_rational(x), as_rational(y)
     s = f._index
     (sx, i), (sy, j) = s.locate(x), s.locate(y)
-    keys = s.position_keys
-    # x is below the domain if no key is at or below it; y above it if all are and none is y.
-    if i == 0 or (j == len(keys) and sy != keys[-1]):
+    if s.side(sx, i) == -2 or s.side(sy, j) == 2:
         lo, hi = f.domain
         raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()

@@ -11,8 +11,9 @@ component per removed gap, builds and checks its interval sets on
 integers, so its count must not change at all.
 A whole-domain violation set of the Cantor set indicator, whose
 threshold lies above every value, reports nothing, so its count must not
-change at all, and neither may the count of one point evaluation or of
-two local shapes.  The
+change at all, and neither may the count of two local shapes.  One point
+evaluation, and a sorted evaluation within one piece, compare no
+Fractions at all: a position's domain check reads its located key.  The
 oracle's count is taken on one 16-knot linear model at two grid
 resolutions: its Fraction work may depend on the breakpoints, not on the
 grid size.  Index lookups are counted the same way, by wrapping
@@ -119,8 +120,8 @@ def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):
 
 
 def test_point_evaluation_compares_no_breakpoints(monkeypatch):
-    # evaluate locates t among the integer position keys; only its domain
-    # check compares Fractions, the same number of times at both sizes.
+    # evaluate locates t among the integer position keys and checks its
+    # domain there, so it compares no Fractions at either size.
     def query(f):
         _, p, q, _ = middle_breakpoints(f)
         return lambda: f.evaluate((p + q) / 2)
@@ -128,8 +129,22 @@ def test_point_evaluation_compares_no_breakpoints(monkeypatch):
     small, large = (
         comparisons(monkeypatch, query(cantor_complement(n, "set"))) for n in (SMALL, LARGE)
     )
-    assert small > 0
-    assert large == small, (small, large)
+    assert small == large == 0, (small, large)
+
+
+def test_sorted_evaluation_over_one_piece_compares_no_breakpoints(monkeypatch):
+    # evaluate_sorted places its first point on the integer position keys,
+    # not by bisecting the Fraction breakpoints, and then walks on integer
+    # cross products.
+    def query(f):
+        _, p, q, _ = middle_breakpoints(f)
+        ts = [p + (q - p) * Fraction(k, 4) for k in (1, 2, 3)]
+        return lambda: f.evaluate_sorted(ts)
+
+    small, large = (
+        comparisons(monkeypatch, query(cantor_complement(n, "set"))) for n in (SMALL, LARGE)
+    )
+    assert small == large == 0, (small, large)
 
 
 def five_piece_interval(f) -> tuple[Fraction, Fraction]:
@@ -186,8 +201,9 @@ def test_interval_queries_locate_each_end_once(monkeypatch):
 
 def test_local_shape_is_flat(monkeypatch):
     # The side comparisons are read from the structure index at a position
-    # located among the integer keys; only the interior check and the
-    # radius compare Fractions, the same number of times at both sizes.
+    # located among the integer keys, where its interior check is made too;
+    # only the radius compares Fractions, the same number of times at both
+    # sizes.
     def query(f):
         _, p, q, _ = middle_breakpoints(f)
         local_quasiconvexity_at(f, p)
