@@ -12,25 +12,28 @@ Four representations of an extended-real-valued function f on [a, b]:
 The exact variants support closed-form extremum queries (infimum and
 supremum over a subinterval with open/closed end flags, argmax sets) that
 the violation and certificate analyses build on.  Each exact model keeps
-one structure index, whose integer keys only this module reads: the
+one structure index, whose integer layout only this module reads: the
 extremum and argmax queries, and the threshold walk ``_sweep``, which
 hands the violation analyses one stream of breakpoint and span items.
-A linear piece's line is built from that piece's own ends, so its
-integers do not grow with the model.
+In that layout each breakpoint is its own reduced (n, d) and each value
+and piece its own line (a, b, c), so no integer grows with the model,
+and two rationals compare by one cross product.  A position is placed
+by bisection on those cross products, in the exact models and in
+``Tabulated`` alike.
 
-This module also validates every position input, on its located key: a
-point in ``_locate``, a pair x < y in ``_pair``, an interval in
+This module also validates every position input, where it was located:
+a point in ``_locate``, a pair x < y in ``_pair``, an interval in
 ``_subinterval`` and the interior point of a local shape in ``_sides``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     Point,
@@ -40,7 +43,6 @@ from .core import (
     as_rational,
     format_rational,
     segment_point,
-    xreal_max,
 )
 from .errors import (
     ConsistencyError,
@@ -123,65 +125,103 @@ class SemicontinuityReport:
         }
 
 
-# Integer keys stand for +inf and -inf: they order outside every finite
-# key and are compared, never multiplied.
-PLUS_KEY = math.inf
-MINUS_KEY = -math.inf
+# The integer layout of an exact model.  A position is its integer ratio
+# (n, d) in lowest terms, d > 0.  A value, and f on a piece, is a line
+# (a, b, c) without a common factor, standing for (a + b * t) / c with
+# c > 0; a constant has b = 0, and +inf and -inf are (1, 0, 0) and
+# (-1, 0, 0).  Each integer comes from one position, value or piece, so
+# none grows with the model, and two rationals compare by one cross
+# product.
+
+
+def _cross(a: int, c: int, ta: int, tc: int) -> int:
+    """An int with the sign of a / c - ta / tc for c, tc >= 0, where a
+    zero denominator stands for the infinity of a's sign.  Two infinities
+    give the cross product 0 and compare by their signs; two equal finite
+    ratios have equal signs, so the second term leaves their 0 alone."""
+    return a * tc - ta * c or (a > 0) - (ta > 0)
+
+
+def _constant(v: XReal) -> tuple[int, int, int]:
+    """The line of the constant v."""
+    if not v.is_finite:
+        return (1 if v.is_plus_infinity else -1), 0, 0
+    n, d = v.finite_value.as_integer_ratio()
+    return n, 0, d
+
+
+def _line(p0: tuple[int, int], p1: tuple[int, int], v0: tuple[int, int], v1: tuple[int, int]) -> tuple[int, int, int]:
+    """The line through (p0, v0) and (p1, v1), p0 < p1, each an integer
+    ratio (n, d) with d > 0, from these four numbers alone, so its
+    integers stay as wide as one piece's denominators however many pieces
+    the model has."""
+    (n0, d0), (n1, d1), (w0, e0), (w1, e1) = p0, p1, v0, v1
+    # The ends over d0 * d1 and the values over e0 * e1; the line
+    # (v0 * p1 - v1 * p0 + (v1 - v0) * t) / (p1 - p0) times d0 * d1 * e0 * e1.
+    s0, s1, w0, w1 = n0 * d1, n1 * d0, w0 * e1, w1 * e0
+    a, b, c = w0 * s1 - w1 * s0, (w1 - w0) * d0 * d1, (s1 - s0) * e0 * e1
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
 
 
 @dataclass(frozen=True)
-class _StructureIndex:
+class _Positions:
+    """Strictly increasing positions as integer ratios, each placed by
+    bisection on cross products."""
+
+    position_ratios: tuple[tuple[int, int], ...]
+
+    def locate(self, t: Fraction) -> tuple[int, bool]:
+        """``(i, on)``: positions[:i] lie at or left of t, and ``on`` says
+        whether t is position i - 1."""
+        tn, td = t.as_integer_ratio()
+        ratios = self.position_ratios
+        lo, hi = 0, len(ratios)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n, d = ratios[mid]
+            if tn * d < n * td:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo, lo > 0 and ratios[lo - 1] == (tn, td)
+
+    def side(self, i: int, on: bool) -> int:
+        """Where the t located at ``(i, on)`` lies in the domain [a, b]:
+        -2 below a, -1 at a, 0 strictly inside, 1 at b, 2 above b."""
+        if i == len(self.position_ratios):
+            return 1 if on else 2
+        return -2 if i == 0 else -1 if i == 1 and on else 0
+
+
+@dataclass(frozen=True)
+class _StructureIndex(_Positions):
     """The structure of an exact model, built once per model by
     ``_build_index``.
 
     ``positions`` are the sorted breakpoints and ``values`` the values of
     f there.  On the open piece k between positions k and k + 1, f is
     the constant ``flats[k]``, or, where that is None, linear between
-    the finite values at the piece ends: ``lines[k]`` holds the integers
-    ``(a, b, c)``, without a common factor and with c > 0, such that
-    f(t) = (a + b * t) / c there.  ``lines`` has entries only for these
-    non-constant pieces.
+    the finite values at the piece ends.
     ``left_cmp[i]`` and ``right_cmp[i]`` compare f(positions[i]) with the
     values of f immediately left and right of it: +1 above them, 0 equal,
     -1 below; 0 at the domain ends, where that side does not exist.
 
-    The same structure as integers: ``position_keys[i]`` is
-    ``positions[i] * den``, with ``den`` the least common multiple of the
-    position denominators, and ``value_keys[i]`` and ``flat_keys[k]``
-    (None where ``flats[k]`` is) are the finite values times ``scale``,
-    the least common multiple of the finite value denominators, or
-    ``PLUS_KEY`` / ``MINUS_KEY``.
+    The same structure in the integer layout: ``position_ratios[i]`` is
+    positions[i], ``value_lines[i]`` the constant line of values[i] and
+    ``piece_lines[k]`` the line of f on piece k.  ``lsc_at`` holds the
+    indices in positions of the lsc offenders.
     """
 
     positions: tuple[Fraction, ...]
     values: tuple[XReal, ...]
     flats: tuple[Optional[XReal], ...]
-    lines: dict[int, tuple[int, int, int]]
     left_cmp: tuple[int, ...]
     right_cmp: tuple[int, ...]
     semicontinuity: SemicontinuityReport
-    den: int
-    position_keys: tuple[int, ...]
-    scale: int
-    value_keys: tuple
-    flat_keys: tuple
-
-    def locate(self, t: Fraction) -> tuple[Union[int, Fraction], int]:
-        """``(t * den, i)``: ``t * den`` is an int when t is a multiple
-        of ``1 / den``, and positions[:i] are the breakpoints at or left
-        of t, so t is breakpoint i - 1 exactly when
-        ``position_keys[i - 1] == t * den``."""
-        n, d = t.numerator * self.den, t.denominator
-        q, r = divmod(n, d)
-        return (q if r == 0 else Fraction(n, d)), bisect_right(self.position_keys, q)
-
-    def side(self, scaled: Union[int, Fraction], i: int) -> int:
-        """Where the t located at ``(scaled, i)`` lies in the domain
-        [a, b]: -2 below a, -1 at a, 0 strictly inside, 1 at b, 2 above b."""
-        keys = self.position_keys
-        if i == len(keys):
-            return 1 if scaled == keys[-1] else 2
-        return -2 if i == 0 else -1 if scaled == keys[0] else 0
+    value_lines: tuple[tuple[int, int, int], ...]
+    piece_lines: tuple[tuple[int, int, int], ...]
+    lsc_at: tuple[int, ...]
 
 
 def _build_index(
@@ -194,128 +234,86 @@ def _build_index(
     the values at the piece ends.  A side comparison is with the piece
     constant, or with the value at the linear piece's other end; the
     audit is explained at ``check_semicontinuity``."""
-    den = math.lcm(*{p.denominator for p in positions})
-    finite = [v for v in (*values, *flats) if v is not None and v.is_finite]
-    scale = math.lcm(*{v.finite_value.denominator for v in finite})
+    ratios = tuple(p.as_integer_ratio() for p in positions)
+    value_lines = tuple(map(_constant, values))
 
-    def key(v: Optional[XReal]):
-        if v is None:
-            return None
-        if not v.is_finite:
-            return PLUS_KEY if v.is_plus_infinity else MINUS_KEY
-        q = v.finite_value
-        return q.numerator * (scale // q.denominator)
+    def ratio(k: int) -> tuple[int, int]:
+        return values[k].finite_value.as_integer_ratio()
 
-    ps = tuple(p.numerator * (den // p.denominator) for p in positions)
-    ks, flat_keys = tuple(map(key, values)), tuple(map(key, flats))
-    pieces = list(zip(ps, ps[1:], ks, ks[1:], flat_keys))
-    lines = {
-        k: _line(positions[k], positions[k + 1], values[k].finite_value, values[k + 1].finite_value)
+    piece_lines = tuple(
+        _line(ratios[k], ratios[k + 1], ratio(k), ratio(k + 1)) if flat is None else _constant(flat)
         for k, flat in enumerate(flats)
-        if flat is None
-    }
-    left = (0, *(_cmp(k1, k0 if c is None else c) for _, _, k0, k1, c in pieces))
-    right = (*(_cmp(k0, k1 if c is None else c) for _, _, k0, k1, c in pieces), 0)
+    )
+    pieces = list(zip(value_lines, value_lines[1:], piece_lines))
+    # A linear piece (b != 0) runs into the values at its ends.
+    left = (0, *(_cmp(v1, v0 if line[1] else line) for v0, v1, line in pieces))
+    right = (*(_cmp(v0, v1 if line[1] else line) for v0, v1, line in pieces), 0)
     # The side comparisons beside constant pieces, where f can jump.
     jumps = list(
         zip(
-            positions,
-            (0, *(l if c is not None else 0 for l, c in zip(left[1:], flat_keys))),
-            (*(r if c is not None else 0 for r, c in zip(right, flat_keys)), 0),
+            (0, *(l if c is not None else 0 for l, c in zip(left[1:], flats))),
+            (*(r if c is not None else 0 for r, c in zip(right, flats)), 0),
         )
     )
-    bad_lsc = tuple(p for p, l, r in jumps if l > 0 or r > 0)
-    bad_usc = tuple(p for p, l, r in jumps if l < 0 or r < 0)
+    lsc_at = tuple(k for k, (l, r) in enumerate(jumps) if l > 0 or r > 0)
+    bad_usc = tuple(positions[k] for k, (l, r) in enumerate(jumps) if l < 0 or r < 0)
+    bad_lsc = tuple(positions[k] for k in lsc_at)
     return _StructureIndex(
-        positions=positions, values=values, flats=flats, lines=lines,
+        position_ratios=ratios, positions=positions, values=values, flats=flats,
         left_cmp=left, right_cmp=right,
         semicontinuity=SemicontinuityReport(not bad_lsc, not bad_usc, bad_lsc, bad_usc),
-        den=den, position_keys=ps, scale=scale, value_keys=ks, flat_keys=flat_keys,
+        value_lines=value_lines, piece_lines=piece_lines, lsc_at=lsc_at,
     )
 
 
-def _line(p0: Fraction, p1: Fraction, v0: Fraction, v1: Fraction) -> tuple[int, int, int]:
-    """``(a, b, c)`` of the line through (p0, v0) and (p1, v1), p0 < p1,
-    from these four numbers alone, so its integers stay as wide as one
-    piece's denominators however many pieces the model has."""
-    d0, d1, e0, e1 = p0.denominator, p1.denominator, v0.denominator, v1.denominator
-    # The ends over d0 * d1 and the values over e0 * e1; the line
-    # (v0 * p1 - v1 * p0 + (v1 - v0) * t) / (p1 - p0) times d0 * d1 * e0 * e1.
-    s0, s1 = p0.numerator * d1, p1.numerator * d0
-    w0, w1 = v0.numerator * e1, v1.numerator * e0
-    a, b, c = w0 * s1 - w1 * s0, (w1 - w0) * d0 * d1, (s1 - s0) * e0 * e1
-    g = math.gcd(a, b, c)
-    return a // g, b // g, c // g
+def _cmp(u: tuple[int, int, int], v: tuple[int, int, int]) -> int:
+    """Compare the constants u and v: -1, 0 or 1."""
+    d = _cross(u[0], u[2], v[0], v[2])
+    return (d > 0) - (d < 0)
 
 
-def _cmp(u, v) -> int:
-    return (v < u) - (u < v)
+# A position t located in an index: (t, i, on), see ``_Positions.locate``.
+_Located = tuple[Fraction, int, bool]
 
 
-# A position t located in the structure index: (t, t * den, i), see
-# ``_StructureIndex.locate``.
-_Located = tuple[Fraction, Union[int, Fraction], int]
+class _Indexed(Function1D):
+    """Point evaluation for a model whose positions ``_index`` places: a
+    point costs one bisection, and a sorted run of points one walk."""
 
-
-class _ExactModel(Function1D):
-    """Point evaluation and interval lookups over the structure index; each
-    lookup bisects the integer position keys, so a query on ]lo, hi[ costs
-    O(log n + k) for the k breakpoints inside."""
-
-    is_exact = True
-
-    def _inside(self, k: int, t: Fraction) -> XReal:
-        """f(t) for t strictly inside piece k."""
-        s = self._index
-        flat = s.flats[k]
-        if flat is not None:
-            return flat
-        a, b, c = s.lines[k]
-        td = t.denominator
-        return XReal(Fraction(a * td + b * t.numerator, c * td))
+    def _located_value(self, at: _Located) -> XReal:
+        raise NotImplementedError
 
     def _locate(self, t: Fraction) -> _Located:
         """Locate a t that must lie in the domain."""
         s = self._index
-        scaled, i = s.locate(t)
-        if abs(s.side(scaled, i)) == 2:
+        i, on = s.locate(t)
+        if abs(s.side(i, on)) == 2:
             self._check_domain(t)
-        return t, scaled, i
-
-    def _located_value(self, at: _Located) -> XReal:
-        """f(t) for a located t."""
-        t, scaled, i = at
-        s = self._index
-        if s.position_keys[i - 1] == scaled:
-            return s.values[i - 1]
-        return self._inside(i - 1, t)
-
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return self._index.positions
+        return t, i, on
 
     def evaluate(self, t: RationalLike) -> XReal:
         return self._located_value(self._locate(as_rational(t)))
 
     def evaluate_sorted(self, ts: Sequence[RationalLike]) -> list[XReal]:
-        """``_locate`` places ``ts[0]``; after it the walk only moves forward
-        and compares integer cross products, so its Fraction work grows with
-        neither ``len(ts)`` nor the model.  The first t outside the domain
-        raises the DomainError that ``evaluate`` raises."""
+        return [self._located_value(at) for at in self._walk(ts)]
+
+    def _walk(self, ts: Sequence[RationalLike]) -> Iterator[_Located]:
+        """Each of the ascending ts located.  ``_locate`` places ``ts[0]``;
+        after it the walk only moves forward and compares integer cross
+        products, so its Fraction work grows with neither ``len(ts)`` nor
+        the model.  The first t outside the domain raises the DomainError
+        that ``evaluate`` raises."""
         if not ts:
-            return []
-        s = self._index
-        positions = s.positions
-        first, scaled, i = self._locate(as_rational(ts[0]))
-        # positions[i] is the first breakpoint at or right of ts[0].
-        if s.position_keys[i - 1] == scaled:
-            i -= 1
-        last = len(positions) - 1
-        pn, pd = positions[i].numerator, positions[i].denominator
-        prev_n, prev_d = first.numerator, first.denominator
-        out: list[XReal] = []
+            return
+        ratios = self._index.position_ratios
+        first, i, on = self._locate(as_rational(ts[0]))
+        i -= on  # ratios[i] is the first position at or right of ts[0]
+        last = len(ratios) - 1
+        pn, pd = ratios[i]
+        prev_n, prev_d = first.as_integer_ratio()
         for t in ts:
             t = as_rational(t)
-            tn, td = t.numerator, t.denominator
+            tn, td = t.as_integer_ratio()
             if tn * prev_d < prev_n * td:
                 raise ParameterRangeError(
                     f"positions must ascend ({format_rational(t)} after "
@@ -326,19 +324,41 @@ class _ExactModel(Function1D):
                 if i == last:
                     self._check_domain(t)
                 i += 1
-                pn, pd = positions[i].numerator, positions[i].denominator
-            # Fractions are kept in lowest terms, so equal values have equal parts.
-            out.append(s.values[i] if pn == tn and pd == td else self._inside(i - 1, t))
-        return out
+                pn, pd = ratios[i]
+            # Both ratios are in lowest terms, so equal values have equal parts.
+            on = pn == tn and pd == td
+            yield t, i + on, on
+
+
+class _ExactModel(_Indexed):
+    """Point evaluation and interval lookups over the structure index; each
+    lookup bisects the position ratios, so a query on ]lo, hi[ costs
+    O(log n + k) for the k breakpoints inside."""
+
+    is_exact = True
+
+    def _inside(self, k: int, t: Fraction) -> XReal:
+        """f(t) for t strictly inside piece k."""
+        s = self._index
+        flat = s.flats[k]
+        if flat is not None:
+            return flat
+        a, b, c = s.piece_lines[k]
+        tn, td = t.as_integer_ratio()
+        return XReal(Fraction(a * td + b * tn, c * td))
+
+    def _located_value(self, at: _Located) -> XReal:
+        t, i, on = at
+        return self._index.values[i - 1] if on else self._inside(i - 1, t)
+
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return self._index.positions
 
     def _span(self, lo: _Located, hi: _Located) -> tuple[int, int]:
         """``(i, j)`` for located lo < hi: positions[i:j] are the breakpoints
         strictly inside ]lo, hi[, so lo lies in piece i - 1 or on its left
         end and hi in piece j - 1 or on its right end."""
-        _, scaled_hi, j = hi
-        if self._index.position_keys[j - 1] == scaled_hi:
-            j -= 1
-        return lo[2], j
+        return lo[1], hi[1] - hi[2]
 
     def _sides(self, t: RationalLike) -> tuple[int, int, Fraction]:
         """``(left, right, radius)`` for t strictly inside the domain: left
@@ -349,22 +369,22 @@ class _ExactModel(Function1D):
         that is not interior raises InteriorRequiredError."""
         t = as_rational(t)
         s = self._index
-        scaled, i = s.locate(t)
-        if s.side(scaled, i) != 0:
+        i, on = s.locate(t)
+        if s.side(i, on) != 0:
             a, b = self.domain
             raise InteriorRequiredError(f"{t} is not interior to [{a}, {b}]")
-        keys = s.position_keys
-        if keys[i - 1] == scaled:
+        positions = s.positions
+        if on:
             k = i - 1
             left, right = s.left_cmp[k], s.right_cmp[k]
-            below, above = keys[k - 1], keys[k + 1]
+            below, above = positions[k - 1], positions[k + 1]
         else:
             # Inside piece i - 1, f is constant or strictly monotone with
             # the direction of its right end's left comparison.
             rise = 0 if s.flats[i - 1] is not None else s.left_cmp[i]
             left, right = rise, -rise
-            below, above = keys[i - 1], keys[i]
-        return left, right, Fraction(min(scaled - below, above - scaled), s.den)
+            below, above = positions[i - 1], positions[i]
+        return left, right, min(t - below, above - t)
 
 
 def _check_positions(field: str, positions: Sequence, items: str, noun: str = "positions") -> None:
@@ -449,7 +469,7 @@ class PiecewiseConstant(_ExactModel):
 
 
 @dataclass(frozen=True)
-class Tabulated(Function1D):
+class Tabulated(_Indexed):
     """Values known only at strictly increasing sample positions."""
 
     positions: tuple[Fraction, ...]
@@ -473,12 +493,15 @@ class Tabulated(Function1D):
     def breakpoints(self) -> tuple[Fraction, ...]:
         return self.positions
 
-    def evaluate(self, t: RationalLike) -> XReal:
-        t = self._check_domain(as_rational(t))
-        idx = bisect_left(self.positions, t)
-        if idx < len(self.positions) and self.positions[idx] == t:
-            return self.values[idx]
-        raise NoSampleError(f"{t} is not a sample position")
+    @cached_property
+    def _index(self) -> _Positions:
+        return _Positions(tuple(p.as_integer_ratio() for p in self.positions))
+
+    def _located_value(self, at: _Located) -> XReal:
+        t, i, on = at
+        if not on:
+            raise NoSampleError(f"{t} is not a sample position")
+        return self.values[i - 1]
 
     def negate(self) -> "Tabulated":
         return Tabulated(self.positions, tuple(-v for v in self.values))
@@ -550,16 +573,11 @@ def check_semicontinuity(f: Function1D) -> SemicontinuityReport:
 
 
 def _lsc_offenders_in(f: Function1D, lo: _Located, hi: _Located) -> tuple[Fraction, ...]:
-    """The lsc offenders of f's audit in [lo, hi], for located ends.  The
-    bisection compares integer position keys, not Fractions."""
-    offenders = check_semicontinuity(f).offending_points_lsc
-    den = f._index.den
-
-    def key(p: Fraction) -> int:
-        return p.numerator * (den // p.denominator)
-
-    i = bisect_left(offenders, math.ceil(lo[1]), key=key)
-    return offenders[i : bisect_right(offenders, math.floor(hi[1]), key=key)]
+    """The lsc offenders of f's audit in [lo, hi], for located ends,
+    found by bisecting their indices in the structure index."""
+    offenders, at = check_semicontinuity(f).offending_points_lsc, f._index.lsc_at
+    # positions[lo[1] - lo[2]:hi[1]] are the breakpoints in [lo, hi].
+    return offenders[bisect_left(at, lo[1] - lo[2]) : bisect_left(at, hi[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -636,58 +654,68 @@ def _subinterval(f: Function1D, lo, hi) -> tuple[_Located, _Located]:
     """The ends of a subinterval lo < hi of the domain, located."""
     lo, hi = as_rational(lo), as_rational(hi)
     s = f._index
-    (sl, i), (sh, j) = s.locate(lo), s.locate(hi)
-    if s.side(sl, i) == -2 or s.side(sh, j) == 2:
+    (i, lo_on), (j, hi_on) = s.locate(lo), s.locate(hi)
+    if s.side(i, lo_on) == -2 or s.side(j, hi_on) == 2:
         a, b = f.domain
         raise DomainError(f"[{lo}, {hi}] not within domain [{a}, {b}]")
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     if not ln * hd < hn * ld:
         raise ParameterRangeError("interval needs nonempty interior (lo < hi)")
-    return (lo, sl, i), (hi, sh, j)
+    return (lo, i, lo_on), (hi, j, hi_on)
 
 
-# (m, a, b, plus): f - threshold at position p / den, where f has the
-# finite key k, has the sign of k * m - a - b * p; a PLUS_KEY value has
-# the sign of ``plus`` and a MINUS_KEY value is never above.  An infinite
-# level is the constant sign it gives every finite value (m = 0).
-_KeyThreshold = tuple[int, int, int, int]
+# The threshold of a walk, as a line (a, b, c) of the integer layout: the
+# constant level max(f(x), f(y)), possibly infinite, or the chord.
+_Threshold = tuple[int, int, int]
+
+
+def _excess_at(f: Function1D, at: _Located, thr: _Threshold) -> int:
+    """An int with the sign of f - threshold at a located point t.
+
+    There f is on a line (a, b, c): its value's at a breakpoint, its
+    piece's inside one.  f - threshold has the sign of A + B * t, with A
+    the ``_cross`` of a / c and ta / tc and B = b * tc - tb * c: both
+    finite, the difference is (A + B * t) / (c * tc), and an infinite
+    side makes B = 0."""
+    t, i, on = at
+    s = f._index
+    a, b, c = (s.value_lines if on else s.piece_lines)[i - 1]
+    ta, tb, tc = thr
+    tn, td = t.as_integer_ratio()
+    return _cross(a, c, ta, tc) * td + (b * tc - tb * c) * tn
 
 
 def _pair(
     f: Function1D, x, y, chord: bool = False
-) -> tuple[_Located, _Located, XReal, _KeyThreshold]:
+) -> tuple[_Located, _Located, XReal, _Threshold]:
     """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
     ends located in f's index, level = max(f(x), f(y)), and the walk
-    threshold in f's integer keys, which is the level or, with ``chord``,
-    the chord through (x, f(x)) and (y, f(y))."""
+    threshold, which is the level or, with ``chord``, the chord through
+    (x, f(x)) and (y, f(y))."""
     x, y = as_rational(x), as_rational(y)
     s = f._index
-    (sx, i), (sy, j) = s.locate(x), s.locate(y)
-    if s.side(sx, i) == -2 or s.side(sy, j) == 2:
+    (i, x_on), (j, y_on) = s.locate(x), s.locate(y)
+    if s.side(i, x_on) == -2 or s.side(j, y_on) == 2:
         lo, hi = f.domain
         raise OrderingError(f"pair ({x}, {y}) not within domain [{lo}, {hi}]")
     (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     if not xn * yd < yn * xd:
         raise OrderingError(f"pair needs x < y, got ({x}, {y})")
-    at_x, at_y = (x, sx, i), (y, sy, j)
-    fx, fy = f._located_value(at_x), f._located_value(at_y)
-    level = xreal_max(fx, fy)
+    at_x, at_y = (x, i, x_on), (y, j, y_on)
+    # f(x) and f(y) as integer ratios, compared by one cross product.
+    ax, bx, cx = (s.value_lines if x_on else s.piece_lines)[i - 1]
+    ay, by, cy = (s.value_lines if y_on else s.piece_lines)[j - 1]
+    (vx, wx), (vy, wy) = (ax * xd + bx * xn, cx * xd), (ay * yd + by * yn, cy * yd)
+    level = f._located_value(at_x if _cross(vx, wx, vy, wy) >= 0 else at_y)
     if not chord:
-        if not level.is_finite:
-            return at_x, at_y, level, ((0, 1, 0, -1) if level.is_plus_infinity else (0, -1, 0, 1))
-        q = level.finite_value
-        return at_x, at_y, level, (q.denominator, q.numerator * s.scale, 0, 1)
-    if not (fx.is_finite and fy.is_finite):
+        return at_x, at_y, level, _constant(level)
+    if not (wx and wy):
+        fx, fy = f._located_value(at_x), f._located_value(at_y)
         raise UnsupportedChordError(
             "chord analysis needs finite endpoint values, got "
             f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
         )
-    # The chord is (a + b * t) / c; f - chord, where f has the key k at
-    # position p / den, times scale * c * den.
-    a, b, c = _line(x, y, fx.finite_value, fy.finite_value)
-    m, a, b = c * s.den, a * s.scale * s.den, b * s.scale
-    g = math.gcd(m, a, b)
-    return at_x, at_y, level, (m // g, a // g, b // g, 1)
+    return at_x, at_y, level, _line((xn, xd), (yn, yd), (vx, wx), (vy, wy))
 
 
 # ---------------------------------------------------------------------------
@@ -875,45 +903,13 @@ def _attaining_set(f: Function1D, lo: _Located, hi: _Located, sup: XReal) -> Clo
 
 
 # ---------------------------------------------------------------------------
-# Threshold walks on the integer keys.
-
-
-def _differ(thr: _KeyThreshold):
-    """``diff(key, p)``: an int, or a Fraction if key or p is one, with
-    the sign of f - threshold at position p / den where f has the key."""
-    m, a, b, plus = thr
-
-    def diff(key, p):
-        if key is PLUS_KEY:
-            return plus
-        if key is MINUS_KEY:
-            return -1
-        # b is 0 for a constant threshold; skipping b * p keeps the
-        # difference an int at an end that is not a breakpoint.
-        return key * m - a - b * p if b else key * m - a
-
-    return diff
-
-
-def _diff_at(f: Function1D, at: _Located, thr: _KeyThreshold):
-    """``_differ``'s ``diff`` for f's key at a located point.  Inside a
-    linear piece (la + lb * t) / lc, at t = tn / td, it is one Fraction:
-    times lc * td, the key is (la * td + lb * tn) * scale and the position
-    tn * den * lc."""
-    t, scaled, i = at
-    s = f._index
-    key = s.value_keys[i - 1] if s.position_keys[i - 1] == scaled else s.flat_keys[i - 1]
-    if key is not None:
-        return _differ(thr)(key, scaled)
-    m, a, b, _ = thr
-    (la, lb, lc), (tn, td) = s.lines[i - 1], t.as_integer_ratio()
-    return Fraction((la * td + lb * tn) * s.scale * m - (a * td + b * tn * s.den) * lc, lc * td)
+# The threshold walk on the integer layout.
 
 
 def _sweep(
-    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
+    f: Function1D, lo: _Located, hi: _Located, thr: _Threshold
 ) -> Iterator[tuple[Fraction, Optional[Fraction], bool]]:
-    """Walk ]lo, hi[ against the threshold on integer keys.
+    """Walk ]lo, hi[ against the threshold on the integer layout.
 
     Yields ``(a, b, above)`` items from left to right: each interior
     breakpoint a once, with b None, and each open piece span ]a, b[ once,
@@ -921,47 +917,44 @@ def _sweep(
     it.  ``above`` says whether f lies strictly above the threshold at the
     breakpoint or on the whole span.  The ends lo and hi are not items.
 
-    Each difference f - threshold is an integer (a Fraction only at an end
-    that is not a breakpoint), and a root is the same Fraction the
-    rational difference gives, since the differences of one span share
-    one positive scale.
+    The sign of f - threshold at a breakpoint, or on a constant piece, is
+    worked out here as in ``_excess_at``; against the constant level it
+    is one cross product.  A linear piece runs into the values at its
+    ends, so it takes their signs, and only where they differ is its own
+    line needed: the root of A + B * t is the one Fraction -A / B.
     """
     s = f._index
-    den, positions = s.den, s.positions
-    keys, value_keys, flat_keys = s.position_keys, s.value_keys, s.flat_keys
-    (left, p_left, _), (hi_t, p_hi, _) = lo, hi
-    if not p_left < p_hi:
+    ta, tb, tc = thr
+    left, hi_t = lo[0], hi[0]
+    (ln, ld), (hn, hd) = left.as_integer_ratio(), hi_t.as_integer_ratio()
+    if not ln * hd < hn * ld:
         raise ParameterRangeError("a walk needs lo < hi")
     i, j = f._span(lo, hi)
-    diff, sloped = _differ(thr), thr[2] != 0
-    d_left = _diff_at(f, lo, thr)  # at the left end of the span
-    for n in range(i, j + 1):
-        if n < j:
-            right, p_right = positions[n], keys[n]
-            d_point = diff(value_keys[n], p_right)
+    rights = [*zip(s.positions[i:j], s.position_ratios[i:j], s.value_lines[i:j]), (hi_t, (hn, hd), None)]
+    d_left = None  # at the breakpoint left of the piece; None at lo
+    for (a, b, c), (right, (rn, rd), point) in zip(s.piece_lines[i - 1 : j], rights):
+        if point is not None:
+            pa, _, pc = point
+            d_point = pa * tc - ta * pc or (pa > 0) - (ta > 0)
+            if tb:
+                d_point = d_point * rd - tb * pc * rn
+        if b:
+            dl = _excess_at(f, lo, thr) if d_left is None else d_left
+            dr = _excess_at(f, hi, thr) if point is None else d_point
         else:
-            right, p_right = hi_t, p_hi
-            d_point = None
-        flat = flat_keys[n - 1]
-        if flat is not None:
-            dl = diff(flat, p_left)
-            dr = diff(flat, p_right) if sloped else dl
-        else:
-            # A linear piece runs into the values at its ends.
-            if d_point is None:
-                d_point = _diff_at(f, hi, thr)
-            dl, dr = d_left, d_point
+            dl = dr = a * tc - ta * c or (a > 0) - (ta > 0)
+            if tb:
+                dl, dr = dl * ld - tb * c * ln, dr * rd - tb * c * rn
         if dl > 0 > dr or dr > 0 > dl:
-            # left + (right - left) * dl / (dl - dr), over den.
-            root = Fraction(p_right * dl - p_left * dr, (dl - dr) * den)
+            root = Fraction(ta * c - a * tc, b * tc - tb * c)
             yield left, root, dl > 0
             yield root, right, dr > 0
         else:
             yield left, right, dl > 0 or dr > 0
-        if n < j:
+        if point is not None:
             yield right, None, d_point > 0
-        d_left = d_point
-        left, p_left = right, p_right
+            d_left = d_point
+        left, ln, ld = right, rn, rd
 
 
 # ---------------------------------------------------------------------------

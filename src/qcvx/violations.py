@@ -14,10 +14,11 @@ convexity violation set, and behind the component checks and interior
 witnesses.
 
 Every entry point starts from one pair: ``functions._pair`` validates
-it, locates its ends in the model's structure index, evaluates f there
-once and turns the threshold, the level or the chord, into integers
-once.  The pair check and the threshold walk, ``functions._sweep``, live
-beside the index whose integer keys they read; the walk yields one item
+it, locates its ends in the model's structure index, picks the level
+max(f(x), f(y)) by one cross product and turns the threshold, the level
+or the chord, into one integer line once.  The pair check and the
+threshold walk, ``functions._sweep``, live beside the index whose
+integer layout they read; the walk yields one item
 stream, each interior breakpoint and each piece span (split where f
 crosses the threshold) with whether it lies above.  This module only
 consumes that stream: the violation and chord sets join it into maximal
@@ -37,12 +38,12 @@ from .core import RationalLike, XReal, format_rational
 from .errors import ConsistencyError
 from .functions import (
     Function1D,
-    _diff_at,
-    _KeyThreshold,
+    _excess_at,
     _Located,
     _lsc_offenders_in,
     _pair,
     _sweep,
+    _Threshold,
     require_exact,
 )
 from .intervals import OpenIntervalSet
@@ -52,7 +53,7 @@ def _above_set(
     f: Function1D,
     lo: _Located,
     hi: _Located,
-    thr: _KeyThreshold,
+    thr: _Threshold,
 ) -> tuple[list[tuple[Fraction, Fraction]], list[Fraction]]:
     """The set {z in ]lo, hi[ : f(z) > threshold(z)} as the ends of its
     maximal open intervals, in order, plus the breakpoints that belong to
@@ -184,14 +185,16 @@ class ComponentCheck:
 def _component_checks(
     f: Function1D,
     spans: Iterable[tuple[Fraction, Fraction]],
-    thr: _KeyThreshold,
+    thr: _Threshold,
 ) -> list[ComponentCheck]:
     """Check each span ]u, v[ against the threshold: neither end lies
-    above it and every interior point lies strictly above it."""
+    above it and every interior point lies strictly above it.  The spans
+    come in ascending order, so one forward walk locates all their ends."""
     checks: list[ComponentCheck] = []
-    for u, v in spans:
-        at_u, at_v = f._locate(u), f._locate(v)
-        endpoint_bad = u if _diff_at(f, at_u, thr) > 0 else v if _diff_at(f, at_v, thr) > 0 else None
+    ends = f._walk([t for span in spans for t in span])
+    for at_u, at_v in zip(ends, ends):
+        u, v = at_u[0], at_v[0]
+        endpoint_bad = u if _excess_at(f, at_u, thr) > 0 else v if _excess_at(f, at_v, thr) > 0 else None
         probe = _first_not_above(f, at_u, at_v, thr)
         checks.append(
             ComponentCheck(
@@ -204,7 +207,7 @@ def _component_checks(
 
 
 def _first_not_above(
-    f: Function1D, lo: _Located, hi: _Located, thr: _KeyThreshold
+    f: Function1D, lo: _Located, hi: _Located, thr: _Threshold
 ) -> Optional[Fraction]:
     """The first point of ]lo, hi[ found where f <= threshold, if any: an
     interior breakpoint, or the midpoint of the span or span part that
@@ -377,8 +380,6 @@ def verify_chord_components(
     def to_position(t: Fraction) -> Fraction:
         return y - t * (y - x)
 
-    return _component_checks(
-        f,
-        ((to_position(iv.right), to_position(iv.left)) for iv in components_in_params),
-        chord,
-    )
+    # Parameters run against positions: the spans ascend in reverse.
+    spans = [(to_position(iv.right), to_position(iv.left)) for iv in reversed(components_in_params.intervals)]
+    return _component_checks(f, spans, chord)[::-1]

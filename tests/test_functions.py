@@ -40,7 +40,6 @@ from qcvx import (
     supremum_on,
 )
 from qcvx.corpus import constant, ramp_plateau, random_piecewise_linear, tent, vee
-from qcvx.functions import MINUS_KEY, PLUS_KEY
 from qcvx.errors import (
     ConsistencyError,
     DegenerateSegmentError,
@@ -251,47 +250,46 @@ class TestStructureKernel:
     def test_cached_index_stays_out_of_identity_and_pickles(self, make):
         f, twin = make(), make()
         report = check_semicontinuity(f)  # builds f's index only
-        keys = integer_keys(f)
+        layout = integer_layout(f)
         assert f == twin and hash(f) == hash(twin) and repr(f) == repr(twin)
         assert function_to_dict(f) == function_to_dict(twin)
         assert pickle.dumps(f) == pickle.dumps(twin)
-        assert b"position_keys" not in pickle.dumps(f)
+        assert b"position_ratios" not in pickle.dumps(f)
+        assert b"piece_lines" not in pickle.dumps(f)
         clone = pickle.loads(pickle.dumps(f))
         assert clone == f
         assert "_index" not in vars(clone)
         assert check_semicontinuity(clone) == report
-        assert integer_keys(clone) == keys
+        assert integer_layout(clone) == layout
 
     @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
-    def test_integer_keys_match_fields(self, family):
+    def test_integer_layout_matches_fields(self, family):
         extra = [coprime_linear(5), ramp_plateau(), constant()] * (family == "pl")
         linear = set()  # whether a piece is linear, over the family
+        infinite = set()  # the infinite values met, over the family
         for f in kernel_models()[family] + extra:
             s = f._index
             positions = structural_positions(f)
             values = [reference_value(f, p) for p in positions]
             flats = piece_constants(f)
             linear.update(v is None for v in flats)
-            constants = [v for v in flats if v is not None]
-            finite = [v.finite_value for v in values + constants if v.is_finite]
-            assert s.den == math.lcm(*(p.denominator for p in positions))
-            assert s.scale == math.lcm(*(q.denominator for q in finite))
-            assert [F(k, s.den) for k in s.position_keys] == positions
+            infinite.update(v for v in values + flats if v is not None and not v.is_finite)
+            # Each position and value keeps its own lowest terms.
+            assert s.position_ratios == tuple((p.numerator, p.denominator) for p in positions)
+            assert s.value_lines == tuple(constant_line(v) for v in values)
             assert s.flats == tuple(flats)
-            assert len(s.flat_keys) == len(flats)
-            for key, v in zip(s.value_keys + s.flat_keys, values + flats):
-                if v is None:
-                    assert key is None
-                elif v.is_finite:
-                    assert type(key) is int and F(key, s.scale) == v.finite_value
-                else:
-                    assert key is (PLUS_KEY if v.is_plus_infinity else MINUS_KEY)
-            assert sorted(s.lines) == [k for k, v in enumerate(flats) if v is None]
-            for k, (a, b, c) in s.lines.items():
-                assert c > 0 and math.gcd(a, b, c) == 1
+            assert len(s.piece_lines) == len(flats)
+            for k, ((a, b, c), v) in enumerate(zip(s.piece_lines, flats)):
+                if v is not None:
+                    assert (a, b, c) == constant_line(v)
+                    continue
+                assert b != 0 and c > 0 and math.gcd(a, b, c) == 1
                 for t in positions[k : k + 2]:
                     assert XReal(F(a + b * t, c)) == reference_value(f, t)
+            offenders = check_semicontinuity(f).offending_points_lsc
+            assert tuple(positions[k] for k in s.lsc_at) == offenders
         assert linear == ({True, False} if family == "pl" else {False})
+        assert infinite == ({PLUS_INF, MINUS_INF} if family == "pwc" else set())
 
     def test_negation_gets_its_own_audit(self):
         f = generate_cantor(2, "set")
@@ -302,9 +300,17 @@ class TestStructureKernel:
         assert check_semicontinuity(f) == report
 
 
-def integer_keys(f) -> tuple:
+def integer_layout(f) -> tuple:
     s = f._index
-    return s.den, s.position_keys, s.scale, s.value_keys, s.flat_keys, s.lines
+    return s.position_ratios, s.value_lines, s.piece_lines, s.lsc_at
+
+
+def constant_line(v: XReal) -> tuple[int, int, int]:
+    """The line (a, 0, c) of a constant read from an XReal: its lowest
+    terms a / c, or (1, 0, 0) for +inf and (-1, 0, 0) for -inf."""
+    if v.is_finite:
+        return v.finite_value.numerator, 0, v.finite_value.denominator
+    return (1 if v == PLUS_INF else -1), 0, 0
 
 
 def piece_constants(f) -> list:

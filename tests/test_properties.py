@@ -1,11 +1,15 @@
 """Property tests over generated exact models.
 
-Two model strategies: piecewise-constant models with +-inf values and a
-breakpoint that is neither lower nor upper semicontinuous, and
-piecewise-linear models whose positions and values have distinct prime
-denominators.  Pair properties draw each end as a breakpoint or a point
-inside a piece.  The runs are derandomized and bounded, so the file is
-deterministic and takes a few seconds.
+Three model strategies: piecewise-constant models with +-inf values and a
+breakpoint that is neither lower nor upper semicontinuous, on a shared
+1/60 grid; piecewise-linear models whose positions and values have
+distinct prime denominators, with zero values common so that values tie;
+and piecewise-linear models on shared 1/60 and 1/4 grids, whose pieces
+can be narrower than the oracle's grid spacing.  Pair properties draw
+each end as a breakpoint or a point inside a piece, and check the exact
+violation and chord sets point by point against the model's own fields.
+The runs are derandomized and bounded, so the file is deterministic and
+takes a few seconds.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ from conftest import reference_value, structural_positions
 from qcvx import (
     MINUS_INF,
     PLUS_INF,
+    OpenInterval,
     PiecewiseConstant,
     PiecewiseLinear,
     ToleranceConfig,
@@ -74,11 +79,20 @@ def coprime_linear_models(draw) -> PiecewiseLinear:
     # terms, so distinct primes give distinct positions.
     inner = sorted(F(draw(st.integers(1, p - 1)), p) for p in primes[: n - 2])
     positions = [F(0), *inner, F(1)]
-    values = [F(draw(st.integers(-40, 40)), q) for q in primes[n:]]
+    values = [F(draw(st.one_of(st.just(0), st.integers(-40, 40))), q) for q in primes[n:]]
     return PiecewiseLinear(tuple(zip(positions, values)))
 
 
-MODELS = st.one_of(piecewise_constant_models(), coprime_linear_models())
+@st.composite
+def shared_linear_models(draw) -> PiecewiseLinear:
+    inner = draw(st.lists(st.integers(1, 59), min_size=0, max_size=10, unique=True))
+    positions = [F(0), *(F(i, 60) for i in sorted(inner)), F(1)]
+    values = draw(st.lists(st.integers(-4, 4), min_size=len(positions), max_size=len(positions)))
+    return PiecewiseLinear(tuple((p, F(v, 4)) for p, v in zip(positions, values)))
+
+
+LINEAR = st.one_of(coprime_linear_models(), shared_linear_models())
+MODELS = st.one_of(piecewise_constant_models(), LINEAR)
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -145,8 +159,76 @@ def test_chord_components_lie_above_the_chord(f, data):
         assert reference_value(f, z) > XReal(fx + (fy - fx) * (z - x) / (y - x))
 
 
+def assert_strict_set(f, x, y, components, above, isolated=None) -> None:
+    """Check that the open ``components`` within ]x, y[ are the maximal
+    open intervals of {z : above(z)}, and ``isolated``, when given, the
+    other points of that set.  ]x, y[ is cut at the breakpoints, the
+    component ends and the isolated points; on each cell between two
+    cuts f and the threshold do not cross, so three points stand for the
+    cell, and a cut is interior to the union exactly when it and the
+    cells on both sides lie above."""
+    def inside(z):
+        return any(iv.left < z < iv.right for iv in components)
+
+    ends = (e for iv in components for e in (iv.left, iv.right))
+    inner = (p for p in structural_positions(f) if x < p < y)
+    cuts = sorted({x, y, *inner, *ends, *(isolated or ())})
+    cells = [[u + (v - u) * F(k, 4) for k in (1, 2, 3)] for u, v in zip(cuts, cuts[1:])]
+    for points in cells:
+        for z in points:
+            assert above(z) == inside(z), z
+    for c, before, after in zip(cuts[1:-1], cells, cells[1:]):
+        joined = above(c) and above(before[1]) and above(after[1])
+        assert inside(c) == joined, c
+        if isolated is not None:
+            assert (c in isolated) == (above(c) and not joined), c
+
+
+def sink_ends(f: PiecewiseConstant, x: F, y: F) -> PiecewiseConstant:
+    """f with the value -inf at x and at y: at a breakpoint its point
+    value, inside a piece the piece's value."""
+    breaks, pieces, points = f.breaks, list(f.piece_values), list(f.point_values)
+    for t in (x, y):
+        if t in breaks:
+            points[breaks.index(t)] = MINUS_INF
+        else:
+            pieces[next(k for k, b in enumerate(breaks[1:]) if t < b)] = MINUS_INF
+    return PiecewiseConstant(breaks, tuple(pieces), tuple(points))
+
+
 @SETTINGS
-@given(coprime_linear_models(), st.data())
+@given(MODELS, st.data())
+def test_violation_set_is_the_strict_superlevel_set(f, data):
+    x, y = draw_pair(data, f)
+    if isinstance(f, PiecewiseConstant) and data.draw(st.booleans()):
+        f = sink_ends(f, x, y)  # the level is -inf, and every other value above it
+    level = max(reference_value(f, x), reference_value(f, y))
+    decomposition = violation_set(f, x, y)
+    assert decomposition.threshold == level
+    assert_strict_set(
+        f, x, y, decomposition.components,
+        lambda z: reference_value(f, z) > level,
+        decomposition.isolated_violations,
+    )
+
+
+@SETTINGS
+@given(MODELS, st.data())
+def test_chord_set_is_the_strict_set_above_the_chord(f, data):
+    x, y = draw_pair(data, f)
+    fx, fy = reference_value(f, x), reference_value(f, y)
+    if not (fx.is_finite and fy.is_finite):
+        return  # no chord
+    fx, fy = fx.finite_value, fy.finite_value
+    # Parameter t is the position y - t * (y - x).
+    positions = [OpenInterval(y - iv.right * (y - x), y - iv.left * (y - x)) for iv in convexity_violation_set(f, x, y)]
+    assert_strict_set(
+        f, x, y, positions, lambda z: reference_value(f, z) > XReal(fx + (fy - fx) * (z - x) / (y - x))
+    )
+
+
+@SETTINGS
+@given(LINEAR, st.data())
 def test_component_checks_pass_on_lsc_models(f, data):
     assert check_semicontinuity(f).is_lsc
     x, y = draw_pair(data, f)

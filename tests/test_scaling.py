@@ -6,21 +6,23 @@ Fractions (``<``, ``<=``, ``>``, ``>=``) goes through
 are deterministic.  The models are Cantor complements with 32 and 512
 breakpoints (depths 4 and 8).  Each model's structure index is built
 before counting, because it is built once per model and not per query.
-A whole-domain pair analysis of the Cantor complement, with one
-component per removed gap, builds and checks its interval sets on
-integers, so its count must not change at all.
-A whole-domain violation set of the Cantor set indicator, whose
-threshold lies above every value, reports nothing, so its count must not
-change at all, and neither may the count of two local shapes.  One point
-evaluation, and a sorted evaluation within one piece, compare no
-Fractions at all: a position's domain check reads its located key.  The
-oracle's count is taken on one 16-knot linear model at two grid
-resolutions: its Fraction work may depend on the breakpoints, not on the
-grid size.  Index lookups are counted the same way, by wrapping
-``_StructureIndex.locate``: an interval query locates each end once.
-The index build is measured by the widest integer it hands to
-``math.gcd``, on piecewise-linear models with 200 and 800 knots whose
-denominators are distinct primes.
+A pair analysis, three pieces wide or over the whole domain of the
+Cantor complement with one component per removed gap, picks its level
+max(f(x), f(y)) by a cross product and builds and checks its interval
+sets on integers, so it compares no Fractions at all; neither does a
+whole-domain violation set of the Cantor set indicator.  The count of
+two local shapes must not change with the size.  One point evaluation,
+and a sorted evaluation within one piece, compare no Fractions at all: a
+position's domain check reads where it was located.  A ``Tabulated``
+evaluation places its point the same way, so its count is the same at
+60 and 600 samples.  The oracle's count is taken on one 16-knot linear
+model at two grid resolutions: its Fraction work may depend on the
+breakpoints, not on the grid size.  Index lookups are counted the same
+way, by wrapping ``_StructureIndex.locate``: an interval query locates
+each end once.  The index build, and a whole-domain violation set, are
+measured by the widest integer they hand to ``math.gcd``, on
+piecewise-linear models with 200 and 800 knots whose denominators are
+distinct primes.
 """
 
 import math
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 from conftest import coprime_linear
 from qcvx import (
+    Tabulated,
     ToleranceConfig,
     argmax_set,
     check_semicontinuity,
@@ -85,38 +88,36 @@ def counts(monkeypatch, query) -> list[int]:
 
 
 def test_three_piece_pair_analysis_is_flat(monkeypatch):
+    # The pair's level max(f(x), f(y)) is picked by a cross product too,
+    # so a pair analysis compares no Fractions at all.
     def query(f):
         x, _, _, y = middle_breakpoints(f)
         analyze_pair(f, x, y)
 
     small, large = counts(monkeypatch, query)
-    assert small > 0
-    assert large <= 2 * small, (small, large)
+    assert small == large == 0, (small, large)
 
 
 def test_whole_domain_pair_analysis_compares_no_components(monkeypatch):
     # The violation and chord sets are built, ordered, summed and checked
-    # within the pair on integer cross products, so only the level
-    # max(f(x), f(y)) of each pair query compares Fractions, whatever the
-    # number of components.
+    # within the pair on integer cross products, and so is the level
+    # max(f(x), f(y)), whatever the number of components.
     small, large = (
         comparisons(monkeypatch, lambda f=cantor_complement(n): analyze_pair(f, 0, 1))
         for n in (SMALL, LARGE)
     )
-    assert small > 0
-    assert large == small, (small, large)
+    assert small == large == 0, (small, large)
 
 
 def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):
-    # The walk locates and compares positions and values as integer keys,
-    # so only the pair's level max(f(x), f(y)) compares Fractions: the
-    # same number of times at 32 and at 512 breakpoints.
+    # The walk locates and compares positions, values and the pair's
+    # level as integer ratios, so it compares no Fractions at 32 or at
+    # 512 breakpoints.
     small, large = (
         comparisons(monkeypatch, lambda f=cantor_complement(n, "set"): violation_set(f, 0, 1))
         for n in (SMALL, LARGE)
     )
-    assert small > 0
-    assert large == small, (small, large)
+    assert small == large == 0, (small, large)
 
 
 def test_point_evaluation_compares_no_breakpoints(monkeypatch):
@@ -267,3 +268,43 @@ def test_line_integers_do_not_grow_with_the_knot_count(monkeypatch):
     small, large = (widest_gcd_argument(coprime_linear(3, knots)) for knots in (200, 800))
     assert small > 0
     assert large <= 2 * small, (small, large)
+
+
+def test_coprime_query_integers_do_not_grow_with_the_knot_count(monkeypatch):
+    # A whole-domain violation set on a model whose denominators are
+    # distinct primes compares each position, value and piece on its own
+    # integers, so the roots it builds are as wide at 800 knots as at 200.
+    # Over a model-wide common denominator they would be about four times
+    # as wide, and the query's arithmetic with them.
+    def widest_gcd_argument(f) -> int:
+        width = 0
+        original = math.gcd
+
+        def recording(*args):
+            nonlocal width
+            width = max(width, *(abs(a).bit_length() for a in args))
+            return original(*args)
+
+        f._index  # builds the structure index
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "gcd", recording)
+            assert violation_set(f, 0, 1).components
+        return width
+
+    small, large = (widest_gcd_argument(coprime_linear(3, knots)) for knots in (200, 800))
+    assert small > 0
+    assert large <= 2 * small, (small, large)
+
+
+def test_tabulated_evaluation_compares_no_samples(monkeypatch):
+    # Tabulated.evaluate places t by the same cross-product bisection as
+    # the exact models and checks its domain on the located index, so its
+    # Fraction work is the same at 60 and at 600 samples.
+    def count(n: int) -> int:
+        f = Tabulated(tuple(Fraction(k, n) for k in range(n + 1)), tuple(range(n + 1)))
+        f.evaluate(0)  # builds its index
+        t = Fraction(1, 3)
+        return comparisons(monkeypatch, lambda: f.evaluate(t))
+
+    small, large = count(60), count(600)
+    assert small == large, (small, large)

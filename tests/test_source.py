@@ -91,12 +91,12 @@ def test_only_functions_locates_positions():
     assert not calls, calls
 
 
-KEY_LAYOUT_ATTRIBUTES = {"den", "scale", "position_keys", "value_keys", "flat_keys", "lines"}
-KEY_LAYOUT_NAMES = {"PLUS_KEY", "MINUS_KEY"}
+KEY_LAYOUT_ATTRIBUTES = {"position_ratios", "value_lines", "piece_lines", "lsc_at"}
+KEY_LAYOUT_NAMES = {"_cross", "_constant", "_line"}
 
 
 def test_only_functions_reads_the_key_layout():
-    # The structure index's integer keys are read in one module: the
+    # The structure index's integer layout is read in one module: the
     # threshold walk and its threshold arithmetic live beside the index,
     # and the other modules consume the walk's items.
     reads = [
