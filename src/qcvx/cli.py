@@ -16,10 +16,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 import click
@@ -86,13 +89,103 @@ def _parse_pair(x: str, y: str) -> tuple[Fraction, Fraction]:
     return parse_rational(x), parse_rational(y)
 
 
-def _write_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _report_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set, ``json`` leaves its C encoder for nested Python
+    generators; this writer appends every piece to one list and joins it
+    once, and quotes strings with ``json``'s C ``encode_basestring_ascii``.
+    Types follow ``json``'s rules: ``bool`` before ``int``, subclasses of
+    ``str``, ``int`` and ``float`` by their base type, ``ValueError`` for
+    NaN and ±inf.  Any other value, and a key that is not a ``str``,
+    raise ``TypeError``.
+    """
+    parts: list[str] = []
+    _emit(obj, parts.append, "\n")
+    return "".join(parts)
+
+
+def _emit(obj, append, newline: str) -> None:
+    """Append the text of ``obj``, whose lines after the first start with
+    ``newline``'s indent."""
+    if isinstance(obj, str):
+        append(_quote(obj))
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            append(separator)
+            separator = "," + inner
+            _emit(item, append, inner)
+        append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(separator + _quote(key) + ": ")
+            separator = "," + inner
+            _emit(value, append, inner)
+        append(newline + "}")
     else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_report(report: dict, out: Optional[str]) -> None:
+    """Write the report to stdout, or put it at ``out`` in one rename.
+
+    The whole text is built first, so a refused result writes nothing.
+    The file is written beside ``out``'s real path under a temporary name
+    and renamed over it, so a failure leaves neither a partial file nor
+    the temporary one, and an existing ``out`` stays as it was.  The new
+    file gets the permissions a plain ``open`` would give: those of the
+    file it replaces, or 0o666 less the umask.  A target that is not a
+    regular file, such as ``/dev/stdout``, is written in place.
+    """
+    text = _report_text(report) + "\n"
+    if not out:
         click.echo(text, nl=False)
+        return
+    target = os.path.realpath(out)
+    try:
+        mode: Optional[int] = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceConfig, jobs: int) -> dict:
@@ -404,9 +497,7 @@ def corpus(name, depth, mode, knots, seed, out_path):
         doc = function_to_dict(f)
         default_name = f"{name.replace('-', '_')}.json"
     path = out_path or default_name
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    _write_report(doc, path)
     click.echo(path)
     return EXIT_OK
 

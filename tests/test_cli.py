@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -650,6 +652,114 @@ class TestOracleCommand:
         )
         assert (code, out) == (1, "")
         assert err == "error: 1/8 is not a sample position\n"
+
+
+class TestReportFormat:
+    """Each report is ``json.dumps(report, indent=2)`` and a newline."""
+
+    @staticmethod
+    def assert_indent_2(text):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_analyze_all_pairs_with_oracle_and_plot(self, tmp_path, capsys):
+        path = tmp_path / "c2.json"
+        run(["corpus", "cantor", "--depth", "2", "--mode", "complement", "--out", str(path)], capsys)
+        code, out, _ = run(
+            ["analyze", str(path), "--all-breakpoint-pairs", "--with-oracle", "--grid", "41",
+             "--plot-points", "9", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        report = read_json(out)
+        assert report["plot"]["samples"][1] == ["1/8", "1", 0.125, 1.0]
+        assert report["pairs"] and report["oracle"]
+        self.assert_indent_2(out)
+
+    def test_certify(self, tent_file, capsys):
+        code, out, _ = run(["certify", str(tent_file), "--interval", "0", "1", "--no-timestamp"], capsys)
+        assert code == 0 and read_json(out)["certificate"] is not None
+        self.assert_indent_2(out)
+
+    def test_oracle_compare(self, tent_file, capsys):
+        code, out, _ = run(
+            ["oracle", str(tent_file), "--grid", "101", "--compare", "--no-timestamp"], capsys
+        )
+        assert code == 0 and "comparison" in read_json(out)
+        self.assert_indent_2(out)
+
+
+class TestReportFile:
+    """``--out`` is written under a temporary name and renamed into place."""
+
+    @pytest.fixture()
+    def disk_fills(self, monkeypatch):
+        # Every file the CLI opens for writing takes half its text, then
+        # fails as a full disk does.
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                write = handle.write
+
+                def half(text):
+                    write(text[: len(text) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                handle.write = half
+            return handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+    @pytest.fixture()
+    def out_dir(self, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        return out_dir
+
+    COMMANDS = {
+        "analyze": lambda doc, out: ["analyze", doc, "--all-breakpoint-pairs", "--no-timestamp", "--out", out],
+        "corpus": lambda doc, out: ["corpus", "vee", "--out", out],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_write_leaves_no_file(self, command, tent_file, out_dir, disk_fills):
+        with pytest.raises(OSError, match="No space left on device"):
+            main(self.COMMANDS[command](str(tent_file), str(out_dir / "report.json")))
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_write_keeps_the_existing_file(self, command, tent_file, out_dir, disk_fills):
+        report = out_dir / "report.json"
+        report.write_text("earlier report\n")
+        with pytest.raises(OSError, match="No space left on device"):
+            main(self.COMMANDS[command](str(tent_file), str(report)))
+        assert list(out_dir.iterdir()) == [report]
+        assert report.read_text() == "earlier report\n"
+
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tent_file, out_dir, capsys):
+        report, plain = out_dir / "report.json", out_dir / "plain.json"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        code, out, _ = run(["analyze", str(tent_file), "--no-timestamp", "--out", str(report)], capsys)
+        assert (code, out) == (0, "")
+        assert stat.S_IMODE(report.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["plain.json", "report.json"]
+
+    def test_replaced_file_keeps_its_mode(self, tent_file, out_dir, capsys):
+        report = out_dir / "report.json"
+        report.write_text("earlier report\n")
+        report.chmod(0o640)
+        code, out, _ = run(["analyze", str(tent_file), "--no-timestamp", "--out", str(report)], capsys)
+        assert code == 0
+        assert read_json(report.read_text())["tool"] == "qcvx"
+        assert stat.S_IMODE(report.stat().st_mode) == 0o640
+
+    def test_symlink_target_is_replaced(self, tent_file, out_dir, capsys):
+        report, link = out_dir / "report.json", out_dir / "latest.json"
+        report.write_text("earlier report\n")
+        link.symlink_to(report.name)
+        code, _, _ = run(["analyze", str(tent_file), "--no-timestamp", "--out", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink() and read_json(report.read_text())["tool"] == "qcvx"
 
 
 class TestUsageErrors:

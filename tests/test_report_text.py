@@ -1,0 +1,118 @@
+"""The report writer, ``cli._report_text``, against ``json.dumps``.
+
+Every report and corpus file goes through the writer, whose text must be
+``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte on the
+interpreter it runs on.  The property draws nested trees of every type
+the writer accepts, with the strings and floats whose text is easiest to
+get wrong; the plain tests pin what it refuses.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcvx.cli import _report_text
+
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+# Quotes, backslashes, control characters, DEL, non-ASCII in and beyond
+# the basic plane, U+2028/U+2029 and lone surrogates.
+AWKWARD = '"\\/\x00\x08\t\n\x1f\x7f\xe9\u20ac\u2028\u2029\U0001f600\ud800\udfff'
+
+# Characters come from code point ranges rather than ``st.text``, which
+# builds Hypothesis's Unicode tables (about 2 s) on a fresh checkout.
+characters = st.one_of(
+    st.sampled_from(AWKWARD),
+    st.integers(0x20, 0x7E).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.integers(0, 0x10FFFF).map(chr),
+)
+
+strings = st.lists(characters, max_size=8).map("".join)
+
+integers = st.one_of(
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([0, -1, 2**63, -(2**64), 10**100]),
+)
+
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 5e-324, 1.7976931348623157e308, 0.1, 1e-7]),
+)
+
+leaves = st.one_of(st.none(), st.booleans(), integers, floats, strings)
+
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@SETTINGS
+@given(trees)
+def test_matches_json_dumps(obj):
+    assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        ({}, "{}"),
+        ([], "[]"),
+        ((), "[]"),
+        ({"a": [], "b": {}}, '{\n  "a": [],\n  "b": {}\n}'),
+        ([[1, (2,)], None], "[\n  [\n    1,\n    [\n      2\n    ]\n  ],\n  null\n]"),
+        ({"\u2028": "\ud800"}, '{\n  "\\u2028": "\\ud800"\n}'),
+    ],
+)
+def test_layout(obj, text):
+    assert _report_text(obj) == text == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_out_of_range_float_rejected(value):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _report_text({"pairs": [{"x": value}]})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"x": Fraction(1, 3)}, "Object of type Fraction is not JSON serializable"),
+        ([{1, 2}], "Object of type set is not JSON serializable"),
+        ({"a": {1: "one"}}, "keys must be str, not int"),
+        ({None: 0}, "keys must be str, not NoneType"),
+    ],
+)
+def test_other_types_and_keys_rejected(obj, message):
+    with pytest.raises(TypeError, match=message):
+        _report_text(obj)
+
+
+class Scaled(float):
+    def __repr__(self):
+        return "Scaled"
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count"
+
+
+def test_subclasses_written_by_their_base_type():
+    obj = {"f": Scaled(0.5), "s": Label("a\n"), "n": Count(7), "b": True}
+    assert _report_text(obj) == '{\n  "f": 0.5,\n  "s": "a\\n",\n  "n": 7,\n  "b": true\n}'
+    assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
