@@ -7,8 +7,9 @@ per-pair violation decompositions with checks, chord violations),
 exact analyzer), and ``corpus`` (write fixture function files).
 
 Exit codes: 0 analysis completed (regardless of verdict), 1 usage or
-parse error, 2 violation found under ``--fail-on-violation``, 3
-precondition/audit failure, 4 differential-test inconsistency.
+parse error or an ``--out`` that cannot be written, 2 violation found
+under ``--fail-on-violation``, 3 precondition/audit failure, 4
+differential-test inconsistency.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import secrets
 import stat
 import sys
@@ -150,28 +152,60 @@ def _emit(obj, append, newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# A directory of open file descriptors, ``/proc/<pid>/fd``: what
+# ``/dev/fd``, ``/proc/self/fd`` and ``/proc/thread-self/fd`` resolve to.
+_FD_DIRECTORY = re.compile(r"/proc/[^/]+(/task/[^/]+)?/fd")
+
+
+def _rename_target(out: str) -> Optional[str]:
+    """The real path of ``out``, resolved one symbolic link at a time, or
+    None when the path goes through a descriptor link such as
+    ``/dev/stdout`` or ``/dev/fd/N``: the file behind that descriptor is
+    already open, so it is written in place."""
+    path = out
+    for _ in range(40):
+        head, name = os.path.split(path)
+        head = os.path.realpath(head or ".")
+        if _FD_DIRECTORY.fullmatch(head):
+            return None
+        path = os.path.join(head, name)
+        if not os.path.islink(path):
+            return path
+        path = os.path.join(head, os.readlink(path))
+    return path
+
+
 def _write_report(report: dict, out: Optional[str]) -> None:
     """Write the report to stdout, or put it at ``out`` in one rename.
 
     The whole text is built first, so a refused result writes nothing.
     The file is written beside ``out``'s real path under a temporary name
-    and renamed over it, so a failure leaves neither a partial file nor
-    the temporary one, and an existing ``out`` stays as it was.  The new
-    file gets the permissions a plain ``open`` would give: those of the
-    file it replaces, or 0o666 less the umask.  A target that is not a
-    regular file, such as ``/dev/stdout``, is written in place.
+    and renamed over it, so a failed run leaves neither a partial file
+    nor the temporary one, and an existing ``out`` stays as it was.  The
+    new file gets the permissions a plain ``open`` would give: those of
+    the file it replaces, or 0o666 less the umask.  A target that is not
+    a regular file, or that is reached through a descriptor link such as
+    ``/dev/stdout``, is written in place.  A failed write raises
+    ``QcvxError`` naming ``out``.
     """
     text = _report_text(report) + "\n"
     if not out:
         click.echo(text, nl=False)
         return
-    target = os.path.realpath(out)
     try:
-        mode: Optional[int] = os.stat(target).st_mode
+        _replace_file(out, text)
+    except OSError as exc:
+        raise QcvxError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _replace_file(out: str, text: str) -> None:
+    target = _rename_target(out)
+    try:
+        mode: Optional[int] = os.stat(out).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as handle:
+    if target is None or (mode is not None and not stat.S_ISREG(mode)):
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
     directory, name = os.path.split(target)

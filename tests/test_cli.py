@@ -721,19 +721,27 @@ class TestReportFile:
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_failed_write_leaves_no_file(self, command, tent_file, out_dir, disk_fills):
-        with pytest.raises(OSError, match="No space left on device"):
-            main(self.COMMANDS[command](str(tent_file), str(out_dir / "report.json")))
+    def test_failed_write_leaves_no_file(self, command, tent_file, out_dir, disk_fills, capsys):
+        report = out_dir / "report.json"
+        code, out, err = run(self.COMMANDS[command](str(tent_file), str(report)), capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {report}: No space left on device\n"
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_failed_write_keeps_the_existing_file(self, command, tent_file, out_dir, disk_fills):
+    def test_failed_write_keeps_the_existing_file(self, command, tent_file, out_dir, disk_fills, capsys):
         report = out_dir / "report.json"
         report.write_text("earlier report\n")
-        with pytest.raises(OSError, match="No space left on device"):
-            main(self.COMMANDS[command](str(tent_file), str(report)))
+        code, _, err = run(self.COMMANDS[command](str(tent_file), str(report)), capsys)
+        assert code == 1 and err.startswith(f"error: cannot write {report}: ")
         assert list(out_dir.iterdir()) == [report]
         assert report.read_text() == "earlier report\n"
+
+    def test_missing_directory_names_the_path(self, tent_file, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        code, out, err = run(["analyze", str(tent_file), "--out", str(report)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {report}: No such file or directory\n"
 
     def test_new_file_gets_the_mode_of_a_plain_open(self, tent_file, out_dir, capsys):
         report, plain = out_dir / "report.json", out_dir / "plain.json"
@@ -760,6 +768,42 @@ class TestReportFile:
         code, _, _ = run(["analyze", str(tent_file), "--no-timestamp", "--out", str(link)], capsys)
         assert code == 0
         assert link.is_symlink() and read_json(report.read_text())["tool"] == "qcvx"
+
+    @staticmethod
+    def run_cli(argv, stdout):
+        # The subprocess imports qcvx from where this process did.
+        package_root = os.path.dirname(os.path.dirname(qcvx.__file__))
+        inherited = os.environ.get("PYTHONPATH")
+        return subprocess.run(
+            [sys.executable, "-m", "qcvx.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, (package_root, inherited))),
+            },
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe(self, tent_file, capsys):
+        _, expected, _ = run(["analyze", str(tent_file), "--no-timestamp"], capsys)
+        argv = ["analyze", str(tent_file), "--no-timestamp", "--out", "/dev/stdout"]
+        proc = self.run_cli(argv, subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+    def test_descriptor_link_to_a_file_is_written_in_place(self, tent_file, out_dir, capsys):
+        _, expected, _ = run(["analyze", str(tent_file), "--no-timestamp"], capsys)
+        report = out_dir / "report.json"
+        with open(report, "w", encoding="utf-8") as handle:
+            inode = os.fstat(handle.fileno()).st_ino
+            argv = ["analyze", str(tent_file), "--no-timestamp", "--out", "/dev/fd/1"]
+            proc = self.run_cli(argv, handle)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert report.stat().st_ino == inode and report.read_text() == expected
+        assert list(out_dir.iterdir()) == [report]
 
 
 class TestUsageErrors:
