@@ -21,9 +21,11 @@ import re
 import secrets
 import stat
 import sys
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
@@ -70,6 +72,13 @@ EXIT_INCONSISTENT = 4
 # inside its pairs, summed over the pairs: C(n, 3) for n breakpoints.
 # The pair walks and the report grow with this count.
 MAX_PAIR_INTERIOR_POINTS = 1_000_000
+
+# The pair work that ``analyze`` shares out to a process pool, in walk steps:
+# a pair takes about PAIR_STEPS steps plus one per breakpoint strictly inside
+# it.  Below POOL_MIN_STEPS the pool's start and pickling cost more than a
+# second CPU saves (README "Cost").
+PAIR_STEPS = 8
+POOL_MIN_STEPS = 20_000
 
 # The most samples ``--plot-points`` may ask for; the time, the memory and
 # the report grow linearly with the count.
@@ -222,7 +231,7 @@ def _replace_file(out: str, text: str) -> None:
         raise
 
 
-def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceConfig, jobs: int) -> dict:
+def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceConfig) -> dict:
     a, b = f.domain
     report: dict = {
         "tool": "qcvx",
@@ -233,7 +242,6 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceCon
     report["config"] = {
         "grid_points": cfg.grid_points,
         "float_epsilon": format_rational(cfg.float_epsilon),
-        "jobs": jobs,
     }
     summary = (
         function_to_dict(f) if f.is_exact else {"type": type(f).__name__.lower()}
@@ -253,22 +261,33 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceCon
 
 def analyze_pair(f: Function1D, x: Fraction, y: Fraction) -> dict:
     """The per-pair analysis record: decomposition, structural checks,
-    interior-witness flag, and chord violations when the chord exists."""
-    decomposition = violation_set(f, x, y)
-    checks = verify_component_property(f, decomposition)
-    record = decomposition.to_json()
-    record["threshold_decimal"] = _decimal(decomposition.threshold)
-    record["total_length_decimal"] = _decimal(decomposition._total_length)
-    record["component_checks"] = [c.to_json() for c in checks]
-    record["all_checks_passed"] = all(c.passed for c in checks)
-    record["interior_witness_exists"] = interior_witness_exists(f, x, y)
+    interior-witness flag, and chord violations when the chord exists.
+    An exception raised here names the pair in a note, which stays with
+    it out of a pool worker and which ``main`` puts before its message."""
     try:
-        chord = convexity_violation_set(f, x, y)
-        record["chord_violations"] = chord.to_json()
-        record["chord_violations_total_length"] = format_rational(chord.total_length())
-    except UnsupportedChordError:
-        record["chord_violations"] = None
-    return record
+        decomposition = violation_set(f, x, y)
+        checks = verify_component_property(f, decomposition)
+        record = decomposition.to_json()
+        record["threshold_decimal"] = _decimal(decomposition.threshold)
+        record["total_length_decimal"] = _decimal(decomposition._total_length)
+        record["component_checks"] = [c.to_json() for c in checks]
+        record["all_checks_passed"] = all(c.passed for c in checks)
+        record["interior_witness_exists"] = interior_witness_exists(f, x, y)
+        try:
+            chord = convexity_violation_set(f, x, y)
+            record["chord_violations"] = chord.to_json()
+            record["chord_violations_total_length"] = format_rational(chord.total_length())
+        except UnsupportedChordError:
+            record["chord_violations"] = None
+        return record
+    except Exception as exc:
+        try:
+            note = f"pair ({format_rational(x)}, {format_rational(y)})"
+        except ParameterRangeError:  # an end past the digit limit
+            note = f"pair near ({_decimal(x)}, {_decimal(y)})"
+        # ``exc.add_note(note)`` on Python 3.11 and later.
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        raise
 
 
 # The model of a pool worker, set once per process by ``_init_worker``.
@@ -284,14 +303,17 @@ def _pair_worker(pair: tuple[Fraction, Fraction]) -> dict:
     return analyze_pair(_worker_model, *pair)
 
 
-def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], jobs: int) -> list[dict]:
-    """The pair records in order.  They run in a process pool when the
-    least of ``jobs``, the pair count and the CPU count is above 1, with
-    that many workers: the model goes to each worker once, through the
-    pool initializer, and the pairs go in chunks of about a quarter of
-    each worker's share."""
-    workers = min(jobs, len(pairs), os.cpu_count() or 1)
-    if workers <= 1:
+def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside: int) -> list[dict]:
+    """The pair records in order.  ``inside`` counts the breakpoints
+    strictly inside the pairs, summed over them.  With at least
+    ``POOL_MIN_STEPS`` steps of work and more than one usable CPU the pairs
+    run in a process pool, one worker per usable CPU and at most one per
+    pair: the model goes to each worker once, through the pool initializer,
+    and the pairs go in chunks of about a quarter of each worker's share.
+    Otherwise they run inline."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(pairs), cpus)
+    if inside + PAIR_STEPS * len(pairs) < POOL_MIN_STEPS or workers <= 1:
         return [analyze_pair(f, x, y) for x, y in pairs]
     chunksize = max(1, len(pairs) // (4 * workers))
     with ProcessPoolExecutor(
@@ -304,27 +326,29 @@ def _collect_pairs(
     f: Function1D,
     pair_options: Sequence[tuple[str, str]],
     all_breakpoint_pairs: bool,
-) -> list[tuple[Fraction, Fraction]]:
+) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """The pairs to analyze, and the count of breakpoints strictly inside
+    them, summed over the pairs."""
+    bps = f.breakpoints()
+    inside = 0
     if all_breakpoint_pairs:
-        n = len(f.breakpoints())
-        inside = math.comb(n, 3)
+        inside = math.comb(len(bps), 3)
         if inside > MAX_PAIR_INTERIOR_POINTS:
             raise ParameterRangeError(
-                f"--all-breakpoint-pairs on {n} breakpoints puts {inside} "
+                f"--all-breakpoint-pairs on {len(bps)} breakpoints puts {inside} "
                 f"breakpoints inside its pairs, over the limit of {MAX_PAIR_INTERIOR_POINTS}"
             )
     pairs: list[tuple[Fraction, Fraction]] = []
     for x_text, y_text in pair_options:
-        pairs.append(_parse_pair(x_text, y_text))
+        x, y = _parse_pair(x_text, y_text)
+        pairs.append((x, y))
+        inside += max(0, bisect_left(bps, y) - bisect_right(bps, x))
     if all_breakpoint_pairs:
-        bps = f.breakpoints()
-        for i in range(len(bps)):
-            for j in range(i + 1, len(bps)):
-                pairs.append((bps[i], bps[j]))
+        pairs.extend(combinations(bps, 2))
     if not pairs:
-        a, b = f.domain
-        pairs.append((a, b))
-    return pairs
+        pairs.append(f.domain)
+        inside = len(bps) - 2
+    return pairs, inside
 
 
 def _plot_resolution(ctx, param, value: int) -> int:
@@ -358,7 +382,6 @@ def cli():
 @click.option("--pair", "pairs", nargs=2, multiple=True, metavar="X Y", help="Analyze the pair (X, Y); repeatable.")
 @click.option("--all-breakpoint-pairs", is_flag=True, help="Analyze every ordered breakpoint pair.")
 @click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Oracle grid resolution for --with-oracle.")
-@click.option("--jobs", type=click.IntRange(min=1), envvar="QCVX_JOBS", default=1, show_envvar=True, help="Worker pool size for pair analyses, at least 1.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
 @click.option("--no-timestamp", is_flag=True, help="Omit the timestamp for byte-identical reruns.")
@@ -369,7 +392,6 @@ def analyze(
     pairs,
     all_breakpoint_pairs,
     grid_points,
-    jobs,
     out_path,
     fail_on_violation,
     no_timestamp,
@@ -379,15 +401,15 @@ def analyze(
     """Run the full exact analysis of FUNCTION_FILE."""
     f = _load_function(function_file)
     cfg = ToleranceConfig(grid_points=grid_points)
-    report = _base_report(f, function_file, no_timestamp, cfg, jobs)
+    report = _base_report(f, function_file, no_timestamp, cfg)
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     verdict = is_quasiconvex(f)
     report["quasiconvexity"] = verdict.to_json(f)
-    pair_list = _collect_pairs(f, pairs, all_breakpoint_pairs)
+    pair_list, inside = _collect_pairs(f, pairs, all_breakpoint_pairs)
     # The oracle runs before the pairs, so that it refuses an oversized
     # grid before any pair work; its block still follows the pairs.
     oracle_block = oracle_quasiconvex(f, cfg).to_json() if with_oracle else None
-    report["pairs"] = _run_pairs(f, pair_list, jobs)
+    report["pairs"] = _run_pairs(f, pair_list, inside)
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if oracle_block is not None:
         report["oracle"] = oracle_block
@@ -411,7 +433,7 @@ def certify(function_file, interval, grid_points, out_path, no_timestamp):
     f = _load_function(function_file)
     cfg = ToleranceConfig(grid_points=grid_points)
     x0, y0 = _parse_pair(*interval)
-    report = _base_report(f, function_file, no_timestamp, cfg, 1)
+    report = _base_report(f, function_file, no_timestamp, cfg)
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     cert = paired_maxima_certificate(f, x0, y0)
     if cert is None:
@@ -443,7 +465,7 @@ def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_
             "pass --expect with a stored exact result instead"
         )
     cfg = ToleranceConfig(grid_points=grid_points)
-    report = _base_report(f, function_file, no_timestamp, cfg, 1)
+    report = _base_report(f, function_file, no_timestamp, cfg)
     verdict = oracle_quasiconvex(f, cfg)
     report["oracle"] = verdict.to_json()
     exit_code = EXIT_OK
@@ -550,17 +572,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except click.exceptions.Abort:
         return EXIT_USAGE
     except ValidationError as exc:
-        click.echo(f"error: invalid function document: {exc}", err=True)
+        click.echo(f"error: invalid function document: {_message(exc)}", err=True)
         return EXIT_USAGE
     except SemicontinuityError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {_message(exc)}", err=True)
         return EXIT_PRECONDITION
     except PreconditionError as exc:
-        click.echo(f"error: precondition failed: {exc}", err=True)
+        click.echo(f"error: precondition failed: {_message(exc)}", err=True)
         return EXIT_PRECONDITION
     except QcvxError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {_message(exc)}", err=True)
         return EXIT_USAGE
+
+
+def _message(exc: Exception) -> str:
+    """The text of ``exc`` after its notes, such as the pair that
+    ``analyze_pair`` names."""
+    return "".join(f"{note}: " for note in getattr(exc, "__notes__", ())) + str(exc)
 
 
 def entrypoint() -> None:

@@ -216,6 +216,8 @@ class TestAnalyzeCommand:
 
     def test_all_pairs_within_budget(self, tmp_path, capsys, monkeypatch):
         # Depth 6 puts C(128, 3) = 341,376 breakpoints inside its pairs.
+        # The stub counts in this process, so no pool starts.
+        monkeypatch.setattr(cli, "POOL_MIN_STEPS", 10**9)
         analyzed = []
         monkeypatch.setattr(cli, "analyze_pair", lambda f, x, y: analyzed.append((x, y)) or {})
         path = self.cantor_complement(tmp_path, capsys, 6)
@@ -335,20 +337,16 @@ class TestAnalyzeCommand:
         )
         assert code == 0 and "plot" not in read_json(out)
 
-    def test_parallel_jobs_match_serial(self, tent_file, tmp_path, capsys):
+    def test_parallel_jobs_match_serial(self, tent_file, tmp_path, capsys, monkeypatch):
+        # The same report inline and through a real pool of two workers,
+        # which the tent's three pairs start once the threshold is 0.
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        run(
-            ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(serial)],
-            capsys,
-        )
-        run(
-            ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp", "--jobs", "2", "--out", str(parallel)],
-            capsys,
-        )
-        a, b = json.loads(serial.read_text()), json.loads(parallel.read_text())
-        a["config"].pop("jobs")
-        b["config"].pop("jobs")
-        assert a == b
+        argv = ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp", "--out"]
+        assert run([*argv, str(serial)], capsys) == (0, "", "")
+        force_pool(monkeypatch)
+        assert run([*argv, str(parallel)], capsys) == (0, "", "")
+        assert parallel.read_bytes() == serial.read_bytes()
+        assert list(json.loads(serial.read_text())["config"]) == ["grid_points", "float_epsilon"]
 
     def test_round_trip_corpus_files_analyze_cleanly(self, tmp_path, capsys):
         for name in ("tent", "vee", "ramp-plateau", "monotone", "monotone-concave", "constant"):
@@ -463,23 +461,41 @@ class TestHugeExponents:
         assert err == "error: decimal exponent above 4300 in magnitude: '1e-4301'\n"
 
 
-    def test_result_past_the_digit_limit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
+    def test_result_past_the_digit_limit(self, tmp_path, capsys, monkeypatch, pool):
         # Every field is within the exponent limit; the crossing roots the
-        # walk computes are not printable.
+        # walk computes are not printable.  The failing pair is named, in
+        # this process or in a pool worker.
         path, report = tmp_path / "digits.json", tmp_path / "report.json"
+        third = "0." + "3" * 4000
         path.write_text(json.dumps({"type": "piecewise_linear", "knots": [
-            ["0", "0"], ["1e-4000", "1"], ["0." + "3" * 4000, "1e-4000"], ["1", "1"],
+            ["0", "0"], ["1e-4000", "1"], [third, "1e-4000"], ["1", "1"],
         ]}))
+        if pool:
+            force_pool(monkeypatch)
         code, out, err = run(
             ["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(report)],
             capsys,
         )
         assert (code, out) == (1, "")
         assert err == (
-            f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+            f"error: pair (0, {qcvx.format_rational(F(third))}): "
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "the limit for converting an integer to a string\n"
         )
         assert not report.exists()
+
+
+    def test_unprintable_pair_end_is_named_by_its_double(self, tent_file, capsys):
+        # 4299 decimals and the exponent -2 make a denominator of 4302 digits.
+        end = "0." + "3" * 4299 + "e-2"
+        code, out, err = run(["analyze", str(tent_file), "--pair", end, "1", "--no-timestamp"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: pair near (0.0033333333333333335, 1.0): "
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to a string\n"
+        )
 
 
 class TestOracleCommand:
@@ -817,17 +833,18 @@ class TestUsageErrors:
         assert run(["certify", str(tent_file)], capsys)[0] == 1
 
 
-def test_jobs_default_from_environment(tent_file, capsys, monkeypatch):
-    monkeypatch.setenv("QCVX_JOBS", "3")
-    code, out, _ = run(["analyze", str(tent_file), "--no-timestamp"], capsys)
-    assert code == 0
-    assert read_json(out)["config"]["jobs"] == 3
+def force_pool(monkeypatch):
+    """Make ``analyze`` start a pool of up to two workers for any pair
+    work."""
+    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-class TestJobsBounds:
-    """The pool size for ``--jobs`` and ``QCVX_JOBS``.  A stub stands in
-    for the process pool: it records the worker count and maps in-process,
-    so no test here starts a process."""
+class TestPoolSize:
+    """Whether ``_run_pairs`` starts a pool, and with how many workers,
+    from the pair work and the usable CPUs.  A stub stands in for the
+    process pool: it records the worker count and maps in-process, so no
+    test here starts a process."""
 
     @pytest.fixture()
     def pools(self, monkeypatch):
@@ -844,76 +861,77 @@ class TestJobsBounds:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
+            def map(self, fn, pairs, chunksize):
+                assert 1 <= chunksize
+                return map(fn, pairs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_worker_model", None)
-        monkeypatch.delenv("QCVX_JOBS", raising=False)
+        monkeypatch.setattr(cli, "analyze_pair", lambda f, x, y: (x, y))
         return created
 
-    @pytest.fixture()
-    def cantor_file(self, tmp_path):
-        path = tmp_path / "cantor2c.json"
-        path.write_text(json.dumps({"type": "cantor", "depth": 2, "mode": "complement"}))
-        return path
-
-    def analyze(self, path, capsys, *flags):
-        capsys.readouterr()  # drop the corpus command's output
-        code, out, err = run(
-            ["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp", *flags], capsys
-        )
-        assert code == 0, err
-        return read_json(out)
+    def run_pairs(self, count, inside):
+        pairs = [(F(k), F(k + 1)) for k in range(count)]
+        assert cli._run_pairs(None, pairs, inside) == pairs
 
     @pytest.mark.parametrize(
-        "model, jobs, cpus, workers",
+        "below, cpus, workers",
         [
-            ("tent", 64, 8, 3),  # three pairs
-            ("cantor", 5000, 2, 2),  # two CPUs
-            ("cantor", 2, 8, 2),
-            ("cantor", 64, 8, 8),
-            ("cantor", 4, 1, None),  # one CPU: in-process
-            ("tent", 1, 8, None),
+            (1, 8, None),  # below the threshold: in-process
+            (0, 8, 8),  # at it
+            (-1, 8, 8),  # above it
+            (-1, 2, 2),
+            (0, 1, None),  # one CPU: in-process
+            (-1, 1, None),
         ],
     )
-    def test_workers_bounded_by_pairs_and_cpus(
-        self, pools, monkeypatch, capsys, tent_file, cantor_file, model, jobs, cpus, workers
-    ):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        path = tent_file if model == "tent" else cantor_file
-        serial = self.analyze(path, capsys)
-        report = self.analyze(path, capsys, "--jobs", str(jobs))
+    def test_workers_from_steps_and_cpus(self, pools, monkeypatch, below, cpus, workers):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        pairs = 100
+        self.run_pairs(pairs, cli.POOL_MIN_STEPS - cli.PAIR_STEPS * pairs - below)
         assert pools == ([] if workers is None else [workers])
-        assert report["config"]["jobs"] == jobs
-        serial["config"]["jobs"] = jobs
-        assert report == serial
 
-    def test_environment_sets_the_requested_jobs(self, pools, monkeypatch, capsys, cantor_file):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("QCVX_JOBS", "300")
-        assert self.analyze(cantor_file, capsys)["config"]["jobs"] == 300
-        assert pools == [4]
-        # The option wins over the environment.
-        assert self.analyze(cantor_file, capsys, "--jobs", "1")["config"]["jobs"] == 1
-        assert pools == [4]
+    @pytest.mark.parametrize(
+        "pairs, inside, workers",
+        [
+            (3, cli.POOL_MIN_STEPS, [3]),  # few wide pairs: one worker a pair
+            (-(-cli.POOL_MIN_STEPS // cli.PAIR_STEPS), 0, [8]),  # many narrow pairs
+            (cli.POOL_MIN_STEPS // cli.PAIR_STEPS - 1, 0, []),
+        ],
+    )
+    def test_pairs_and_breakpoints_inside_both_count(self, pools, monkeypatch, pairs, inside, workers):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        self.run_pairs(pairs, inside)
+        assert pools == workers
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_option_below_one_rejected(self, pools, capsys, tent_file, jobs):
+    @pytest.mark.parametrize("count, workers", [(4, [4]), (1, []), (None, [])])
+    def test_cpu_count_without_affinity(self, pools, monkeypatch, count, workers):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+        self.run_pairs(100, cli.POOL_MIN_STEPS)
+        assert pools == workers
+
+    @pytest.mark.parametrize(
+        "options, all_pairs, inside",
+        [
+            ([], True, 10),  # C(5, 3)
+            ([], False, 3),  # the domain holds every inner breakpoint
+            ([("0", "3/4"), ("1/4", "1/2"), ("1/8", "3/8"), ("1", "0")], False, 2 + 0 + 1 + 0),
+            ([("1/4", "3/4")], True, 10 + 1),
+        ],
+    )
+    def test_breakpoints_inside_the_pairs(self, options, all_pairs, inside):
+        f = qcvx.function_from_dict({"type": "piecewise_linear", "knots": [
+            [str(F(k, 4)), "0"] for k in range(5)
+        ]})
+        pairs, counted = cli._collect_pairs(f, options, all_pairs)
+        assert counted == inside
+        assert len(pairs) == max(1, len(options) + (10 if all_pairs else 0))
+
+    def test_jobs_option_is_gone(self, pools, capsys, tent_file):
         capsys.readouterr()
-        code, out, err = run(["analyze", str(tent_file), "--jobs", jobs], capsys)
-        assert code == 1 and out == ""
-        assert "'--jobs'" in err and "x>=1" in err
-        assert pools == []
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-    def test_invalid_environment_rejected(self, pools, monkeypatch, capsys, tent_file, value):
-        monkeypatch.setenv("QCVX_JOBS", value)
-        capsys.readouterr()
-        code, out, err = run(["analyze", str(tent_file)], capsys)
-        assert code == 1 and out == ""
-        assert "QCVX_JOBS" in err
-        assert pools == []
+        code, out, err = run(["analyze", str(tent_file), "--jobs", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--jobs" in err
 
 
 def test_console_entrypoint_runs():

@@ -8,8 +8,11 @@ and piecewise-linear models on shared 1/60 and 1/4 grids, whose pieces
 can be narrower than the oracle's grid spacing.  Pair properties draw
 each end as a breakpoint or a point inside a piece, and check the exact
 violation and chord sets point by point against the model's own fields.
-The runs are derandomized and bounded, so the file is deterministic and
-takes a few seconds.
+Lower and upper semicontinuous variants of the piecewise-constant models,
+beside the continuous linear ones, carry the paper's two
+characterizations of quasiconvexity: by interior witnesses for lsc maps
+and by paired maxima for usc maps.  The runs are derandomized and
+bounded, so the file is deterministic and takes a few seconds.
 """
 
 from fractions import Fraction
@@ -26,11 +29,16 @@ from qcvx import (
     ToleranceConfig,
     XReal,
     check_semicontinuity,
+    check_no_strict_sided_maxima,
     convexity_violation_set,
     diff_report,
+    enumerate_local_maxima,
+    interior_witness_exists,
     is_quasiconvex,
     oracle_quasiconvex,
     oracle_violation_set,
+    paired_maxima_certificate,
+    revalidate_certificate,
     verify_chord_components,
     verify_component_property,
     violation_set,
@@ -237,3 +245,78 @@ def test_component_checks_pass_on_lsc_models(f, data):
         *verify_chord_components(f, x, y, convexity_violation_set(f, x, y)),
     ]
     assert all(c.passed for c in checks)
+
+
+def semicontinuous(f: PiecewiseConstant, pick) -> PiecewiseConstant:
+    """f made lsc (``pick`` = min) or usc (``pick`` = max): each breakpoint
+    value becomes the ``pick`` of the pieces beside it."""
+    pieces = f.piece_values
+    last = len(pieces) - 1
+    points = (pick(pieces[max(k - 1, 0)], pieces[min(k, last)]) for k in range(len(f.breaks)))
+    return PiecewiseConstant(f.breaks, pieces, tuple(points))
+
+
+LSC = st.one_of(piecewise_constant_models().map(lambda f: semicontinuous(f, min)), LINEAR)
+USC = st.one_of(piecewise_constant_models().map(lambda f: semicontinuous(f, max)), LINEAR)
+
+
+def candidates(f) -> list[F]:
+    """The breakpoints and the piece midpoints, in order."""
+    bps = structural_positions(f)
+    return sorted({*bps, *((p0 + p1) / 2 for p0, p1 in zip(bps, bps[1:]))})
+
+
+@SETTINGS
+@given(LSC)
+def test_lsc_quasiconvex_has_every_interior_witness(f):
+    assert check_semicontinuity(f).is_lsc
+    if not is_quasiconvex(f).is_quasiconvex:
+        return
+    points = candidates(f)
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            assert interior_witness_exists(f, x, y), (x, y)
+
+
+@SETTINGS
+@given(LSC)
+def test_lsc_violation_component_has_no_interior_witness(f):
+    # The component of the witness's violation set around z lies above
+    # max(f(x), f(y)), and its ends at or below it: so no point inside
+    # it is at or below the larger value of its ends.
+    witness = is_quasiconvex(f).witness
+    if witness is None:
+        return
+    x, y, z = witness
+    (component,) = [iv for iv in violation_set(f, x, y).components if iv.left < z < iv.right]
+    assert not interior_witness_exists(f, component.left, component.right)
+
+
+@SETTINGS
+@given(USC)
+def test_usc_witness_has_a_paired_maxima_certificate(f):
+    assert check_semicontinuity(f).is_usc
+    witness = is_quasiconvex(f).witness
+    if witness is None:
+        return
+    x, y, _ = witness
+    cert = paired_maxima_certificate(f, x, y)
+    assert cert is not None and cert.checks.all_passed, cert
+    revalidation = revalidate_certificate(f, cert, grid_points=41)
+    assert revalidation.all_passed, revalidation.failures
+
+
+@SETTINGS
+@given(USC)
+def test_usc_failure_has_a_maximum_strict_from_both_sides(f):
+    # Usc f attains its maximum on [x, y] of a witness (x, y, z) on a
+    # closed set strictly inside, so the region around it dominates and
+    # every atom beside it lies strictly below: a local maximum strict
+    # from both sides.  Hence without strict-sided maxima f is
+    # quasiconvex.  (Every hump of these models is strict from both
+    # sides, so this cannot tell a one-sided maximum from a two-sided one.)
+    if is_quasiconvex(f).is_quasiconvex:
+        return
+    maxima = enumerate_local_maxima(f)
+    assert any(m.strict_from_left and m.strict_from_right for m in maxima), maxima
+    assert not check_no_strict_sided_maxima(f).holds
