@@ -11,7 +11,6 @@ from .core import (
     PLUS_INF,
     Point,
     Segment,
-    ToleranceConfig,
     XReal,
     as_rational,
     format_rational,

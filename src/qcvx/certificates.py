@@ -34,6 +34,10 @@ from .functions import (
     require_exact,
 )
 
+# The most uniform points ``revalidate_certificate`` may ask for: its time
+# and memory grow linearly with the count.
+MAX_REVALIDATION_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class LocalMaximum:
@@ -339,11 +343,16 @@ def revalidate_certificate(
 
     The certificate's points must be ordered x0 <= p <= q <= y0, as
     :func:`paired_maxima_certificate` builds them, and the uniform grid
-    needs at least its two ends; otherwise :class:`ParameterRangeError`
-    is raised.
+    needs at least its two ends and at most ``MAX_REVALIDATION_POINTS``
+    points; otherwise :class:`ParameterRangeError` is raised before any
+    point is built.
     """
     if grid_points < 2:
         raise ParameterRangeError(f"grid_points must be at least 2, got {grid_points}")
+    if grid_points > MAX_REVALIDATION_POINTS:
+        raise ParameterRangeError(
+            f"grid_points must be at most {MAX_REVALIDATION_POINTS}, got {grid_points}"
+        )
     x0, y0 = cert.x0, cert.y0
     if not x0 <= cert.p <= cert.q <= y0:
         raise ParameterRangeError(

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 import click
 
 from . import __version__
-from .core import ToleranceConfig, _decimal, format_rational, parse_rational
+from .core import _decimal, format_rational, parse_rational
 from .corpus import corpus_function
-from .certificates import paired_maxima_certificate, revalidate_certificate
+from .certificates import MAX_REVALIDATION_POINTS, paired_maxima_certificate, revalidate_certificate
 from .certificates import check_no_strict_sided_maxima
 from .errors import (
     ParameterRangeError,
@@ -53,7 +53,7 @@ from .functions import (
     function_to_dict,
 )
 from .intervals import OpenIntervalSet, normalize
-from .oracle import diff_report, oracle_quasiconvex, oracle_violation_set
+from .oracle import FLOAT_EPSILON, diff_report, oracle_quasiconvex, oracle_violation_set, uniform_points
 from .violations import (
     convexity_violation_set,
     interior_witness_exists,
@@ -231,7 +231,7 @@ def _replace_file(out: str, text: str) -> None:
         raise
 
 
-def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceConfig) -> dict:
+def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int) -> dict:
     a, b = f.domain
     report: dict = {
         "tool": "qcvx",
@@ -240,8 +240,8 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, cfg: ToleranceCon
     if not no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     report["config"] = {
-        "grid_points": cfg.grid_points,
-        "float_epsilon": format_rational(cfg.float_epsilon),
+        "grid_points": grid_points,
+        "float_epsilon": format_rational(FLOAT_EPSILON),
     }
     summary = (
         function_to_dict(f) if f.is_exact else {"type": type(f).__name__.lower()}
@@ -360,11 +360,10 @@ def _plot_resolution(ctx, param, value: int) -> int:
 
 
 def _plot_samples(f: Function1D, n: int) -> list[list]:
-    """n evenly spaced samples of f over its domain, a + (b - a) * i / (n - 1)
-    made over one common denominator and evaluated in one sorted walk."""
-    (an, ad), (bn, bd) = (q.as_integer_ratio() for q in f.domain)
-    start, step, den = an * bd * (n - 1), bn * ad - an * bd, ad * bd * (n - 1)
-    ts = [Fraction(start + step * i, den) for i in range(n)]
+    """n evenly spaced samples of f over its domain, made by the oracle's
+    uniform-point builder and evaluated in one sorted walk."""
+    _, build = uniform_points(*f.domain, n)
+    ts = build()
     return [
         [format_rational(t), v.to_string(), _decimal(t), _decimal(v)]
         for t, v in zip(ts, f.evaluate_sorted(ts))
@@ -381,7 +380,7 @@ def cli():
 @click.argument("function_file", type=click.Path())
 @click.option("--pair", "pairs", nargs=2, multiple=True, metavar="X Y", help="Analyze the pair (X, Y); repeatable.")
 @click.option("--all-breakpoint-pairs", is_flag=True, help="Analyze every ordered breakpoint pair.")
-@click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Oracle grid resolution for --with-oracle.")
+@click.option("--grid", "grid_points", type=click.IntRange(min=3), default=201, show_default=True, help="Oracle grid resolution for --with-oracle.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the report here instead of stdout.")
 @click.option("--fail-on-violation", is_flag=True, help="Exit 2 when the function is not quasiconvex.")
 @click.option("--no-timestamp", is_flag=True, help="Omit the timestamp for byte-identical reruns.")
@@ -400,15 +399,14 @@ def analyze(
 ):
     """Run the full exact analysis of FUNCTION_FILE."""
     f = _load_function(function_file)
-    cfg = ToleranceConfig(grid_points=grid_points)
-    report = _base_report(f, function_file, no_timestamp, cfg)
+    report = _base_report(f, function_file, no_timestamp, grid_points)
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     verdict = is_quasiconvex(f)
     report["quasiconvexity"] = verdict.to_json(f)
     pair_list, inside = _collect_pairs(f, pairs, all_breakpoint_pairs)
     # The oracle runs before the pairs, so that it refuses an oversized
     # grid before any pair work; its block still follows the pairs.
-    oracle_block = oracle_quasiconvex(f, cfg).to_json() if with_oracle else None
+    oracle_block = oracle_quasiconvex(f, grid_points).to_json() if with_oracle else None
     report["pairs"] = _run_pairs(f, pair_list, inside)
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if oracle_block is not None:
@@ -425,15 +423,14 @@ def analyze(
 @cli.command()
 @click.argument("function_file", type=click.Path())
 @click.option("--interval", nargs=2, metavar="X0 Y0", required=True, help="Closed interval to certify.")
-@click.option("--grid", "grid_points", type=int, default=201, show_default=True, help="Revalidation grid resolution.")
+@click.option("--grid", "grid_points", type=click.IntRange(3, MAX_REVALIDATION_POINTS), default=201, show_default=True, help=f"Revalidation grid resolution, 3 to {MAX_REVALIDATION_POINTS}.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--no-timestamp", is_flag=True)
 def certify(function_file, interval, grid_points, out_path, no_timestamp):
     """Extract the paired-maxima certificate on an interval."""
     f = _load_function(function_file)
-    cfg = ToleranceConfig(grid_points=grid_points)
     x0, y0 = _parse_pair(*interval)
-    report = _base_report(f, function_file, no_timestamp, cfg)
+    report = _base_report(f, function_file, no_timestamp, grid_points)
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     cert = paired_maxima_certificate(f, x0, y0)
     if cert is None:
@@ -450,7 +447,7 @@ def certify(function_file, interval, grid_points, out_path, no_timestamp):
 
 @cli.command()
 @click.argument("function_file", type=click.Path())
-@click.option("--grid", "grid_points", type=int, default=201, show_default=True)
+@click.option("--grid", "grid_points", type=click.IntRange(min=3), default=201, show_default=True)
 @click.option("--compare", is_flag=True, help="Diff the oracle against the exact analyzer; exit 4 on inconsistency.")
 @click.option("--pair", nargs=2, metavar="X Y", default=None, help="Pair for the violation-set comparison (default: domain ends).")
 @click.option("--expect", "expect_path", type=click.Path(), default=None, help="Compare against a stored exact result instead of the live analyzer.")
@@ -464,16 +461,15 @@ def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_
             f"--compare needs an exact model, got {type(f).__name__}; "
             "pass --expect with a stored exact result instead"
         )
-    cfg = ToleranceConfig(grid_points=grid_points)
-    report = _base_report(f, function_file, no_timestamp, cfg)
-    verdict = oracle_quasiconvex(f, cfg)
+    report = _base_report(f, function_file, no_timestamp, grid_points)
+    verdict = oracle_quasiconvex(f, grid_points)
     report["oracle"] = verdict.to_json()
     exit_code = EXIT_OK
     if compare or expect_path:
         a, b = f.domain
         x, y = _parse_pair(*pair) if pair else (a, b)
-        approx = oracle_violation_set(f, x, y, cfg)
-        slack = (y - x) / (cfg.grid_points - 1)
+        approx = oracle_violation_set(f, x, y, grid_points)
+        slack = (y - x) / (grid_points - 1)
         if expect_path:
             try:
                 exact = exact_set = _load_expected_components(expect_path)

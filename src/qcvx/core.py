@@ -8,7 +8,7 @@ point only appears in black-box mode and in report decimals.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -272,22 +272,3 @@ def segment_point(segment: Segment, t: RationalLike) -> Point:
         for a, b in zip(segment.x.coordinates, segment.y.coordinates)
     )
     return Point(coords)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Grid resolution and black-box comparison margin.
-
-    Exact-mode analyses ignore ``float_epsilon`` entirely; it only widens
-    strict comparisons when a black-box model is sampled in floats.
-    """
-
-    grid_points: int = 201
-    float_epsilon: Fraction = field(default_factory=lambda: Fraction(1, 10**9))
-
-    def __post_init__(self):
-        if self.grid_points < 3:
-            raise ParameterRangeError("grid_points must be at least 3")
-        object.__setattr__(self, "float_epsilon", as_rational(self.float_epsilon))
-        if self.float_epsilon < 0:
-            raise ParameterRangeError("float_epsilon must be nonnegative")

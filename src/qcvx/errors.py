@@ -74,5 +74,9 @@ class ValidationError(QcvxError, ValueError):
     """A function document failed validation; names the offending field."""
 
     def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+        # Both arguments go to ``args``, which pickling passes back.
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self):
+        return f"{self.field}: {self.args[1]}"

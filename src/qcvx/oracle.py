@@ -20,7 +20,7 @@ On piecewise-constant models both the triple grid and the violation-set
 grid hold every piece midpoint, so a piece narrower than the uniform
 spacing still has a sample.  The triple count needs g x g arrays, so a
 merged grid of more than ``MAX_GRID_POINTS`` points is refused before
-any is allocated.
+any point is made.
 """
 
 from __future__ import annotations
@@ -33,13 +33,16 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ToleranceConfig, XReal, as_rational, format_rational
+from .core import XReal, as_rational, format_rational
 from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
 
 # About 600 MB of g x g arrays at this size.
 MAX_GRID_POINTS = 4096
+
+# A black-box value is strictly above another when above by more than this.
+FLOAT_EPSILON = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -112,21 +115,54 @@ def _with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
+def uniform_points(
+    lo: Fraction, hi: Fraction, n: int, extras: Sequence[Fraction] = ()
+) -> tuple[int, Callable[[], list[Fraction]]]:
+    """The n rationals lo + (hi - lo) * i / (n - 1) with the ascending
+    ``extras`` from [lo, hi] merged in: the merged count, found on
+    integers, and a function that makes the sorted list without repeats.
+    Uniform point i is (start + stride * i) / den; each extra finds its
+    slot by one integer division, which also tells whether it is a
+    uniform point already."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den, start, stride = ld * hd * (n - 1), ln * hd * (n - 1), hn * ld - ln * hd
+    # p lies r / (stride * p.denominator) of a step past uniform point q.
+    slots = [
+        (*divmod(p.numerator * den - start * p.denominator, stride * p.denominator), p)
+        for p in extras
+    ]
+
+    def build() -> list[Fraction]:
+        points: list[Fraction] = []
+        i = 0
+        for q, r, p in slots:
+            points += [Fraction(start + stride * j, den) for j in range(i, q + 1)]
+            i = q + 1
+            if r:
+                points.append(p)
+        points += [Fraction(start + stride * j, den) for j in range(i, n)]
+        return points
+
+    return n + sum(1 for _, r, _ in slots if r), build
+
+
 def build_grid(
     f: Function1D,
-    cfg: ToleranceConfig,
+    grid_points: int = 201,
     lo: Optional[Fraction] = None,
     hi: Optional[Fraction] = None,
 ) -> list[Fraction]:
-    """Uniformly spaced rationals plus the model's breakpoints in range.
+    """``grid_points`` uniformly spaced rationals plus the model's
+    breakpoints in range; on a tabulated model, the samples in range.
 
     On a piecewise-constant model the midpoint of every pair of
     consecutive breakpoints is added, so constant pieces narrower than the
-    uniform spacing always receive an interior sample.  Each breakpoint and
-    midpoint finds its slot among the uniform points by one integer
-    division, which also tells whether it is a uniform point already, so
-    the list comes out sorted and without repeats.
+    uniform spacing always receive an interior sample.  Fewer than 3
+    uniform points, or a merged grid of more than ``MAX_GRID_POINTS``
+    points, raises :class:`ParameterRangeError` before any point is made.
     """
+    if grid_points < 3:
+        raise ParameterRangeError("grid_points must be at least 3")
     a, b = f.domain
     lo = a if lo is None else as_rational(lo)
     hi = b if hi is None else as_rational(hi)
@@ -135,25 +171,16 @@ def build_grid(
     bps = f.breakpoints()
     breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
     if isinstance(f, Tabulated):
-        return list(breaks)
-    extras = _with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
-    n = cfg.grid_points
-    step = (hi - lo) / (n - 1)
-    # Uniform point i is (start + stride * i) / den.
-    den = lo.denominator * step.denominator
-    start = lo.numerator * step.denominator
-    stride = step.numerator * lo.denominator
-    points: list[Fraction] = []
-    i = 0
-    for p in extras:
-        # p lies r / (stride * p.denominator) of a step past uniform point q.
-        q, r = divmod(p.numerator * den - start * p.denominator, stride * p.denominator)
-        points += [Fraction(start + stride * j, den) for j in range(i, q + 1)]
-        i = q + 1
-        if r:
-            points.append(p)
-    points += [Fraction(start + stride * j, den) for j in range(i, n)]
-    return points
+        size, build = len(breaks), lambda: list(breaks)
+    else:
+        extras = _with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
+        size, build = uniform_points(lo, hi, grid_points, extras)
+    if size > MAX_GRID_POINTS:
+        raise ParameterRangeError(
+            f"oracle grid has {size} points at resolution {grid_points}, "
+            f"over the limit of {MAX_GRID_POINTS}"
+        )
+    return build()
 
 
 def _integer_keys(values: Sequence[XReal]) -> list[int]:
@@ -179,7 +206,7 @@ def _rank_values(values: Sequence[XReal]) -> np.ndarray:
 
 def oracle_quasiconvex(
     f: Function1D,
-    cfg: Optional[ToleranceConfig] = None,
+    grid_points: int = 201,
     *,
     max_triples: int = 50,
 ) -> OracleVerdict:
@@ -187,24 +214,18 @@ def oracle_quasiconvex(
 
     Exact models compare exactly (through integer keys); black-box
     models compare floats, where strict violation means exceeding the
-    competitor by more than ``cfg.float_epsilon``.  The triples list is
+    competitor by more than ``FLOAT_EPSILON``.  The triples list is
     capped at ``max_triples`` in deterministic index order;
-    ``total_violations`` counts all of them.  A merged grid of more than
-    ``MAX_GRID_POINTS`` points raises :class:`ParameterRangeError`.
+    ``total_violations`` counts all of them.  The grid is refused as
+    :func:`build_grid` refuses it.
     """
-    cfg = cfg or ToleranceConfig()
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
-    grid = build_grid(f, cfg)
+    grid = build_grid(f, grid_points)
     g = len(grid)
-    if g > MAX_GRID_POINTS:
-        raise ParameterRangeError(
-            f"oracle grid has {g} points at resolution {cfg.grid_points}, "
-            f"over the limit of {MAX_GRID_POINTS}"
-        )
     values = f.evaluate_sorted(grid)
     if float_mode:
         vals = np.array([float(v) for v in values], dtype=np.float64)
-        eps = float(cfg.float_epsilon)
+        eps = float(FLOAT_EPSILON)
         above = vals[None, :] > vals[:, None] + eps  # above[i, k]: f(k) > f(i) + eps
     else:
         ranks = _rank_values(values)
@@ -231,14 +252,14 @@ def oracle_quasiconvex(
             if len(found) >= max_triples:
                 break
     info = GridInfo(
-        resolution=cfg.grid_points,
+        resolution=grid_points,
         total_points=g,
         includes_breakpoints=not isinstance(f, Tabulated),
         includes_piece_midpoints=isinstance(f, PiecewiseConstant),
         lo=f.domain[0],
         hi=f.domain[1],
         float_mode=float_mode,
-        float_epsilon=cfg.float_epsilon if float_mode else None,
+        float_epsilon=FLOAT_EPSILON if float_mode else None,
     )
     return OracleVerdict(
         is_quasiconvex_on_grid=total == 0,
@@ -252,7 +273,7 @@ def oracle_violation_set(
     f: Function1D,
     x: Fraction,
     y: Fraction,
-    cfg: Optional[ToleranceConfig] = None,
+    grid_points: int = 201,
 ) -> OpenIntervalSet:
     """Grid approximation of the violation set of the pair (x, y).
 
@@ -265,12 +286,12 @@ def oracle_violation_set(
     local spacing can be missed, and reported endpoints are accurate only
     to one grid cell.  On a tabulated model an end that is not a sample,
     even with no sample between x and y, raises :class:`NoSampleError`.
+    The grid is refused as :func:`build_grid` refuses it.
     """
-    cfg = cfg or ToleranceConfig()
     x, y = as_rational(x), as_rational(y)
     if not x < y:
         raise ParameterRangeError("oracle_violation_set needs x < y")
-    grid = build_grid(f, cfg, x, y)
+    grid = build_grid(f, grid_points, x, y)
     if not grid or grid[0] != x:
         grid.insert(0, x)
     if grid[-1] != y:

@@ -9,12 +9,16 @@ from) these.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, PiecewiseLinear, XReal, generate_cantor
 from qcvx.corpus import random_piecewise_linear
+from qcvx.oracle import MAX_GRID_POINTS
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -24,6 +28,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def point_budget(monkeypatch):
+    """Let the oracle and the certificate revalidation make at most
+    ``MAX_GRID_POINTS`` grid points between them: a grid that is built
+    where it should be refused then fails at once, instead of filling
+    memory."""
+    made = itertools.count(1)
+
+    def counted(*args):
+        if next(made) > MAX_GRID_POINTS:
+            raise AssertionError(f"more than {MAX_GRID_POINTS} grid points were made")
+        return Fraction(*args)
+
+    for module in ("qcvx.oracle", "qcvx.certificates"):
+        monkeypatch.setattr(f"{module}.Fraction", counted)
 
 
 def cantor_membership(t: Fraction, depth: int) -> bool:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from conftest import ACCEPTANCE_LINES
 from qcvx import (
     OpenInterval,
-    ToleranceConfig,
     XReal,
     check_no_strict_sided_maxima,
     check_semicontinuity,
@@ -80,11 +79,10 @@ def test_criterion_2_certificate_fixtures():
 def test_criterion_3_differential_500_functions():
     start = time.perf_counter()
     functions = random_corpus(500)
-    cfg = ToleranceConfig(grid_points=201)
     disagreements = []
     for i, f in enumerate(functions):
         exact = is_quasiconvex(f).is_quasiconvex
-        grid = oracle_quasiconvex(f, cfg).is_quasiconvex_on_grid
+        grid = oracle_quasiconvex(f, grid_points=201).is_quasiconvex_on_grid
         if exact != grid:
             disagreements.append(i)
     elapsed = time.perf_counter() - start

@@ -34,6 +34,7 @@ from qcvx import (
     paired_maxima_certificate,
     revalidate_certificate,
 )
+from qcvx.certificates import MAX_REVALIDATION_POINTS
 from qcvx.core import format_rational
 from qcvx.corpus import (
     constant,
@@ -246,6 +247,13 @@ class TestRevalidationFailures:
     def test_grid_without_both_ends_rejected(self, grid_points):
         cert = paired_maxima_certificate(tent(), 0, 1)
         with pytest.raises(ParameterRangeError, match=f"grid_points must be at least 2, got {grid_points}"):
+            revalidate_certificate(tent(), cert, grid_points)
+
+    @pytest.mark.parametrize("grid_points", [MAX_REVALIDATION_POINTS + 1, 10**9])
+    def test_oversized_grid_refused_before_built(self, point_budget, grid_points):
+        cert = paired_maxima_certificate(tent(), 0, 1)
+        message = f"grid_points must be at most {MAX_REVALIDATION_POINTS}, got {grid_points}"
+        with pytest.raises(ParameterRangeError, match=message):
             revalidate_certificate(tent(), cert, grid_points)
 
     def test_two_point_grid_checks_the_ends(self):

@@ -167,6 +167,17 @@ class TestAnalyzeCommand:
         assert (code, out) == (1, "")
         assert err == "error: oracle grid has 5253 points at resolution 5000, over the limit of 4096\n"
 
+    def test_with_oracle_billion_point_grid_exit_1(self, tent_file, capsys, monkeypatch, point_budget):
+        def unreachable(f, x, y):
+            raise AssertionError("a pair was analyzed")
+
+        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        code, out, err = run(
+            ["analyze", str(tent_file), "--with-oracle", "--grid", str(10**9), "--no-timestamp"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: oracle grid has 1000000001 points at resolution 1000000000, over the limit of 4096\n"
+
     def test_with_oracle_embeds_the_oracle_report(self, tmp_path, capsys):
         path = tmp_path / "c3.json"
         run(["corpus", "cantor", "--depth", "3", "--mode", "set", "--out", str(path)], capsys)
@@ -393,6 +404,23 @@ class TestCertifyCommand:
         assert report["certificate"] is None
         assert report["quasiconvex_on_interval"] is True
 
+    @pytest.mark.parametrize("name", ["tent", "vee"])
+    @pytest.mark.parametrize("grid", [str(qcvx.certificates.MAX_REVALIDATION_POINTS + 1), str(10**9)])
+    def test_oversized_grid_exit_1(self, tmp_path, capsys, monkeypatch, point_budget, name, grid):
+        # Refused while the options are read, before the model is analyzed,
+        # whether or not it has a certificate (the tent has, the vee not).
+        def unreachable(f, x0, y0):
+            raise AssertionError("the interval was analyzed")
+
+        monkeypatch.setattr(cli, "paired_maxima_certificate", unreachable)
+        path = tmp_path / f"{name}.json"
+        run(["corpus", name, "--out", str(path)], capsys)
+        code, out, err = run(
+            ["certify", str(path), "--interval", "0", "1", "--grid", grid, "--no-timestamp"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: Invalid value for '--grid': {grid} is not in the range 3<=x<=100000.\n"
+
     def test_usc_failure_exit_3(self, tmp_path, capsys):
         path = tmp_path / "c1c.json"
         run(["corpus", "cantor", "--depth", "1", "--mode", "complement", "--out", str(path)], capsys)
@@ -614,6 +642,14 @@ class TestOracleCommand:
         assert out == ""
         assert "4096" in err and "points" in err
 
+    @pytest.mark.parametrize("compare", [[], ["--compare"]])
+    def test_billion_point_grid_exit_1(self, tent_file, capsys, point_budget, compare):
+        code, out, err = run(
+            ["oracle", str(tent_file), "--grid", str(10**9), *compare, "--no-timestamp"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: oracle grid has 1000000001 points at resolution 1000000000, over the limit of 4096\n"
+
     @pytest.fixture()
     def tabulated_file(self, tmp_path):
         path = tmp_path / "tab.json"
@@ -831,6 +867,12 @@ class TestUsageErrors:
 
     def test_certify_requires_interval(self, tent_file, capsys):
         assert run(["certify", str(tent_file)], capsys)[0] == 1
+
+    @pytest.mark.parametrize("command", [["analyze"], ["certify", "--interval", "0", "1"], ["oracle"]])
+    def test_grid_below_three_exit_1(self, tent_file, capsys, command):
+        code, out, err = run([command[0], str(tent_file), *command[1:], "--grid", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert "Invalid value for '--grid': 2 is not in the range" in err
 
 
 def force_pool(monkeypatch):

@@ -9,7 +9,6 @@ from qcvx import (
     PLUS_INF,
     Point,
     Segment,
-    ToleranceConfig,
     XReal,
     parse_rational,
     format_rational,
@@ -175,15 +174,3 @@ class TestSegments:
         )
         assert mid == expected
 
-
-class TestToleranceConfig:
-    def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.grid_points == 201
-        assert cfg.float_epsilon == Fraction(1, 10**9)
-
-    def test_validation(self):
-        with pytest.raises(ParameterRangeError):
-            ToleranceConfig(grid_points=2)
-        with pytest.raises(ParameterRangeError):
-            ToleranceConfig(float_epsilon=Fraction(-1))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from qcvx import (
     OpenInterval,
     PiecewiseConstant,
     Tabulated,
-    ToleranceConfig,
     XReal,
     build_grid,
     diff_report,
@@ -26,7 +26,7 @@ from qcvx import (
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
 from qcvx.errors import NoSampleError, ParameterRangeError
-from qcvx.oracle import MAX_GRID_POINTS, ViolatingTriple, _rank_values
+from qcvx.oracle import FLOAT_EPSILON, MAX_GRID_POINTS, ViolatingTriple, _rank_values
 from qcvx.violations import ViolationDecomposition
 
 F = Fraction
@@ -38,7 +38,7 @@ def iv(a, b):
 
 class TestQuasiconvexOracle:
     def test_tent_found_violating(self):
-        verdict = oracle_quasiconvex(tent(), ToleranceConfig(grid_points=101))
+        verdict = oracle_quasiconvex(tent(), grid_points=101)
         assert not verdict.is_quasiconvex_on_grid
         assert verdict.total_violations > 0
         f = tent()
@@ -49,7 +49,7 @@ class TestQuasiconvexOracle:
             )
 
     def test_vee_clean(self):
-        verdict = oracle_quasiconvex(vee(), ToleranceConfig(grid_points=101))
+        verdict = oracle_quasiconvex(vee(), grid_points=101)
         assert verdict.is_quasiconvex_on_grid
         assert verdict.total_violations == 0
         assert not verdict.violating_triples
@@ -58,51 +58,50 @@ class TestQuasiconvexOracle:
         # 82 uniform points on [0, 1] are exactly the multiples of 1/81,
         # which include retained-set endpoints and removed interiors.
         f = generate_cantor(3, "set")
-        verdict = oracle_quasiconvex(f, ToleranceConfig(grid_points=82))
+        verdict = oracle_quasiconvex(f, grid_points=82)
         assert not verdict.is_quasiconvex_on_grid
 
     def test_grid_includes_breakpoints(self):
-        grid = build_grid(tent(), ToleranceConfig(grid_points=4))
+        grid = build_grid(tent(), grid_points=4)
         assert F(1, 2) in grid
         assert grid[0] == F(0) and grid[-1] == F(1)
 
     def test_deterministic(self):
-        a = oracle_quasiconvex(tent(), ToleranceConfig(grid_points=51))
-        b = oracle_quasiconvex(tent(), ToleranceConfig(grid_points=51))
+        a = oracle_quasiconvex(tent(), grid_points=51)
+        b = oracle_quasiconvex(tent(), grid_points=51)
         assert a == b
 
     def test_triples_capped_but_counted(self):
         verdict = oracle_quasiconvex(
-            tent(), ToleranceConfig(grid_points=101), max_triples=5
+            tent(), grid_points=101, max_triples=5
         )
         assert len(verdict.violating_triples) == 5
         assert verdict.total_violations > 5
 
     def test_blackbox_float_mode_with_epsilon(self):
         bump = Blackbox(0, 1, lambda t: float(t) * (1.0 - float(t)))
-        verdict = oracle_quasiconvex(bump, ToleranceConfig(grid_points=51))
+        verdict = oracle_quasiconvex(bump, grid_points=51)
         assert verdict.grid.float_mode
         assert not verdict.is_quasiconvex_on_grid
         flat = Blackbox(0, 1, lambda t: 1.0)
-        assert oracle_quasiconvex(flat, ToleranceConfig(grid_points=51)).is_quasiconvex_on_grid
+        assert oracle_quasiconvex(flat, grid_points=51).is_quasiconvex_on_grid
 
     def test_epsilon_masks_noise(self):
         noisy = Blackbox(0, 1, lambda t: 0.0 if t != F(1, 2) else 1e-12)
-        cfg = ToleranceConfig(grid_points=11, float_epsilon=F(1, 10**9))
-        assert oracle_quasiconvex(noisy, cfg).is_quasiconvex_on_grid
+        assert oracle_quasiconvex(noisy, grid_points=11).is_quasiconvex_on_grid
 
     @pytest.mark.parametrize("index", range(40))
     def test_agreement_with_exact_decision_on_random_corpus(self, index):
         f = random_corpus(40)[index]
         exact = is_quasiconvex(f).is_quasiconvex
-        grid = oracle_quasiconvex(f, ToleranceConfig(grid_points=101))
+        grid = oracle_quasiconvex(f, grid_points=101)
         assert grid.is_quasiconvex_on_grid == exact
 
     @pytest.mark.parametrize("depth,mode", [(1, "set"), (2, "set"), (3, "set"), (2, "complement")])
     def test_agreement_on_cantor_models(self, depth, mode):
         f = generate_cantor(depth, mode)
         exact = is_quasiconvex(f).is_quasiconvex
-        grid = oracle_quasiconvex(f, ToleranceConfig(grid_points=28))
+        grid = oracle_quasiconvex(f, grid_points=28)
         assert grid.is_quasiconvex_on_grid == exact
 
     def test_tabulated_uses_sample_grid(self):
@@ -112,7 +111,7 @@ class TestQuasiconvexOracle:
             (F(0), F(1, 4), F(1, 2), F(1)),
             (XReal(0), XReal(3), XReal(1), XReal(0)),
         )
-        verdict = oracle_quasiconvex(t, ToleranceConfig(grid_points=999))
+        verdict = oracle_quasiconvex(t, grid_points=999)
         assert verdict.grid.total_points == 4
         assert not verdict.is_quasiconvex_on_grid
         triple = verdict.violating_triples[0]
@@ -126,19 +125,19 @@ class TestQuasiconvexOracle:
             return -float(u * u + v * v)
 
         h = restrict_to_segment(bump, Segment(Point.of(-1, -1), Point.of(1, 1)))
-        verdict = oracle_quasiconvex(h, ToleranceConfig(grid_points=51))
+        verdict = oracle_quasiconvex(h, grid_points=51)
         assert verdict.grid.float_mode
         assert not verdict.is_quasiconvex_on_grid
 
 
-def _literal_triples(f, cfg, *, float_mode=False):
+def _literal_triples(f, grid_points, *, float_mode=False):
     """Every violating grid triple, found by a plain loop over all
     i < k < j that tests f(z) > max(f(x), f(y)) directly, in (i, k, j)
     order."""
-    grid = build_grid(f, cfg)
+    grid = build_grid(f, grid_points=grid_points)
     if float_mode:
         values = [float(f.evaluate(t)) for t in grid]
-        eps = float(cfg.float_epsilon)
+        eps = float(FLOAT_EPSILON)
 
         def violates(vx, vz, vy):
             return vz > max(vx, vy) + eps
@@ -184,15 +183,14 @@ class TestLiteralCrossCheck:
     @pytest.mark.parametrize("name", sorted(_CROSS_CHECK_MODELS))
     def test_matches_triple_loop(self, name):
         f = _CROSS_CHECK_MODELS[name]()
-        cfg = ToleranceConfig(grid_points=33)
-        expected = _literal_triples(f, cfg, float_mode=isinstance(f, Blackbox))
-        verdict = oracle_quasiconvex(f, cfg, max_triples=len(expected) + 1)
+        expected = _literal_triples(f, 33, float_mode=isinstance(f, Blackbox))
+        verdict = oracle_quasiconvex(f, grid_points=33, max_triples=len(expected) + 1)
         assert verdict.total_violations == len(expected)
         assert list(verdict.violating_triples) == expected
         assert verdict.is_quasiconvex_on_grid == (not expected)
         assert len({t.t_x for t in expected}) > 1  # witnesses span rows
         cap = len(expected) // 2
-        capped = oracle_quasiconvex(f, cfg, max_triples=cap)
+        capped = oracle_quasiconvex(f, grid_points=33, max_triples=cap)
         assert list(capped.violating_triples) == expected[:cap]
         assert capped.total_violations == len(expected)
 
@@ -200,7 +198,7 @@ class TestLiteralCrossCheck:
 class TestViolationSetOracle:
     def test_cantor_complement_depth1_run(self):
         f = generate_cantor(1, "complement")
-        approx = oracle_violation_set(f, F(0), F(1), ToleranceConfig(grid_points=28))
+        approx = oracle_violation_set(f, F(0), F(1), grid_points=28)
         # Spacing 1/27: marked points are 10/27 .. 17/27, so the reported
         # run spans their unmarked neighbors 9/27 and 18/27.
         assert approx == normalize([iv("1/3", "2/3")])
@@ -208,16 +206,15 @@ class TestViolationSetOracle:
     def test_monotone_empty(self):
         f = monotone()
         for x, y in ((F(0), F(1)), (F(1, 4), F(3, 4))):
-            assert oracle_violation_set(f, x, y, ToleranceConfig(grid_points=21)).is_empty
+            assert oracle_violation_set(f, x, y, grid_points=21).is_empty
 
     def test_tent_full_run(self):
-        approx = oracle_violation_set(tent(), F(0), F(1), ToleranceConfig(grid_points=21))
+        approx = oracle_violation_set(tent(), F(0), F(1), grid_points=21)
         assert approx == normalize([iv(0, 1)])
 
     def test_inner_approximation_within_one_cell(self):
         f = generate_cantor(2, "complement")
-        cfg = ToleranceConfig(grid_points=82)
-        approx = oracle_violation_set(f, F(0), F(1), cfg)
+        approx = oracle_violation_set(f, F(0), F(1), grid_points=82)
         exact = violation_set(f, F(0), F(1)).components
         report = diff_report(exact, approx, F(1, 81))
         assert report.consistent
@@ -263,7 +260,7 @@ class TestDiffReport:
         )
         d = violation_set(f, 0, 1)
         assert d.components.is_empty and d.isolated_violations == (F(1, 2),)
-        approx = oracle_violation_set(f, F(0), F(1), ToleranceConfig(grid_points=21))
+        approx = oracle_violation_set(f, F(0), F(1), grid_points=21)
         assert approx == normalize([iv("9/20", "11/20")])
         assert diff_report(d, approx, F(1, 20)).consistent
         # The bare component set carries no isolated points.
@@ -274,11 +271,11 @@ class TestDiffReport:
 
     def test_accepts_decomposition(self):
         d = violation_set(tent(), 0, 1)
-        approx = oracle_violation_set(tent(), F(0), F(1), ToleranceConfig(grid_points=21))
+        approx = oracle_violation_set(tent(), F(0), F(1), grid_points=21)
         assert diff_report(d, approx, F(1, 20)).consistent
 
 
-def _reference_grid(f, cfg, lo=None, hi=None):
+def _reference_grid(f, n, lo=None, hi=None):
     """The grid as a sort of every point followed by de-duplication; the
     piece midpoints join it on piecewise-constant models."""
     a, b = f.domain
@@ -286,7 +283,6 @@ def _reference_grid(f, cfg, lo=None, hi=None):
     hi = b if hi is None else F(hi)
     if isinstance(f, Tabulated):
         return [p for p in f.positions if lo <= p <= hi]
-    n = cfg.grid_points
     breaks = [p for p in f.breakpoints() if lo <= p <= hi]
     points = [lo + (hi - lo) * F(i, n - 1) for i in range(n)] + breaks
     if isinstance(f, PiecewiseConstant):
@@ -304,7 +300,6 @@ class TestGridMerge:
 
     @pytest.mark.parametrize("n", [3, 4, 21, 61, 201])
     def test_matches_sorted_union(self, n):
-        cfg = ToleranceConfig(grid_points=n)
         rng = random.Random(n)
         for f in _GRID_MODELS:
             a, b = f.domain
@@ -316,7 +311,7 @@ class TestGridMerge:
                 (bps[0], bps[0] + (bps[1] - bps[0]) / 3),
             ]
             for lo, hi in ranges:
-                assert build_grid(f, cfg, lo, hi) == _reference_grid(f, cfg, lo, hi), (f, n, lo, hi)
+                assert build_grid(f, grid_points=n, lo=lo, hi=hi) == _reference_grid(f, n, lo, hi), (f, n, lo, hi)
 
 
 class TestIntegerKeys:
@@ -365,12 +360,57 @@ class TestGridBudget:
 
     def test_large_resolution_refused(self):
         with pytest.raises(ParameterRangeError, match=f"{MAX_GRID_POINTS + 1} points"):
-            oracle_quasiconvex(tent(), ToleranceConfig(grid_points=MAX_GRID_POINTS + 1))
+            oracle_quasiconvex(tent(), grid_points=MAX_GRID_POINTS + 1)
 
     def test_limit_counts_breakpoints_and_midpoints(self):
         f = generate_cantor(11, "set")
         with pytest.raises(ParameterRangeError, match=str(MAX_GRID_POINTS)):
-            oracle_quasiconvex(f, ToleranceConfig(grid_points=201))
+            oracle_quasiconvex(f, grid_points=201)
+
+
+class TestGridRefusedBeforeBuilt:
+    """An oversized grid is counted, not built: with point construction
+    failing past ``MAX_GRID_POINTS``, a grid of 10**9 is still refused."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [tent(), generate_cantor(3, "complement"), random_pwc(5, pieces=7)],
+        ids=["linear", "cantor", "constant"],
+    )
+    def test_billion_points_refused(self, point_budget, f):
+        a, b = f.domain
+        with pytest.raises(ParameterRangeError, match="over the limit of 4096"):
+            oracle_quasiconvex(f, grid_points=10**9)
+        with pytest.raises(ParameterRangeError, match="over the limit of 4096"):
+            oracle_violation_set(f, a, b, grid_points=10**9)
+
+    def test_limit_counts_a_breakpoint_off_the_uniform_points(self, point_budget):
+        # The tent's peak 1/2 is a uniform point at an odd resolution only.
+        assert len(build_grid(tent(), grid_points=MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS - 1
+        with pytest.raises(ParameterRangeError, match=f"^oracle grid has {MAX_GRID_POINTS + 1} points"):
+            build_grid(tent(), grid_points=MAX_GRID_POINTS)
+
+
+class TestGridPoints:
+    """The oracle's one setting: ``grid_points``, 201 by default and at
+    least 3; the black-box margin is the constant ``FLOAT_EPSILON``."""
+
+    def test_defaults(self):
+        for fn in (build_grid, oracle_quasiconvex, oracle_violation_set):
+            assert inspect.signature(fn).parameters["grid_points"].default == 201
+        assert oracle_quasiconvex(tent()).grid.resolution == 201
+        assert FLOAT_EPSILON == F(1, 10**9)
+
+    @pytest.mark.parametrize("f", [tent(), _random_tabulated(5)], ids=["linear", "tabulated"])
+    def test_two_points_refused(self, f):
+        a, b = f.domain
+        for call in (
+            lambda: build_grid(f, grid_points=2),
+            lambda: oracle_quasiconvex(f, grid_points=2),
+            lambda: oracle_violation_set(f, a, b, grid_points=2),
+        ):
+            with pytest.raises(ParameterRangeError, match="^grid_points must be at least 3$"):
+                call()
 
 
 def _literal_diff(exact, approx, slack):

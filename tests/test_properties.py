@@ -26,7 +26,6 @@ from qcvx import (
     OpenInterval,
     PiecewiseConstant,
     PiecewiseLinear,
-    ToleranceConfig,
     XReal,
     check_semicontinuity,
     check_no_strict_sided_maxima,
@@ -115,7 +114,7 @@ def test_constant_strategy_has_a_breakpoint_neither_lsc_nor_usc(f):
 @SETTINGS
 @given(MODELS)
 def test_verdict_matches_the_oracle(f):
-    oracle = oracle_quasiconvex(f, ToleranceConfig(grid_points=41))
+    oracle = oracle_quasiconvex(f, grid_points=41)
     assert is_quasiconvex(f).is_quasiconvex == oracle.is_quasiconvex_on_grid
 
 
@@ -147,7 +146,7 @@ def test_violation_set_matches_the_oracle(f, data):
     # The oracle's grid holds every breakpoint, so a slack of one uniform
     # grid step covers its error, as in ``qcvx oracle --compare``.
     x, y = draw_pair(data, f)
-    approx = oracle_violation_set(f, x, y, ToleranceConfig(grid_points=41))
+    approx = oracle_violation_set(f, x, y, grid_points=41)
     report = diff_report(violation_set(f, x, y), approx, (y - x) / 40)
     assert report.consistent, report.to_json()
 

@@ -9,6 +9,7 @@ here, because every public call validates its interval before the walk.
 """
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from qcvx import (
     ClosedSet1D,
     PiecewiseLinear,
     Tabulated,
-    ToleranceConfig,
     argmax_set,
     build_grid,
     function_to_dict,
@@ -28,6 +28,7 @@ from qcvx import (
     oracle_violation_set,
     supremum_on,
 )
+from qcvx import errors
 from qcvx.cli import main
 from qcvx.core import Point, as_rational
 from qcvx.errors import (
@@ -39,6 +40,7 @@ from qcvx.errors import (
     ValidationError,
 )
 from qcvx.functions import function_from_dict
+from qcvx.oracle import FLOAT_EPSILON
 
 
 def rejects(call, error, field, message):
@@ -247,7 +249,7 @@ def test_oracle_violation_set_needs_sample_ends(x, y, missing):
         (lambda: Point(()), ParameterRangeError, None, "a point needs at least one coordinate"),
         (lambda: function_to_dict(Blackbox(0, 1, lambda t: t)), ValidationError, "type",
          "type: Blackbox is not serializable"),
-        (lambda: build_grid(TENT, ToleranceConfig(grid_points=5), Fraction(1, 2), Fraction(1, 2)),
+        (lambda: build_grid(TENT, grid_points=5, lo=Fraction(1, 2), hi=Fraction(1, 2)),
          ParameterRangeError, None, "grid needs lo < hi"),
     ],
     ids=["float-position", "empty-point", "blackbox-document", "empty-grid"],
@@ -257,11 +259,10 @@ def test_library_rejection(call, error, field, message):
 
 
 def test_blackbox_oracle_report_carries_its_float_mode():
-    cfg = ToleranceConfig(grid_points=5)
-    grid = oracle_quasiconvex(Blackbox(0, 1, lambda t: t * t), cfg).to_json()["grid"]
+    grid = oracle_quasiconvex(Blackbox(0, 1, lambda t: t * t), grid_points=5).to_json()["grid"]
     assert grid["float_mode"] is True
     assert grid["float_epsilon"] == "1/1000000000"
-    assert Fraction(grid["float_epsilon"]) == cfg.float_epsilon
+    assert Fraction(grid["float_epsilon"]) == FLOAT_EPSILON
 
 
 def test_analyze_rejects_a_file_that_is_not_json(tmp_path, capsys):
@@ -317,3 +318,34 @@ def test_random_corpus_needs_knots_and_seed(options, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "error: random-pl needs --knots and --seed\n"
     assert not (tmp_path / "f.json").exists()
+
+
+# Each error class with a constructor of its own: arguments, and the
+# attributes it sets.
+_OWN_CONSTRUCTORS = {
+    errors.ValidationError: (("knots", "bad"), {"field": "knots"}),
+    errors.SemicontinuityError: (("not usc at 1/3", (Fraction(1, 3),)), {"offending": (Fraction(1, 3),)}),
+}
+
+
+def test_every_own_constructor_has_a_pickle_case():
+    own = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.QcvxError) and "__init__" in vars(cls)
+    }
+    assert own == set(_OWN_CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("cls", sorted(_OWN_CONSTRUCTORS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_error_survives_pickling(cls):
+    # A pool worker's error reaches ``main`` through pickle.
+    args, attributes = _OWN_CONSTRUCTORS[cls]
+    exc = cls(*args)
+    exc.__notes__ = ["pair (0, 1)"]
+    clone = pickle.loads(pickle.dumps(exc))
+    assert type(clone) is cls
+    assert str(clone) == str(exc)
+    assert clone.__notes__ == ["pair (0, 1)"]
+    for name, value in attributes.items():
+        assert getattr(clone, name) == value

@@ -31,7 +31,6 @@ from fractions import Fraction
 from conftest import coprime_linear
 from qcvx import (
     Tabulated,
-    ToleranceConfig,
     argmax_set,
     check_semicontinuity,
     enumerate_local_maxima,
@@ -226,7 +225,7 @@ def oracle_counts(monkeypatch, query) -> list[int]:
     f = random_piecewise_linear(16, 41)
     check_semicontinuity(f)
     return [
-        comparisons(monkeypatch, lambda: query(f, ToleranceConfig(grid_points=n)))
+        comparisons(monkeypatch, lambda: query(f, grid_points=n))
         for n in (201, 801)
     ]
 
@@ -238,9 +237,9 @@ def test_oracle_fraction_work_is_flat_in_grid_size(monkeypatch):
 
 
 def test_oracle_violation_set_fraction_work_is_flat_in_grid_size(monkeypatch):
-    def query(f, cfg):
+    def query(f, grid_points):
         bps = f.breakpoints()
-        return oracle_violation_set(f, bps[2], bps[-3], cfg)
+        return oracle_violation_set(f, bps[2], bps[-3], grid_points=grid_points)
 
     small, large = oracle_counts(monkeypatch, query)
     assert small > 0
