@@ -61,8 +61,10 @@ from .oracle import (
 )
 from .violations import (
     ComponentCheck,
+    PairAnalysis,
     QuasiconvexityVerdict,
     ViolationDecomposition,
+    analyze_pairs,
     convexity_violation_set,
     interior_witness_exists,
     is_quasiconvex,

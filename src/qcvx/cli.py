@@ -41,7 +41,6 @@ from .errors import (
     PreconditionError,
     QcvxError,
     SemicontinuityError,
-    UnsupportedChordError,
     ValidationError,
 )
 from .functions import (
@@ -54,13 +53,7 @@ from .functions import (
 )
 from .intervals import OpenIntervalSet, normalize
 from .oracle import FLOAT_EPSILON, diff_report, oracle_quasiconvex, oracle_violation_set, uniform_points
-from .violations import (
-    convexity_violation_set,
-    interior_witness_exists,
-    is_quasiconvex,
-    verify_component_property,
-    violation_set,
-)
+from .violations import _naming_pair, analyze_pairs, is_quasiconvex, violation_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -259,35 +252,16 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
     return report
 
 
-def analyze_pair(f: Function1D, x: Fraction, y: Fraction) -> dict:
-    """The per-pair analysis record: decomposition, structural checks,
-    interior-witness flag, and chord violations when the chord exists.
-    An exception raised here names the pair in a note, which stays with
-    it out of a pool worker and which ``main`` puts before its message."""
-    try:
-        decomposition = violation_set(f, x, y)
-        checks = verify_component_property(f, decomposition)
-        record = decomposition.to_json()
-        record["threshold_decimal"] = _decimal(decomposition.threshold)
-        record["total_length_decimal"] = _decimal(decomposition._total_length)
-        record["component_checks"] = [c.to_json() for c in checks]
-        record["all_checks_passed"] = all(c.passed for c in checks)
-        record["interior_witness_exists"] = interior_witness_exists(f, x, y)
-        try:
-            chord = convexity_violation_set(f, x, y)
-            record["chord_violations"] = chord.to_json()
-            record["chord_violations_total_length"] = format_rational(chord.total_length())
-        except UnsupportedChordError:
-            record["chord_violations"] = None
-        return record
-    except Exception as exc:
-        try:
-            note = f"pair ({format_rational(x)}, {format_rational(y)})"
-        except ParameterRangeError:  # an end past the digit limit
-            note = f"pair near ({_decimal(x)}, {_decimal(y)})"
-        # ``exc.add_note(note)`` on Python 3.11 and later.
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        raise
+def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[dict]:
+    """The report record of each pair, in order, from one ``analyze_pairs``
+    over all of them.  An exception raised here names its pair in a note,
+    which stays with it out of a pool worker and which ``main`` puts
+    before its message."""
+    records = []
+    for analysis in analyze_pairs(f, pairs):
+        with _naming_pair(analysis.decomposition.x, analysis.decomposition.y):
+            records.append(analysis.to_json())
+    return records
 
 
 # The model of a pool worker, set once per process by ``_init_worker``.
@@ -299,8 +273,8 @@ def _init_worker(f: Function1D) -> None:
     _worker_model = f
 
 
-def _pair_worker(pair: tuple[Fraction, Fraction]) -> dict:
-    return analyze_pair(_worker_model, *pair)
+def _worker_records(pairs: Sequence[tuple[Fraction, Fraction]]) -> list[dict]:
+    return pair_records(_worker_model, pairs)
 
 
 def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside: int) -> list[dict]:
@@ -309,17 +283,19 @@ def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside
     ``POOL_MIN_STEPS`` steps of work and more than one usable CPU the pairs
     run in a process pool, one worker per usable CPU and at most one per
     pair: the model goes to each worker once, through the pool initializer,
-    and the pairs go in chunks of about a quarter of each worker's share.
-    Otherwise they run inline."""
+    and the pairs go in contiguous chunks of about a quarter of each
+    worker's share, each chunk through one ``pair_records``.  Otherwise
+    they run inline, as one chunk."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(pairs), cpus)
     if inside + PAIR_STEPS * len(pairs) < POOL_MIN_STEPS or workers <= 1:
-        return [analyze_pair(f, x, y) for x, y in pairs]
-    chunksize = max(1, len(pairs) // (4 * workers))
+        return pair_records(f, pairs)
+    size = max(1, len(pairs) // (4 * workers))
+    chunks = [pairs[k : k + size] for k in range(0, len(pairs), size)]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(f,)
     ) as pool:
-        return list(pool.map(_pair_worker, pairs, chunksize=chunksize))
+        return [record for records in pool.map(_worker_records, chunks) for record in records]
 
 
 def _collect_pairs(
@@ -583,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _message(exc: Exception) -> str:
     """The text of ``exc`` after its notes, such as the pair that
-    ``analyze_pair`` names."""
+    ``pair_records`` names."""
     return "".join(f"{note}: " for note in getattr(exc, "__notes__", ())) + str(exc)
 
 

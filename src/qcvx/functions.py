@@ -703,19 +703,32 @@ def _pair(
         raise OrderingError(f"pair needs x < y, got ({x}, {y})")
     at_x, at_y = (x, i, x_on), (y, j, y_on)
     # f(x) and f(y) as integer ratios, compared by one cross product.
-    ax, bx, cx = (s.value_lines if x_on else s.piece_lines)[i - 1]
-    ay, by, cy = (s.value_lines if y_on else s.piece_lines)[j - 1]
-    (vx, wx), (vy, wy) = (ax * xd + bx * xn, cx * xd), (ay * yd + by * yn, cy * yd)
-    level = f._located_value(at_x if _cross(vx, wx, vy, wy) >= 0 else at_y)
-    if not chord:
-        return at_x, at_y, level, _constant(level)
+    fx, fy = _value_ratio(s, at_x), _value_ratio(s, at_y)
+    level = f._located_value(at_x if _cross(*fx, *fy) >= 0 else at_y)
+    return at_x, at_y, level, _chord(f, at_x, at_y) if chord else _constant(level)
+
+
+def _value_ratio(s: _StructureIndex, at: _Located) -> tuple[int, int]:
+    """f at a located point as an integer ratio (n, d), d >= 0, where d = 0
+    stands for the infinity of n's sign."""
+    t, i, on = at
+    a, b, c = (s.value_lines if on else s.piece_lines)[i - 1]
+    tn, td = t.as_integer_ratio()
+    return a * td + b * tn, c * td
+
+
+def _chord(f: Function1D, at_x: _Located, at_y: _Located) -> _Threshold:
+    """The walk threshold of the chord through (x, f(x)) and (y, f(y)),
+    for the ends of a pair that ``_pair`` has located and checked."""
+    s = f._index
+    (vx, wx), (vy, wy) = _value_ratio(s, at_x), _value_ratio(s, at_y)
     if not (wx and wy):
         fx, fy = f._located_value(at_x), f._located_value(at_y)
         raise UnsupportedChordError(
             "chord analysis needs finite endpoint values, got "
             f"f(x) = {fx.to_string()}, f(y) = {fy.to_string()}"
         )
-    return at_x, at_y, level, _line((xn, xd), (yn, yd), (vx, wx), (vy, wy))
+    return _line(at_x[0].as_integer_ratio(), at_y[0].as_integer_ratio(), (vx, wx), (vy, wy))
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,9 @@ def build_grid(
     consecutive breakpoints is added, so constant pieces narrower than the
     uniform spacing always receive an interior sample.  Fewer than 3
     uniform points, or a merged grid of more than ``MAX_GRID_POINTS``
-    points, raises :class:`ParameterRangeError` before any point is made.
+    points, raises :class:`ParameterRangeError` before any point is made;
+    a piecewise-constant model with more breakpoints and midpoints in
+    range than that is refused before its midpoints are made.
     """
     if grid_points < 3:
         raise ParameterRangeError("grid_points must be at least 3")
@@ -170,17 +172,25 @@ def build_grid(
         raise ParameterRangeError("grid needs lo < hi")
     bps = f.breakpoints()
     breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
+    midpoints = isinstance(f, PiecewiseConstant)
+    if midpoints and 2 * len(breaks) - 1 > MAX_GRID_POINTS:
+        # The breakpoints and the piece midpoints are distinct grid points.
+        _refuse_grid(f"at least {2 * len(breaks) - 1}", grid_points)
     if isinstance(f, Tabulated):
         size, build = len(breaks), lambda: list(breaks)
     else:
-        extras = _with_piece_midpoints(breaks) if isinstance(f, PiecewiseConstant) else breaks
+        extras = _with_piece_midpoints(breaks) if midpoints else breaks
         size, build = uniform_points(lo, hi, grid_points, extras)
     if size > MAX_GRID_POINTS:
-        raise ParameterRangeError(
-            f"oracle grid has {size} points at resolution {grid_points}, "
-            f"over the limit of {MAX_GRID_POINTS}"
-        )
+        _refuse_grid(size, grid_points)
     return build()
+
+
+def _refuse_grid(size: object, grid_points: int) -> None:
+    raise ParameterRangeError(
+        f"oracle grid has {size} points at resolution {grid_points}, "
+        f"over the limit of {MAX_GRID_POINTS}"
+    )
 
 
 def _integer_keys(values: Sequence[XReal]) -> list[int]:

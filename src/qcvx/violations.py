@@ -25,19 +25,27 @@ consumes that stream: the violation and chord sets join it into maximal
 runs, and the component checks and the interior witness stop at its
 first item not above.  A component check rejects a component outside the
 pair, ]x, y[ in positions or ]0, 1[ in chord parameters.
+
+``analyze_pairs`` answers all four questions for a list of pairs, as
+``qcvx analyze`` asks them.  A violation set is a superlevel set of f
+at the pair's level, cut to the pair, and the pairs of n breakpoints
+have at most n levels: pairs that share a level and whose spans connect
+take their parts from one walk of the union of their spans.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cached_property, cmp_to_key
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import RationalLike, XReal, format_rational
-from .errors import ConsistencyError
+from .core import RationalLike, XReal, _decimal, as_rational, format_rational
+from .errors import ConsistencyError, ParameterRangeError, UnsupportedChordError
 from .functions import (
     Function1D,
+    _chord,
     _excess_at,
     _Located,
     _lsc_offenders_in,
@@ -351,6 +359,11 @@ def convexity_violation_set(
     """
     require_exact(f, "convexity_violation_set")
     at_x, at_y, _, chord = _pair(f, x, y, chord=True)
+    return _chord_set(f, at_x, at_y, chord)
+
+
+def _chord_set(f: Function1D, at_x: _Located, at_y: _Located, chord: _Threshold) -> OpenIntervalSet:
+    """The chord set of ``convexity_violation_set`` for located ends."""
     runs, _ = _above_set(f, at_x, at_y, chord)
     # t = (y - r) / (y - x) for a run end r, as one Fraction of integers.
     (xn, xd), (yn, yd) = at_x[0].as_integer_ratio(), at_y[0].as_integer_ratio()
@@ -383,3 +396,170 @@ def verify_chord_components(
     # Parameters run against positions: the spans ascend in reverse.
     spans = [(to_position(iv.right), to_position(iv.left)) for iv in reversed(components_in_params.intervals)]
     return _component_checks(f, spans, chord)[::-1]
+
+
+@dataclass(frozen=True)
+class PairAnalysis:
+    """What ``analyze`` reports on one pair: its violation set, the checks
+    of its components, whether ]x, y[ holds an interior witness, and its
+    chord set, None when f(x) or f(y) is infinite."""
+
+    decomposition: ViolationDecomposition
+    checks: tuple[ComponentCheck, ...]
+    interior_witness: bool
+    chord: Optional[OpenIntervalSet]
+
+    def to_json(self) -> dict:
+        d = self.decomposition
+        record = d.to_json()
+        record["threshold_decimal"] = _decimal(d.threshold)
+        record["total_length_decimal"] = _decimal(d._total_length)
+        record["component_checks"] = [c.to_json() for c in self.checks]
+        record["all_checks_passed"] = all(c.passed for c in self.checks)
+        record["interior_witness_exists"] = self.interior_witness
+        if self.chord is None:
+            record["chord_violations"] = None
+        else:
+            record["chord_violations"] = self.chord.to_json()
+            record["chord_violations_total_length"] = format_rational(self.chord.total_length())
+        return record
+
+
+def analyze_pairs(
+    f: Function1D, pairs: Sequence[tuple[RationalLike, RationalLike]]
+) -> list[PairAnalysis]:
+    """``violation_set``, ``verify_component_property``,
+    ``interior_witness_exists`` and ``convexity_violation_set`` of every
+    pair, in order, with one walk per level and connected span.
+
+    Each pair is located once.  Pairs with the same level max(f(x), f(y))
+    whose closed spans [x, y] connect share one walk of their union at
+    that level, and one check of each component found.  Both ends of a
+    pair lie at or below its level, so no component of the union runs
+    across an end: the pair's components are the union's components
+    within [x, y], its isolated violations the union's inside ]x, y[,
+    and it has an interior witness unless its only component is ]x, y[.
+    The chord set is walked per pair, from the ends already located.
+
+    An exception names its pair in a note: the pair it was raised for,
+    or, inside a shared walk, the first pair in ``pairs`` that the walk
+    covers.
+    """
+    require_exact(f, "analyze_pairs")
+    located = []
+    for x, y in pairs:
+        x, y = as_rational(x), as_rational(y)
+        with _naming_pair(x, y):
+            located.append(_pair(f, x, y))
+    levels: dict[_Threshold, list[int]] = {}
+    for k, (_, _, _, thr) in enumerate(located):
+        levels.setdefault(thr, []).append(k)
+    results: list = [None] * len(located)
+    for members in levels.values():
+        for union, hi in _connected(members, located):
+            at_x, at_y, level, thr = located[min(union)]
+            with _naming_pair(at_x[0], at_y[0]):
+                walk = _LevelWalk(f, located[union[0]][0], hi, level, thr)
+            for k in union:
+                at_x, at_y, _, _ = located[k]
+                with _naming_pair(at_x[0], at_y[0]):
+                    results[k] = walk.cut(f, at_x, at_y)
+    return results
+
+
+def _connected(members: list[int], located: list) -> Iterator[tuple[list[int], _Located]]:
+    """The pairs ``members`` of one level, grouped by the connected unions
+    of their closed spans [x, y] in ascending order, each union with its
+    right end located.  Positions are compared by integer cross products."""
+
+    def compare(u: Fraction, v: Fraction) -> int:
+        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
+        d = un * vd - vn * ud
+        return (d > 0) - (d < 0)
+
+    union: list[int] = []
+    for k in sorted(members, key=cmp_to_key(lambda k, m: compare(located[k][0][0], located[m][0][0]))):
+        at_x, at_y, _, _ = located[k]
+        if union and compare(at_x[0], hi[0]) <= 0:
+            union.append(k)
+            if compare(at_y[0], hi[0]) > 0:
+                hi = at_y
+        else:
+            if union:
+                yield union, hi
+            union, hi = [k], at_y
+    yield union, hi
+
+
+class _LevelWalk:
+    """One walk of ]lo, hi[ at a pair level: the components and isolated
+    violations found, and the check of each component, with the integer
+    ratios of the components' left ends and of the isolated points, from
+    which ``cut`` takes each pair's part."""
+
+    def __init__(self, f: Function1D, lo: _Located, hi: _Located, level: XReal, thr: _Threshold):
+        runs, self.isolated = _above_set(f, lo, hi, thr)
+        self.components = OpenIntervalSet._from_runs(runs)
+        _check_maximal(f, self.components, level)
+        self.checks = tuple(_component_checks(f, runs, thr))
+        self.level = level
+        self.lefts = [u.as_integer_ratio() for u, _ in runs]
+        self.isolated_at = [p.as_integer_ratio() for p in self.isolated]
+
+    def cut(self, f: Function1D, at_x: _Located, at_y: _Located) -> PairAnalysis:
+        """The analysis of a pair at this level whose span lies within the
+        walk's, with its chord set walked from its located ends."""
+        x, y = at_x[0], at_y[0]
+        # A component lies within [x, y] exactly when its left end does.
+        s, e = _count_below(self.lefts, x), _count_below(self.lefts, y)
+        mine = self.components.intervals[s:e]
+        isolated = self.isolated[_count_below(self.isolated_at, x) : _count_below(self.isolated_at, y)]
+        try:
+            chord = _chord_set(f, at_x, at_y, _chord(f, at_x, at_y))
+        except UnsupportedChordError:
+            chord = None
+        return PairAnalysis(
+            decomposition=ViolationDecomposition(
+                x=x,
+                y=y,
+                threshold=self.level,
+                components=OpenIntervalSet(mine),
+                isolated_violations=tuple(isolated),
+                lsc_offenders=_lsc_offenders_in(f, at_x, at_y),
+            ),
+            checks=self.checks[s:e],
+            interior_witness=not (len(mine) == 1 and mine[0].left == x and mine[0].right == y),
+            chord=chord,
+        )
+
+
+def _count_below(ratios: list[tuple[int, int]], t: Fraction) -> int:
+    """The number of the ascending integer ratios that lie below t."""
+    tn, td = t.as_integer_ratio()
+    lo, hi = 0, len(ratios)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n, d = ratios[mid]
+        if n * td < tn * d:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@contextmanager
+def _naming_pair(x: Fraction, y: Fraction) -> Iterator[None]:
+    """Add a note naming the pair (x, y) to an exception raised inside;
+    it stays with the exception out of a pool worker, and ``cli.main``
+    puts it before the message.  An end past the digit limit is named by
+    its double."""
+    try:
+        yield
+    except Exception as exc:
+        try:
+            note = f"pair ({format_rational(x)}, {format_rational(y)})"
+        except ParameterRangeError:
+            note = f"pair near ({_decimal(x)}, {_decimal(y)})"
+        # ``exc.add_note(note)`` on Python 3.11 and later.
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        raise

@@ -140,10 +140,10 @@ class TestAnalyzeCommand:
     def test_all_pairs_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         # Depth 7 puts C(256, 3) = 2,763,520 breakpoints inside its pairs:
         # refused before any pair is analyzed.
-        def unreachable(f, x, y):
+        def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
         path = self.cantor_complement(tmp_path, capsys, 7)
         code, out, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
         assert (code, out) == (1, "")
@@ -155,10 +155,10 @@ class TestAnalyzeCommand:
     def test_with_oracle_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
         # The oracle runs before the pairs, so its grid is refused before
         # any pair is analyzed.
-        def unreachable(f, x, y):
+        def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
         path = self.cantor_complement(tmp_path, capsys, 6)
         code, out, err = run(
             ["analyze", path, "--all-breakpoint-pairs", "--with-oracle", "--grid", "5000", "--no-timestamp"],
@@ -168,10 +168,10 @@ class TestAnalyzeCommand:
         assert err == "error: oracle grid has 5253 points at resolution 5000, over the limit of 4096\n"
 
     def test_with_oracle_billion_point_grid_exit_1(self, tent_file, capsys, monkeypatch, point_budget):
-        def unreachable(f, x, y):
+        def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pair", unreachable)
+        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
         code, out, err = run(
             ["analyze", str(tent_file), "--with-oracle", "--grid", str(10**9), "--no-timestamp"], capsys
         )
@@ -230,7 +230,7 @@ class TestAnalyzeCommand:
         # The stub counts in this process, so no pool starts.
         monkeypatch.setattr(cli, "POOL_MIN_STEPS", 10**9)
         analyzed = []
-        monkeypatch.setattr(cli, "analyze_pair", lambda f, x, y: analyzed.append((x, y)) or {})
+        monkeypatch.setattr(cli, "pair_records", lambda f, pairs: analyzed.extend(pairs) or [])
         path = self.cantor_complement(tmp_path, capsys, 6)
         code, _, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
         assert (code, err, len(analyzed)) == (0, "", 8128)
@@ -903,12 +903,12 @@ class TestPoolSize:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, pairs, chunksize):
-                assert 1 <= chunksize
-                return map(fn, pairs)
+            def map(self, fn, chunks):
+                assert all(chunks)
+                return map(fn, chunks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "analyze_pair", lambda f, x, y: (x, y))
+        monkeypatch.setattr(cli, "pair_records", lambda f, pairs: list(pairs))
         return created
 
     def run_pairs(self, count, inside):

@@ -23,6 +23,7 @@ from qcvx import (
     oracle_violation_set,
     violation_set,
 )
+from qcvx import oracle
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
 from qcvx.errors import NoSampleError, ParameterRangeError
@@ -389,6 +390,22 @@ class TestGridRefusedBeforeBuilt:
         assert len(build_grid(tent(), grid_points=MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS - 1
         with pytest.raises(ParameterRangeError, match=f"^oracle grid has {MAX_GRID_POINTS + 1} points"):
             build_grid(tent(), grid_points=MAX_GRID_POINTS)
+
+
+    def test_constant_model_refused_before_its_midpoints(self, point_budget, monkeypatch):
+        # The depth-11 Cantor set has 4,096 breakpoints, the limit; with
+        # its 4,095 piece midpoints, all distinct grid points, it is over
+        # the limit whatever the resolution.
+        f = generate_cantor(11, "set")
+        assert len(f.breakpoints()) == MAX_GRID_POINTS
+
+        def unreachable(breaks):
+            raise AssertionError("piece midpoints were made")
+
+        monkeypatch.setattr(oracle, "_with_piece_midpoints", unreachable)
+        with pytest.raises(ParameterRangeError) as info:
+            oracle_quasiconvex(f, grid_points=201)
+        assert str(info.value) == "oracle grid has at least 8191 points at resolution 201, over the limit of 4096"
 
 
 class TestGridPoints:

@@ -8,7 +8,9 @@ and piecewise-linear models on shared 1/60 and 1/4 grids, whose pieces
 can be narrower than the oracle's grid spacing.  Pair properties draw
 each end as a breakpoint or a point inside a piece, and check the exact
 violation and chord sets point by point against the model's own fields.
-Lower and upper semicontinuous variants of the piecewise-constant models,
+The batch pair analysis behind ``qcvx analyze`` is checked pair by pair
+against the single-pair functions, on pair lists whose spans share
+levels, overlap, nest, touch and repeat.  Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
 characterizations of quasiconvexity: by interior witnesses for lsc maps
 and by paired maxima for usc maps.  The runs are derandomized and
@@ -16,6 +18,7 @@ bounded, so the file is deterministic and takes a few seconds.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +30,7 @@ from qcvx import (
     PiecewiseConstant,
     PiecewiseLinear,
     XReal,
+    analyze_pairs,
     check_semicontinuity,
     check_no_strict_sided_maxima,
     convexity_violation_set,
@@ -42,6 +46,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
+from qcvx.errors import UnsupportedChordError
 
 F = Fraction
 
@@ -129,12 +134,18 @@ def test_evaluate_interpolates_the_model_fields(f, data):
         assert f.evaluate(t) == reference_value(f, t)
 
 
+def pair_points(data, f) -> list[F]:
+    """The breakpoints of f and one drawn point inside each piece, in
+    order."""
+    bps = structural_positions(f)
+    inside = (p0 + (p1 - p0) * F(data.draw(st.integers(1, 7)), 8) for p0, p1 in zip(bps, bps[1:]))
+    return sorted({*bps, *inside})
+
+
 def draw_pair(data, f) -> tuple[F, F]:
     """Two points x < y of f's domain, each a breakpoint or a point inside
     a piece."""
-    bps = structural_positions(f)
-    inside = (p0 + (p1 - p0) * F(data.draw(st.integers(1, 7)), 8) for p0, p1 in zip(bps, bps[1:]))
-    points = sorted({*bps, *inside})
+    points = pair_points(data, f)
     ends = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
     i, j = sorted(ends)
     return points[i], points[j]
@@ -257,6 +268,55 @@ def semicontinuous(f: PiecewiseConstant, pick) -> PiecewiseConstant:
 
 LSC = st.one_of(piecewise_constant_models().map(lambda f: semicontinuous(f, min)), LINEAR)
 USC = st.one_of(piecewise_constant_models().map(lambda f: semicontinuous(f, max)), LINEAR)
+
+
+def draw_pairs(data, f) -> list[tuple[F, F]]:
+    """One to twelve pairs x < y of breakpoints and points inside pieces,
+    after every breakpoint pair on half the draws, as ``qcvx analyze
+    --all-breakpoint-pairs`` asks.  Each is drawn freely, repeats an
+    earlier pair, starts where the pair before it ends, or keeps one end
+    of the pair before it, which often keeps its level max(f(x), f(y))
+    too; so spans overlap, nest, touch and share levels."""
+    points = pair_points(data, f)
+    last = len(points) - 1
+    bps = [points.index(p) for p in structural_positions(f)]
+    pairs: list[tuple[int, int]] = list(combinations(bps, 2)) if data.draw(st.booleans()) else []
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["free", "repeat", "touch", "share"])) if pairs else "free"
+        i, j = pairs[-1] if pairs else (0, last)
+        if kind == "repeat":
+            pairs.append(data.draw(st.sampled_from(pairs)))
+        elif kind == "touch" and j < last:
+            pairs.append((j, data.draw(st.integers(j + 1, last))))
+        elif kind == "share":
+            kept = data.draw(st.sampled_from([i, j]))
+            other = data.draw(st.integers(0, last).filter(lambda k: k != kept))
+            pairs.append((min(kept, other), max(kept, other)))
+        else:
+            ends = data.draw(st.lists(st.integers(0, last), min_size=2, max_size=2, unique=True))
+            pairs.append((min(ends), max(ends)))
+    return [(points[i], points[j]) for i, j in pairs]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.one_of(piecewise_constant_models(), MODELS, LSC, USC), st.data())
+def test_pair_batch_matches_the_single_pair_functions(f, data):
+    # Pairs that share a level and whose spans connect share one walk in
+    # the batch; each pair's part must be what the single-pair functions
+    # find on its own span.
+    pairs = draw_pairs(data, f)
+    analyses = analyze_pairs(f, pairs)
+    assert len(analyses) == len(pairs)
+    for (x, y), analysis in zip(pairs, analyses):
+        decomposition = violation_set(f, x, y)
+        assert analysis.decomposition == decomposition, (x, y)
+        assert analysis.checks == tuple(verify_component_property(f, decomposition)), (x, y)
+        assert analysis.interior_witness == interior_witness_exists(f, x, y), (x, y)
+        try:
+            chord = convexity_violation_set(f, x, y)
+        except UnsupportedChordError:
+            chord = None
+        assert analysis.chord == chord, (x, y)
 
 
 def candidates(f) -> list[F]:

@@ -10,7 +10,11 @@ A pair analysis, three pieces wide or over the whole domain of the
 Cantor complement with one component per removed gap, picks its level
 max(f(x), f(y)) by a cross product and builds and checks its interval
 sets on integers, so it compares no Fractions at all; neither does a
-whole-domain violation set of the Cantor set indicator.  The count of
+whole-domain violation set of the Cantor set indicator.  Pair analyses
+run through the batch entry point ``analyze_pairs``, which walks each
+level once per connected union of pair spans: its walks are counted by
+wrapping the walk functions, and its grouping of the pairs compares no
+Fractions either.  The count of
 two local shapes must not change with the size.  One point evaluation,
 and a sorted evaluation within one piece, compare no Fractions at all: a
 position's domain check reads where it was located.  A ``Tabulated``
@@ -26,9 +30,13 @@ distinct primes.
 """
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
-from conftest import coprime_linear
+import pytest
+
+from conftest import coprime_linear, random_pwc
 from qcvx import (
     Tabulated,
     argmax_set,
@@ -42,9 +50,10 @@ from qcvx import (
     supremum_on,
     violation_set,
 )
-from qcvx.cli import analyze_pair
+from qcvx import violations
 from qcvx.corpus import random_piecewise_linear
 from qcvx.functions import _StructureIndex
+from qcvx.violations import analyze_pairs
 
 SMALL, LARGE = 32, 512
 
@@ -78,6 +87,11 @@ def middle_breakpoints(f) -> tuple[Fraction, ...]:
     return bps[k : k + 4]
 
 
+def analyze(f, *pairs) -> list[dict]:
+    """The report records of ``pairs``, from the batch pair analysis."""
+    return [analysis.to_json() for analysis in analyze_pairs(f, pairs)]
+
+
 def counts(monkeypatch, query) -> list[int]:
     out = []
     for n in (SMALL, LARGE):
@@ -91,7 +105,7 @@ def test_three_piece_pair_analysis_is_flat(monkeypatch):
     # so a pair analysis compares no Fractions at all.
     def query(f):
         x, _, _, y = middle_breakpoints(f)
-        analyze_pair(f, x, y)
+        analyze(f, (x, y))
 
     small, large = counts(monkeypatch, query)
     assert small == large == 0, (small, large)
@@ -102,10 +116,77 @@ def test_whole_domain_pair_analysis_compares_no_components(monkeypatch):
     # within the pair on integer cross products, and so is the level
     # max(f(x), f(y)), whatever the number of components.
     small, large = (
-        comparisons(monkeypatch, lambda f=cantor_complement(n): analyze_pair(f, 0, 1))
+        comparisons(monkeypatch, lambda f=cantor_complement(n): analyze(f, (0, 1)))
         for n in (SMALL, LARGE)
     )
     assert small == large == 0, (small, large)
+
+
+def walk_groups(f, pairs) -> int:
+    """The number of (level, connected span) groups of ``pairs``: pairs
+    with the same max(f(x), f(y)) whose closed spans [x, y] connect."""
+    spans: dict = {}
+    for x, y in pairs:
+        spans.setdefault(max(f.evaluate(x), f.evaluate(y)), []).append((x, y))
+    groups = 0
+    for level_spans in spans.values():
+        hi = None
+        for x, y in sorted(level_spans):
+            if hi is None or x > hi:
+                groups += 1
+                hi = y
+            hi = max(hi, y)
+    return groups
+
+
+def walks(monkeypatch, f, pairs) -> dict:
+    """The threshold walks (``_above_set``: violation and chord sets) and
+    the rounds of component checks that ``analyze_pairs`` makes."""
+    counts = {"_above_set": 0, "_component_checks": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(violations, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            patch.setattr(violations, name, counted)
+        analyze_pairs(f, pairs)
+    return counts
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_all_pairs_walk_each_level_and_connected_span_once(monkeypatch, depth):
+    # All breakpoint pairs of the Cantor complement share the level 0 and
+    # one connected span, so one walk and one round of component checks
+    # serve them all; each pair still walks its own chord.
+    f = generate_cantor(depth, "complement")
+    pairs = list(combinations(f.breakpoints(), 2))
+    assert walk_groups(f, pairs) == 1
+    assert walks(monkeypatch, f, pairs) == {"_above_set": 1 + len(pairs), "_component_checks": 1}
+
+
+def test_pairs_walk_once_per_level_and_connected_span(monkeypatch):
+    # Breakpoint pairs and pairs inside pieces of a model with +-inf
+    # values: one walk per group, and a chord walk per pair with finite
+    # ends.
+    f = random_pwc(4, pieces=9, allow_infinite=True)
+    bps = f.breakpoints()
+    pairs = [*combinations(bps, 2), *((p + (q - p) / 3, q + (r - q) / 2) for p, q, r in zip(bps, bps[1:], bps[2:]))]
+    chords = sum(f.evaluate(x).is_finite and f.evaluate(y).is_finite for x, y in pairs)
+    groups = walk_groups(f, pairs)
+    assert 1 < groups < len(pairs)
+    assert walks(monkeypatch, f, pairs) == {"_above_set": groups + chords, "_component_checks": groups}
+
+
+def test_pair_grouping_compares_no_fractions(monkeypatch):
+    # Grouping the pairs by level, merging their spans and cutting each
+    # pair's part compare integer cross products, in the pairs' own order
+    # or shuffled.
+    f = cantor_complement(SMALL)
+    pairs = list(combinations(f.breakpoints(), 2))
+    shuffled = random.Random(5).sample(pairs, len(pairs))
+    assert comparisons(monkeypatch, lambda: analyze(f, *pairs)) == 0
+    assert comparisons(monkeypatch, lambda: analyze(f, *shuffled)) == 0
 
 
 def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):

@@ -22,6 +22,7 @@ from qcvx import (
     PiecewiseConstant,
     PiecewiseLinear,
     XReal,
+    analyze_pairs,
     check_semicontinuity,
     convexity_violation_set,
     generate_cantor,
@@ -47,6 +48,7 @@ from qcvx.errors import (
     OrderingError,
     UnsupportedChordError,
 )
+from qcvx import violations
 from qcvx.functions import _sweep
 from qcvx.violations import ComponentCheck, ViolationDecomposition, _pair
 
@@ -629,6 +631,62 @@ class TestChordViolations:
         chord = convexity_violation_set(f, 0, 1)
         checks = verify_chord_components(f, 0, 1, chord)
         assert all(c.passed for c in checks)
+
+
+class TestPairBatchNamesFailures:
+    """``analyze_pairs`` names the pair behind a failure in a note: its
+    own pair for a per-pair step, and for a shared level walk the first
+    pair, in the order given, whose span that walk covers."""
+
+    # On the depth-2 Cantor complement every breakpoint pair has the level
+    # 0 and the last three pairs' spans connect into [0, 1]; the first
+    # pair, from the removed middle third, has the level 1.
+    PAIRS = [(F(1, 2), F(7, 9)), (F(2, 3), F(1)), (F(0), F(1, 3)), (F(1, 9), F(8, 9))]
+
+    def notes(self, pairs=PAIRS) -> list[str]:
+        with pytest.raises(ConsistencyError) as info:
+            analyze_pairs(generate_cantor(2, "complement"), pairs)
+        return info.value.__notes__
+
+    def test_shared_walk_names_the_first_pair_it_covers(self, monkeypatch):
+        original = violations._above_set
+
+        def failing(f, lo, hi, thr):
+            if lo[0] == 0:
+                raise ConsistencyError("walk failed")
+            return original(f, lo, hi, thr)
+
+        monkeypatch.setattr(violations, "_above_set", failing)
+        assert self.notes() == ["pair (2/3, 1)"]
+
+    def test_chord_walk_names_its_own_pair(self, monkeypatch):
+        original = violations._chord_set
+
+        def failing(f, at_x, at_y, chord):
+            if at_x[0] == F(1, 9):
+                raise ConsistencyError("chord failed")
+            return original(f, at_x, at_y, chord)
+
+        monkeypatch.setattr(violations, "_chord_set", failing)
+        assert self.notes() == ["pair (1/9, 8/9)"]
+
+    def test_pair_outside_the_order_names_itself(self):
+        with pytest.raises(OrderingError) as info:
+            analyze_pairs(generate_cantor(2, "complement"), [*self.PAIRS, (F(1), F(1, 2))])
+        assert info.value.__notes__ == ["pair (1, 1/2)"]
+
+    def test_batch_of_one_is_the_single_pair_analysis(self):
+        f = random_pwc(11, pieces=6, allow_infinite=True)
+        (analysis,) = analyze_pairs(f, [(0, 1)])
+        assert analysis.decomposition == violation_set(f, 0, 1)
+        assert analysis.checks == tuple(verify_component_property(f, analysis.decomposition))
+        assert analysis.interior_witness == interior_witness_exists(f, 0, 1)
+
+    def test_inexact_model_refused(self):
+        from qcvx import Blackbox
+
+        with pytest.raises(InexactModelError, match="analyze_pairs needs an exact model"):
+            analyze_pairs(Blackbox(0, 1, lambda t: t), [(0, 1)])
 
 
 def _map_values(f, phi):
