@@ -2,11 +2,13 @@
 
 The oracle evaluates the defining inequality f(z) <= max(f(x), f(y)) for
 every ordered grid triple, with no structural shortcuts shared with the
-exact analyzer.  With boolean matrices ``left[i, k]`` (i < k and
-f(k) > f(i)) and ``right[k, j]`` (k < j and f(k) > f(j)), the triple
-(i, k, j) violates iff both hold, so the matrix product ``left @ right``
-counts, for each outer pair (i, j), every violating middle k literally.
-Witnesses are collected row by row in (i, k, j) index order.
+exact analyzer.  The triple (i, k, j) violates iff f(k) is strictly above
+both f(i) and f(j), so the violating triples with middle k number
+L(k) * R(k), where L(k) counts the i < k and R(k) the j > k with f(k)
+strictly above their value.  Each count is one bisection into a sorted
+list of the values already passed.  Witnesses are listed in (i, k, j)
+index order; a row with none is skipped in one comparison, against a
+suffix maximum of f over the middles with R(k) > 0.
 
 Exact models compare as integers: each finite value is scaled to the
 least common multiple of the finite denominators on the grid, -inf sits
@@ -14,31 +16,31 @@ below every such key and +inf above.  Every per-point step (placing
 breakpoints and piece midpoints among the uniform points, evaluating the
 model in one sorted walk, comparing values) runs on Python integers, so
 the Fraction work of one call grows with the breakpoint count only.
-Black-box models compare as floats with an epsilon margin on strictness.
+Black-box models compare as floats, where f(k) is strictly above f(i)
+when it is above fl(f(i) + ``FLOAT_EPSILON``).
 
 On piecewise-constant models both the triple grid and the violation-set
 grid hold every piece midpoint, so a piece narrower than the uniform
-spacing still has a sample.  The triple count needs g x g arrays, so a
-merged grid of more than ``MAX_GRID_POINTS`` points is refused before
-any point is made.
+spacing still has a sample.  A merged grid of more than
+``MAX_GRID_POINTS`` points is refused before any point is made.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from .core import XReal, as_rational, format_rational
 from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
 
-# About 600 MB of g x g arrays at this size.
+# Near this size the oracle takes 0.02-0.04 s and 20 MB, mostly making and
+# evaluating the Fraction grid (4,062 points, 2 vCPUs, Python 3.11).
 MAX_GRID_POINTS = 4096
 
 # A black-box value is strictly above another when above by more than this.
@@ -208,12 +210,6 @@ def _integer_keys(values: Sequence[XReal]) -> list[int]:
     ]
 
 
-def _rank_values(values: Sequence[XReal]) -> np.ndarray:
-    keys = _integer_keys(values)
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return np.array([order[k] for k in keys], dtype=np.int64)
-
-
 def oracle_quasiconvex(
     f: Function1D,
     grid_points: int = 201,
@@ -234,33 +230,36 @@ def oracle_quasiconvex(
     g = len(grid)
     values = f.evaluate_sorted(grid)
     if float_mode:
-        vals = np.array([float(v) for v in values], dtype=np.float64)
+        keys = [float(v) for v in values]
         eps = float(FLOAT_EPSILON)
-        above = vals[None, :] > vals[:, None] + eps  # above[i, k]: f(k) > f(i) + eps
+        shifted = [key + eps for key in keys]
     else:
-        ranks = _rank_values(values)
-        above = ranks[None, :] > ranks[:, None]  # above[i, k]: f(k) > f(i)
-    idx = np.arange(g)
-    lower = idx[:, None] < idx[None, :]
-    left = above & lower          # left[i, k]: i < k and f(k) > f(i)
-    right = above.T & lower       # right[k, j]: k < j and f(k) > f(j)
-    # counts[i, j]: violating middles k of the outer pair (i, j).  Each
-    # entry is at most g, so the float64 product is exact.
-    counts = (left.astype(np.float64) @ right.astype(np.float64)).astype(np.int64)
-    total = int(counts.sum())
-    found: list[ViolatingTriple] = []
-    for i in np.flatnonzero(counts.any(axis=1)):
-        if len(found) >= max_triples:
-            break
-        middles = np.flatnonzero(left[i])
-        for m, j in np.argwhere(right[middles]):
-            found.append(
-                ViolatingTriple(
-                    t_x=grid[int(i)], t_y=grid[int(j)], t_z=grid[int(middles[m])]
-                )
-            )
-            if len(found) >= max_triples:
-                break
+        keys = shifted = _integer_keys(values)
+    # f(k) is strictly above f(i) iff keys[k] > shifted[i].  below[k] is
+    # R(k); reach[k] is the greatest key of a middle at k or after it with
+    # R > 0, so row i has a witness iff reach[i + 1] > shifted[i].
+    below = [0] * g
+    reach = [-math.inf] * (g + 1)
+    seen: list = []
+    for k in reversed(range(g)):
+        below[k] = bisect_left(seen, keys[k])
+        insort(seen, shifted[k])
+        reach[k] = max(reach[k + 1], keys[k]) if below[k] else reach[k + 1]
+    total = 0
+    seen = []
+    for k in range(g):
+        total += bisect_left(seen, keys[k]) * below[k]  # L(k) * R(k)
+        insort(seen, shifted[k])
+    witnesses = (
+        ViolatingTriple(t_x=grid[i], t_y=grid[j], t_z=grid[k])
+        for i in range(g)
+        if reach[i + 1] > shifted[i]
+        for k in range(i + 1, g)
+        if below[k] and keys[k] > shifted[i]
+        for j in range(k + 1, g)
+        if keys[k] > shifted[j]
+    )
+    found = list(islice(witnesses, max(max_triples, 0)))
     info = GridInfo(
         resolution=grid_points,
         total_points=g,

@@ -633,7 +633,7 @@ class TestOracleCommand:
         def unreachable(self, ts):
             raise AssertionError("the grid was evaluated")
 
-        # Refused before evaluation, hence before any g x g array exists.
+        # Refused before the grid is evaluated.
         monkeypatch.setattr("qcvx.functions._ExactModel.evaluate_sorted", unreachable)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -976,13 +976,13 @@ class TestPoolSize:
         assert err.startswith("error: ") and "--jobs" in err
 
 
-def test_console_entrypoint_runs():
+def _fresh_python(*args):
     # The subprocess imports qcvx from where this process did, whether or
     # not qcvx is installed.
     package_root = os.path.dirname(os.path.dirname(qcvx.__file__))
     inherited = os.environ.get("PYTHONPATH")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcvx.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={
@@ -990,5 +990,16 @@ def test_console_entrypoint_runs():
             "PYTHONPATH": os.pathsep.join(filter(None, (package_root, inherited))),
         },
     )
+
+
+def test_console_entrypoint_runs():
+    proc = _fresh_python("-m", "qcvx.cli", "--version")
     assert proc.returncode == 0
     assert "qcvx" in proc.stdout
+
+
+def test_import_loads_no_numpy():
+    # qcvx needs only click at run time.
+    proc = _fresh_python("-c", "import sys, qcvx, qcvx.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -27,7 +27,7 @@ from qcvx import oracle
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
 from qcvx.errors import NoSampleError, ParameterRangeError
-from qcvx.oracle import FLOAT_EPSILON, MAX_GRID_POINTS, ViolatingTriple, _rank_values
+from qcvx.oracle import FLOAT_EPSILON, MAX_GRID_POINTS, ViolatingTriple, _integer_keys
 from qcvx.violations import ViolationDecomposition
 
 F = Fraction
@@ -166,6 +166,11 @@ def _random_tabulated(seed):
     return Tabulated(tuple(positions), tuple(rng.choice(pool) for _ in positions))
 
 
+# Found by search.  In decimal the high value is the low one plus 1e-9, so
+# the pair sits on the margin, and in floating point the high value is
+# above fl(low + eps) while fl(high - eps) is not above the low one.
+_MARGIN_LOW, _MARGIN_HIGH = -9.32e-10, 6.8e-11
+
 _CROSS_CHECK_MODELS = {
     "random_pl_0": lambda: random_corpus(6)[0],
     "random_pl_2": lambda: random_corpus(6)[2],
@@ -175,6 +180,9 @@ _CROSS_CHECK_MODELS = {
     "pwc_inf_7": lambda: random_pwc(7, allow_infinite=True),
     "tabulated": lambda: _random_tabulated(3),
     "blackbox": lambda: Blackbox(0, 1, lambda t: math.sin(9 * float(t))),
+    "blackbox_margin": lambda: Blackbox(
+        0, 1, lambda t: _MARGIN_HIGH if F(1, 4) < t < F(3, 4) else _MARGIN_LOW
+    ),
 }
 
 
@@ -194,6 +202,11 @@ class TestLiteralCrossCheck:
         capped = oracle_quasiconvex(f, grid_points=33, max_triples=cap)
         assert list(capped.violating_triples) == expected[:cap]
         assert capped.total_violations == len(expected)
+
+    def test_margin_model_splits_the_two_epsilon_comparisons(self):
+        eps = float(FLOAT_EPSILON)
+        assert _MARGIN_HIGH > _MARGIN_LOW + eps
+        assert not _MARGIN_HIGH - eps > _MARGIN_LOW
 
 
 class TestViolationSetOracle:
@@ -316,12 +329,17 @@ class TestGridMerge:
 
 
 class TestIntegerKeys:
-    """Integer-key ranks against the ranks of the sorted distinct values."""
+    """The ranks of the integer keys against the ranks of the sorted
+    distinct values, so the keys order as the values do."""
 
     @staticmethod
     def reference_ranks(values):
         order = {v: i for i, v in enumerate(sorted(set(values)))}
         return [order[v] for v in values]
+
+    @classmethod
+    def key_ranks(cls, values):
+        return cls.reference_ranks(_integer_keys(values))
 
     @pytest.mark.parametrize(
         "values",
@@ -335,7 +353,7 @@ class TestIntegerKeys:
         ],
     )
     def test_ranks_match_sorted_values(self, values):
-        assert _rank_values(values).tolist() == self.reference_ranks(values)
+        assert self.key_ranks(values) == self.reference_ranks(values)
 
     def test_ranks_on_random_values(self):
         rng = random.Random(11)
@@ -346,11 +364,11 @@ class TestIntegerKeys:
                 else XReal(F(rng.randint(-40, 40), rng.randint(1, 12)))
                 for _ in range(rng.randint(1, 30))
             ]
-            assert _rank_values(values).tolist() == self.reference_ranks(values)
+            assert self.key_ranks(values) == self.reference_ranks(values)
 
 
 class TestGridBudget:
-    """Refused before evaluation, hence before any g x g array exists."""
+    """Refused before the grid is evaluated."""
 
     @pytest.fixture(autouse=True)
     def no_evaluation(self, monkeypatch):

@@ -10,7 +10,9 @@ each end as a breakpoint or a point inside a piece, and check the exact
 violation and chord sets point by point against the model's own fields.
 The batch pair analysis behind ``qcvx analyze`` is checked pair by pair
 against the single-pair functions, on pair lists whose spans share
-levels, overlap, nest, touch and repeat.  Lower and upper semicontinuous variants of the piecewise-constant models,
+levels, overlap, nest, touch and repeat.  The oracle's triple count and
+its witnesses are checked against a plain loop over every grid triple.
+Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
 characterizations of quasiconvexity: by interior witnesses for lsc maps
 and by paired maxima for usc maps.  The runs are derandomized and
@@ -23,6 +25,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_value, structural_positions
+from test_oracle import _literal_triples
 from qcvx import (
     MINUS_INF,
     PLUS_INF,
@@ -121,6 +124,15 @@ def test_constant_strategy_has_a_breakpoint_neither_lsc_nor_usc(f):
 def test_verdict_matches_the_oracle(f):
     oracle = oracle_quasiconvex(f, grid_points=41)
     assert is_quasiconvex(f).is_quasiconvex == oracle.is_quasiconvex_on_grid
+
+
+@settings(SETTINGS, max_examples=100)
+@given(MODELS)
+def test_oracle_matches_a_literal_triple_loop(f):
+    expected = _literal_triples(f, 9)
+    verdict = oracle_quasiconvex(f, grid_points=9, max_triples=len(expected))
+    assert verdict.total_violations == len(expected)
+    assert list(verdict.violating_triples) == expected
 
 
 @SETTINGS
