@@ -22,7 +22,6 @@ import secrets
 import stat
 import sys
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
@@ -290,6 +289,8 @@ def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside
     workers = min(len(pairs), cpus)
     if inside + PAIR_STEPS * len(pairs) < POOL_MIN_STEPS or workers <= 1:
         return pair_records(f, pairs)
+    # Imported here, so that no other run loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     size = max(1, len(pairs) // (4 * workers))
     chunks = [pairs[k : k + size] for k in range(0, len(pairs), size)]
     with ProcessPoolExecutor(

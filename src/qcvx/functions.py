@@ -685,13 +685,10 @@ def _excess_at(f: Function1D, at: _Located, thr: _Threshold) -> int:
     return _cross(a, c, ta, tc) * td + (b * tc - tb * c) * tn
 
 
-def _pair(
-    f: Function1D, x, y, chord: bool = False
-) -> tuple[_Located, _Located, XReal, _Threshold]:
+def _pair(f: Function1D, x, y) -> tuple[_Located, _Located, XReal, _Threshold]:
     """``(at_x, at_y, level, thr)`` for the pair x < y of f's domain: both
-    ends located in f's index, level = max(f(x), f(y)), and the walk
-    threshold, which is the level or, with ``chord``, the chord through
-    (x, f(x)) and (y, f(y))."""
+    ends located in f's index, level = max(f(x), f(y)), and the level as
+    a walk threshold; ``_chord`` makes the chord's from the located ends."""
     x, y = as_rational(x), as_rational(y)
     s = f._index
     (i, x_on), (j, y_on) = s.locate(x), s.locate(y)
@@ -705,7 +702,7 @@ def _pair(
     # f(x) and f(y) as integer ratios, compared by one cross product.
     fx, fy = _value_ratio(s, at_x), _value_ratio(s, at_y)
     level = f._located_value(at_x if _cross(*fx, *fy) >= 0 else at_y)
-    return at_x, at_y, level, _chord(f, at_x, at_y) if chord else _constant(level)
+    return at_x, at_y, level, _constant(level)
 
 
 def _value_ratio(s: _StructureIndex, at: _Located) -> tuple[int, int]:

@@ -17,7 +17,7 @@ breakpoints and piece midpoints among the uniform points, evaluating the
 model in one sorted walk, comparing values) runs on Python integers, so
 the Fraction work of one call grows with the breakpoint count only.
 Black-box models compare as floats, where f(k) is strictly above f(i)
-when it is above fl(f(i) + ``FLOAT_EPSILON``).
+when it is above fl(f(i) + ``FLOAT_EPSILON``), on both grids alike.
 
 On piecewise-constant models both the triple grid and the violation-set
 grid hold every piece midpoint, so a piece narrower than the uniform
@@ -31,7 +31,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Optional, Sequence, Union
 
 from .core import XReal, as_rational, format_rational
@@ -210,6 +210,17 @@ def _integer_keys(values: Sequence[XReal]) -> list[int]:
     ]
 
 
+def _keys(values: Sequence[XReal], float_mode: bool) -> tuple[list, list]:
+    """``(keys, shifted)`` with f(k) strictly above f(i) iff keys[k] >
+    shifted[i]: integer keys for both, or floats and fl(f + FLOAT_EPSILON)."""
+    if not float_mode:
+        keys = _integer_keys(values)
+        return keys, keys
+    keys = [float(v) for v in values]
+    eps = float(FLOAT_EPSILON)
+    return keys, [key + eps for key in keys]
+
+
 def oracle_quasiconvex(
     f: Function1D,
     grid_points: int = 201,
@@ -228,16 +239,9 @@ def oracle_quasiconvex(
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
     grid = build_grid(f, grid_points)
     g = len(grid)
-    values = f.evaluate_sorted(grid)
-    if float_mode:
-        keys = [float(v) for v in values]
-        eps = float(FLOAT_EPSILON)
-        shifted = [key + eps for key in keys]
-    else:
-        keys = shifted = _integer_keys(values)
-    # f(k) is strictly above f(i) iff keys[k] > shifted[i].  below[k] is
-    # R(k); reach[k] is the greatest key of a middle at k or after it with
-    # R > 0, so row i has a witness iff reach[i + 1] > shifted[i].
+    keys, shifted = _keys(f.evaluate_sorted(grid), float_mode)
+    # below[k] is R(k); reach[k] is the greatest key of a middle at k or
+    # after it with R > 0, so row i has a witness iff reach[i + 1] > shifted[i].
     below = [0] * g
     reach = [-math.inf] * (g + 1)
     seen: list = []
@@ -286,10 +290,11 @@ def oracle_violation_set(
 ) -> OpenIntervalSet:
     """Grid approximation of the violation set of the pair (x, y).
 
-    Marks grid points with f strictly above max(f(x), f(y)) and reports
-    each maximal run of consecutive marked points as the open interval
-    between the unmarked neighbors of its first and last point.  On a
-    piecewise-constant model the grid holds every piece midpoint, so
+    Marks grid points with f strictly above max(f(x), f(y)), a black-box
+    value by more than ``FLOAT_EPSILON`` as in :func:`oracle_quasiconvex`,
+    and reports each maximal run of consecutive marked points as the open
+    interval between the unmarked neighbors of its first and last point.
+    On a piecewise-constant model the grid holds every piece midpoint, so
     each piece between breakpoints in ]x, y[ is sampled.  This is a
     resolution-limited approximation: components narrower than the
     local spacing can be missed, and reported endpoints are accurate only
@@ -305,19 +310,17 @@ def oracle_violation_set(
         grid.insert(0, x)
     if grid[-1] != y:
         grid.append(y)
-    keys = _integer_keys(f.evaluate_sorted(grid))
-    threshold = max(keys[0], keys[-1])
-    marked = [k > threshold for k in keys]
+    float_mode = not f.is_exact and not isinstance(f, Tabulated)
+    keys, shifted = _keys(f.evaluate_sorted(grid), float_mode)
+    threshold = max(shifted[0], shifted[-1])
     runs: list[tuple[Fraction, Fraction]] = []
     i = 0
-    while i < len(grid):
-        if marked[i]:
-            j = i
-            while j + 1 < len(grid) and marked[j + 1]:
-                j += 1
-            runs.append((grid[i - 1], grid[j + 1]))
-            i = j + 1
-        i += 1
+    # Neither end is marked, so each run has an unmarked neighbor on each side.
+    for marked, run in groupby(keys, lambda key: key > threshold):
+        n = sum(1 for _ in run)
+        if marked:
+            runs.append((grid[i - 1], grid[i + n]))
+        i += n
     # The runs come out sorted and never overlap, as the constructor checks.
     return OpenIntervalSet._from_runs(runs)
 

@@ -15,16 +15,17 @@ witnesses.
 
 Every entry point starts from one pair: ``functions._pair`` validates
 it, locates its ends in the model's structure index, picks the level
-max(f(x), f(y)) by one cross product and turns the threshold, the level
-or the chord, into one integer line once.  The pair check and the
+max(f(x), f(y)) by one cross product and turns it into one integer
+line, as ``functions._chord`` turns the chord.  The pair check and the
 threshold walk, ``functions._sweep``, live beside the index whose
-integer layout they read; the walk yields one item
-stream, each interior breakpoint and each piece span (split where f
-crosses the threshold) with whether it lies above.  This module only
-consumes that stream: the violation and chord sets join it into maximal
-runs, and the component checks and the interior witness stop at its
-first item not above.  A component check rejects a component outside the
-pair, ]x, y[ in positions or ]0, 1[ in chord parameters.
+integer layout they read; the walk yields one item stream, each interior
+breakpoint and each piece span (split where f crosses the threshold)
+with whether it lies above; ``functions._excess_at`` asks the same of
+one point.  This module only consumes that stream: the violation and
+chord sets join it into maximal runs, and the component checks and the
+interior witness stop at its first item not above.  A component check
+rejects a component outside the pair, ]x, y[ in positions or ]0, 1[ in
+chord parameters.
 
 ``analyze_pairs`` answers all four questions for a list of pairs, as
 ``qcvx analyze`` asks them.  A violation set is a superlevel set of f
@@ -138,7 +139,7 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     at_x, at_y, level, thr = _pair(f, x, y)
     runs, isolated = _above_set(f, at_x, at_y, thr)
     interval_set = OpenIntervalSet._from_runs(runs)
-    _check_maximal(f, interval_set, level)
+    _check_maximal(f, interval_set, thr)
     return ViolationDecomposition(
         x=at_x[0],
         y=at_y[0],
@@ -149,13 +150,11 @@ def violation_set(f: Function1D, x: RationalLike, y: RationalLike) -> ViolationD
     )
 
 
-def _check_maximal(
-    f: Function1D, components: OpenIntervalSet, threshold: XReal
-) -> None:
+def _check_maximal(f: Function1D, components: OpenIntervalSet, thr: _Threshold) -> None:
     # Components sharing an endpoint must be separated by a point at or
     # below the threshold, otherwise they should have merged.
     for prev, iv in zip(components.intervals, components.intervals[1:]):
-        if prev.right == iv.left and f.evaluate(iv.left) > threshold:
+        if prev.right == iv.left and _excess_at(f, f._locate(iv.left), thr) > 0:
             raise ConsistencyError(f"components touching at {iv.left} failed to merge")
 
 
@@ -358,8 +357,8 @@ def convexity_violation_set(
     can only occur when f is not lower semicontinuous).
     """
     require_exact(f, "convexity_violation_set")
-    at_x, at_y, _, chord = _pair(f, x, y, chord=True)
-    return _chord_set(f, at_x, at_y, chord)
+    at_x, at_y, _, _ = _pair(f, x, y)
+    return _chord_set(f, at_x, at_y, _chord(f, at_x, at_y))
 
 
 def _chord_set(f: Function1D, at_x: _Located, at_y: _Located, chord: _Threshold) -> OpenIntervalSet:
@@ -386,7 +385,8 @@ def verify_chord_components(
     coordinates.  A component outside ]0, 1[ raises
     :class:`ConsistencyError`."""
     require_exact(f, "verify_chord_components")
-    at_x, at_y, _, chord = _pair(f, x, y, chord=True)
+    at_x, at_y, _, _ = _pair(f, x, y)
+    chord = _chord(f, at_x, at_y)
     x, y = at_x[0], at_y[0]
     _require_within(components_in_params, Fraction(0), Fraction(1))
 
@@ -457,13 +457,13 @@ def analyze_pairs(
     results: list = [None] * len(located)
     for members in levels.values():
         for union, hi in _connected(members, located):
-            at_x, at_y, level, thr = located[min(union)]
+            at_x, at_y, _, thr = located[min(union)]
             with _naming_pair(at_x[0], at_y[0]):
-                walk = _LevelWalk(f, located[union[0]][0], hi, level, thr)
+                walk = _LevelWalk(f, located[union[0]][0], hi, thr)
             for k in union:
-                at_x, at_y, _, _ = located[k]
+                at_x, at_y, level, _ = located[k]
                 with _naming_pair(at_x[0], at_y[0]):
-                    results[k] = walk.cut(f, at_x, at_y)
+                    results[k] = walk.cut(f, at_x, at_y, level)
     return results
 
 
@@ -492,23 +492,22 @@ def _connected(members: list[int], located: list) -> Iterator[tuple[list[int], _
 
 
 class _LevelWalk:
-    """One walk of ]lo, hi[ at a pair level: the components and isolated
-    violations found, and the check of each component, with the integer
-    ratios of the components' left ends and of the isolated points, from
-    which ``cut`` takes each pair's part."""
+    """One walk of ]lo, hi[ against a threshold line: the components and
+    isolated violations found, and the check of each component, with the
+    integer ratios of the components' left ends and of the isolated
+    points, from which ``cut`` takes each pair's part."""
 
-    def __init__(self, f: Function1D, lo: _Located, hi: _Located, level: XReal, thr: _Threshold):
+    def __init__(self, f: Function1D, lo: _Located, hi: _Located, thr: _Threshold):
         runs, self.isolated = _above_set(f, lo, hi, thr)
         self.components = OpenIntervalSet._from_runs(runs)
-        _check_maximal(f, self.components, level)
+        _check_maximal(f, self.components, thr)
         self.checks = tuple(_component_checks(f, runs, thr))
-        self.level = level
         self.lefts = [u.as_integer_ratio() for u, _ in runs]
         self.isolated_at = [p.as_integer_ratio() for p in self.isolated]
 
-    def cut(self, f: Function1D, at_x: _Located, at_y: _Located) -> PairAnalysis:
-        """The analysis of a pair at this level whose span lies within the
-        walk's, with its chord set walked from its located ends."""
+    def cut(self, f: Function1D, at_x: _Located, at_y: _Located, level: XReal) -> PairAnalysis:
+        """The analysis of a pair at this line's level whose span lies
+        within the walk's, with its chord set walked from its ends."""
         x, y = at_x[0], at_y[0]
         # A component lies within [x, y] exactly when its left end does.
         s, e = _count_below(self.lefts, x), _count_below(self.lefts, y)
@@ -522,7 +521,7 @@ class _LevelWalk:
             decomposition=ViolationDecomposition(
                 x=x,
                 y=y,
-                threshold=self.level,
+                threshold=level,
                 components=OpenIntervalSet(mine),
                 isolated_violations=tuple(isolated),
                 lsc_offenders=_lsc_offenders_in(f, at_x, at_y),

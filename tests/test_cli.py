@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import json
 import os
@@ -907,7 +908,7 @@ class TestPoolSize:
                 assert all(chunks)
                 return map(fn, chunks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "pair_records", lambda f, pairs: list(pairs))
         return created
 
@@ -999,7 +1000,8 @@ def test_console_entrypoint_runs():
 
 
 def test_import_loads_no_numpy():
-    # qcvx needs only click at run time.
-    proc = _fresh_python("-c", "import sys, qcvx, qcvx.cli; print('numpy' in sys.modules)")
+    # qcvx needs only click at run time, and only a pool run loads the pool.
+    names = ("numpy", "concurrent.futures", "multiprocessing")
+    proc = _fresh_python("-c", f"import sys, qcvx, qcvx.cli; print([m for m in {names} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"

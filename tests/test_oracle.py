@@ -91,6 +91,17 @@ class TestQuasiconvexOracle:
         noisy = Blackbox(0, 1, lambda t: 0.0 if t != F(1, 2) else 1e-12)
         assert oracle_quasiconvex(noisy, grid_points=11).is_quasiconvex_on_grid
 
+    def test_epsilon_masks_noise_in_the_violation_set(self):
+        # Both grids compare black-box values with the same margin.
+        bump = Blackbox(0, 1, lambda t: 1e-12 if 0 < t < 1 else 0.0)
+        assert oracle_quasiconvex(bump, grid_points=11).total_violations == 0
+        assert oracle_violation_set(bump, F(0), F(1), grid_points=11).is_empty
+
+    def test_epsilon_keeps_a_step_above_it(self):
+        step = Blackbox(0, 1, lambda t: 1.0 if F(1, 4) < t < F(3, 4) else 0.0)
+        approx = oracle_violation_set(step, F(0), F(1), grid_points=11)
+        assert list(approx) == [iv("1/5", "4/5")]
+
     @pytest.mark.parametrize("index", range(40))
     def test_agreement_with_exact_decision_on_random_corpus(self, index):
         f = random_corpus(40)[index]

@@ -49,7 +49,7 @@ from qcvx.errors import (
     UnsupportedChordError,
 )
 from qcvx import violations
-from qcvx.functions import _sweep
+from qcvx.functions import _chord, _sweep
 from qcvx.violations import ComponentCheck, ViolationDecomposition, _pair
 
 F = Fraction
@@ -434,7 +434,9 @@ def test_sweep_items_match_reference_walk(index):
             u, v = fx.finite_value, fy.finite_value
             thresholds.append((True, lambda t: XReal(u + (v - u) * (t - x) / (y - x))))
         for chord, thr in thresholds:
-            at_x, at_y, _, key_thr = _pair(f, x, y, chord=chord)
+            at_x, at_y, _, key_thr = _pair(f, x, y)
+            if chord:
+                key_thr = _chord(f, at_x, at_y)
             items = [
                 ("point", a, a, above) if b is None else ("span", a, b, above)
                 for a, b, above in _sweep(f, at_x, at_y, key_thr)
@@ -669,6 +671,46 @@ class TestPairBatchNamesFailures:
 
         monkeypatch.setattr(violations, "_chord_set", failing)
         assert self.notes() == ["pair (1/9, 8/9)"]
+
+    @pytest.mark.parametrize(
+        "split, raises",
+        [
+            (F(1, 2), True),  # f(1/2) = 0 lies above the level -inf
+            (F(1, 4), False),  # f(1/4) = -inf does not
+        ],
+    )
+    def test_unmerged_touching_components_raise(self, monkeypatch, split, raises):
+        # The merge check of a shared walk, against an infinite level line:
+        # -inf at both ends, 0 on the pieces and at 1/2.
+        f = PiecewiseConstant(
+            (F(0), F(1, 4), F(1, 2), F(1)),
+            (XReal(0),) * 3,
+            (MINUS_INF, MINUS_INF, XReal(0), MINUS_INF),
+        )
+        monkeypatch.setattr(
+            violations, "_above_set", lambda f, lo, hi, thr: ([(lo[0], split), (split, hi[0])], [])
+        )
+        if not raises:
+            (analysis,) = analyze_pairs(f, [(0, 1)])
+            assert len(analysis.decomposition.components) == 2
+            return
+        with pytest.raises(ConsistencyError, match="components touching at 1/2") as info:
+            analyze_pairs(f, [(0, 1)])
+        assert info.value.__notes__ == ["pair (0, 1)"]
+
+    def test_unmerged_touching_components_raise_on_a_finite_level(self, monkeypatch):
+        # The shared level-0 walk finds ]1/9, 2/9[ first; split at 1/6.
+        original = violations._above_set
+
+        def split(f, lo, hi, thr):
+            runs, isolated = original(f, lo, hi, thr)
+            if not runs:
+                return runs, isolated
+            (u, v), *rest = runs
+            return [(u, (u + v) / 2), ((u + v) / 2, v), *rest], isolated
+
+        monkeypatch.setattr(violations, "_above_set", split)
+        assert self.notes() == ["pair (2/3, 1)"]
 
     def test_pair_outside_the_order_names_itself(self):
         with pytest.raises(OrderingError) as info:
