@@ -28,15 +28,15 @@ rejects a component outside the pair, ]x, y[ in positions or ]0, 1[ in
 chord parameters.
 
 ``analyze_pairs`` answers all four questions for a list of pairs, as
-``qcvx analyze`` asks them.  A violation set is a superlevel set of f
-at the pair's level, cut to the pair, and the pairs of n breakpoints
-have at most n levels: pairs that share a level and whose spans connect
-take their parts from one walk of the union of their spans.
+``qcvx analyze`` asks them.  A violation set is the set above the
+pair's level, and a chord set the set above its chord line, each cut to
+the pair; the pairs of n breakpoints have at most n levels, and a pair
+with f(x) = f(y) has its level for its chord.  Pairs whose spans connect
+take their parts of each line from one walk of the union of their spans.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -358,14 +358,14 @@ def convexity_violation_set(
     """
     require_exact(f, "convexity_violation_set")
     at_x, at_y, _, _ = _pair(f, x, y)
-    return _chord_set(f, at_x, at_y, _chord(f, at_x, at_y))
+    runs, _ = _above_set(f, at_x, at_y, _chord(f, at_x, at_y))
+    return _parameters(at_x[0], at_y[0], runs)
 
 
-def _chord_set(f: Function1D, at_x: _Located, at_y: _Located, chord: _Threshold) -> OpenIntervalSet:
-    """The chord set of ``convexity_violation_set`` for located ends."""
-    runs, _ = _above_set(f, at_x, at_y, chord)
-    # t = (y - r) / (y - x) for a run end r, as one Fraction of integers.
-    (xn, xd), (yn, yd) = at_x[0].as_integer_ratio(), at_y[0].as_integer_ratio()
+def _parameters(x: Fraction, y: Fraction, runs: list[tuple[Fraction, Fraction]]) -> OpenIntervalSet:
+    """The runs of ]x, y[ as the chord parameters t = (y - r) / (y - x) of
+    their ends r, each one Fraction of integers."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
 
     def param(r: Fraction) -> Fraction:
         rn, rd = r.as_integer_ratio()
@@ -430,95 +430,107 @@ def analyze_pairs(
 ) -> list[PairAnalysis]:
     """``violation_set``, ``verify_component_property``,
     ``interior_witness_exists`` and ``convexity_violation_set`` of every
-    pair, in order, with one walk per level and connected span.
+    pair, in order, with one walk per threshold line and connected span.
 
-    Each pair is located once.  Pairs with the same level max(f(x), f(y))
-    whose closed spans [x, y] connect share one walk of their union at
-    that level, and one check of each component found.  Both ends of a
-    pair lie at or below its level, so no component of the union runs
-    across an end: the pair's components are the union's components
-    within [x, y], its isolated violations the union's inside ]x, y[,
-    and it has an interior witness unless its only component is ]x, y[.
-    The chord set is walked per pair, from the ends already located.
+    Each pair is located once and has two threshold lines: its level
+    max(f(x), f(y)), and its chord when f(x) and f(y) are finite.  Pairs
+    whose lines agree and whose closed spans [x, y] connect share one walk
+    of their union against that line.  Both ends of a pair lie at or
+    below its level and on its chord, so no run of the union above a line
+    crosses an end: the pair's components and chord set are the runs
+    within [x, y], and its isolated violations the union's inside ]x, y[.
+    A walk checks each component once if the line is some pair's level,
+    and a pair has an interior witness unless its only component is ]x, y[.
 
     An exception names its pair in a note: the pair it was raised for,
     or, inside a shared walk, the first pair in ``pairs`` that the walk
     covers.
     """
     require_exact(f, "analyze_pairs")
-    located = []
-    for x, y in pairs:
+    # Each line's uses (k, at_x, at_y, level) by pair k, level None for a chord.
+    lines: dict[_Threshold, list] = {}
+    for k, (x, y) in enumerate(pairs):
         x, y = as_rational(x), as_rational(y)
         with _naming_pair(x, y):
-            located.append(_pair(f, x, y))
-    levels: dict[_Threshold, list[int]] = {}
-    for k, (_, _, _, thr) in enumerate(located):
-        levels.setdefault(thr, []).append(k)
-    results: list = [None] * len(located)
-    for members in levels.values():
-        for union, hi in _connected(members, located):
-            at_x, at_y, _, thr = located[min(union)]
+            at_x, at_y, level, thr = _pair(f, x, y)
+            lines.setdefault(thr, []).append((k, at_x, at_y, level))
+            try:
+                lines.setdefault(_chord(f, at_x, at_y), []).append((k, at_x, at_y, None))
+            except UnsupportedChordError:
+                pass
+    parts, chords = [None] * len(pairs), [None] * len(pairs)
+    for thr, uses in lines.items():
+        for union, hi in _connected(uses):
+            _, at_x, at_y, _ = min(union, key=lambda use: use[0])
             with _naming_pair(at_x[0], at_y[0]):
-                walk = _LevelWalk(f, located[union[0]][0], hi, thr)
-            for k in union:
-                at_x, at_y, level, _ = located[k]
+                walk = _LineWalk(f, union[0][1], hi, thr)
+            for k, at_x, at_y, level in union:
                 with _naming_pair(at_x[0], at_y[0]):
-                    results[k] = walk.cut(f, at_x, at_y, level)
-    return results
+                    if level is None:
+                        chords[k] = walk.chord(at_x[0], at_y[0])
+                    else:
+                        parts[k] = walk.cut(f, at_x, at_y, level)
+    return [PairAnalysis(*part, chord) for part, chord in zip(parts, chords)]
 
 
-def _connected(members: list[int], located: list) -> Iterator[tuple[list[int], _Located]]:
-    """The pairs ``members`` of one level, grouped by the connected unions
-    of their closed spans [x, y] in ascending order, each union with its
-    right end located.  Positions are compared by integer cross products."""
+def _connected(uses: list) -> Iterator[tuple[list, _Located]]:
+    """The uses (k, at_x, at_y, level) of one line, grouped by the
+    connected unions of their closed spans [x, y] in ascending order, each
+    union with its right end located.  Positions are compared by integer
+    cross products."""
 
     def compare(u: Fraction, v: Fraction) -> int:
         (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
         d = un * vd - vn * ud
         return (d > 0) - (d < 0)
 
-    union: list[int] = []
-    for k in sorted(members, key=cmp_to_key(lambda k, m: compare(located[k][0][0], located[m][0][0]))):
-        at_x, at_y, _, _ = located[k]
+    union: list = []
+    for use in sorted(uses, key=cmp_to_key(lambda u, v: compare(u[1][0], v[1][0]))):
+        _, at_x, at_y, _ = use
         if union and compare(at_x[0], hi[0]) <= 0:
-            union.append(k)
+            union.append(use)
             if compare(at_y[0], hi[0]) > 0:
                 hi = at_y
         else:
             if union:
                 yield union, hi
-            union, hi = [k], at_y
+            union, hi = [use], at_y
     yield union, hi
 
 
-class _LevelWalk:
-    """One walk of ]lo, hi[ against a threshold line: the components and
-    isolated violations found, and the check of each component, with the
-    integer ratios of the components' left ends and of the isolated
-    points, from which ``cut`` takes each pair's part."""
+class _LineWalk:
+    """One walk of ]lo, hi[ against a threshold line: the runs above it,
+    with the integer ratios of their left ends, and, on a constant line,
+    the components and isolated violations found and the check of each
+    component, with the integer ratios of the isolated points.  A pair
+    takes its part from them by ``cut`` or ``chord``."""
 
     def __init__(self, f: Function1D, lo: _Located, hi: _Located, thr: _Threshold):
-        runs, self.isolated = _above_set(f, lo, hi, thr)
-        self.components = OpenIntervalSet._from_runs(runs)
-        _check_maximal(f, self.components, thr)
-        self.checks = tuple(_component_checks(f, runs, thr))
-        self.lefts = [u.as_integer_ratio() for u, _ in runs]
-        self.isolated_at = [p.as_integer_ratio() for p in self.isolated]
+        self.runs, self.isolated = _above_set(f, lo, hi, thr)
+        self.lefts = [u.as_integer_ratio() for u, _ in self.runs]
+        # A constant line is a level of the walk's pairs: a chord with
+        # f(x) = f(y) is its own pair's level, over the same span.
+        _, slope, _ = thr
+        if not slope:
+            self.components = OpenIntervalSet._from_runs(self.runs)
+            _check_maximal(f, self.components, thr)
+            self.checks = tuple(_component_checks(f, self.runs, thr))
+            self.isolated_at = [p.as_integer_ratio() for p in self.isolated]
 
-    def cut(self, f: Function1D, at_x: _Located, at_y: _Located, level: XReal) -> PairAnalysis:
-        """The analysis of a pair at this line's level whose span lies
-        within the walk's, with its chord set walked from its ends."""
+    def chord(self, x: Fraction, y: Fraction) -> OpenIntervalSet:
+        """The chord set of a pair whose chord is this line."""
+        return _parameters(x, y, self.runs[_count_below(self.lefts, x) : _count_below(self.lefts, y)])
+
+    def cut(self, f: Function1D, at_x: _Located, at_y: _Located, level: XReal) -> tuple:
+        """The violation set, component checks and interior witness of a
+        pair at this line's level whose span lies within the walk's."""
         x, y = at_x[0], at_y[0]
-        # A component lies within [x, y] exactly when its left end does.
+        # A run lies within [x, y] exactly when its left end does.
         s, e = _count_below(self.lefts, x), _count_below(self.lefts, y)
         mine = self.components.intervals[s:e]
         isolated = self.isolated[_count_below(self.isolated_at, x) : _count_below(self.isolated_at, y)]
-        try:
-            chord = _chord_set(f, at_x, at_y, _chord(f, at_x, at_y))
-        except UnsupportedChordError:
-            chord = None
-        return PairAnalysis(
-            decomposition=ViolationDecomposition(
+        return (
+            ViolationDecomposition(
                 x=x,
                 y=y,
                 threshold=level,
@@ -526,9 +538,8 @@ class _LevelWalk:
                 isolated_violations=tuple(isolated),
                 lsc_offenders=_lsc_offenders_in(f, at_x, at_y),
             ),
-            checks=self.checks[s:e],
-            interior_witness=not (len(mine) == 1 and mine[0].left == x and mine[0].right == y),
-            chord=chord,
+            self.checks[s:e],
+            not (len(mine) == 1 and mine[0].left == x and mine[0].right == y),
         )
 
 
@@ -546,19 +557,23 @@ def _count_below(ratios: list[tuple[int, int]], t: Fraction) -> int:
     return lo
 
 
-@contextmanager
-def _naming_pair(x: Fraction, y: Fraction) -> Iterator[None]:
+class _naming_pair:
     """Add a note naming the pair (x, y) to an exception raised inside;
     it stays with the exception out of a pool worker, and ``cli.main``
     puts it before the message.  An end past the digit limit is named by
-    its double."""
-    try:
-        yield
-    except Exception as exc:
-        try:
-            note = f"pair ({format_rational(x)}, {format_rational(y)})"
-        except ParameterRangeError:
-            note = f"pair near ({_decimal(x)}, {_decimal(y)})"
-        # ``exc.add_note(note)`` on Python 3.11 and later.
-        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-        raise
+    its double.  A class, not a generator, as it is entered twice a pair."""
+
+    def __init__(self, x: Fraction, y: Fraction):
+        self.x, self.y = x, y
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type, exc: Optional[BaseException], tb: object) -> None:
+        if isinstance(exc, Exception):
+            try:
+                note = f"pair ({format_rational(self.x)}, {format_rational(self.y)})"
+            except ParameterRangeError:
+                note = f"pair near ({_decimal(self.x)}, {_decimal(self.y)})"
+            # ``exc.add_note(note)`` on Python 3.11 and later.
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]

@@ -11,7 +11,9 @@ each end as a breakpoint or a point inside a piece, and check the exact
 violation and chord sets point by point against the model's own fields.
 The batch pair analysis behind ``qcvx analyze`` is checked pair by pair
 against the single-pair functions, on pair lists whose spans share
-levels, overlap, nest, touch and repeat.  The oracle's triple count and
+levels, overlap, nest, touch and repeat, and also on piecewise-linear
+models with three or more knots on one sloped line, so that pairs share
+a chord line that is not their level.  The oracle's triple count and
 its witnesses are checked against a plain loop over every grid triple.
 Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
@@ -113,6 +115,22 @@ def shared_linear_models(draw) -> PiecewiseLinear:
     positions = [F(0), *(F(i, 60) for i in sorted(inner)), F(1)]
     values = draw(st.lists(st.integers(-4, 4), min_size=len(positions), max_size=len(positions)))
     return PiecewiseLinear(tuple((p, F(v, 4)) for p, v in zip(positions, values)))
+
+
+@st.composite
+def collinear_linear_models(draw) -> PiecewiseLinear:
+    # Three to six knots on one sloped line, with random knots between
+    # them on a 1/60 grid: pairs of the knots on the line share it as
+    # their chord, which is no pair's level, and their spans connect.
+    slope = F(draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1])), draw(st.integers(1, 4)))
+    intercept = F(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    on = draw(st.lists(st.integers(0, 60), min_size=3, max_size=6, unique=True))
+    between = draw(st.lists(st.integers(0, 60), max_size=6, unique=True))
+    knots = []
+    for i in sorted({0, 60, *on, *between}):
+        value = slope * F(i, 60) + intercept if i in on else F(draw(st.integers(-12, 12)), 4)
+        knots.append((F(i, 60), value))
+    return PiecewiseLinear(tuple(knots))
 
 
 LINEAR = st.one_of(coprime_linear_models(), shared_linear_models())
@@ -321,12 +339,12 @@ def draw_pairs(data, f) -> list[tuple[F, F]]:
     return [(points[i], points[j]) for i, j in pairs]
 
 
-@settings(SETTINGS, max_examples=150)
-@given(st.one_of(piecewise_constant_models(), MODELS, LSC, USC), st.data())
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(piecewise_constant_models(), MODELS, LSC, USC, collinear_linear_models()), st.data())
 def test_pair_batch_matches_the_single_pair_functions(f, data):
-    # Pairs that share a level and whose spans connect share one walk in
-    # the batch; each pair's part must be what the single-pair functions
-    # find on its own span.
+    # Pairs that share a level or a chord line and whose spans connect
+    # share one walk of that line in the batch; each pair's part must be
+    # what the single-pair functions find on its own span.
     pairs = draw_pairs(data, f)
     analyses = analyze_pairs(f, pairs)
     assert len(analyses) == len(pairs)

@@ -12,8 +12,8 @@ max(f(x), f(y)) by a cross product and builds and checks its interval
 sets on integers, so it compares no Fractions at all; neither does a
 whole-domain violation set of the Cantor set indicator.  Pair analyses
 run through the batch entry point ``analyze_pairs``, which walks each
-level once per connected union of pair spans: its walks are counted by
-wrapping the walk functions, and its grouping of the pairs compares no
+threshold line, a pair's level or chord, once per connected union of
+pair spans: its walks are counted by wrapping the walk functions, and its grouping of the pairs compares no
 Fractions either.  The count of
 two local shapes must not change with the size.  One point evaluation,
 and a sorted evaluation within one piece, compare no Fractions at all: a
@@ -38,6 +38,7 @@ import pytest
 
 from conftest import coprime_linear, random_pwc
 from qcvx import (
+    PiecewiseLinear,
     Tabulated,
     argmax_set,
     check_semicontinuity,
@@ -122,21 +123,37 @@ def test_whole_domain_pair_analysis_compares_no_components(monkeypatch):
     assert small == large == 0, (small, large)
 
 
-def walk_groups(f, pairs) -> int:
-    """The number of (level, connected span) groups of ``pairs``: pairs
-    with the same max(f(x), f(y)) whose closed spans [x, y] connect."""
-    spans: dict = {}
+def threshold_lines(f, pairs) -> dict:
+    """Each threshold line of ``pairs``, as (slope, value at 0), with the
+    spans (x, y, level) that use it: the level max(f(x), f(y)), and the
+    chord through (x, f(x)) and (y, f(y)) when both values are finite.
+    The lines are worked out from ``f.evaluate`` at the ends."""
+    lines: dict = {}
     for x, y in pairs:
-        spans.setdefault(max(f.evaluate(x), f.evaluate(y)), []).append((x, y))
-    groups = 0
-    for level_spans in spans.values():
+        fx, fy = f.evaluate(x), f.evaluate(y)
+        level = max(fx, fy)
+        lines.setdefault((0, level.finite_value if level.is_finite else level), []).append((x, y, True))
+        if fx.is_finite and fy.is_finite:
+            slope = (fy.finite_value - fx.finite_value) / (y - x)
+            lines.setdefault((slope, fx.finite_value - slope * x), []).append((x, y, False))
+    return lines
+
+
+def walk_groups(f, pairs) -> tuple[int, int]:
+    """The number of (threshold line, connected span) groups of ``pairs``:
+    pairs with the same level or chord line whose closed spans [x, y]
+    connect; and the number of those groups where the line is the level
+    of some pair."""
+    groups: list[bool] = []
+    for spans in threshold_lines(f, pairs).values():
         hi = None
-        for x, y in sorted(level_spans):
+        for x, y, level in sorted(spans):
             if hi is None or x > hi:
-                groups += 1
+                groups.append(False)
                 hi = y
             hi = max(hi, y)
-    return groups
+            groups[-1] |= level
+    return len(groups), sum(groups)
 
 
 def walks(monkeypatch, f, pairs) -> dict:
@@ -157,25 +174,44 @@ def walks(monkeypatch, f, pairs) -> dict:
 @pytest.mark.parametrize("depth", [4, 5])
 def test_all_pairs_walk_each_level_and_connected_span_once(monkeypatch, depth):
     # All breakpoint pairs of the Cantor complement share the level 0 and
-    # one connected span, so one walk and one round of component checks
-    # serve them all; each pair still walks its own chord.
+    # one connected span, and f(x) = f(y) = 0 makes each pair's chord that
+    # level, so one walk and one round of component checks serve all
+    # their violation and chord sets.
     f = generate_cantor(depth, "complement")
     pairs = list(combinations(f.breakpoints(), 2))
-    assert walk_groups(f, pairs) == 1
-    assert walks(monkeypatch, f, pairs) == {"_above_set": 1 + len(pairs), "_component_checks": 1}
+    assert walk_groups(f, pairs) == (1, 1)
+    assert walks(monkeypatch, f, pairs) == {"_above_set": 1, "_component_checks": 1}
 
 
 def test_pairs_walk_once_per_level_and_connected_span(monkeypatch):
     # Breakpoint pairs and pairs inside pieces of a model with +-inf
-    # values: one walk per group, and a chord walk per pair with finite
-    # ends.
+    # values: one walk per threshold line and connected span, and one
+    # round of component checks per group on a level line.
     f = random_pwc(4, pieces=9, allow_infinite=True)
     bps = f.breakpoints()
     pairs = [*combinations(bps, 2), *((p + (q - p) / 3, q + (r - q) / 2) for p, q, r in zip(bps, bps[1:], bps[2:]))]
-    chords = sum(f.evaluate(x).is_finite and f.evaluate(y).is_finite for x, y in pairs)
-    groups = walk_groups(f, pairs)
-    assert 1 < groups < len(pairs)
-    assert walks(monkeypatch, f, pairs) == {"_above_set": groups + chords, "_component_checks": groups}
+    groups, level_groups = walk_groups(f, pairs)
+    assert 1 < level_groups < len(pairs)
+    assert walks(monkeypatch, f, pairs) == {"_above_set": groups, "_component_checks": level_groups}
+
+
+def test_chord_only_lines_run_no_component_checks(monkeypatch):
+    # A random piecewise-linear model whose even knots lie on the line
+    # 3t/2 - 1: the 55 pairs of those knots share that sloped chord line,
+    # which is no pair's level, and their spans connect, so one walk
+    # serves their chord sets and no component is checked on it.
+    rng = random.Random(7)
+    line = (Fraction(3, 2), Fraction(-1))
+    knots = [
+        (t, line[0] * t + line[1] if k % 2 == 0 else Fraction(rng.randint(-8, 8), 4))
+        for k, t in enumerate(Fraction(k, 20) for k in range(21))
+    ]
+    f = PiecewiseLinear(tuple(knots))
+    pairs = list(combinations(f.breakpoints(), 2))
+    assert len(threshold_lines(f, pairs)[line]) == 55
+    groups, level_groups = walk_groups(f, pairs)
+    assert level_groups < groups < len(pairs) + level_groups - 50
+    assert walks(monkeypatch, f, pairs) == {"_above_set": groups, "_component_checks": level_groups}
 
 
 def test_pair_grouping_compares_no_fractions(monkeypatch):

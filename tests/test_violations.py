@@ -637,8 +637,9 @@ class TestChordViolations:
 
 class TestPairBatchNamesFailures:
     """``analyze_pairs`` names the pair behind a failure in a note: its
-    own pair for a per-pair step, and for a shared level walk the first
-    pair, in the order given, whose span that walk covers."""
+    own pair for a per-pair step, and for a shared walk, of a level or a
+    chord line, the first pair, in the order given, whose span that walk
+    covers."""
 
     # On the depth-2 Cantor complement every breakpoint pair has the level
     # 0 and the last three pairs' spans connect into [0, 1]; the first
@@ -661,16 +662,23 @@ class TestPairBatchNamesFailures:
         monkeypatch.setattr(violations, "_above_set", failing)
         assert self.notes() == ["pair (2/3, 1)"]
 
-    def test_chord_walk_names_its_own_pair(self, monkeypatch):
-        original = violations._chord_set
+    def test_shared_chord_walk_names_the_first_pair_it_covers(self, monkeypatch):
+        # f(t) = t at 0, 1/2 and 1, so the last three pairs share the chord
+        # line t over [0, 1], which is no pair's level; the first pair's
+        # chord falls from 1 to 0.
+        f = PiecewiseLinear(((F(0), F(0)), (F(1, 4), F(1)), (F(1, 2), F(1, 2)), (F(3, 4), F(0)), (F(1), F(1))))
+        original = violations._above_set
 
-        def failing(f, at_x, at_y, chord):
-            if at_x[0] == F(1, 9):
-                raise ConsistencyError("chord failed")
-            return original(f, at_x, at_y, chord)
+        def failing(f, lo, hi, thr):
+            _, slope, _ = thr
+            if slope and lo[0] == 0:
+                raise ConsistencyError("chord walk failed")
+            return original(f, lo, hi, thr)
 
-        monkeypatch.setattr(violations, "_chord_set", failing)
-        assert self.notes() == ["pair (1/9, 8/9)"]
+        monkeypatch.setattr(violations, "_above_set", failing)
+        with pytest.raises(ConsistencyError, match="chord walk failed") as info:
+            analyze_pairs(f, [(F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(0), F(1, 2)), (F(0), F(1))])
+        assert info.value.__notes__ == ["pair (1/2, 1)"]
 
     @pytest.mark.parametrize(
         "split, raises",
