@@ -51,7 +51,7 @@ from .functions import (
     function_to_dict,
 )
 from .intervals import OpenIntervalSet, normalize
-from .oracle import FLOAT_EPSILON, diff_report, oracle_quasiconvex, oracle_violation_set, uniform_points
+from .oracle import FLOAT_EPSILON, _violation_set_from, diff_report, oracle_quasiconvex, uniform_points
 from .violations import _naming_pair, analyze_pairs, is_quasiconvex, violation_set
 
 EXIT_OK = 0
@@ -443,9 +443,8 @@ def oracle(function_file, grid_points, compare, pair, expect_path, out_path, no_
     report["oracle"] = verdict.to_json()
     exit_code = EXIT_OK
     if compare or expect_path:
-        a, b = f.domain
-        x, y = _parse_pair(*pair) if pair else (a, b)
-        approx = oracle_violation_set(f, x, y, grid_points)
+        x, y = _parse_pair(*pair) if pair else f.domain
+        approx = _violation_set_from(verdict, f, x, y)
         slack = (y - x) / (grid_points - 1)
         if expect_path:
             try:

@@ -19,17 +19,19 @@ the Fraction work of one call grows with the breakpoint count only.
 Black-box models compare as floats, where f(k) is strictly above f(i)
 when it is above fl(f(i) + ``FLOAT_EPSILON``), on both grids alike.
 
-On piecewise-constant models both the triple grid and the violation-set
-grid hold every piece midpoint, so a piece narrower than the uniform
-spacing still has a sample.  A merged grid of more than
-``MAX_GRID_POINTS`` points is refused before any point is made.
+The verdict carries its grid, evaluated and keyed, and ``qcvx oracle``
+reads the violation set of the domain ends from it; another pair gets a
+grid of its own.  On piecewise-constant models each grid holds every piece
+midpoint, so a piece narrower than the uniform spacing still has a
+sample.  A merged grid of more than ``MAX_GRID_POINTS`` points is refused
+before any point is made.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, islice
 from typing import Callable, Optional, Sequence, Union
@@ -40,7 +42,8 @@ from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
 
 # Near this size the oracle takes 0.02-0.04 s and 20 MB, mostly making and
-# evaluating the Fraction grid (4,062 points, 2 vCPUs, Python 3.11).
+# evaluating the Fraction grid (4,062 points, 2 vCPUs, Python 3.11); an
+# ``oracle`` command makes one such grid when its pair is the domain.
 MAX_GRID_POINTS = 4096
 
 # A black-box value is strictly above another when above by more than this.
@@ -97,6 +100,8 @@ class OracleVerdict:
     violating_triples: tuple[ViolatingTriple, ...]
     total_violations: int
     grid: GridInfo
+    # The grid, keys and shifted keys of ``_sample``; not in the report.
+    sample: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -210,15 +215,22 @@ def _integer_keys(values: Sequence[XReal]) -> list[int]:
     ]
 
 
-def _keys(values: Sequence[XReal], float_mode: bool) -> tuple[list, list]:
-    """``(keys, shifted)`` with f(k) strictly above f(i) iff keys[k] >
-    shifted[i]: integer keys for both, or floats and fl(f + FLOAT_EPSILON)."""
-    if not float_mode:
+def _sample(f: Function1D, grid_points: int, x: Fraction, y: Fraction) -> tuple:
+    """The grid on [x, y], x and y added where it lacks them, and keys with
+    f(k) strictly above f(i) iff keys[k] > shifted[i]: integer keys for
+    both, or floats and fl(f + FLOAT_EPSILON)."""
+    grid = build_grid(f, grid_points, x, y)
+    if not grid or grid[0] != x:
+        grid.insert(0, x)
+    if grid[-1] != y:
+        grid.append(y)
+    values = f.evaluate_sorted(grid)
+    if f.is_exact or isinstance(f, Tabulated):
         keys = _integer_keys(values)
-        return keys, keys
+        return grid, keys, keys
     keys = [float(v) for v in values]
     eps = float(FLOAT_EPSILON)
-    return keys, [key + eps for key in keys]
+    return grid, keys, [key + eps for key in keys]
 
 
 def oracle_quasiconvex(
@@ -237,9 +249,8 @@ def oracle_quasiconvex(
     :func:`build_grid` refuses it.
     """
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
-    grid = build_grid(f, grid_points)
+    grid, keys, shifted = sample = _sample(f, grid_points, *f.domain)
     g = len(grid)
-    keys, shifted = _keys(f.evaluate_sorted(grid), float_mode)
     # below[k] is R(k); reach[k] is the greatest key of a middle at k or
     # after it with R > 0, so row i has a witness iff reach[i + 1] > shifted[i].
     below = [0] * g
@@ -279,6 +290,7 @@ def oracle_quasiconvex(
         violating_triples=tuple(found),
         total_violations=total,
         grid=info,
+        sample=sample,
     )
 
 
@@ -305,13 +317,20 @@ def oracle_violation_set(
     x, y = as_rational(x), as_rational(y)
     if not x < y:
         raise ParameterRangeError("oracle_violation_set needs x < y")
-    grid = build_grid(f, grid_points, x, y)
-    if not grid or grid[0] != x:
-        grid.insert(0, x)
-    if grid[-1] != y:
-        grid.append(y)
-    float_mode = not f.is_exact and not isinstance(f, Tabulated)
-    keys, shifted = _keys(f.evaluate_sorted(grid), float_mode)
+    return _runs(*_sample(f, grid_points, x, y))
+
+
+def _violation_set_from(verdict: OracleVerdict, f: Function1D, x: Fraction, y: Fraction) -> OpenIntervalSet:
+    """``oracle_violation_set(f, x, y, verdict.grid.resolution)``, read from the
+    verdict's sample if it runs from x to y, as for the domain ends only."""
+    grid = verdict.sample[0]
+    if grid[0] != x or grid[-1] != y:
+        return oracle_violation_set(f, x, y, verdict.grid.resolution)
+    return _runs(*verdict.sample)
+
+
+def _runs(grid: list[Fraction], keys: list, shifted: list) -> OpenIntervalSet:
+    """The violation set's runs on a sample whose ends are the pair's."""
     threshold = max(shifted[0], shifted[-1])
     runs: list[tuple[Fraction, Fraction]] = []
     i = 0

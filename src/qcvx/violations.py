@@ -528,13 +528,15 @@ class _LineWalk:
         # A run lies within [x, y] exactly when its left end does.
         s, e = _count_below(self.lefts, x), _count_below(self.lefts, y)
         mine = self.components.intervals[s:e]
+        components = object.__new__(OpenIntervalSet)  # made without __init__: a slice of a checked set
+        components.__dict__["intervals"] = mine
         isolated = self.isolated[_count_below(self.isolated_at, x) : _count_below(self.isolated_at, y)]
         return (
             ViolationDecomposition(
                 x=x,
                 y=y,
                 threshold=level,
-                components=OpenIntervalSet(mine),
+                components=components,
                 isolated_violations=tuple(isolated),
                 lsc_offenders=_lsc_offenders_in(f, at_x, at_y),
             ),

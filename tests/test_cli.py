@@ -652,6 +652,52 @@ class TestOracleCommand:
         assert err == "error: oracle grid has 1000000001 points at resolution 1000000000, over the limit of 4096\n"
 
     @pytest.fixture()
+    def grid_calls(self, monkeypatch):
+        """Counts of the grids the oracle builds and of the evaluations of
+        a built grid; the exact verdict's own evaluations are not counted."""
+        calls = {"build_grid": 0, "evaluate_sorted": 0}
+        built = []
+        build_grid = qcvx.oracle.build_grid
+        evaluate_sorted = qcvx.functions._Indexed.evaluate_sorted
+
+        def counted_build(*args, **kwargs):
+            calls["build_grid"] += 1
+            built.append(build_grid(*args, **kwargs))
+            return built[-1]
+
+        def counted_evaluate(self, ts):
+            calls["evaluate_sorted"] += any(ts is grid for grid in built)
+            return evaluate_sorted(self, ts)
+
+        monkeypatch.setattr("qcvx.oracle.build_grid", counted_build)
+        monkeypatch.setattr("qcvx.functions._Indexed.evaluate_sorted", counted_evaluate)
+        return calls
+
+    @pytest.mark.parametrize(
+        "pair, grids",
+        [([], 1), (["--pair", "0", "1"], 1), (["--pair", "1/4", "3/4"], 2)],
+        ids=["domain-by-default", "domain-ends", "inner-pair"],
+    )
+    def test_compare_builds_one_grid_for_the_domain(self, tent_file, capsys, grid_calls, pair, grids):
+        # The violation set of the domain ends reads the verdict's grid;
+        # a pair inside the domain needs a grid of its own on [x, y].
+        code, out, _ = run(
+            ["oracle", str(tent_file), "--grid", "33", "--compare", *pair, "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert read_json(out)["comparison"]["consistent"] is True
+        assert grid_calls == {"build_grid": grids, "evaluate_sorted": grids}
+
+    def test_expectation_builds_one_grid_for_the_domain(self, tabulated_file, tmp_path, capsys, grid_calls):
+        expect = tmp_path / "expect.json"
+        expect.write_text('{"components": []}')
+        code, _, _ = run(
+            ["oracle", str(tabulated_file), "--expect", str(expect), "--grid", "61", "--no-timestamp"], capsys
+        )
+        assert code == 0
+        assert grid_calls == {"build_grid": 1, "evaluate_sorted": 1}
+
+    @pytest.fixture()
     def tabulated_file(self, tmp_path):
         path = tmp_path / "tab.json"
         path.write_text(

@@ -14,7 +14,9 @@ against the single-pair functions, on pair lists whose spans share
 levels, overlap, nest, touch and repeat, and also on piecewise-linear
 models with three or more knots on one sloped line, so that pairs share
 a chord line that is not their level.  The oracle's triple count and
-its witnesses are checked against a plain loop over every grid triple.
+its witnesses are checked against a plain loop over every grid triple,
+and the violation set read from the verdict's domain grid against a
+fresh grid, also on a black box in float mode.
 Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
 characterizations of quasiconvexity: by interior witnesses for lsc maps
@@ -28,9 +30,10 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_value, structural_positions
-from test_oracle import _literal_triples
+from test_oracle import _CROSS_CHECK_MODELS, _literal_triples
 from qcvx import (
     MINUS_INF,
+    Blackbox,
     PLUS_INF,
     OpenInterval,
     PiecewiseConstant,
@@ -53,6 +56,7 @@ from qcvx import (
     violation_set,
 )
 from qcvx.errors import UnsupportedChordError
+from qcvx.oracle import _violation_set_from
 
 F = Fraction
 
@@ -201,6 +205,25 @@ def test_violation_set_matches_the_oracle(f, data):
     approx = oracle_violation_set(f, x, y, grid_points=41)
     report = diff_report(violation_set(f, x, y), approx, (y - x) / 40)
     assert report.consistent, report.to_json()
+
+
+@SETTINGS
+@given(
+    st.one_of(piecewise_constant_models(), MODELS, st.builds(_CROSS_CHECK_MODELS["blackbox_margin"])),
+    st.sampled_from([9, 41, 201]),
+    st.data(),
+)
+def test_domain_sample_gives_the_fresh_violation_set(f, g, data):
+    # ``qcvx oracle`` reads the violation set of the domain ends from the
+    # verdict's grid and builds a grid of its own for any other pair; both
+    # must be the set a fresh grid on [x, y] gives.  The black box has no
+    # structure, so its pairs are drawn on eighths.
+    verdict = oracle_quasiconvex(f, g)
+    points = [F(i, 8) for i in range(9)] if isinstance(f, Blackbox) else pair_points(data, f)
+    ends = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+    i, j = sorted(ends)
+    for x, y in (f.domain, (points[i], points[j])):
+        assert _violation_set_from(verdict, f, x, y) == oracle_violation_set(f, x, y, g)
 
 
 @SETTINGS
