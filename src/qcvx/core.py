@@ -106,10 +106,13 @@ class XReal:
 
     @classmethod
     def coerce(cls, value) -> "XReal":
-        """Coerce XReal, rational-like or float (incl. inf) to an XReal."""
+        """Coerce XReal, rational-like or float (incl. inf) to an XReal;
+        NaN raises :class:`ParameterRangeError`."""
         if isinstance(value, XReal):
             return value
         if isinstance(value, float):
+            if value != value:
+                raise ParameterRangeError("NaN is not an extended real value")
             if value == float("inf"):
                 return PLUS_INF
             if value == float("-inf"):

@@ -533,7 +533,10 @@ class Blackbox(Function1D):
 
     def evaluate(self, t: RationalLike) -> XReal:
         t = self._check_domain(as_rational(t))
-        return XReal.coerce(self._callback(t))
+        try:
+            return XReal.coerce(self._callback(t))
+        except ParameterRangeError as exc:
+            raise ParameterRangeError(f"black box at t = {t}: {exc}") from exc
 
     def negate(self) -> "Blackbox":
         inner = self._callback

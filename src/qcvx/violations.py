@@ -31,16 +31,17 @@ chord parameters.
 ``qcvx analyze`` asks them.  A violation set is the set above the
 pair's level, and a chord set the set above its chord line, each cut to
 the pair; the pairs of n breakpoints have at most n levels, and a pair
-with f(x) = f(y) has its level for its chord.  Pairs whose spans connect
-take their parts of each line from one walk of the union of their spans.
+with f(x) = f(y) has its level for its chord.  The pairs on one line take
+their parts of it from one walk, from the leftmost pair end on the line
+to the rightmost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .core import RationalLike, XReal, _decimal, as_rational, format_rational
 from .errors import ConsistencyError, ParameterRangeError, UnsupportedChordError
@@ -430,72 +431,64 @@ def analyze_pairs(
 ) -> list[PairAnalysis]:
     """``violation_set``, ``verify_component_property``,
     ``interior_witness_exists`` and ``convexity_violation_set`` of every
-    pair, in order, with one walk per threshold line and connected span.
+    pair, in order, with one walk per threshold line.
 
     Each pair is located once and has two threshold lines: its level
-    max(f(x), f(y)), and its chord when f(x) and f(y) are finite.  Pairs
-    whose lines agree and whose closed spans [x, y] connect share one walk
-    of their union against that line.  Both ends of a pair lie at or
-    below its level and on its chord, so no run of the union above a line
-    crosses an end: the pair's components and chord set are the runs
-    within [x, y], and its isolated violations the union's inside ]x, y[.
-    A walk checks each component once if the line is some pair's level,
-    and a pair has an interior witness unless its only component is ]x, y[.
+    max(f(x), f(y)), and its chord when f(x) and f(y) are finite.  All
+    pairs on one line share one walk of it, from the leftmost pair end on
+    the line to the rightmost.  Every pair end on a line lies at or below
+    it (a level) or on it (a chord), so no run above the line crosses a
+    pair end: a pair's components and chord set are the runs within
+    [x, y], and its isolated violations the walk's inside ]x, y[.  A run
+    in a gap between the pairs lies outside every pair and is cut into
+    none; such gaps cost the walk up to the model's breakpoints for pairs
+    far apart on one line.  A walk checks each of its components once if
+    the line is some pair's level, and a pair has an interior witness
+    unless its only component is ]x, y[.
 
     An exception names its pair in a note: the pair it was raised for,
-    or, inside a shared walk, the first pair in ``pairs`` that the walk
-    covers.
+    or, inside a walk, the first pair in ``pairs`` on the walk's line.
     """
     require_exact(f, "analyze_pairs")
-    # Each line's uses (k, at_x, at_y, level) by pair k, level None for a chord.
+    # Each line's hull, its leftmost and rightmost pair end, and its uses
+    # (k, at_x, at_y, level) by pair k, level None for a chord.
     lines: dict[_Threshold, list] = {}
+
+    def add(thr: _Threshold, k: int, at_x: _Located, at_y: _Located, level: Optional[XReal]) -> None:
+        line = lines.setdefault(thr, [at_x, at_y, []])
+        if _left_of(at_x[0], line[0][0]):
+            line[0] = at_x
+        if _left_of(line[1][0], at_y[0]):
+            line[1] = at_y
+        line[2].append((k, at_x, at_y, level))
+
     for k, (x, y) in enumerate(pairs):
         x, y = as_rational(x), as_rational(y)
         with _naming_pair(x, y):
             at_x, at_y, level, thr = _pair(f, x, y)
-            lines.setdefault(thr, []).append((k, at_x, at_y, level))
+            add(thr, k, at_x, at_y, level)
             try:
-                lines.setdefault(_chord(f, at_x, at_y), []).append((k, at_x, at_y, None))
+                add(_chord(f, at_x, at_y), k, at_x, at_y, None)
             except UnsupportedChordError:
                 pass
     parts, chords = [None] * len(pairs), [None] * len(pairs)
-    for thr, uses in lines.items():
-        for union, hi in _connected(uses):
-            _, at_x, at_y, _ = min(union, key=lambda use: use[0])
+    for thr, (lo, hi, uses) in lines.items():
+        _, at_x, at_y, _ = uses[0]
+        with _naming_pair(at_x[0], at_y[0]):
+            walk = _LineWalk(f, lo, hi, thr)
+        for k, at_x, at_y, level in uses:
             with _naming_pair(at_x[0], at_y[0]):
-                walk = _LineWalk(f, union[0][1], hi, thr)
-            for k, at_x, at_y, level in union:
-                with _naming_pair(at_x[0], at_y[0]):
-                    if level is None:
-                        chords[k] = walk.chord(at_x[0], at_y[0])
-                    else:
-                        parts[k] = walk.cut(f, at_x, at_y, level)
+                if level is None:
+                    chords[k] = walk.chord(at_x[0], at_y[0])
+                else:
+                    parts[k] = walk.cut(f, at_x, at_y, level)
     return [PairAnalysis(*part, chord) for part, chord in zip(parts, chords)]
 
 
-def _connected(uses: list) -> Iterator[tuple[list, _Located]]:
-    """The uses (k, at_x, at_y, level) of one line, grouped by the
-    connected unions of their closed spans [x, y] in ascending order, each
-    union with its right end located.  Positions are compared by integer
-    cross products."""
-
-    def compare(u: Fraction, v: Fraction) -> int:
-        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
-        d = un * vd - vn * ud
-        return (d > 0) - (d < 0)
-
-    union: list = []
-    for use in sorted(uses, key=cmp_to_key(lambda u, v: compare(u[1][0], v[1][0]))):
-        _, at_x, at_y, _ = use
-        if union and compare(at_x[0], hi[0]) <= 0:
-            union.append(use)
-            if compare(at_y[0], hi[0]) > 0:
-                hi = at_y
-        else:
-            if union:
-                yield union, hi
-            union, hi = [use], at_y
-    yield union, hi
+def _left_of(u: Fraction, v: Fraction) -> bool:
+    """Whether u < v, by one integer cross product."""
+    (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
+    return un * vd < vn * ud
 
 
 class _LineWalk:

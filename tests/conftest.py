@@ -15,12 +15,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, PiecewiseLinear, XReal, generate_cantor
 from qcvx.corpus import random_piecewise_linear
 from qcvx.oracle import MAX_GRID_POINTS
 
 ACCEPTANCE_LINES: list[str] = []
+
+# For tools/mutation_gate.py: a mutant is killed by any failing example,
+# so the gate skips shrinking it, which took 35 of the 40 s one run did.
+settings.register_profile("mutation-gate", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

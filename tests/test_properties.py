@@ -20,7 +20,10 @@ fresh grid, also on a black box in float mode.
 Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
 characterizations of quasiconvexity: by interior witnesses for lsc maps
-and by paired maxima for usc maps.  The runs are derandomized and
+and by paired maxima for usc maps, where a pair has a certificate
+exactly when its violation set is not empty.  ``tools/mutation_gate.py``
+checks that this file alone kills a list of one-line mutants of the
+program.  The runs are derandomized and
 bounded, so the file is deterministic and takes a few seconds.
 """
 
@@ -365,9 +368,9 @@ def draw_pairs(data, f) -> list[tuple[F, F]]:
 @settings(SETTINGS, max_examples=200)
 @given(st.one_of(piecewise_constant_models(), MODELS, LSC, USC, collinear_linear_models()), st.data())
 def test_pair_batch_matches_the_single_pair_functions(f, data):
-    # Pairs that share a level or a chord line and whose spans connect
-    # share one walk of that line in the batch; each pair's part must be
-    # what the single-pair functions find on its own span.
+    # Pairs that share a level or a chord line share one walk of that
+    # line in the batch, across any gaps between them; each pair's part
+    # must be what the single-pair functions find on its own span.
     pairs = draw_pairs(data, f)
     analyses = analyze_pairs(f, pairs)
     assert len(analyses) == len(pairs)
@@ -427,6 +430,18 @@ def test_usc_witness_has_a_paired_maxima_certificate(f):
     assert cert is not None and cert.checks.all_passed, cert
     revalidation = revalidate_certificate(f, cert, grid_points=41)
     assert revalidation.all_passed, revalidation.failures
+
+
+@SETTINGS
+@given(USC, st.data())
+def test_usc_certificate_exists_iff_the_pair_has_violations(f, data):
+    # The supremum over ]x0, y0[ exceeds max(f(x0), f(y0)) exactly when
+    # some point there does, and on a usc model such a point lies in an
+    # open component of the violation set; a supremum equal to the level,
+    # as on a plateau at the level, gives no certificate.
+    x0, y0 = draw_pair(data, f)
+    cert = paired_maxima_certificate(f, x0, y0)
+    assert (cert is None) == (not violation_set(f, x0, y0).components.intervals), (x0, y0, cert)
 
 
 @SETTINGS

@@ -17,6 +17,7 @@ import pytest
 from qcvx import (
     Blackbox,
     ClosedSet1D,
+    PiecewiseConstant,
     PiecewiseLinear,
     Tabulated,
     argmax_set,
@@ -30,7 +31,7 @@ from qcvx import (
 )
 from qcvx import errors
 from qcvx.cli import main
-from qcvx.core import Point, as_rational
+from qcvx.core import Point, XReal, as_rational
 from qcvx.errors import (
     DomainError,
     InteriorRequiredError,
@@ -256,6 +257,31 @@ def test_oracle_violation_set_needs_sample_ends(x, y, missing):
 )
 def test_library_rejection(call, error, field, message):
     rejects(call, error, field, message)
+
+
+NAN = float("nan")
+NAN_MESSAGE = "NaN is not an extended real value"
+NAN_AT_HALF = Blackbox(0, 1, lambda t: NAN if t == Fraction(1, 2) else 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: XReal.coerce(NAN), NAN_MESSAGE),
+        (lambda: Tabulated((0, 1), (0.0, NAN)), NAN_MESSAGE),
+        (lambda: PiecewiseConstant((0, 1), (NAN,), (0.0, 0.0)), NAN_MESSAGE),
+        (lambda: PiecewiseConstant((0, 1), (0.0,), (NAN, 0.0)), NAN_MESSAGE),
+        (lambda: NAN_AT_HALF.evaluate(Fraction(1, 2)), f"black box at t = 1/2: {NAN_MESSAGE}"),
+        (lambda: NAN_AT_HALF.negate().evaluate(Fraction(1, 2)), f"black box at t = 1/2: {NAN_MESSAGE}"),
+        (lambda: oracle_quasiconvex(NAN_AT_HALF, grid_points=5), f"black box at t = 1/2: {NAN_MESSAGE}"),
+        (lambda: oracle_violation_set(NAN_AT_HALF, 0, 1, grid_points=5), f"black box at t = 1/2: {NAN_MESSAGE}"),
+    ],
+    ids=["coerce", "tabulated", "piece-value", "point-value", "blackbox", "negated-blackbox", "oracle", "oracle-set"],
+)
+def test_nan_value_rejection(call, message):
+    # A NaN compares false both ways, so it would pass any order check
+    # as a value; it is refused as a QcvxError wherever a float comes in.
+    rejects(call, ParameterRangeError, None, message)
 
 
 def test_blackbox_oracle_report_carries_its_float_mode():

@@ -12,9 +12,9 @@ max(f(x), f(y)) by a cross product and builds and checks its interval
 sets on integers, so it compares no Fractions at all; neither does a
 whole-domain violation set of the Cantor set indicator.  Pair analyses
 run through the batch entry point ``analyze_pairs``, which walks each
-threshold line, a pair's level or chord, once per connected union of
-pair spans: its walks are counted by wrapping the walk functions, and its grouping of the pairs compares no
-Fractions either.  The count of
+threshold line, a pair's level or chord, once, whether or not the pairs
+on it connect: its walks are counted by wrapping the walk functions, and
+its grouping of the pairs compares no Fractions either.  The count of
 two local shapes must not change with the size.  One point evaluation,
 and a sorted evaluation within one piece, compare no Fractions at all: a
 position's domain check reads where it was located.  A ``Tabulated``
@@ -42,13 +42,16 @@ from qcvx import (
     Tabulated,
     argmax_set,
     check_semicontinuity,
+    convexity_violation_set,
     enumerate_local_maxima,
+    interior_witness_exists,
     generate_cantor,
     local_quasiconvexity_at,
     oracle_quasiconvex,
     oracle_violation_set,
     paired_maxima_certificate,
     supremum_on,
+    verify_component_property,
     violation_set,
 )
 from qcvx import violations
@@ -139,21 +142,12 @@ def threshold_lines(f, pairs) -> dict:
     return lines
 
 
-def walk_groups(f, pairs) -> tuple[int, int]:
-    """The number of (threshold line, connected span) groups of ``pairs``:
-    pairs with the same level or chord line whose closed spans [x, y]
-    connect; and the number of those groups where the line is the level
-    of some pair."""
-    groups: list[bool] = []
-    for spans in threshold_lines(f, pairs).values():
-        hi = None
-        for x, y, level in sorted(spans):
-            if hi is None or x > hi:
-                groups.append(False)
-                hi = y
-            hi = max(hi, y)
-            groups[-1] |= level
-    return len(groups), sum(groups)
+def line_walks(f, pairs) -> tuple[int, int]:
+    """The number of threshold lines of ``pairs``, and of those lines that
+    are the level of some pair: ``analyze_pairs`` walks each line once and
+    checks the components of each level line once."""
+    lines = threshold_lines(f, pairs).values()
+    return len(lines), sum(any(level for _, _, level in spans) for spans in lines)
 
 
 def walks(monkeypatch, f, pairs) -> dict:
@@ -172,34 +166,57 @@ def walks(monkeypatch, f, pairs) -> dict:
 
 
 @pytest.mark.parametrize("depth", [4, 5])
-def test_all_pairs_walk_each_level_and_connected_span_once(monkeypatch, depth):
-    # All breakpoint pairs of the Cantor complement share the level 0 and
-    # one connected span, and f(x) = f(y) = 0 makes each pair's chord that
-    # level, so one walk and one round of component checks serve all
-    # their violation and chord sets.
+def test_all_pairs_walk_each_line_once(monkeypatch, depth):
+    # All breakpoint pairs of the Cantor complement share the level 0,
+    # and f(x) = f(y) = 0 makes each pair's chord that level, so one walk
+    # and one round of component checks serve all their violation and
+    # chord sets.
     f = generate_cantor(depth, "complement")
     pairs = list(combinations(f.breakpoints(), 2))
-    assert walk_groups(f, pairs) == (1, 1)
+    assert line_walks(f, pairs) == (1, 1)
     assert walks(monkeypatch, f, pairs) == {"_above_set": 1, "_component_checks": 1}
 
 
-def test_pairs_walk_once_per_level_and_connected_span(monkeypatch):
+def test_pairs_walk_once_per_line(monkeypatch):
     # Breakpoint pairs and pairs inside pieces of a model with +-inf
-    # values: one walk per threshold line and connected span, and one
-    # round of component checks per group on a level line.
+    # values: one walk per threshold line, and one round of component
+    # checks per level line.
     f = random_pwc(4, pieces=9, allow_infinite=True)
     bps = f.breakpoints()
     pairs = [*combinations(bps, 2), *((p + (q - p) / 3, q + (r - q) / 2) for p, q, r in zip(bps, bps[1:], bps[2:]))]
-    groups, level_groups = walk_groups(f, pairs)
-    assert 1 < level_groups < len(pairs)
-    assert walks(monkeypatch, f, pairs) == {"_above_set": groups, "_component_checks": level_groups}
+    lines, level_lines = line_walks(f, pairs)
+    assert 1 < level_lines < len(pairs)
+    assert walks(monkeypatch, f, pairs) == {"_above_set": lines, "_component_checks": level_lines}
+
+
+def test_pairs_apart_on_one_line_share_its_walk(monkeypatch):
+    # The level 0 holds a pair inside the constant piece [0, 1] and the
+    # pair (8, 9), whose chords are that level too; the sloped line t + 1
+    # holds the chords of the knot pairs (2, 3) and (6, 7).  Neither
+    # line's pairs connect, and f crosses both lines in the gaps between
+    # them, so each walk has runs that belong to no pair.
+    knots = [(0, 0), (1, 0), ("3/2", 5), (2, 3), (3, 4), (4, 9), (5, -1)]
+    knots += [(6, 7), (7, 8), ("15/2", 4), (8, 0), ("17/2", 2), (9, 0), (10, 1)]
+    f = PiecewiseLinear(tuple((Fraction(t), Fraction(v)) for t, v in knots))
+    pairs = [(Fraction(x), Fraction(y)) for x, y in (("1/4", "3/4"), (2, 3), (6, 7), (8, 9))]
+    lines = threshold_lines(f, pairs)
+    assert sorted(lines[(0, 0)]) == [(x, y, level) for x, y in (pairs[0], pairs[3]) for level in (False, True)]
+    assert sorted(lines[(1, 1)]) == [(*pairs[1], False), (*pairs[2], False)]
+    assert line_walks(f, pairs) == (4, 3)
+    assert walks(monkeypatch, f, pairs) == {"_above_set": 4, "_component_checks": 3}
+    for (x, y), analysis in zip(pairs, analyze_pairs(f, pairs)):
+        decomposition = violation_set(f, x, y)
+        assert analysis.decomposition == decomposition, (x, y)
+        assert analysis.checks == tuple(verify_component_property(f, decomposition)), (x, y)
+        assert analysis.interior_witness == interior_witness_exists(f, x, y), (x, y)
+        assert analysis.chord == convexity_violation_set(f, x, y), (x, y)
 
 
 def test_chord_only_lines_run_no_component_checks(monkeypatch):
     # A random piecewise-linear model whose even knots lie on the line
     # 3t/2 - 1: the 55 pairs of those knots share that sloped chord line,
-    # which is no pair's level, and their spans connect, so one walk
-    # serves their chord sets and no component is checked on it.
+    # which is no pair's level, so one walk serves their chord sets and
+    # no component is checked on it.
     rng = random.Random(7)
     line = (Fraction(3, 2), Fraction(-1))
     knots = [
@@ -209,9 +226,9 @@ def test_chord_only_lines_run_no_component_checks(monkeypatch):
     f = PiecewiseLinear(tuple(knots))
     pairs = list(combinations(f.breakpoints(), 2))
     assert len(threshold_lines(f, pairs)[line]) == 55
-    groups, level_groups = walk_groups(f, pairs)
-    assert level_groups < groups < len(pairs) + level_groups - 50
-    assert walks(monkeypatch, f, pairs) == {"_above_set": groups, "_component_checks": level_groups}
+    lines, level_lines = line_walks(f, pairs)
+    assert level_lines < lines < len(pairs) + level_lines - 50
+    assert walks(monkeypatch, f, pairs) == {"_above_set": lines, "_component_checks": level_lines}
 
 
 def test_pair_grouping_compares_no_fractions(monkeypatch):

@@ -638,8 +638,7 @@ class TestChordViolations:
 class TestPairBatchNamesFailures:
     """``analyze_pairs`` names the pair behind a failure in a note: its
     own pair for a per-pair step, and for a shared walk, of a level or a
-    chord line, the first pair, in the order given, whose span that walk
-    covers."""
+    chord line, the first pair, in the order given, on that line."""
 
     # On the depth-2 Cantor complement every breakpoint pair has the level
     # 0 and the last three pairs' spans connect into [0, 1]; the first
@@ -661,6 +660,19 @@ class TestPairBatchNamesFailures:
 
         monkeypatch.setattr(violations, "_above_set", failing)
         assert self.notes() == ["pair (2/3, 1)"]
+
+    def test_walk_across_a_gap_names_the_first_pair_on_its_line(self, monkeypatch):
+        # (0, 1/9) and (8/9, 1) share the level 0 with a gap between them,
+        # and the one walk of that line fails only because it reaches 1.
+        original = violations._above_set
+
+        def failing(f, lo, hi, thr):
+            if hi[0] == 1:
+                raise ConsistencyError("walk failed")
+            return original(f, lo, hi, thr)
+
+        monkeypatch.setattr(violations, "_above_set", failing)
+        assert self.notes([(F(0), F(1, 9)), (F(8, 9), F(1))]) == ["pair (0, 1/9)"]
 
     def test_shared_chord_walk_names_the_first_pair_it_covers(self, monkeypatch):
         # f(t) = t at 0, 1/2 and 1, so the last three pairs share the chord
