@@ -52,7 +52,7 @@ from .functions import (
 )
 from .intervals import OpenIntervalSet, normalize
 from .oracle import FLOAT_EPSILON, _violation_set_from, diff_report, oracle_quasiconvex, uniform_points
-from .violations import _naming_pair, analyze_pairs, is_quasiconvex, violation_set
+from .violations import _RECORD_NEWLINE, _naming_pair, _pair_walks, _record_text, is_quasiconvex, violation_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,6 +92,17 @@ def _parse_pair(x: str, y: str) -> tuple[Fraction, Fraction]:
     return parse_rational(x), parse_rational(y)
 
 
+class _Rendered:
+    """JSON text made ahead of the writer: ``pieces``, joined, are the text
+    of one value whose lines after the first start with ``newline``.
+    ``analyze`` renders its pair records this way (``pair_records``)."""
+
+    __slots__ = ("pieces", "newline")
+
+    def __init__(self, pieces: list[str], newline: str):
+        self.pieces, self.newline = pieces, newline
+
+
 def _report_text(obj) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
 
@@ -101,7 +112,10 @@ def _report_text(obj) -> str:
     Types follow ``json``'s rules: ``bool`` before ``int``, subclasses of
     ``str``, ``int`` and ``float`` by their base type, ``ValueError`` for
     NaN and ±inf.  Any other value, and a key that is not a ``str``,
-    raise ``TypeError``.
+    raise ``TypeError``.  A ``_Rendered`` value, the pair records of
+    ``analyze``, is appended as it is; it must be reached at the indent
+    it was rendered for, or ``ValueError`` is raised: it is never
+    re-indented.
     """
     parts: list[str] = []
     _emit(obj, parts.append, "\n")
@@ -149,6 +163,11 @@ def _emit(obj, append, newline: str) -> None:
             separator = "," + inner
             _emit(value, append, inner)
         append(newline + "}")
+    elif type(obj) is _Rendered:
+        if obj.newline != newline:
+            raise ValueError(f"text rendered at indent {len(obj.newline) - 1} reached at indent {len(newline) - 1}")
+        for piece in obj.pieces:
+            append(piece)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -251,16 +270,39 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
     return report
 
 
-def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[dict]:
-    """The report record of each pair, in order, from one ``analyze_pairs``
-    over all of them.  An exception raised here names its pair in a note,
-    which stays with it out of a pool worker and which ``main`` puts
-    before its message."""
+# The start of the lines after the first of the ``analyze`` report's
+# "pairs" list, a value of the top-level object; its records' lines start
+# with ``violations._RECORD_NEWLINE``, two spaces further in.
+PAIRS_NEWLINE = "\n  "
+
+
+def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[str]:
+    """The text of each pair's report record, in order, as ``_report_text``
+    writes ``PairAnalysis.to_json()`` at the record's indent, rendered by
+    ``violations._record_text`` from the walks that ``analyze_pairs``
+    takes over all the pairs (``violations._pair_walks``): each walk
+    renders its components and their checks once, a pair's lists join
+    its slice of them, and its chord ends and totals are written from
+    integers.  No record dict is built, so a pool worker returns
+    strings.  An exception raised here names its pair in a note, which
+    stays with it out of a pool worker and which ``main`` puts before its
+    message."""
     records = []
-    for analysis in analyze_pairs(f, pairs):
-        with _naming_pair(analysis.decomposition.x, analysis.decomposition.y):
-            records.append(analysis.to_json())
+    for at_x, at_y, level, walk, chord in _pair_walks(f, pairs):
+        with _naming_pair(at_x[0], at_y[0]):
+            records.append(_record_text(f, at_x, at_y, level, walk, chord))
     return records
+
+
+def _pairs_value(records: list[str]) -> _Rendered:
+    """The report's "pairs" list of the records' texts."""
+    if not records:
+        return _Rendered(["[]"], PAIRS_NEWLINE)
+    pieces = ["[" + _RECORD_NEWLINE]
+    for record in records:
+        pieces += (record, "," + _RECORD_NEWLINE)
+    pieces[-1] = PAIRS_NEWLINE + "]"
+    return _Rendered(pieces, PAIRS_NEWLINE)
 
 
 # The model of a pool worker, set once per process by ``_init_worker``.
@@ -272,13 +314,13 @@ def _init_worker(f: Function1D) -> None:
     _worker_model = f
 
 
-def _worker_records(pairs: Sequence[tuple[Fraction, Fraction]]) -> list[dict]:
+def _worker_records(pairs: Sequence[tuple[Fraction, Fraction]]) -> list[str]:
     return pair_records(_worker_model, pairs)
 
 
-def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside: int) -> list[dict]:
-    """The pair records in order.  ``inside`` counts the breakpoints
-    strictly inside the pairs, summed over them.  With at least
+def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside: int) -> list[str]:
+    """The texts of the pair records in order.  ``inside`` counts the
+    breakpoints strictly inside the pairs, summed over them.  With at least
     ``POOL_MIN_STEPS`` steps of work and more than one usable CPU the pairs
     run in a process pool, one worker per usable CPU and at most one per
     pair: the model goes to each worker once, through the pool initializer,
@@ -384,7 +426,7 @@ def analyze(
     # The oracle runs before the pairs, so that it refuses an oversized
     # grid before any pair work; its block still follows the pairs.
     oracle_block = oracle_quasiconvex(f, grid_points).to_json() if with_oracle else None
-    report["pairs"] = _run_pairs(f, pair_list, inside)
+    report["pairs"] = _pairs_value(_run_pairs(f, pair_list, inside))
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if oracle_block is not None:
         report["oracle"] = oracle_block

@@ -65,15 +65,24 @@ def format_rational(q: Fraction) -> str:
     converts to a string (``sys.get_int_max_str_digits()``, 4300 by
     default) raises :class:`ParameterRangeError`.
     """
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n / d, in lowest terms with d > 0, as ``format_rational`` writes it."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:
-        raise ParameterRangeError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit for converting an integer to a string"
-        ) from exc
+        raise _past_digit_limit() from exc
+
+
+def _past_digit_limit() -> ParameterRangeError:
+    """The error for a result whose integer has more digits than the
+    interpreter converts to a string."""
+    return ParameterRangeError(
+        f"a result has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for converting an integer to a string"
+    )
 
 
 _FINITE = 0
@@ -208,10 +217,16 @@ def _decimal(value: Union[XReal, Fraction]) -> Union[float, str]:
         if not value.is_finite:
             return value.to_string()
         value = value.finite_value
+    return _ratio_decimal(*value.as_integer_ratio())
+
+
+def _ratio_decimal(n: int, d: int) -> Union[float, str]:
+    """``_decimal`` of n / d, d > 0: the nearest double, or ``"inf"`` /
+    ``"-inf"`` beyond the double range."""
     try:
-        return float(value)
+        return n / d
     except OverflowError:
-        return "inf" if value > 0 else "-inf"
+        return "inf" if n > 0 else "-inf"
 
 
 @dataclass(frozen=True)

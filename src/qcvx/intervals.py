@@ -11,7 +11,8 @@ each run starts at or after the right end of the one before, both on
 integer cross products of the ends' numerators and denominators, with
 the ``MalformedIntervalError`` texts of the public constructors.
 ``total_length`` is one integer sum over the least common denominator of
-the ends.
+the ends (``_ratio_sum``, by which the report records of ``qcvx analyze``
+also sum their runs' lengths).
 """
 
 from __future__ import annotations
@@ -107,18 +108,26 @@ class OpenIntervalSet:
         return candidate.left < t < candidate.right
 
     def total_length(self) -> Fraction:
-        """The sum of the interval lengths, each end taken over the least
-        common denominator of all the ends."""
-        ends = [q.as_integer_ratio() for iv in self.intervals for q in (iv.right, iv.left)]
-        den = math.lcm(*[d for _, d in ends])
-        scaled = [n * (den // d) for n, d in ends]
-        return Fraction(sum(scaled[::2]) - sum(scaled[1::2]), den)
+        """The sum of the interval lengths: the integer ratios of the right
+        ends added and of the left ends subtracted, by ``_ratio_sum``."""
+        terms = []
+        for iv in self.intervals:
+            (ln, ld), (rn, rd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
+            terms += ((rn, rd), (-ln, ld))
+        return Fraction(*_ratio_sum(terms))
 
     def to_json(self) -> list[dict]:
         return [
             {"u": format_rational(iv.left), "v": format_rational(iv.right)}
             for iv in self.intervals
         ]
+
+
+def _ratio_sum(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the integer ratios n / d, d > 0, as integers n / den
+    over den, their least common denominator, not reduced."""
+    den = math.lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
 
 
 def normalize(raw: Iterable[OpenInterval | tuple]) -> OpenIntervalSet:

@@ -33,7 +33,9 @@ pair's level, and a chord set the set above its chord line, each cut to
 the pair; the pairs of n breakpoints have at most n levels, and a pair
 with f(x) = f(y) has its level for its chord.  The pairs on one line take
 their parts of it from one walk, from the leftmost pair end on the line
-to the rightmost.
+to the rightmost.  ``qcvx analyze`` writes each pair's report record as
+text rendered from the same walks (``_record_text``), the text of
+``PairAnalysis.to_json()`` byte for byte.
 """
 
 from __future__ import annotations
@@ -41,9 +43,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .core import RationalLike, XReal, _decimal, as_rational, format_rational
+from .core import (
+    RationalLike,
+    XReal,
+    _decimal,
+    _past_digit_limit,
+    _ratio_decimal,
+    _ratio_text,
+    as_rational,
+    format_rational,
+)
 from .errors import ConsistencyError, ParameterRangeError, UnsupportedChordError
 from .functions import (
     Function1D,
@@ -56,7 +68,7 @@ from .functions import (
     _Threshold,
     require_exact,
 )
-from .intervals import OpenIntervalSet
+from .intervals import OpenInterval, OpenIntervalSet, _ratio_sum
 
 
 def _above_set(
@@ -403,7 +415,9 @@ def verify_chord_components(
 class PairAnalysis:
     """What ``analyze`` reports on one pair: its violation set, the checks
     of its components, whether ]x, y[ holds an interior witness, and its
-    chord set, None when f(x) or f(y) is infinite."""
+    chord set, None when f(x) or f(y) is infinite.  ``to_json`` is the
+    reference for the text that ``qcvx analyze`` renders from the walks
+    (``_record_text``)."""
 
     decomposition: ViolationDecomposition
     checks: tuple[ComponentCheck, ...]
@@ -431,58 +445,75 @@ def analyze_pairs(
 ) -> list[PairAnalysis]:
     """``violation_set``, ``verify_component_property``,
     ``interior_witness_exists`` and ``convexity_violation_set`` of every
-    pair, in order, with one walk per threshold line.
-
-    Each pair is located once and has two threshold lines: its level
-    max(f(x), f(y)), and its chord when f(x) and f(y) are finite.  All
-    pairs on one line share one walk of it, from the leftmost pair end on
-    the line to the rightmost.  Every pair end on a line lies at or below
-    it (a level) or on it (a chord), so no run above the line crosses a
-    pair end: a pair's components and chord set are the runs within
-    [x, y], and its isolated violations the walk's inside ]x, y[.  A run
-    in a gap between the pairs lies outside every pair and is cut into
-    none; such gaps cost the walk up to the model's breakpoints for pairs
-    far apart on one line.  A walk checks each of its components once if
-    the line is some pair's level, and a pair has an interior witness
-    unless its only component is ]x, y[.
+    pair, in order, with one walk per threshold line (``_pair_walks``).
+    A pair's part is cut from its walks: its components, their checks
+    and its isolated violations from its level's walk, its chord set from
+    its chord's.  ``qcvx analyze`` renders each pair's report text from
+    the same walks (``_record_text``), and ``PairAnalysis.to_json`` is
+    that text's reference.
 
     An exception names its pair in a note: the pair it was raised for,
     or, inside a walk, the first pair in ``pairs`` on the walk's line.
     """
+    analyses = []
+    for at_x, at_y, level, walk, chord in _pair_walks(f, pairs):
+        x, y = at_x[0], at_y[0]
+        with _naming_pair(x, y):
+            analyses.append(PairAnalysis(*walk.cut(f, at_x, at_y, level), chord and chord.chord(x, y)))
+    return analyses
+
+
+def _pair_walks(
+    f: Function1D, pairs: Sequence[tuple[RationalLike, RationalLike]]
+) -> list[tuple[_Located, _Located, XReal, "_LineWalk", Optional["_LineWalk"]]]:
+    """Each pair's located ends, its level max(f(x), f(y)), the walk of
+    its level line and the walk of its chord line, None when f(x) or
+    f(y) is infinite.
+
+    Each pair is located once and has two threshold lines: its level,
+    and its chord when f(x) and f(y) are finite.  All pairs on one line
+    share one walk of it, from the leftmost pair end on the line to the
+    rightmost.  Every pair end on a line lies at or below it (a level) or
+    on it (a chord), so no run above the line crosses a pair end: a
+    pair's components and chord set are the runs within [x, y], and its
+    isolated violations the walk's inside ]x, y[.  A run in a gap between
+    the pairs lies outside every pair and is cut into none; such gaps
+    cost the walk up to the model's breakpoints for pairs far apart on
+    one line.  A walk checks each of its components once if the line is
+    some pair's level, and a pair has an interior witness unless its only
+    component is ]x, y[.  An exception names its pair as in
+    ``analyze_pairs``.
+    """
     require_exact(f, "analyze_pairs")
-    # Each line's hull, its leftmost and rightmost pair end, and its uses
-    # (k, at_x, at_y, level) by pair k, level None for a chord.
+    # Each line's hull, its leftmost and rightmost pair end, and the ends
+    # of its first pair, which names an error inside its walk.
     lines: dict[_Threshold, list] = {}
 
-    def add(thr: _Threshold, k: int, at_x: _Located, at_y: _Located, level: Optional[XReal]) -> None:
-        line = lines.setdefault(thr, [at_x, at_y, []])
+    def add(thr: _Threshold, at_x: _Located, at_y: _Located) -> None:
+        line = lines.setdefault(thr, [at_x, at_y, at_x, at_y])
         if _left_of(at_x[0], line[0][0]):
             line[0] = at_x
         if _left_of(line[1][0], at_y[0]):
             line[1] = at_y
-        line[2].append((k, at_x, at_y, level))
 
-    for k, (x, y) in enumerate(pairs):
+    uses = []
+    for x, y in pairs:
         x, y = as_rational(x), as_rational(y)
         with _naming_pair(x, y):
             at_x, at_y, level, thr = _pair(f, x, y)
-            add(thr, k, at_x, at_y, level)
+            add(thr, at_x, at_y)
             try:
-                add(_chord(f, at_x, at_y), k, at_x, at_y, None)
+                chord: Optional[_Threshold] = _chord(f, at_x, at_y)
             except UnsupportedChordError:
-                pass
-    parts, chords = [None] * len(pairs), [None] * len(pairs)
-    for thr, (lo, hi, uses) in lines.items():
-        _, at_x, at_y, _ = uses[0]
+                chord = None
+            else:
+                add(chord, at_x, at_y)
+            uses.append((at_x, at_y, level, thr, chord))
+    walks = {}
+    for thr, (lo, hi, at_x, at_y) in lines.items():
         with _naming_pair(at_x[0], at_y[0]):
-            walk = _LineWalk(f, lo, hi, thr)
-        for k, at_x, at_y, level in uses:
-            with _naming_pair(at_x[0], at_y[0]):
-                if level is None:
-                    chords[k] = walk.chord(at_x[0], at_y[0])
-                else:
-                    parts[k] = walk.cut(f, at_x, at_y, level)
-    return [PairAnalysis(*part, chord) for part, chord in zip(parts, chords)]
+            walks[thr] = _LineWalk(f, lo, hi, thr)
+    return [(at_x, at_y, level, walks[thr], chord and walks[chord]) for at_x, at_y, level, thr, chord in uses]
 
 
 def _left_of(u: Fraction, v: Fraction) -> bool:
@@ -491,51 +522,223 @@ def _left_of(u: Fraction, v: Fraction) -> bool:
     return un * vd < vn * ud
 
 
+# The start of each line after the first of a pair's report record, which
+# ``qcvx analyze`` writes in the "pairs" list of its top-level object.
+_RECORD_NEWLINE = "\n    "
+
+
 class _LineWalk:
     """One walk of ]lo, hi[ against a threshold line: the runs above it,
-    with the integer ratios of their left ends, and, on a constant line,
-    the components and isolated violations found and the check of each
-    component, with the integer ratios of the isolated points.  A pair
-    takes its part from them by ``cut`` or ``chord``."""
+    with the integer ratios of their ends and lengths, and, on a constant
+    line, the components and isolated violations found and the check of
+    each component, with the integer ratios of the isolated points.  A
+    pair takes its part from them by ``cut`` or ``chord``, or its report
+    text by ``_record_text``, each through ``span``."""
+
+    # The text of the line's level and of its components and their
+    # checks, made by ``rendered`` at first use.
+    _rendered: Optional[tuple] = None
 
     def __init__(self, f: Function1D, lo: _Located, hi: _Located, thr: _Threshold):
         self.runs, self.isolated = _above_set(f, lo, hi, thr)
-        self.lefts = [u.as_integer_ratio() for u, _ in self.runs]
+        # The runs are checked as a set's intervals on every line, so that
+        # a malformed walk fails whether a pair takes a level or a chord set
+        # from it.
+        components = OpenIntervalSet._from_runs(self.runs)
+        self.ends = [(u.as_integer_ratio(), v.as_integer_ratio()) for u, v in self.runs]
+        self.lefts = [left for left, _ in self.ends]
+        # Each run's length as a reduced integer ratio, which a pair's
+        # total sums over its slice.
+        self.lengths = [_reduced(vn * ud - un * vd, vd * ud) for (un, ud), (vn, vd) in self.ends]
         # A constant line is a level of the walk's pairs: a chord with
         # f(x) = f(y) is its own pair's level, over the same span.
         _, slope, _ = thr
         if not slope:
-            self.components = OpenIntervalSet._from_runs(self.runs)
+            self.components = components
             _check_maximal(f, self.components, thr)
             self.checks = tuple(_component_checks(f, self.runs, thr))
             self.isolated_at = [p.as_integer_ratio() for p in self.isolated]
 
+    def span(self, x: Fraction, y: Fraction) -> tuple[int, int]:
+        """``(s, e)`` such that ``runs[s:e]`` are the runs within [x, y]:
+        a run lies within exactly when its left end does."""
+        return _count_below(self.lefts, x), _count_below(self.lefts, y)
+
     def chord(self, x: Fraction, y: Fraction) -> OpenIntervalSet:
         """The chord set of a pair whose chord is this line."""
-        return _parameters(x, y, self.runs[_count_below(self.lefts, x) : _count_below(self.lefts, y)])
+        s, e = self.span(x, y)
+        return _parameters(x, y, self.runs[s:e])
 
     def cut(self, f: Function1D, at_x: _Located, at_y: _Located, level: XReal) -> tuple:
         """The violation set, component checks and interior witness of a
         pair at this line's level whose span lies within the walk's."""
         x, y = at_x[0], at_y[0]
-        # A run lies within [x, y] exactly when its left end does.
-        s, e = _count_below(self.lefts, x), _count_below(self.lefts, y)
-        mine = self.components.intervals[s:e]
+        s, e = self.span(x, y)
         components = object.__new__(OpenIntervalSet)  # made without __init__: a slice of a checked set
-        components.__dict__["intervals"] = mine
-        isolated = self.isolated[_count_below(self.isolated_at, x) : _count_below(self.isolated_at, y)]
+        components.__dict__["intervals"] = self.components.intervals[s:e]
         return (
             ViolationDecomposition(
                 x=x,
                 y=y,
                 threshold=level,
                 components=components,
-                isolated_violations=tuple(isolated),
+                isolated_violations=tuple(self.isolated_within(x, y)),
                 lsc_offenders=_lsc_offenders_in(f, at_x, at_y),
             ),
             self.checks[s:e],
-            not (len(mine) == 1 and mine[0].left == x and mine[0].right == y),
+            self.witness(s, e, x, y),
         )
+
+    def isolated_within(self, x: Fraction, y: Fraction) -> list[Fraction]:
+        """The walk's isolated violations inside ]x, y[."""
+        return self.isolated[_count_below(self.isolated_at, x) : _count_below(self.isolated_at, y)]
+
+    def witness(self, s: int, e: int, x: Fraction, y: Fraction) -> bool:
+        """Whether ]x, y[, whose components are ``runs[s:e]``, holds a
+        point not above the line: unless its only component is ]x, y[."""
+        return not (e - s == 1 and self.runs[s][0] == x and self.runs[s][1] == y)
+
+    def rendered(self, level: XReal) -> tuple:
+        """The text of a constant line's level, exact and decimal, and the
+        text of each component and of its check, at the record indent;
+        ``level`` is the line's value.  Made once per walk, at the first
+        record at the level.  The checks' failure counts come as prefix
+        sums.  A component or check past the digit limit is None, so that
+        only a record that holds it fails."""
+        if self._rendered is None:
+            item = _RECORD_NEWLINE + "    "
+            key = item + "  "
+
+            def component(iv: OpenInterval) -> str:
+                return f'{{{key}"u": "{format_rational(iv.left)}",{key}"v": "{format_rational(iv.right)}"{item}}}'
+
+            def check(c: ComponentCheck) -> str:
+                text = f'{{{key}"endpoints_outside": {_JSON_BOOL[c.endpoints_outside]},'
+                text += f'{key}"interior_strict": {_JSON_BOOL[c.interior_strict]}'
+                if c.failing_point is not None:
+                    text += f',{key}"failing_point": "{format_rational(c.failing_point)}"'
+                return text + f"{item}}}"
+
+            failed = [0]
+            for c in self.checks:
+                failed.append(failed[-1] + (not c.passed))
+            self._rendered = (
+                f'"{level.to_string()}"',
+                _json_decimal(_decimal(level)),
+                [_printable(component, iv) for iv in self.components],
+                [_printable(check, c) for c in self.checks],
+                failed,
+            )
+        return self._rendered
+
+    def chord_text(self, x: Fraction, y: Fraction) -> str:
+        """The text of the ``chord_violations`` and
+        ``chord_violations_total_length`` values of a pair whose chord is
+        this line, at the record indent.  Each end r becomes
+        t = (y - r) / (y - x) as one integer ratio reduced by one gcd, and
+        the set's length is its runs' length over y - x, since t is affine
+        in r."""
+        s, e = self.span(x, y)
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        width = yn * xd - xn * yd  # (y - x) * xd * yd, positive
+        item = _RECORD_NEWLINE + "    "
+        key = item + "  "
+        # Parameters run against positions: the last run comes first,
+        # with its right end as u.
+        entries = [
+            f'{{{key}"u": "{_reduced_text((yn * vd - vn * yd) * xd, width * vd)}",'
+            f'{key}"v": "{_reduced_text((yn * ud - un * yd) * xd, width * ud)}"{item}}}'
+            for (un, ud), (vn, vd) in reversed(self.ends[s:e])
+        ]
+        n, den = _ratio_sum(self.lengths[s:e])
+        total = _reduced_text(n * xd * yd, den * width)
+        inner = _RECORD_NEWLINE + "  "
+        return f'{_list_text(entries, item, inner)},{inner}"chord_violations_total_length": "{total}"'
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _record_text(
+    f: Function1D,
+    at_x: _Located,
+    at_y: _Located,
+    level: XReal,
+    walk: _LineWalk,
+    chord: Optional[_LineWalk],
+) -> str:
+    """The pair's report record, ``PairAnalysis.to_json()``, as the text
+    that ``cli._report_text`` writes for it where its lines after the
+    first start with ``_RECORD_NEWLINE``, made from the pair's walks: its
+    components and their checks are joins of the level walk's rendered
+    texts over the pair's slice, its total length and chord total sum the
+    walk's reduced integer ratios of its runs' lengths over their least
+    common denominator (``intervals._ratio_sum``), and its chord ends are
+    integer ratios.  A value past the digit limit raises
+    ``ParameterRangeError``."""
+    x, y = at_x[0], at_y[0]
+    s, e = walk.span(x, y)
+    threshold, threshold_decimal, components, checks, failed = walk.rendered(level)
+    inner, item = _RECORD_NEWLINE + "  ", _RECORD_NEWLINE + "    "
+    try:
+        component_text = _list_text(components[s:e], item, inner)
+        check_text = _list_text(checks[s:e], item, inner)
+    except TypeError:  # a None among them: a value past the digit limit
+        raise _past_digit_limit() from None
+    n, den = _ratio_sum(walk.lengths[s:e])
+    isolated = _points_text(walk.isolated_within(x, y), item, inner)
+    offenders = _points_text(_lsc_offenders_in(f, at_x, at_y), item, inner)
+    chord_text = "null" if chord is None else chord.chord_text(x, y)
+    return (
+        f'{{{inner}"x": "{format_rational(x)}",{inner}"y": "{format_rational(y)}",'
+        f'{inner}"threshold": {threshold},{inner}"components": {component_text},'
+        f'{inner}"component_count": {e - s},{inner}"total_length": "{_reduced_text(n, den)}",'
+        f'{inner}"isolated_violations": {isolated},{inner}"lsc_offenders": {offenders},'
+        f'{inner}"threshold_decimal": {threshold_decimal},'
+        f'{inner}"total_length_decimal": {_json_decimal(_ratio_decimal(n, den))},'
+        f'{inner}"component_checks": {check_text},'
+        f'{inner}"all_checks_passed": {_JSON_BOOL[failed[e] == failed[s]]},'
+        f'{inner}"interior_witness_exists": {_JSON_BOOL[walk.witness(s, e, x, y)]},'
+        f'{inner}"chord_violations": {chord_text}{_RECORD_NEWLINE}}}'
+    )
+
+
+def _list_text(items: list[str], item: str, newline: str) -> str:
+    """The text of a list of rendered items, each on a line starting with
+    ``item``, closed on a line starting with ``newline``."""
+    return f"[{item}{(',' + item).join(items)}{newline}]" if items else "[]"
+
+
+def _points_text(points: Iterable[Fraction], item: str, newline: str) -> str:
+    """The text of a list of points, as ``_list_text`` lays it out."""
+    return _list_text([f'"{format_rational(p)}"' for p in points], item, newline)
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d, d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _reduced_text(n: int, d: int) -> str:
+    """n / d, d > 0, reduced by one gcd and written as ``format_rational``
+    writes it."""
+    return _ratio_text(*_reduced(n, d))
+
+
+def _json_decimal(value: float | str) -> str:
+    """The JSON text of a ``_decimal`` value: a finite float, "inf" or
+    "-inf"."""
+    return float.__repr__(value) if isinstance(value, float) else f'"{value}"'
+
+
+def _printable(render, value) -> Optional[str]:
+    """``render(value)``, or None when a number in it is past the digit
+    limit."""
+    try:
+        return render(value)
+    except ParameterRangeError:
+        return None
 
 
 def _count_below(ratios: list[tuple[int, int]], t: Fraction) -> int:

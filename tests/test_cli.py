@@ -144,7 +144,7 @@ class TestAnalyzeCommand:
         def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
+        monkeypatch.setattr(cli, "_pair_walks", unreachable)
         path = self.cantor_complement(tmp_path, capsys, 7)
         code, out, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
         assert (code, out) == (1, "")
@@ -159,7 +159,7 @@ class TestAnalyzeCommand:
         def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
+        monkeypatch.setattr(cli, "_pair_walks", unreachable)
         path = self.cantor_complement(tmp_path, capsys, 6)
         code, out, err = run(
             ["analyze", path, "--all-breakpoint-pairs", "--with-oracle", "--grid", "5000", "--no-timestamp"],
@@ -172,7 +172,7 @@ class TestAnalyzeCommand:
         def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
-        monkeypatch.setattr(cli, "analyze_pairs", unreachable)
+        monkeypatch.setattr(cli, "_pair_walks", unreachable)
         code, out, err = run(
             ["analyze", str(tent_file), "--with-oracle", "--grid", str(10**9), "--no-timestamp"], capsys
         )
@@ -514,6 +514,25 @@ class TestHugeExponents:
         )
         assert not report.exists()
 
+
+    def test_result_past_the_digit_limit_names_the_pair_that_holds_it(self, tmp_path, capsys):
+        # Both pairs have the level 1e-4000 and share its walk, whose one
+        # component starts at an unprintable crossing root; it lies in the
+        # second pair only, so that pair is named, not the first on the walk.
+        path = tmp_path / "digits.json"
+        third = "0." + "3" * 4000
+        path.write_text(json.dumps({"type": "piecewise_linear", "knots": [
+            ["0", "0"], ["1e-4000", "1"], [third, "1e-4000"], ["1/2", "1e-4000"], ["1", "1"],
+        ]}))
+        code, out, err = run(
+            ["analyze", str(path), "--pair", third, "1/2", "--pair", "0", third, "--no-timestamp"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: pair (0, {qcvx.format_rational(F(third))}): "
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to a string\n"
+        )
 
     def test_unprintable_pair_end_is_named_by_its_double(self, tent_file, capsys):
         # 4299 decimals and the exponent -2 make a denominator of 4302 digits.

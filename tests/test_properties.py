@@ -13,10 +13,14 @@ The batch pair analysis behind ``qcvx analyze`` is checked pair by pair
 against the single-pair functions, on pair lists whose spans share
 levels, overlap, nest, touch and repeat, and also on piecewise-linear
 models with three or more knots on one sloped line, so that pairs share
-a chord line that is not their level.  The oracle's triple count and
+a chord line that is not their level; and the report text that
+``qcvx analyze`` renders from the batch's walks is checked against the
+writer's text of the batch's records.  The oracle's triple count and
 its witnesses are checked against a plain loop over every grid triple,
 and the violation set read from the verdict's domain grid against a
-fresh grid, also on a black box in float mode.
+fresh grid, also on a black box in float mode; the exact violation set
+is compared with the oracle's on general draws and around an isolated
+spike.
 Lower and upper semicontinuous variants of the piecewise-constant models,
 beside the continuous linear ones, carry the paper's two
 characterizations of quasiconvexity: by interior witnesses for lsc maps
@@ -58,6 +62,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
+from qcvx.cli import _pairs_value, _report_text, pair_records
 from qcvx.errors import UnsupportedChordError
 from qcvx.oracle import _violation_set_from
 
@@ -207,6 +212,36 @@ def test_violation_set_matches_the_oracle(f, data):
     x, y = draw_pair(data, f)
     approx = oracle_violation_set(f, x, y, grid_points=41)
     report = diff_report(violation_set(f, x, y), approx, (y - x) / 40)
+    assert report.consistent, report.to_json()
+
+
+def spike(f: PiecewiseConstant, k: int) -> PiecewiseConstant:
+    """f with +inf at its breakpoint k and -inf on the two pieces beside
+    it: a point above every finite level with none beside it."""
+    pieces, points = list(f.piece_values), list(f.point_values)
+    pieces[k - 1] = pieces[k] = MINUS_INF
+    points[k] = PLUS_INF
+    return PiecewiseConstant(f.breaks, tuple(pieces), tuple(points))
+
+
+@SETTINGS
+@given(piecewise_constant_models(), st.data())
+def test_violation_set_matches_the_oracle_at_an_isolated_spike(f, data):
+    # The grid marks the spike as a run of its own, at most two grid
+    # steps wide, which no open component accounts for: the comparison
+    # matches it to the isolated violation inside it.
+    k = data.draw(st.integers(1, len(f.breaks) - 2))
+    f = spike(f, k)
+    points = pair_points(data, f)
+    c = points.index(f.breaks[k])
+    x = points[data.draw(st.integers(0, c - 1))]
+    y = points[data.draw(st.integers(c + 1, len(points) - 1))]
+    decomposition = violation_set(f, x, y)
+    if decomposition.threshold == PLUS_INF:
+        return  # nothing lies above
+    assert f.breaks[k] in decomposition.isolated_violations
+    approx = oracle_violation_set(f, x, y, grid_points=41)
+    report = diff_report(decomposition, approx, (y - x) / 40)
     assert report.consistent, report.to_json()
 
 
@@ -384,6 +419,20 @@ def test_pair_batch_matches_the_single_pair_functions(f, data):
         except UnsupportedChordError:
             chord = None
         assert analysis.chord == chord, (x, y)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(piecewise_constant_models(), MODELS, LSC, USC, collinear_linear_models()), st.data())
+def test_pair_records_are_the_text_of_the_batch_analyses(f, data):
+    # ``qcvx analyze`` renders each record from the walks, with each
+    # walk's components and checks rendered once and each pair's chord
+    # ends and totals made from integers; the text must be what the
+    # report writer makes of the analyses' dicts.  The draws reach +-inf
+    # levels, isolated violations, failing component checks and pairs
+    # without a chord set.
+    pairs = draw_pairs(data, f)
+    expected = _report_text({"pairs": [analysis.to_json() for analysis in analyze_pairs(f, pairs)]})
+    assert _report_text({"pairs": _pairs_value(pair_records(f, pairs))}) == expected
 
 
 def candidates(f) -> list[F]:

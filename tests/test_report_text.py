@@ -4,7 +4,9 @@ Every report and corpus file goes through the writer, whose text must be
 ``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte on the
 interpreter it runs on.  The property draws nested trees of every type
 the writer accepts, with the strings and floats whose text is easiest to
-get wrong; the plain tests pin what it refuses.
+get wrong; the plain tests pin what it refuses.  Text rendered ahead of
+the writer, as ``analyze`` renders its pair records, is appended as it
+is at the indent it was made for, and refused at any other.
 """
 
 import json
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcvx.cli import _report_text
+from qcvx.cli import _Rendered, _pairs_value, _report_text
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -116,3 +118,16 @@ def test_subclasses_written_by_their_base_type():
     obj = {"f": Scaled(0.5), "s": Label("a\n"), "n": Count(7), "b": True}
     assert _report_text(obj) == '{\n  "f": 0.5,\n  "s": "a\\n",\n  "n": 7,\n  "b": true\n}'
     assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+def test_rendered_text_appended_as_it_is():
+    records = ['{\n      "x": "0"\n    }', '{\n      "x": "1/2"\n    }']
+    expected = json.dumps({"pairs": [{"x": "0"}, {"x": "1/2"}], "n": 2}, indent=2)
+    assert _report_text({"pairs": _pairs_value(records), "n": 2}) == expected
+    assert _report_text({"pairs": _pairs_value([])}) == json.dumps({"pairs": []}, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"a": {"pairs": _pairs_value(["{}"])}}, [[_pairs_value(["{}"])]], _Rendered(["[]"], "\n  ")])
+def test_rendered_text_refused_at_another_indent(obj):
+    with pytest.raises(ValueError, match="text rendered at indent 2 reached at indent"):
+        _report_text(obj)

@@ -26,7 +26,11 @@ way, by wrapping ``_StructureIndex.locate``: an interval query locates
 each end once.  The index build, and a whole-domain violation set, are
 measured by the widest integer they hand to ``math.gcd``, on
 piecewise-linear models with 200 and 800 knots whose denominators are
-distinct primes.
+distinct primes, and so are the totals of the report records on one
+level walk of such a model.  Rendering the report records of all
+breakpoint pairs of the depth-4 and depth-5 Cantor complements is
+counted by ``Fraction.__new__`` calls and entries of the report
+writer's recursion.
 """
 
 import math
@@ -40,6 +44,7 @@ from conftest import coprime_linear, random_pwc
 from qcvx import (
     PiecewiseLinear,
     Tabulated,
+    XReal,
     argmax_set,
     check_semicontinuity,
     convexity_violation_set,
@@ -54,7 +59,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
-from qcvx import violations
+from qcvx import cli, violations
 from qcvx.corpus import random_piecewise_linear
 from qcvx.functions import _StructureIndex
 from qcvx.violations import analyze_pairs
@@ -240,6 +245,89 @@ def test_pair_grouping_compares_no_fractions(monkeypatch):
     shuffled = random.Random(5).sample(pairs, len(pairs))
     assert comparisons(monkeypatch, lambda: analyze(f, *pairs)) == 0
     assert comparisons(monkeypatch, lambda: analyze(f, *shuffled)) == 0
+
+
+def calls(monkeypatch, owner, name: str, call) -> int:
+    """The number of calls of ``owner.name`` made by ``call()``."""
+    count = 0
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, counting)
+        call()
+    return count
+
+
+def test_pair_records_make_no_fraction_per_chord_entry(monkeypatch):
+    # ``qcvx analyze`` renders all breakpoint pairs of the Cantor
+    # complement from one walk: each pair's chord ends are integer ratios
+    # reduced by one gcd and its totals integer sums, so no
+    # Fraction is made however many chord entries the records hold.  The
+    # writer appends the records' text as it is, entering ``_emit`` once
+    # for the report and once for its "pairs" list.
+    entries, made, emitted = [], [], []
+    for depth in (4, 5):
+        f = generate_cantor(depth, "complement")
+        check_semicontinuity(f)
+        pairs = list(combinations(f.breakpoints(), 2))
+        entries.append(sum(len(analysis.chord) for analysis in analyze_pairs(f, pairs)))
+        records = []
+        made.append(calls(monkeypatch, Fraction, "__new__", lambda: records.extend(cli.pair_records(f, pairs))))
+        report = {"pairs": cli._pairs_value(records)}
+        emitted.append(calls(monkeypatch, cli, "_emit", lambda: cli._report_text(report)))
+    assert entries[1] > 8 * entries[0], entries
+    assert made == [0, 0], made
+    assert emitted == [2, 2], emitted
+
+
+def zero_crossing_model(knots: int) -> tuple[PiecewiseLinear, list[tuple[Fraction, Fraction]]]:
+    """A model whose every third knot has the value 0, between knots above
+    and below it, on positions and values with distinct prime
+    denominators; and the pairs of consecutive zero knots.  Their level 0
+    is one walk whose runs end at crossing roots with wide, distinct
+    denominators."""
+    rng = random.Random(5)
+    primes = [p for p in range(10007, 10007 + 40 * knots) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    chosen = rng.sample(primes, 2 * knots)
+    inner = sorted({Fraction(rng.randint(1, p - 1), p) for p in chosen[:knots]})
+    signs = (0, 1, -1)
+    values = [signs[k % 3] * Fraction(rng.randint(1, 40), chosen[knots + k]) for k in range(len(inner))]
+    f = PiecewiseLinear(((Fraction(0), Fraction(0)), *zip(inner, values), (Fraction(1), Fraction(0))))
+    zeros = [t for t in f.breakpoints() if f.evaluate(t) == XReal(0)]
+    return f, list(zip(zeros, zeros[1:]))
+
+
+def test_record_totals_on_a_wide_walk_do_not_grow_with_it(monkeypatch):
+    # Each pair sums its own runs over their own common denominator, so
+    # the widest integer reduced does not grow with the walk; over the
+    # walk's common denominator, as prefix sums of the whole walk would
+    # take it, each pair's total would be as wide as all the walk's run
+    # ends together: 3,648 bits at 200 knots, and about four times as many
+    # at 800.  The text is checked against the reference.
+    def widest_gcd_argument(f, pairs) -> int:
+        width = 0
+        original = violations.gcd
+
+        def recording(*args):
+            nonlocal width
+            width = max(width, *(abs(a).bit_length() for a in args))
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(violations, "gcd", recording)
+            records = cli.pair_records(f, pairs)
+        expected = [analysis.to_json() for analysis in analyze_pairs(f, pairs)]
+        assert cli._report_text({"pairs": cli._pairs_value(records)}) == cli._report_text({"pairs": expected})
+        return width
+
+    small, large = (widest_gcd_argument(*zero_crossing_model(knots)) for knots in (200, 800))
+    assert small > 0
+    assert large <= 2 * small, (small, large)
 
 
 def test_whole_domain_violation_set_compares_no_breakpoints(monkeypatch):

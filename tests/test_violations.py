@@ -45,10 +45,11 @@ from qcvx.corpus import (
 from qcvx.errors import (
     ConsistencyError,
     InexactModelError,
+    MalformedIntervalError,
     OrderingError,
     UnsupportedChordError,
 )
-from qcvx import violations
+from qcvx import cli, violations
 from qcvx.functions import _chord, _sweep
 from qcvx.violations import ComponentCheck, ViolationDecomposition, _pair
 
@@ -690,6 +691,25 @@ class TestPairBatchNamesFailures:
         monkeypatch.setattr(violations, "_above_set", failing)
         with pytest.raises(ConsistencyError, match="chord walk failed") as info:
             analyze_pairs(f, [(F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(0), F(1, 2)), (F(0), F(1))])
+        assert info.value.__notes__ == ["pair (1/2, 1)"]
+
+    @pytest.mark.parametrize("batch", [analyze_pairs, cli.pair_records], ids=["analyses", "records"])
+    def test_malformed_chord_walk_names_the_first_pair_it_covers(self, monkeypatch, batch):
+        # The chord line t over [0, 1] has the one run ]0, 1/2[; returned
+        # with its ends swapped, the walk's runs fail their check as the
+        # walk is made, whether the pairs take chord sets or report text
+        # from it.
+        f = PiecewiseLinear(((F(0), F(0)), (F(1, 4), F(1)), (F(1, 2), F(1, 2)), (F(3, 4), F(0)), (F(1), F(1))))
+        original = violations._above_set
+
+        def swapped(f, lo, hi, thr):
+            runs, isolated = original(f, lo, hi, thr)
+            _, slope, _ = thr
+            return ([(v, u) for u, v in runs] if slope else runs), isolated
+
+        monkeypatch.setattr(violations, "_above_set", swapped)
+        with pytest.raises(MalformedIntervalError, match="open interval needs left < right") as info:
+            batch(f, [(F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(0), F(1, 2)), (F(0), F(1))])
         assert info.value.__notes__ == ["pair (1/2, 1)"]
 
     @pytest.mark.parametrize(

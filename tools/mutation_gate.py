@@ -58,24 +58,36 @@ MUTANTS = [
     ("functions.py", "if l < 0 or r < 0)", "if l < 0 and r < 0)"),
     # The violation and chord sets: isolated violations dropped, a chord
     # set's first run dropped, a chord component mapped back from the
-    # wrong end; in the pair batch, a chord filed under its pair's level,
-    # the chord cut's bounds and a line's hull ends never widened; the
-    # interior witness test and the quasiconvexity scan.
+    # wrong end; in the pair batch, a chord taken from its pair's level
+    # walk, the bounds of a pair's slice of a walk and a line's hull ends
+    # never widened; the interior witness test and the quasiconvexity
+    # scan.
     ("violations.py", "isolated.append(a)", "pass"),
     ("violations.py", "for u, v in reversed(runs)])", "for u, v in reversed(runs[1:])])"),
     ("violations.py", "return y - t * (y - x)", "return x + t * (y - x)"),
-    ("violations.py", "add(_chord(f, at_x, at_y), k, at_x, at_y, None)", "add(thr, k, at_x, at_y, None)"),
-    ("violations.py", "self.runs[_count_below(self.lefts, x) : _count_below(self.lefts, y)]",
-     "self.runs[_count_below(self.lefts, x) : _count_below(self.lefts, y) + 1]"),
-    ("violations.py", "self.runs[_count_below(self.lefts, x) : _count_below(self.lefts, y)]",
-     "self.runs[_count_below(self.lefts, x) - 1 : _count_below(self.lefts, y)]"),
+    ("violations.py", "chord and walks[chord])", "chord and walks[thr])"),
+    ("violations.py", "return _count_below(self.lefts, x), _count_below(self.lefts, y)",
+     "return _count_below(self.lefts, x), _count_below(self.lefts, y) + 1"),
+    ("violations.py", "return _count_below(self.lefts, x), _count_below(self.lefts, y)",
+     "return max(0, _count_below(self.lefts, x) - 1), _count_below(self.lefts, y)"),
     ("violations.py", "if _left_of(at_x[0], line[0][0]):", "if _left_of(line[0][0], at_x[0]):"),
     ("violations.py", "if _left_of(line[1][0], at_y[0]):", "if _left_of(at_y[0], line[1][0]):"),
-    ("violations.py", "not (len(mine) == 1 and mine[0].left == x", "not (len(mine) == 1 or mine[0].left == x"),
+    ("violations.py", "not (e - s == 1 and self.runs[s][0] == x", "not (e - s == 1 or self.runs[s][0] == x"),
     ("violations.py", "return not all(above for _, _, above in _sweep(f, at_x, at_y, thr))",
      "return all(above for _, _, above in _sweep(f, at_x, at_y, thr))"),
     ("violations.py", "if best_left < vk and suffix_min[k + 1] < vk:", "if best_left < vk and suffix_min[k + 1] <= vk:"),
     ("violations.py", "if best_left < vk and suffix_min[k + 1] < vk:", "if best_left <= vk and suffix_min[k + 1] < vk:"),
+    # The report text rendered from the walks: the gcd reduction of a
+    # chord end or a total dropped, a total summed from the walk's first
+    # run, a run's length over the wrong denominator, a chord
+    # total over the wrong width, all checks passed read from the whole
+    # walk, the rendered texts of one walk shared by every walk.
+    ("violations.py", "    g = gcd(n, d)", "    g = 1"),
+    ("violations.py", "n, den = _ratio_sum(walk.lengths[s:e])", "n, den = _ratio_sum(walk.lengths[:e])"),
+    ("violations.py", "_reduced(vn * ud - un * vd, vd * ud)", "_reduced(vn * ud - un * vd, vd * vd)"),
+    ("violations.py", "_reduced_text(n * xd * yd, den * width)", "_reduced_text(n * xd, den * width)"),
+    ("violations.py", "_JSON_BOOL[failed[e] == failed[s]]", "_JSON_BOOL[failed[-1] == 0]"),
+    ("violations.py", "            self._rendered = (", "            _LineWalk._rendered = ("),
     # Certificates and local shapes: a supremum equal to the level taken
     # as a violation, strictness on an attained bound, both local maxima
     # read strictly, and each side's strictness test.
@@ -89,8 +101,9 @@ MUTANTS = [
      "strict_from_right=right_closed and s.right_cmp[hi] > 1"),
     # The oracle: the L(k) count, the R(k) pass run forwards, the row skip
     # and the suffix maximum behind the witnesses, the piece midpoints of
-    # the grid, the ends check before the domain sample is reused, and the
-    # comparison of an exact set with a grid's wanting two near intervals.
+    # the grid, the ends check before the domain sample is reused, the
+    # comparison of an exact set with a grid's wanting two near intervals,
+    # and a grid run around an isolated violation left unmatched.
     ("oracle.py", "total += bisect_left(seen, keys[k]) * below[k]", "total += bisect_right(seen, keys[k]) * below[k]"),
     ("oracle.py", "    for k in reversed(range(g)):", "    for k in range(g):"),
     ("oracle.py", "if reach[i + 1] > shifted[i]", "if reach[min(i + 2, g)] > shifted[i]"),
@@ -99,6 +112,7 @@ MUTANTS = [
     ("oracle.py", "extras = _with_piece_midpoints(breaks) if midpoints else breaks", "extras = breaks"),
     ("oracle.py", "    if grid[0] != x or grid[-1] != y:", "    if False:"),
     ("oracle.py", "        return first < stop", "        return first + 1 < stop"),
+    ("oracle.py", "return k < len(isolated) and isolated[k] < iv.right", "return False"),
 ]
 
 # (module, old text, new text, why no test can kill it): not run.
@@ -106,7 +120,7 @@ EQUIVALENT = [
     ("certificates.py", "return sup < bound or (sup == bound and not attained)", "return sup <= bound",
      "under usc, p and q are the first and last points of [x0, y0] that attain the supremum, "
      "so no point strictly between x0 and p, or q and y0, attains it"),
-    ("violations.py", "not (len(mine) == 1 and mine[0].left == x", "not (len(mine) >= 1 and mine[0].left == x",
+    ("violations.py", "not (e - s == 1 and self.runs[s][0] == x", "not (e - s >= 1 and self.runs[s][0] == x",
      "a first component equal to ]x, y[ leaves no room for a second one within [x, y]"),
     ("oracle.py", "if reach[i + 1] > shifted[i]", "if reach[i] > shifted[i]",
      "key i is never above shifted key i, so reach[i] only skips fewer rows"),
