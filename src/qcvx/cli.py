@@ -21,7 +21,6 @@ import re
 import secrets
 import stat
 import sys
-from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
@@ -64,13 +63,6 @@ EXIT_INCONSISTENT = 4
 # inside its pairs, summed over the pairs: C(n, 3) for n breakpoints.
 # The pair walks and the report grow with this count.
 MAX_PAIR_INTERIOR_POINTS = 1_000_000
-
-# The pair work that ``analyze`` shares out to a process pool, in walk steps:
-# a pair takes about PAIR_STEPS steps plus one per breakpoint strictly inside
-# it.  Below POOL_MIN_STEPS the pool's start and pickling cost more than a
-# second CPU saves (README "Cost").
-PAIR_STEPS = 8
-POOL_MIN_STEPS = 20_000
 
 # The most samples ``--plot-points`` may ask for; the time, the memory and
 # the report grow linearly with the count.
@@ -283,10 +275,8 @@ def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> l
     takes over all the pairs (``violations._pair_walks``): each walk
     renders its components and their checks once, a pair's lists join
     its slice of them, and its chord ends and totals are written from
-    integers.  No record dict is built, so a pool worker returns
-    strings.  An exception raised here names its pair in a note, which
-    stays with it out of a pool worker and which ``main`` puts before its
-    message."""
+    integers; no record dict is built.  An exception raised here names
+    its pair in a note, which ``main`` puts before its message."""
     records = []
     for at_x, at_y, level, walk, chord in _pair_walks(f, pairs):
         with _naming_pair(at_x[0], at_y[0]):
@@ -305,51 +295,15 @@ def _pairs_value(records: list[str]) -> _Rendered:
     return _Rendered(pieces, PAIRS_NEWLINE)
 
 
-# The model of a pool worker, set once per process by ``_init_worker``.
-_worker_model: Optional[Function1D] = None
-
-
-def _init_worker(f: Function1D) -> None:
-    global _worker_model
-    _worker_model = f
-
-
-def _worker_records(pairs: Sequence[tuple[Fraction, Fraction]]) -> list[str]:
-    return pair_records(_worker_model, pairs)
-
-
-def _run_pairs(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]], inside: int) -> list[str]:
-    """The texts of the pair records in order.  ``inside`` counts the
-    breakpoints strictly inside the pairs, summed over them.  With at least
-    ``POOL_MIN_STEPS`` steps of work and more than one usable CPU the pairs
-    run in a process pool, one worker per usable CPU and at most one per
-    pair: the model goes to each worker once, through the pool initializer,
-    and the pairs go in contiguous chunks of about a quarter of each
-    worker's share, each chunk through one ``pair_records``.  Otherwise
-    they run inline, as one chunk."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(pairs), cpus)
-    if inside + PAIR_STEPS * len(pairs) < POOL_MIN_STEPS or workers <= 1:
-        return pair_records(f, pairs)
-    # Imported here, so that no other run loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-    size = max(1, len(pairs) // (4 * workers))
-    chunks = [pairs[k : k + size] for k in range(0, len(pairs), size)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(f,)
-    ) as pool:
-        return [record for records in pool.map(_worker_records, chunks) for record in records]
-
-
 def _collect_pairs(
     f: Function1D,
     pair_options: Sequence[tuple[str, str]],
     all_breakpoint_pairs: bool,
-) -> tuple[list[tuple[Fraction, Fraction]], int]:
-    """The pairs to analyze, and the count of breakpoints strictly inside
-    them, summed over the pairs."""
+) -> list[tuple[Fraction, Fraction]]:
+    """The pairs to analyze: the ``--pair``s in order, then every
+    breakpoint pair under ``--all-breakpoint-pairs``, or the domain when
+    there is neither."""
     bps = f.breakpoints()
-    inside = 0
     if all_breakpoint_pairs:
         inside = math.comb(len(bps), 3)
         if inside > MAX_PAIR_INTERIOR_POINTS:
@@ -357,17 +311,12 @@ def _collect_pairs(
                 f"--all-breakpoint-pairs on {len(bps)} breakpoints puts {inside} "
                 f"breakpoints inside its pairs, over the limit of {MAX_PAIR_INTERIOR_POINTS}"
             )
-    pairs: list[tuple[Fraction, Fraction]] = []
-    for x_text, y_text in pair_options:
-        x, y = _parse_pair(x_text, y_text)
-        pairs.append((x, y))
-        inside += max(0, bisect_left(bps, y) - bisect_right(bps, x))
+    pairs = [_parse_pair(x_text, y_text) for x_text, y_text in pair_options]
     if all_breakpoint_pairs:
         pairs.extend(combinations(bps, 2))
     if not pairs:
         pairs.append(f.domain)
-        inside = len(bps) - 2
-    return pairs, inside
+    return pairs
 
 
 def _plot_resolution(ctx, param, value: int) -> int:
@@ -422,11 +371,11 @@ def analyze(
     report["semicontinuity"] = check_semicontinuity(f).to_json()
     verdict = is_quasiconvex(f)
     report["quasiconvexity"] = verdict.to_json(f)
-    pair_list, inside = _collect_pairs(f, pairs, all_breakpoint_pairs)
+    pair_list = _collect_pairs(f, pairs, all_breakpoint_pairs)
     # The oracle runs before the pairs, so that it refuses an oversized
     # grid before any pair work; its block still follows the pairs.
     oracle_block = oracle_quasiconvex(f, grid_points).to_json() if with_oracle else None
-    report["pairs"] = _pairs_value(_run_pairs(f, pair_list, inside))
+    report["pairs"] = _pairs_value(pair_records(f, pair_list))
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if oracle_block is not None:
         report["oracle"] = oracle_block

@@ -94,13 +94,6 @@ class Function1D:
             raise DomainError(f"{t} outside domain [{a}, {b}]")
         return t
 
-    def __getstate__(self) -> dict:
-        # The structure index is derived data: rebuilt on demand, never
-        # pickled.
-        state = dict(vars(self))
-        state.pop("_index", None)
-        return state
-
 
 def require_exact(f: Function1D, operation: str) -> None:
     if not f.is_exact:

@@ -756,10 +756,10 @@ def _count_below(ratios: list[tuple[int, int]], t: Fraction) -> int:
 
 
 class _naming_pair:
-    """Add a note naming the pair (x, y) to an exception raised inside;
-    it stays with the exception out of a pool worker, and ``cli.main``
-    puts it before the message.  An end past the digit limit is named by
-    its double.  A class, not a generator, as it is entered twice a pair."""
+    """Add a note naming the pair (x, y) to an exception raised inside,
+    which ``cli.main`` puts before the message.  An end past the digit
+    limit is named by its double.  A class, not a generator, as it is
+    entered twice a pair."""
 
     def __init__(self, x: Fraction, y: Fraction):
         self.x, self.y = x, y

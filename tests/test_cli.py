@@ -1,4 +1,3 @@
-import concurrent.futures
 import errno
 import json
 import os
@@ -122,6 +121,7 @@ class TestAnalyzeCommand:
         assert full[0]["components"] == [{"u": "0", "v": "1"}]
         assert full[0]["all_checks_passed"] is True
         assert full[0]["chord_violations"] == [{"u": "0", "v": "1"}]
+        assert list(report["config"]) == ["grid_points", "float_epsilon"]  # no "jobs"
 
     def test_monotone_all_pairs_empty(self, tmp_path, capsys):
         path = tmp_path / "monotone.json"
@@ -228,8 +228,6 @@ class TestAnalyzeCommand:
 
     def test_all_pairs_within_budget(self, tmp_path, capsys, monkeypatch):
         # Depth 6 puts C(128, 3) = 341,376 breakpoints inside its pairs.
-        # The stub counts in this process, so no pool starts.
-        monkeypatch.setattr(cli, "POOL_MIN_STEPS", 10**9)
         analyzed = []
         monkeypatch.setattr(cli, "pair_records", lambda f, pairs: analyzed.extend(pairs) or [])
         path = self.cantor_complement(tmp_path, capsys, 6)
@@ -348,17 +346,6 @@ class TestAnalyzeCommand:
             ["analyze", str(tent_file), "--no-timestamp", "--plot-points", "0"], capsys
         )
         assert code == 0 and "plot" not in read_json(out)
-
-    def test_parallel_jobs_match_serial(self, tent_file, tmp_path, capsys, monkeypatch):
-        # The same report inline and through a real pool of two workers,
-        # which the tent's three pairs start once the threshold is 0.
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        argv = ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp", "--out"]
-        assert run([*argv, str(serial)], capsys) == (0, "", "")
-        force_pool(monkeypatch)
-        assert run([*argv, str(parallel)], capsys) == (0, "", "")
-        assert parallel.read_bytes() == serial.read_bytes()
-        assert list(json.loads(serial.read_text())["config"]) == ["grid_points", "float_epsilon"]
 
     def test_round_trip_corpus_files_analyze_cleanly(self, tmp_path, capsys):
         for name in ("tent", "vee", "ramp-plateau", "monotone", "monotone-concave", "constant"):
@@ -490,18 +477,14 @@ class TestHugeExponents:
         assert err == "error: decimal exponent above 4300 in magnitude: '1e-4301'\n"
 
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
-    def test_result_past_the_digit_limit(self, tmp_path, capsys, monkeypatch, pool):
+    def test_result_past_the_digit_limit(self, tmp_path, capsys):
         # Every field is within the exponent limit; the crossing roots the
-        # walk computes are not printable.  The failing pair is named, in
-        # this process or in a pool worker.
+        # walk computes are not printable.  The failing pair is named.
         path, report = tmp_path / "digits.json", tmp_path / "report.json"
         third = "0." + "3" * 4000
         path.write_text(json.dumps({"type": "piecewise_linear", "knots": [
             ["0", "0"], ["1e-4000", "1"], [third, "1e-4000"], ["1", "1"],
         ]}))
-        if pool:
-            force_pool(monkeypatch)
         code, out, err = run(
             ["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(report)],
             capsys,
@@ -941,101 +924,23 @@ class TestUsageErrors:
         assert "Invalid value for '--grid': 2 is not in the range" in err
 
 
-def force_pool(monkeypatch):
-    """Make ``analyze`` start a pool of up to two workers for any pair
-    work."""
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-class TestPoolSize:
-    """Whether ``_run_pairs`` starts a pool, and with how many workers,
-    from the pair work and the usable CPUs.  A stub stands in for the
-    process pool: it records the worker count and maps in-process, so no
-    test here starts a process."""
-
-    @pytest.fixture()
-    def pools(self, monkeypatch):
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                created.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                assert all(chunks)
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "pair_records", lambda f, pairs: list(pairs))
-        return created
-
-    def run_pairs(self, count, inside):
-        pairs = [(F(k), F(k + 1)) for k in range(count)]
-        assert cli._run_pairs(None, pairs, inside) == pairs
+class TestCollectPairs:
+    # A model whose breakpoints are 0, 1/2 and 1.
+    f = qcvx.function_from_dict({"type": "piecewise_linear", "knots": [["0", "0"], ["1/2", "1"], ["1", "0"]]})
 
     @pytest.mark.parametrize(
-        "below, cpus, workers",
+        "options, all_pairs, expected",
         [
-            (1, 8, None),  # below the threshold: in-process
-            (0, 8, 8),  # at it
-            (-1, 8, 8),  # above it
-            (-1, 2, 2),
-            (0, 1, None),  # one CPU: in-process
-            (-1, 1, None),
+            ([], False, [(0, 1)]),  # the domain
+            ([], True, [(0, F(1, 2)), (0, 1), (F(1, 2), 1)]),
+            ([("1/4", "3/4"), ("1", "0")], False, [(F(1, 4), F(3, 4)), (1, 0)]),
+            ([("1/4", "3/4")], True, [(F(1, 4), F(3, 4)), (0, F(1, 2)), (0, 1), (F(1, 2), 1)]),
         ],
     )
-    def test_workers_from_steps_and_cpus(self, pools, monkeypatch, below, cpus, workers):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        pairs = 100
-        self.run_pairs(pairs, cli.POOL_MIN_STEPS - cli.PAIR_STEPS * pairs - below)
-        assert pools == ([] if workers is None else [workers])
+    def test_pairs_then_breakpoint_pairs(self, options, all_pairs, expected):
+        assert cli._collect_pairs(self.f, options, all_pairs) == expected
 
-    @pytest.mark.parametrize(
-        "pairs, inside, workers",
-        [
-            (3, cli.POOL_MIN_STEPS, [3]),  # few wide pairs: one worker a pair
-            (-(-cli.POOL_MIN_STEPS // cli.PAIR_STEPS), 0, [8]),  # many narrow pairs
-            (cli.POOL_MIN_STEPS // cli.PAIR_STEPS - 1, 0, []),
-        ],
-    )
-    def test_pairs_and_breakpoints_inside_both_count(self, pools, monkeypatch, pairs, inside, workers):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        self.run_pairs(pairs, inside)
-        assert pools == workers
-
-    @pytest.mark.parametrize("count, workers", [(4, [4]), (1, []), (None, [])])
-    def test_cpu_count_without_affinity(self, pools, monkeypatch, count, workers):
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
-        self.run_pairs(100, cli.POOL_MIN_STEPS)
-        assert pools == workers
-
-    @pytest.mark.parametrize(
-        "options, all_pairs, inside",
-        [
-            ([], True, 10),  # C(5, 3)
-            ([], False, 3),  # the domain holds every inner breakpoint
-            ([("0", "3/4"), ("1/4", "1/2"), ("1/8", "3/8"), ("1", "0")], False, 2 + 0 + 1 + 0),
-            ([("1/4", "3/4")], True, 10 + 1),
-        ],
-    )
-    def test_breakpoints_inside_the_pairs(self, options, all_pairs, inside):
-        f = qcvx.function_from_dict({"type": "piecewise_linear", "knots": [
-            [str(F(k, 4)), "0"] for k in range(5)
-        ]})
-        pairs, counted = cli._collect_pairs(f, options, all_pairs)
-        assert counted == inside
-        assert len(pairs) == max(1, len(options) + (10 if all_pairs else 0))
-
-    def test_jobs_option_is_gone(self, pools, capsys, tent_file):
+    def test_jobs_option_is_gone(self, capsys, tent_file):
         capsys.readouterr()
         code, out, err = run(["analyze", str(tent_file), "--jobs", "2"], capsys)
         assert (code, out) == (1, "")
@@ -1065,8 +970,24 @@ def test_console_entrypoint_runs():
 
 
 def test_import_loads_no_numpy():
-    # qcvx needs only click at run time, and only a pool run loads the pool.
+    # qcvx needs only click at run time, and starts no process pool.
     names = ("numpy", "concurrent.futures", "multiprocessing")
     proc = _fresh_python("-c", f"import sys, qcvx, qcvx.cli; print([m for m in {names} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_all_pairs_run_in_the_analyze_process(tmp_path, capsys):
+    # Cantor depth 5: 2,016 pairs with C(64, 3) = 41,664 breakpoints
+    # inside them, all analyzed without loading process-pool machinery.
+    model, report = tmp_path / "c5.json", tmp_path / "report.json"
+    run(["corpus", "cantor", "--depth", "5", "--mode", "complement", "--out", str(model)], capsys)
+    argv = ["analyze", str(model), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(report)]
+    names = ("concurrent.futures", "multiprocessing")
+    proc = _fresh_python("-c", (
+        "import sys; from qcvx.cli import main; "
+        f"code = main({argv!r}); print(code, [m for m in {names} if m in sys.modules])"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert len(json.loads(report.read_text())["pairs"]) == 2016

@@ -365,7 +365,8 @@ def test_every_own_constructor_has_a_pickle_case():
 
 @pytest.mark.parametrize("cls", sorted(_OWN_CONSTRUCTORS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
 def test_error_survives_pickling(cls):
-    # A pool worker's error reaches ``main`` through pickle.
+    # Library errors stay picklable, with their notes and attributes, for
+    # callers that pass them between processes.
     args, attributes = _OWN_CONSTRUCTORS[cls]
     exc = cls(*args)
     exc.__notes__ = ["pair (0, 1)"]
