@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -940,11 +941,70 @@ class TestCollectPairs:
     def test_pairs_then_breakpoint_pairs(self, options, all_pairs, expected):
         assert cli._collect_pairs(self.f, options, all_pairs) == expected
 
+    def test_repeated_pairs_are_kept(self):
+        options = [("1", "0"), ("1/2", "1"), ("1", "0")]
+        assert cli._collect_pairs(self.f, options, False) == [(1, 0), (F(1, 2), 1), (1, 0)]
+
+    def test_two_breakpoints_give_the_domain_pair_once(self):
+        f = qcvx.function_from_dict({"type": "piecewise_linear", "knots": [["-1", "2"], ["3", "2"]]})
+        assert cli._collect_pairs(f, [], True) == [(-1, 3)]
+        assert cli._collect_pairs(f, [], False) == [(-1, 3)]
+
+    def test_over_budget_refused_before_any_pair_is_parsed(self, monkeypatch):
+        def unreachable(x, y):
+            raise AssertionError("a pair was parsed")
+
+        monkeypatch.setattr(cli, "_parse_pair", unreachable)
+        f = qcvx.generate_cantor(7, "complement")
+        with pytest.raises(qcvx.errors.ParameterRangeError, match="over the limit of 1000000"):
+            cli._collect_pairs(f, [("0", "1")], True)
+
     def test_jobs_option_is_gone(self, capsys, tent_file):
         capsys.readouterr()
         code, out, err = run(["analyze", str(tent_file), "--jobs", "2"], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "--jobs" in err
+
+
+class TestPairBatches:
+    """A pair's record does not depend on the other pairs of its batch,
+    though ``pair_records`` shares each threshold line's walk among all
+    the pairs on it."""
+
+    MODELS = {
+        "tent": lambda: qcvx.corpus.tent(),
+        "vee": lambda: qcvx.corpus.vee(),
+        "ramp-plateau": lambda: qcvx.corpus.ramp_plateau(),
+        "monotone-concave": lambda: qcvx.corpus.monotone_concave(),
+        "cantor-set-3": lambda: qcvx.generate_cantor(3, "set"),
+        "cantor-complement-3": lambda: qcvx.generate_cantor(3, "complement"),
+        "random-pl-8": lambda: qcvx.corpus.random_piecewise_linear(8, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_records_match_alone_in_chunks_and_reversed(self, name):
+        f = self.MODELS[name]()
+        pairs = [f.domain, *combinations(f.breakpoints(), 2)]
+        records = cli.pair_records(f, pairs)
+        assert len(records) == len(pairs)
+        assert [r for pair in pairs for r in cli.pair_records(f, [pair])] == records
+        chunked = [r for k in range(0, len(pairs), 3) for r in cli.pair_records(f, pairs[k : k + 3])]
+        assert chunked == records
+        assert cli.pair_records(f, pairs[::-1]) == records[::-1]
+
+    def test_pair_options_match_the_all_pairs_report(self, tmp_path, capsys):
+        path = tmp_path / "c3.json"
+        run(["corpus", "cantor", "--depth", "3", "--mode", "complement", "--out", str(path)], capsys)
+        code, out, _ = run(["analyze", str(path), "--all-breakpoint-pairs", "--no-timestamp"], capsys)
+        assert code == 0
+        by_pair = {(p["x"], p["y"]): p for p in read_json(out)["pairs"]}
+        chosen = [("2/9", "7/9"), ("0", "1/3"), ("1/27", "26/27"), ("2/9", "7/9")]
+        argv = ["analyze", str(path), "--no-timestamp"]
+        for x, y in chosen:
+            argv += ["--pair", x, y]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert read_json(out)["pairs"] == [by_pair[pair] for pair in chosen]
 
 
 def _fresh_python(*args):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -254,6 +255,19 @@ class TestStructureKernel:
         assert function_to_dict(f) == function_to_dict(twin)
         assert check_semicontinuity(twin) == report
         assert integer_layout(twin) == layout
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate_cantor(3, "set"), lambda: random_pwc(5, allow_infinite=True), tent],
+    )
+    def test_model_with_its_index_survives_pickling(self, make):
+        f = make()
+        report = check_semicontinuity(f)  # builds f's index
+        layout = integer_layout(f)
+        clone = pickle.loads(pickle.dumps(f))
+        assert clone == f and hash(clone) == hash(f) and repr(clone) == repr(f)
+        assert check_semicontinuity(clone) == report
+        assert integer_layout(clone) == layout
 
     @pytest.mark.parametrize("family", ["cantor", "pwc", "pl"])
     def test_integer_layout_matches_fields(self, family):
