@@ -84,15 +84,10 @@ def _parse_pair(x: str, y: str) -> tuple[Fraction, Fraction]:
     return parse_rational(x), parse_rational(y)
 
 
-class _Rendered:
-    """JSON text made ahead of the writer: ``pieces``, joined, are the text
-    of one value whose lines after the first start with ``newline``.
-    ``analyze`` renders its pair records this way (``pair_records``)."""
-
-    __slots__ = ("pieces", "newline")
-
-    def __init__(self, pieces: list[str], newline: str):
-        self.pieces, self.newline = pieces, newline
+class _Records(list):
+    """The pair records of ``analyze``, each already the JSON text of its
+    record, which ``_report_text`` lays out as a list of that text
+    (``pair_records``)."""
 
 
 def _report_text(obj) -> str:
@@ -104,10 +99,11 @@ def _report_text(obj) -> str:
     Types follow ``json``'s rules: ``bool`` before ``int``, subclasses of
     ``str``, ``int`` and ``float`` by their base type, ``ValueError`` for
     NaN and ±inf.  Any other value, and a key that is not a ``str``,
-    raise ``TypeError``.  A ``_Rendered`` value, the pair records of
-    ``analyze``, is appended as it is; it must be reached at the indent
-    it was rendered for, or ``ValueError`` is raised: it is never
-    re-indented.
+    raise ``TypeError``.  The items of a ``_Records`` list, the pair
+    records of ``analyze``, are appended as they are; the list must be
+    reached where its items' lines start with
+    ``violations._RECORD_NEWLINE``, or ``ValueError`` is raised: they are
+    never re-indented.
     """
     parts: list[str] = []
     _emit(obj, parts.append, "\n")
@@ -132,15 +128,21 @@ def _emit(obj, append, newline: str) -> None:
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         append(float.__repr__(obj))
     elif isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        rendered = type(obj) is _Records
+        if rendered and inner != _RECORD_NEWLINE:
+            raise ValueError(f"text rendered at indent {len(_RECORD_NEWLINE) - 3} reached at indent {len(newline) - 1}")
         if not obj:
             append("[]")
             return
-        inner = newline + "  "
         separator = "[" + inner
         for item in obj:
             append(separator)
             separator = "," + inner
-            _emit(item, append, inner)
+            if rendered:
+                append(item)
+            else:
+                _emit(item, append, inner)
         append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -155,11 +157,6 @@ def _emit(obj, append, newline: str) -> None:
             separator = "," + inner
             _emit(value, append, inner)
         append(newline + "}")
-    elif type(obj) is _Rendered:
-        if obj.newline != newline:
-            raise ValueError(f"text rendered at indent {len(obj.newline) - 1} reached at indent {len(newline) - 1}")
-        for piece in obj.pieces:
-            append(piece)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -198,16 +195,30 @@ def _write_report(report: dict, out: Optional[str]) -> None:
     the file it replaces, or 0o666 less the umask.  A target that is not
     a regular file, or that is reached through a descriptor link such as
     ``/dev/stdout``, is written in place.  A failed write raises
-    ``QcvxError`` naming ``out``.
+    ``QcvxError`` naming ``out``.  The text and its final newline are
+    written in slices of ``_WRITE_SLICE`` characters, so no encoded or
+    newline-ended copy of the whole text is made.
     """
-    text = _report_text(report) + "\n"
+    text = _report_text(report)
     if not out:
-        click.echo(text, nl=False)
+        _write_text(lambda piece: click.echo(piece, nl=False), text)
         return
     try:
         _replace_file(out, text)
     except OSError as exc:
         raise QcvxError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+# The characters of a report handed to one ``write``: each slice is copied
+# and encoded on its own, so the memory a write takes stays at this size.
+_WRITE_SLICE = 1 << 20
+
+
+def _write_text(write, text: str) -> None:
+    """``text`` and a newline, through ``write`` a slice at a time."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        write(text[start : start + _WRITE_SLICE])
+    write("\n")
 
 
 def _replace_file(out: str, text: str) -> None:
@@ -218,7 +229,7 @@ def _replace_file(out: str, text: str) -> None:
         mode = None
     if target is None or (mode is not None and not stat.S_ISREG(mode)):
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_text(handle.write, text)
         return
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
@@ -227,7 +238,7 @@ def _replace_file(out: str, text: str) -> None:
         with open(fd, "w", encoding="utf-8") as handle:
             if mode is not None:
                 os.chmod(temp, stat.S_IMODE(mode))
-            handle.write(text)
+            _write_text(handle.write, text)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -262,37 +273,20 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
     return report
 
 
-# The start of the lines after the first of the ``analyze`` report's
-# "pairs" list, a value of the top-level object; its records' lines start
-# with ``violations._RECORD_NEWLINE``, two spaces further in.
-PAIRS_NEWLINE = "\n  "
-
-
-def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> list[str]:
+def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> _Records:
     """The text of each pair's report record, in order, as ``_report_text``
-    writes ``PairAnalysis.to_json()`` at the record's indent, rendered by
+    writes ``PairAnalysis.to_json()`` in the report's "pairs" list, rendered by
     ``violations._record_text`` from the walks that ``analyze_pairs``
     takes over all the pairs (``violations._pair_walks``): each walk
     renders its components and their checks once, a pair's lists join
     its slice of them, and its chord ends and totals are written from
     integers; no record dict is built.  An exception raised here names
     its pair in a note, which ``main`` puts before its message."""
-    records = []
+    records = _Records()
     for at_x, at_y, level, walk, chord in _pair_walks(f, pairs):
         with _naming_pair(at_x[0], at_y[0]):
             records.append(_record_text(f, at_x, at_y, level, walk, chord))
     return records
-
-
-def _pairs_value(records: list[str]) -> _Rendered:
-    """The report's "pairs" list of the records' texts."""
-    if not records:
-        return _Rendered(["[]"], PAIRS_NEWLINE)
-    pieces = ["[" + _RECORD_NEWLINE]
-    for record in records:
-        pieces += (record, "," + _RECORD_NEWLINE)
-    pieces[-1] = PAIRS_NEWLINE + "]"
-    return _Rendered(pieces, PAIRS_NEWLINE)
 
 
 def _collect_pairs(
@@ -375,7 +369,7 @@ def analyze(
     # The oracle runs before the pairs, so that it refuses an oversized
     # grid before any pair work; its block still follows the pairs.
     oracle_block = oracle_quasiconvex(f, grid_points).to_json() if with_oracle else None
-    report["pairs"] = _pairs_value(pair_records(f, pair_list))
+    report["pairs"] = pair_records(f, pair_list)
     report["local_maxima_hypothesis"] = check_no_strict_sided_maxima(f).to_json()
     if oracle_block is not None:
         report["oracle"] = oracle_block

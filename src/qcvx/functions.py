@@ -157,27 +157,35 @@ def _line(p0: tuple[int, int], p1: tuple[int, int], v0: tuple[int, int], v1: tup
     return a // g, b // g, c // g
 
 
+def _count_below(ratios: Sequence[tuple[int, int]], t: Fraction) -> int:
+    """The number of the ascending integer ratios that lie below t, found
+    by bisection on cross products."""
+    tn, td = t.as_integer_ratio()
+    lo, hi = 0, len(ratios)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n, d = ratios[mid]
+        if n * td < tn * d:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass(frozen=True)
 class _Positions:
     """Strictly increasing positions as integer ratios, each placed by
-    bisection on cross products."""
+    ``_count_below``."""
 
     position_ratios: tuple[tuple[int, int], ...]
 
     def locate(self, t: Fraction) -> tuple[int, bool]:
         """``(i, on)``: positions[:i] lie at or left of t, and ``on`` says
         whether t is position i - 1."""
-        tn, td = t.as_integer_ratio()
         ratios = self.position_ratios
-        lo, hi = 0, len(ratios)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            n, d = ratios[mid]
-            if tn * d < n * td:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo, lo > 0 and ratios[lo - 1] == (tn, td)
+        i = _count_below(ratios, t)
+        on = i < len(ratios) and ratios[i] == t.as_integer_ratio()
+        return i + on, on
 
     def side(self, i: int, on: bool) -> int:
         """Where the t located at ``(i, on)`` lies in the domain [a, b]:

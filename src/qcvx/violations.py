@@ -60,6 +60,7 @@ from .errors import ConsistencyError, ParameterRangeError, UnsupportedChordError
 from .functions import (
     Function1D,
     _chord,
+    _count_below,
     _excess_at,
     _Located,
     _lsc_offenders_in,
@@ -739,20 +740,6 @@ def _printable(render, value) -> Optional[str]:
         return render(value)
     except ParameterRangeError:
         return None
-
-
-def _count_below(ratios: list[tuple[int, int]], t: Fraction) -> int:
-    """The number of the ascending integer ratios that lie below t."""
-    tn, td = t.as_integer_ratio()
-    lo, hi = 0, len(ratios)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        n, d = ratios[mid]
-        if n * td < tn * d:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class _naming_pair:

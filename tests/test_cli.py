@@ -839,6 +839,32 @@ class TestReportFile:
         assert list(out_dir.iterdir()) == [report]
         assert report.read_text() == "earlier report\n"
 
+    def test_written_a_slice_at_a_time(self, tent_file, out_dir, capsys, monkeypatch):
+        # Neither stdout nor --out is handed more than ``_WRITE_SLICE``
+        # characters in one write, and both get the same bytes.
+        argv = ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp"]
+        _, expected, _ = run(argv, capsys)
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        writes = []
+
+        def recording(write):
+            return lambda text, *args, **kwargs: writes.append(len(text)) or write(text, *args, **kwargs)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            handle.write = recording(handle.write)
+            return handle
+
+        monkeypatch.setattr(cli.click, "echo", recording(cli.click.echo))
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        report = out_dir / "report.json"
+        for out_args in ([], ["--out", str(report)]):
+            writes.clear()
+            code, out, _ = run(argv + out_args, capsys)
+            assert code == 0
+            assert (out or report.read_text()) == expected
+            assert sum(writes) == len(expected) and max(writes) == 7, writes
+
     def test_missing_directory_names_the_path(self, tent_file, tmp_path, capsys):
         report = tmp_path / "missing" / "report.json"
         code, out, err = run(["analyze", str(tent_file), "--out", str(report)], capsys)

@@ -62,7 +62,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
-from qcvx.cli import _pairs_value, _report_text, pair_records
+from qcvx.cli import _report_text, pair_records
 from qcvx.errors import UnsupportedChordError
 from qcvx.oracle import _violation_set_from
 
@@ -432,7 +432,7 @@ def test_pair_records_are_the_text_of_the_batch_analyses(f, data):
     # without a chord set.
     pairs = draw_pairs(data, f)
     expected = _report_text({"pairs": [analysis.to_json() for analysis in analyze_pairs(f, pairs)]})
-    assert _report_text({"pairs": _pairs_value(pair_records(f, pairs))}) == expected
+    assert _report_text({"pairs": pair_records(f, pairs)}) == expected
 
 
 def candidates(f) -> list[F]:

@@ -4,9 +4,10 @@ Every report and corpus file goes through the writer, whose text must be
 ``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte on the
 interpreter it runs on.  The property draws nested trees of every type
 the writer accepts, with the strings and floats whose text is easiest to
-get wrong; the plain tests pin what it refuses.  Text rendered ahead of
-the writer, as ``analyze`` renders its pair records, is appended as it
-is at the indent it was made for, and refused at any other.
+get wrong; the plain tests pin what it refuses.  The pair records of
+``analyze``, a ``_Records`` list of text rendered ahead of the writer, are
+appended as they are at the indent they were made for, and refused at any
+other.
 """
 
 import json
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcvx.cli import _Rendered, _pairs_value, _report_text
+from qcvx.cli import _Records, _report_text
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -120,14 +121,25 @@ def test_subclasses_written_by_their_base_type():
     assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
 
-def test_rendered_text_appended_as_it_is():
-    records = ['{\n      "x": "0"\n    }', '{\n      "x": "1/2"\n    }']
+RECORDS = ['{\n      "x": "0"\n    }', '{\n      "x": "1/2"\n    }']
+
+
+def test_records_appended_as_they_are():
     expected = json.dumps({"pairs": [{"x": "0"}, {"x": "1/2"}], "n": 2}, indent=2)
-    assert _report_text({"pairs": _pairs_value(records), "n": 2}) == expected
-    assert _report_text({"pairs": _pairs_value([])}) == json.dumps({"pairs": []}, indent=2)
+    assert _report_text({"pairs": _Records(RECORDS), "n": 2}) == expected
+    # Text that is not a record's is appended as it is too, never quoted.
+    assert _report_text({"pairs": _Records(["1", '"a"'])}) == json.dumps({"pairs": [1, "a"]}, indent=2)
 
 
-@pytest.mark.parametrize("obj", [{"a": {"pairs": _pairs_value(["{}"])}}, [[_pairs_value(["{}"])]], _Rendered(["[]"], "\n  ")])
-def test_rendered_text_refused_at_another_indent(obj):
+def test_no_records_written_as_an_empty_list():
+    assert _report_text({"pairs": _Records(), "n": 2}) == json.dumps({"pairs": [], "n": 2}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"a": {"pairs": _Records(RECORDS)}}, {"a": {"pairs": _Records()}}, [[_Records(RECORDS)]], _Records(RECORDS), _Records()],
+    ids=["in-a-dict", "empty-in-a-dict", "in-a-list", "top-level", "empty-top-level"],
+)
+def test_records_refused_at_another_indent(obj):
     with pytest.raises(ValueError, match="text rendered at indent 2 reached at indent"):
         _report_text(obj)

@@ -54,7 +54,7 @@ MUTANTS = [
     ("functions.py", "dl = dr = a * tc - ta * c or (a > 0) - (ta > 0)", "dl = dr = a * tc - ta * c"),
     ("functions.py", "d_point = pa * tc - ta * pc or (pa > 0) - (ta > 0)", "d_point = pa * tc - ta * pc"),
     ("functions.py", "root = Fraction(ta * c - a * tc, b * tc - tb * c)", "root = Fraction(a * tc - ta * c, b * tc - tb * c)"),
-    ("functions.py", "            if tn * d < n * td:", "            if tn < n * td:"),
+    ("functions.py", "        if n * td < tn * d:", "        if n * td <= tn * d:"),
     ("functions.py", "if l < 0 or r < 0)", "if l < 0 and r < 0)"),
     # The violation and chord sets: isolated violations dropped, a chord
     # set's first run dropped, a chord component mapped back from the
@@ -88,6 +88,9 @@ MUTANTS = [
     ("violations.py", "_reduced_text(n * xd * yd, den * width)", "_reduced_text(n * xd, den * width)"),
     ("violations.py", "_JSON_BOOL[failed[e] == failed[s]]", "_JSON_BOOL[failed[-1] == 0]"),
     ("violations.py", "            self._rendered = (", "            _LineWalk._rendered = ("),
+    # The report writer: the pair records' text quoted as strings instead
+    # of appended as it is.
+    ("cli.py", "                append(item)", "                append(_quote(item))"),
     # Certificates and local shapes: a supremum equal to the level taken
     # as a violation, strictness on an attained bound, both local maxima
     # read strictly, and each side's strictness test.
