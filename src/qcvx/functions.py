@@ -13,8 +13,10 @@ The exact variants support closed-form extremum queries (infimum and
 supremum over a subinterval with open/closed end flags, argmax sets) that
 the violation and certificate analyses build on.  Each exact model keeps
 one structure index, whose integer layout only this module reads: the
-extremum and argmax queries, and the threshold walk ``_sweep``, which
-hands the violation analyses one stream of breakpoint and span items.
+extremum and argmax queries, the threshold walk ``_sweep``, which
+hands the violation analyses one stream of breakpoint and span items,
+and the lattice walk ``_evaluate_lattice``, which makes and evaluates
+the oracle's grid on integers.
 In that layout each breakpoint is its own reduced (n, d) and each value
 and piece its own line (a, b, c), so no integer grows with the model,
 and two rationals compare by one cross product.  A position is placed
@@ -351,6 +353,81 @@ class _ExactModel(_Indexed):
     def _located_value(self, at: _Located) -> XReal:
         t, i, on = at
         return self._index.values[i - 1] if on else self._inside(i - 1, t)
+
+    def _evaluate_lattice(
+        self, lo: Fraction, lattice: tuple[int, int, int], n: int, extras: Sequence[tuple[int, int, int, int]]
+    ) -> tuple[list[tuple[int, int, int, int]], list]:
+        """The n points of a uniform lattice from lo, with ascending extra
+        points merged in, located and evaluated in one forward pass on
+        integers: the merged positions as runs ``(index, first, step, d)``,
+        point index + t being (first + step * t) / d, and keys that order
+        as f does at the points.
+
+        With ``(den, start, stride) = lattice``, lattice point j is
+        (start + stride * j) / den, point 0 being lo.  An extra
+        ``(q, r, pn, pd)`` is the integer ratio pn / pd, r / (stride * pd)
+        of a step past lattice point q, so that point itself where r is 0.
+        The extras hold every breakpoint from lo to the last lattice point
+        and lie in the domain.  A finite key is f times one common multiple
+        of the denominators of f on the merge; -inf and +inf are the float
+        infinities.  Within a piece the lattice points' keys step by a
+        constant, so each run of them is one ``range`` made from the
+        piece's line; a breakpoint takes its key from its value, on a
+        lattice point too.  The positions stay runs, as a common
+        denominator of them all would grow with the breakpoints'
+        denominators.  Points beyond the domain raise the DomainError of
+        ``evaluate_sorted``, naming the first of them.
+        """
+        den, start, stride = lattice
+        s = self._index
+        ratios, values, pieces = s.position_ratios, s.value_lines, s.piece_lines
+        _, i, on = self._locate(lo)
+        i -= on  # ratios[i] is the first breakpoint at or right of lo
+        # Each run is (first numerator, step, count, denominator, line): its
+        # t-th point is (first + step * t) / denominator; an extra is a run
+        # of one.
+        runs: list[tuple[int, int, int, int, tuple[int, int, int]]] = []
+        scales = set()  # a common multiple of these scales every finite value
+
+        def add(first: int, step: int, count: int, d: int, line: tuple[int, int, int]) -> None:
+            runs.append((first, step, count, d, line))
+            a, b, c = line
+            if c:
+                scales.add(c * d if b else c)
+
+        def lattice_run(j: int, stop: int) -> None:
+            if i == len(ratios):
+                self._check_domain(Fraction(start + stride * j, den))
+            add(start + stride * j, stride, stop - j, den, pieces[i - 1])
+
+        j = 0
+        for q, r, pn, pd in extras:
+            stop = q + 1 if r else q  # lattice point q is the extra where r is 0
+            if j < stop:
+                lattice_run(j, stop)
+            bn, bd = ratios[i]
+            if pn * bd == bn * pd:
+                line = values[i]
+                i += 1
+            else:
+                line = pieces[i - 1]
+            add(pn, 1, 1, pd, line)
+            j = q + 1
+        if j < n:
+            lattice_run(j, n)
+        scale = math.lcm(*scales)
+        positions, keys = [], []
+        for first, step, count, d, (a, b, c) in runs:
+            positions.append((len(keys), first, step, d))
+            if not c:
+                keys += [math.inf if a > 0 else -math.inf] * count
+            elif b:
+                m = scale // (c * d)
+                key, key_step = (a * d + b * first) * m, b * step * m
+                keys += range(key, key + key_step * count, key_step)
+            else:
+                keys += [a * (scale // c)] * count
+        return positions, keys
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         return self._index.positions

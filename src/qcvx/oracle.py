@@ -10,14 +10,22 @@ list of the values already passed.  Witnesses are listed in (i, k, j)
 index order; a row with none is skipped in one comparison, against a
 suffix maximum of f over the middles with R(k) > 0.
 
-Exact models compare as integers: each finite value is scaled to the
-least common multiple of the finite denominators on the grid, -inf sits
-below every such key and +inf above.  Every per-point step (placing
-breakpoints and piece midpoints among the uniform points, evaluating the
-model in one sorted walk, comparing values) runs on Python integers, so
-the Fraction work of one call grows with the breakpoint count only.
-Black-box models compare as floats, where f(k) is strictly above f(i)
-when it is above fl(f(i) + ``FLOAT_EPSILON``), on both grids alike.
+Exact models compare as integers: each finite value is scaled to one
+common multiple of the denominators on the grid, -inf sits below every
+such key and +inf above.  An exact model's grid is made and evaluated in
+one integer pass, the model's lattice walk: the uniform points are
+numerators over one denominator, the breakpoints and piece midpoints
+find their slots among them by one integer division each, and within a
+piece the uniform points' keys are one arithmetic progression made from
+the piece's line.  A grid position becomes a Fraction only when it is
+reported (a witness or an end of a violation-set run) or checked against
+a pair's end, so the Fractions one ``qcvx oracle --compare`` command
+makes do not grow with the grid size.  ``diff_report`` compares the ends
+of the two sets as integers over their least common denominator.
+Tabulated models key the values ``evaluate_sorted`` gives on their
+sample grid as integers.  Black-box models compare as floats, where f(k)
+is strictly above f(i) when it is above fl(f(i) + ``FLOAT_EPSILON``), on
+both grids alike.
 
 The verdict carries its grid, evaluated and keyed, and ``qcvx oracle``
 reads the violation set of the domain ends from it; another pair gets a
@@ -41,9 +49,11 @@ from .errors import ParameterRangeError
 from .functions import Function1D, PiecewiseConstant, Tabulated
 from .intervals import OpenInterval, OpenIntervalSet
 
-# Near this size the oracle takes 0.02-0.04 s and 20 MB, mostly making and
-# evaluating the Fraction grid (4,062 points, 2 vCPUs, Python 3.11); an
-# ``oracle`` command makes one such grid when its pair is the domain.
+# Near this size (4,062 points on a 64-knot linear model) a verdict takes
+# about 0.007 s and a 19 MB process peak, 0.5 MB of it traced, on 2 vCPUs
+# with Python 3.11; the two bisection passes of the triple count take most
+# of it, and making and evaluating the grid about 6%.  An ``oracle``
+# command makes one such grid when its pair is the domain.
 MAX_GRID_POINTS = 4096
 
 # A black-box value is strictly above another when above by more than this.
@@ -100,7 +110,8 @@ class OracleVerdict:
     violating_triples: tuple[ViolatingTriple, ...]
     total_violations: int
     grid: GridInfo
-    # The grid, keys and shifted keys of ``_sample``; not in the report.
+    # The positions (by index), keys and shifted keys of ``_sample``; not
+    # in the report.
     sample: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -112,14 +123,49 @@ class OracleVerdict:
         }
 
 
-def _with_piece_midpoints(breaks: Sequence[Fraction]) -> list[Fraction]:
-    """The ascending breakpoints with the midpoint of each consecutive
-    pair between them: ``[b0, (b0 + b1) / 2, b1, ..., b_last]``.  The
-    exact analyzer builds its own candidate list, so a fault here cannot
-    hide from the differential tests."""
-    out = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
+def _with_piece_midpoints(breaks: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The ascending breakpoints, as integer ratios, with the midpoint of
+    each consecutive pair between them, in lowest terms:
+    ``[b0, (b0 + b1) / 2, b1, ..., b_last]``.  The exact analyzer builds
+    its own candidate list, so a fault here cannot hide from the
+    differential tests."""
+    out = []
+    for (n0, d0), (n1, d1) in zip(breaks, breaks[1:]):
+        n, d = n0 * d1 + n1 * d0, 2 * d0 * d1
+        g = math.gcd(n, d)
+        out += ((n0, d0), (n // g, d // g))
     out += breaks[-1:]
     return out
+
+
+def _slotted(
+    lo: Fraction, hi: Fraction, n: int, extras: Sequence[tuple[int, int]]
+) -> tuple[int, tuple[int, int, int], list[tuple[int, int, int, int]]]:
+    """The n uniform points from lo to hi as a lattice ``(den, start,
+    stride)``, point j being (start + stride * j) / den, and each of the
+    ascending integer ratios ``extras`` in [lo, hi] slotted into it by one
+    integer division as ``(q, r, pn, pd)``: pn / pd lies r / (stride * pd)
+    of a step past point q, so is point q where r is 0.  First comes the
+    merged count, the extras on no point added to n."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den, start, stride = ld * hd * (n - 1), ln * hd * (n - 1), hn * ld - ln * hd
+    slots = [(*divmod(pn * den - start * pd, stride * pd), pn, pd) for pn, pd in extras]
+    return n + sum(1 for _, r, _, _ in slots if r), (den, start, stride), slots
+
+
+def _points(lattice: tuple[int, int, int], n: int, slots: Sequence[tuple[int, int, int, int]]) -> list[Fraction]:
+    """The slotted lattice of ``_slotted`` as a sorted list of Fractions
+    without repeats."""
+    den, start, stride = lattice
+    points: list[Fraction] = []
+    i = 0
+    for q, r, pn, pd in slots:
+        points += [Fraction(start + stride * j, den) for j in range(i, q + 1)]
+        i = q + 1
+        if r:
+            points.append(Fraction(pn, pd))
+    points += [Fraction(start + stride * j, den) for j in range(i, n)]
+    return points
 
 
 def uniform_points(
@@ -127,30 +173,47 @@ def uniform_points(
 ) -> tuple[int, Callable[[], list[Fraction]]]:
     """The n rationals lo + (hi - lo) * i / (n - 1) with the ascending
     ``extras`` from [lo, hi] merged in: the merged count, found on
-    integers, and a function that makes the sorted list without repeats.
-    Uniform point i is (start + stride * i) / den; each extra finds its
-    slot by one integer division, which also tells whether it is a
-    uniform point already."""
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    den, start, stride = ld * hd * (n - 1), ln * hd * (n - 1), hn * ld - ln * hd
-    # p lies r / (stride * p.denominator) of a step past uniform point q.
-    slots = [
-        (*divmod(p.numerator * den - start * p.denominator, stride * p.denominator), p)
-        for p in extras
-    ]
+    integers, and a function that makes the sorted list without repeats."""
+    size, lattice, slots = _slotted(lo, hi, n, [p.as_integer_ratio() for p in extras])
+    return size, lambda: _points(lattice, n, slots)
 
-    def build() -> list[Fraction]:
-        points: list[Fraction] = []
-        i = 0
-        for q, r, p in slots:
-            points += [Fraction(start + stride * j, den) for j in range(i, q + 1)]
-            i = q + 1
-            if r:
-                points.append(p)
-        points += [Fraction(start + stride * j, den) for j in range(i, n)]
-        return points
 
-    return n + sum(1 for _, r, _ in slots if r), build
+def _window(
+    f: Function1D, grid_points: int, lo: Optional[Fraction], hi: Optional[Fraction]
+) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
+    """lo and hi, the domain ends where None, and the model's breakpoints
+    in [lo, hi], once the refusals that come before any point is made have
+    passed: fewer than 3 uniform points, lo not below hi, and a
+    piecewise-constant model with more breakpoints and piece midpoints in
+    range than ``MAX_GRID_POINTS``."""
+    if grid_points < 3:
+        raise ParameterRangeError("grid_points must be at least 3")
+    a, b = f.domain
+    lo = a if lo is None else as_rational(lo)
+    hi = b if hi is None else as_rational(hi)
+    if not lo < hi:
+        raise ParameterRangeError("grid needs lo < hi")
+    bps = f.breakpoints()
+    breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
+    if isinstance(f, PiecewiseConstant) and 2 * len(breaks) - 1 > MAX_GRID_POINTS:
+        # The breakpoints and the piece midpoints are distinct grid points.
+        _refuse_grid(f"at least {2 * len(breaks) - 1}", grid_points)
+    return lo, hi, breaks
+
+
+def _lattice(
+    f: Function1D, grid_points: int, lo: Fraction, hi: Fraction, breaks: Sequence[Fraction]
+) -> tuple[tuple[int, int, int], list[tuple[int, int, int, int]]]:
+    """The uniform lattice on [lo, hi] with its extras slotted in: the
+    breakpoints in range and, on a piecewise-constant model, the piece
+    midpoints between them.  A merged grid of more than
+    ``MAX_GRID_POINTS`` points is refused."""
+    ratios = [p.as_integer_ratio() for p in breaks]
+    extras = _with_piece_midpoints(ratios) if isinstance(f, PiecewiseConstant) else ratios
+    size, lattice, slots = _slotted(lo, hi, grid_points, extras)
+    if size > MAX_GRID_POINTS:
+        _refuse_grid(size, grid_points)
+    return lattice, slots
 
 
 def build_grid(
@@ -170,27 +233,13 @@ def build_grid(
     a piecewise-constant model with more breakpoints and midpoints in
     range than that is refused before its midpoints are made.
     """
-    if grid_points < 3:
-        raise ParameterRangeError("grid_points must be at least 3")
-    a, b = f.domain
-    lo = a if lo is None else as_rational(lo)
-    hi = b if hi is None else as_rational(hi)
-    if not lo < hi:
-        raise ParameterRangeError("grid needs lo < hi")
-    bps = f.breakpoints()
-    breaks = bps[bisect_left(bps, lo) : bisect_right(bps, hi)]
-    midpoints = isinstance(f, PiecewiseConstant)
-    if midpoints and 2 * len(breaks) - 1 > MAX_GRID_POINTS:
-        # The breakpoints and the piece midpoints are distinct grid points.
-        _refuse_grid(f"at least {2 * len(breaks) - 1}", grid_points)
+    lo, hi, breaks = _window(f, grid_points, lo, hi)
     if isinstance(f, Tabulated):
-        size, build = len(breaks), lambda: list(breaks)
-    else:
-        extras = _with_piece_midpoints(breaks) if midpoints else breaks
-        size, build = uniform_points(lo, hi, grid_points, extras)
-    if size > MAX_GRID_POINTS:
-        _refuse_grid(size, grid_points)
-    return build()
+        if len(breaks) > MAX_GRID_POINTS:
+            _refuse_grid(len(breaks), grid_points)
+        return list(breaks)
+    lattice, slots = _lattice(f, grid_points, lo, hi, breaks)
+    return _points(lattice, grid_points, slots)
 
 
 def _refuse_grid(size: object, grid_points: int) -> None:
@@ -216,21 +265,37 @@ def _integer_keys(values: Sequence[XReal]) -> list[int]:
 
 
 def _sample(f: Function1D, grid_points: int, x: Fraction, y: Fraction) -> tuple:
-    """The grid on [x, y], x and y added where it lacks them, and keys with
-    f(k) strictly above f(i) iff keys[k] > shifted[i]: integer keys for
-    both, or floats and fl(f + FLOAT_EPSILON)."""
+    """The grid on [x, y], x and y added where it lacks them, as a function
+    from a point's index to its position, and keys with f(k) strictly
+    above f(i) iff keys[k] > shifted[i]: integer keys for both (with the
+    float infinities on an exact model), or floats and
+    fl(f + FLOAT_EPSILON).  An exact model's grid is made and evaluated on
+    integers, and a position becomes a Fraction only when it is read, from
+    the run that holds it, found by bisection on the runs' first
+    indices."""
+    if f.is_exact:
+        lo, hi, breaks = _window(f, grid_points, x, y)
+        lattice, slots = _lattice(f, grid_points, lo, hi, breaks)
+        runs, keys = f._evaluate_lattice(lo, lattice, grid_points, slots)
+        starts = [index for index, _, _, _ in runs]
+
+        def position(i: int) -> Fraction:
+            index, first, step, d = runs[bisect_right(starts, i) - 1]
+            return Fraction(first + step * (i - index), d)
+
+        return position, keys, keys
     grid = build_grid(f, grid_points, x, y)
     if not grid or grid[0] != x:
         grid.insert(0, x)
     if grid[-1] != y:
         grid.append(y)
     values = f.evaluate_sorted(grid)
-    if f.is_exact or isinstance(f, Tabulated):
+    if isinstance(f, Tabulated):
         keys = _integer_keys(values)
-        return grid, keys, keys
+        return grid.__getitem__, keys, keys
     keys = [float(v) for v in values]
     eps = float(FLOAT_EPSILON)
-    return grid, keys, [key + eps for key in keys]
+    return grid.__getitem__, keys, [key + eps for key in keys]
 
 
 def oracle_quasiconvex(
@@ -249,8 +314,8 @@ def oracle_quasiconvex(
     :func:`build_grid` refuses it.
     """
     float_mode = not f.is_exact and not isinstance(f, Tabulated)
-    grid, keys, shifted = sample = _sample(f, grid_points, *f.domain)
-    g = len(grid)
+    position, keys, shifted = sample = _sample(f, grid_points, *f.domain)
+    g = len(keys)
     # below[k] is R(k); reach[k] is the greatest key of a middle at k or
     # after it with R > 0, so row i has a witness iff reach[i + 1] > shifted[i].
     below = [0] * g
@@ -266,7 +331,7 @@ def oracle_quasiconvex(
         total += bisect_left(seen, keys[k]) * below[k]  # L(k) * R(k)
         insort(seen, shifted[k])
     witnesses = (
-        ViolatingTriple(t_x=grid[i], t_y=grid[j], t_z=grid[k])
+        (i, k, j)
         for i in range(g)
         if reach[i + 1] > shifted[i]
         for k in range(i + 1, g)
@@ -275,6 +340,8 @@ def oracle_quasiconvex(
         if keys[k] > shifted[j]
     )
     found = list(islice(witnesses, max(max_triples, 0)))
+    # The witnesses share their points, each made a Fraction once.
+    at = {t: position(t) for t in {t for triple in found for t in triple}}
     info = GridInfo(
         resolution=grid_points,
         total_points=g,
@@ -287,7 +354,7 @@ def oracle_quasiconvex(
     )
     return OracleVerdict(
         is_quasiconvex_on_grid=total == 0,
-        violating_triples=tuple(found),
+        violating_triples=tuple(ViolatingTriple(t_x=at[i], t_y=at[j], t_z=at[k]) for i, k, j in found),
         total_violations=total,
         grid=info,
         sample=sample,
@@ -323,13 +390,13 @@ def oracle_violation_set(
 def _violation_set_from(verdict: OracleVerdict, f: Function1D, x: Fraction, y: Fraction) -> OpenIntervalSet:
     """``oracle_violation_set(f, x, y, verdict.grid.resolution)``, read from the
     verdict's sample if it runs from x to y, as for the domain ends only."""
-    grid = verdict.sample[0]
-    if grid[0] != x or grid[-1] != y:
+    position, keys, _ = verdict.sample
+    if position(0) != x or position(len(keys) - 1) != y:
         return oracle_violation_set(f, x, y, verdict.grid.resolution)
     return _runs(*verdict.sample)
 
 
-def _runs(grid: list[Fraction], keys: list, shifted: list) -> OpenIntervalSet:
+def _runs(position: Callable[[int], Fraction], keys: list, shifted: list) -> OpenIntervalSet:
     """The violation set's runs on a sample whose ends are the pair's."""
     threshold = max(shifted[0], shifted[-1])
     runs: list[tuple[Fraction, Fraction]] = []
@@ -338,7 +405,7 @@ def _runs(grid: list[Fraction], keys: list, shifted: list) -> OpenIntervalSet:
     for marked, run in groupby(keys, lambda key: key > threshold):
         n = sum(1 for _ in run)
         if marked:
-            runs.append((grid[i - 1], grid[i + n]))
+            runs.append((position(i - 1), position(i + n)))
         i += n
     # The runs come out sorted and never overlap, as the constructor checks.
     return OpenIntervalSet._from_runs(runs)
@@ -369,23 +436,16 @@ class DiffReport:
         }
 
 
-def _near_any(
-    intervals: OpenIntervalSet, slack: Fraction
-) -> Callable[[OpenInterval], bool]:
-    """A test for whether some interval of the set has both ends within
-    slack of the ends of a given interval.  The intervals of a set are
-    sorted and disjoint, so their left ends ascend and so do their right
-    ends: each end condition selects one index range, found by bisection."""
-    lefts = [iv.left for iv in intervals]
-    rights = [iv.right for iv in intervals]
+def _near_any(lefts: list[int], rights: list[int], slack: int) -> Callable[[int, int], bool]:
+    """A test for whether some interval of a set, given by its ends on one
+    integer scale, has both ends within slack of the given ends.  The
+    intervals of a set are sorted and disjoint, so their left ends ascend
+    and so do their right ends: each end condition selects one index
+    range, found by bisection."""
 
-    def near(iv: OpenInterval) -> bool:
-        first = max(
-            bisect_left(lefts, iv.left - slack), bisect_left(rights, iv.right - slack)
-        )
-        stop = min(
-            bisect_right(lefts, iv.left + slack), bisect_right(rights, iv.right + slack)
-        )
+    def near(left: int, right: int) -> bool:
+        first = max(bisect_left(lefts, left - slack), bisect_left(rights, right - slack))
+        stop = min(bisect_right(lefts, left + slack), bisect_right(rights, right + slack))
         return first < stop
 
     return near
@@ -408,29 +468,45 @@ def diff_report(
     matched: the grid marks such a breakpoint as a run of its own, which
     no open component can account for.
 
-    Each match is found by bisection, so m exact and n approximate
-    intervals cost O((m + n) log(m + n)) comparisons.
+    Every end, isolated violation and the slack are scaled to integers
+    over their least common denominator, and each match is found by
+    bisection on those, so m exact and n approximate intervals cost
+    O((m + n) log(m + n)) integer comparisons.
     """
     slack = as_rational(slack)
     if isinstance(exact, OpenIntervalSet):
-        exact_set, isolated = exact, []
+        exact_set, isolated = exact, ()
     else:
-        exact_set, isolated = exact.components, sorted(exact.isolated_violations)
-    near_exact, near_approx = _near_any(exact_set, slack), _near_any(approx, slack)
+        exact_set, isolated = exact.components, exact.isolated_violations
+    groups = [
+        [slack],
+        isolated,
+        [iv.left for iv in exact_set],
+        [iv.right for iv in exact_set],
+        [iv.left for iv in approx],
+        [iv.right for iv in approx],
+    ]
+    ratios = [[q.as_integer_ratio() for q in group] for group in groups]
+    den = math.lcm(*{d for group in ratios for _, d in group})
+    [slack], points, exact_lefts, exact_rights, approx_lefts, approx_rights = (
+        [n * (den // d) for n, d in group] for group in ratios
+    )
+    points.sort()
+    near_exact = _near_any(exact_lefts, exact_rights, slack)
+    near_approx = _near_any(approx_lefts, approx_rights, slack)
 
-    def holds_isolated(iv: OpenInterval) -> bool:
-        k = bisect_right(isolated, iv.left)
-        return k < len(isolated) and isolated[k] < iv.right
+    def holds_isolated(left: int, right: int) -> bool:
+        k = bisect_right(points, left)
+        return k < len(points) and points[k] < right
 
     discrepancies: list[Discrepancy] = []
-    for approx_iv in approx:
-        if not near_exact(approx_iv) and not (
-            approx_iv.length <= 2 * slack and holds_isolated(approx_iv)
-        ):
-            discrepancies.append(Discrepancy("unmatched_approx", approx_iv))
-    for exact_iv in exact_set:
-        if exact_iv.length > 2 * slack and not near_approx(exact_iv):
-            discrepancies.append(Discrepancy("missed_exact", exact_iv))
+    for iv, l, r in zip(approx, approx_lefts, approx_rights):
+        if not near_exact(l, r) and not (r - l <= 2 * slack and holds_isolated(l, r)):
+            discrepancies.append(Discrepancy("unmatched_approx", iv))
+    for iv, l, r in zip(exact_set, exact_lefts, exact_rights):
+        if r - l > 2 * slack and not near_approx(l, r):
+            discrepancies.append(Discrepancy("missed_exact", iv))
     return DiffReport(
         consistent=not discrepancies, discrepancies=tuple(discrepancies)
     )
+

@@ -634,11 +634,12 @@ class TestOracleCommand:
         ],
     )
     def test_grid_over_budget_exit_1(self, tmp_path, capsys, monkeypatch, doc, grid):
-        def unreachable(self, ts):
+        def unreachable(*args):
             raise AssertionError("the grid was evaluated")
 
-        # Refused before the grid is evaluated.
-        monkeypatch.setattr("qcvx.functions._ExactModel.evaluate_sorted", unreachable)
+        # Refused before the grid is evaluated: an exact model's grid is
+        # made and evaluated by its lattice walk.
+        monkeypatch.setattr("qcvx.functions._ExactModel._evaluate_lattice", unreachable)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(["oracle", str(path), "--grid", grid, "--no-timestamp"], capsys)
@@ -656,12 +657,19 @@ class TestOracleCommand:
 
     @pytest.fixture()
     def grid_calls(self, monkeypatch):
-        """Counts of the grids the oracle builds and of the evaluations of
-        a built grid; the exact verdict's own evaluations are not counted."""
-        calls = {"build_grid": 0, "evaluate_sorted": 0}
+        """Counts of the exact models' lattice walks, each of which makes
+        and evaluates one grid, of the grids the oracle builds as
+        Fractions, and of the evaluations of such a built grid; the exact
+        verdict's own evaluations are not counted."""
+        calls = {"lattice": 0, "build_grid": 0, "evaluate_sorted": 0}
         built = []
+        evaluate_lattice = qcvx.functions._ExactModel._evaluate_lattice
         build_grid = qcvx.oracle.build_grid
         evaluate_sorted = qcvx.functions._Indexed.evaluate_sorted
+
+        def counted_lattice(*args):
+            calls["lattice"] += 1
+            return evaluate_lattice(*args)
 
         def counted_build(*args, **kwargs):
             calls["build_grid"] += 1
@@ -672,6 +680,7 @@ class TestOracleCommand:
             calls["evaluate_sorted"] += any(ts is grid for grid in built)
             return evaluate_sorted(self, ts)
 
+        monkeypatch.setattr("qcvx.functions._ExactModel._evaluate_lattice", counted_lattice)
         monkeypatch.setattr("qcvx.oracle.build_grid", counted_build)
         monkeypatch.setattr("qcvx.functions._Indexed.evaluate_sorted", counted_evaluate)
         return calls
@@ -689,7 +698,7 @@ class TestOracleCommand:
         )
         assert code == 0
         assert read_json(out)["comparison"]["consistent"] is True
-        assert grid_calls == {"build_grid": grids, "evaluate_sorted": grids}
+        assert grid_calls == {"lattice": grids, "build_grid": 0, "evaluate_sorted": 0}
 
     def test_expectation_builds_one_grid_for_the_domain(self, tabulated_file, tmp_path, capsys, grid_calls):
         expect = tmp_path / "expect.json"
@@ -698,7 +707,7 @@ class TestOracleCommand:
             ["oracle", str(tabulated_file), "--expect", str(expect), "--grid", "61", "--no-timestamp"], capsys
         )
         assert code == 0
-        assert grid_calls == {"build_grid": 1, "evaluate_sorted": 1}
+        assert grid_calls == {"lattice": 0, "build_grid": 1, "evaluate_sorted": 1}
 
     @pytest.fixture()
     def tabulated_file(self, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_pwc
+from conftest import coprime_linear, random_pwc
 from qcvx import (
     MINUS_INF,
     PLUS_INF,
@@ -26,8 +26,9 @@ from qcvx import (
 from qcvx import oracle
 from qcvx.core import xreal_max
 from qcvx.corpus import monotone, random_corpus, tent, vee
-from qcvx.errors import NoSampleError, ParameterRangeError
+from qcvx.errors import NoSampleError, ParameterRangeError, QcvxError
 from qcvx.oracle import FLOAT_EPSILON, MAX_GRID_POINTS, ViolatingTriple, _integer_keys
+from qcvx.intervals import OpenIntervalSet
 from qcvx.violations import ViolationDecomposition
 
 F = Fraction
@@ -378,15 +379,85 @@ class TestIntegerKeys:
             assert self.key_ranks(values) == self.reference_ranks(values)
 
 
+# Exact models for the lattice walk: the exact grid models, one with
+# +-inf pieces and values beside finite ones, and one whose positions and
+# values have distinct prime denominators.
+_LATTICE_MODELS = [f for f in _GRID_MODELS if f.is_exact]
+_LATTICE_MODELS += [
+    PiecewiseConstant(
+        (F(0), F(1, 3), F(1, 2), F(5, 7), F(1)),
+        (PLUS_INF, MINUS_INF, XReal(F(3, 2)), MINUS_INF),
+        (MINUS_INF, XReal(1), PLUS_INF, XReal(F(3, 2)), XReal(F(-1, 2))),
+    ),
+    coprime_linear(3, knots=12),
+]
+
+
+def _lattice_ranges(f):
+    """The domain and two inner pairs: the second and next-to-last
+    breakpoints, and two points inside pieces."""
+    a, b = f.domain
+    bps = f.breakpoints()
+    inner = (bps[1], bps[-2]) if len(bps) > 3 else (bps[1], b)
+    return [(a, b), inner, (a + (b - a) / 7, b - (b - a) * F(2, 9))]
+
+
+def _error(call):
+    """The type and text of the QcvxError that ``call()`` raises."""
+    with pytest.raises(QcvxError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestLatticeSample:
+    """An exact model's sample, made and evaluated on integers by its
+    lattice walk, against the Fraction grid of ``build_grid`` evaluated
+    by ``evaluate_sorted`` and keyed by ``_integer_keys``."""
+
+    @pytest.mark.parametrize("n", [3, 4, 21, 201, 4001])
+    def test_positions_and_key_ranks_match(self, n):
+        for f in _LATTICE_MODELS:
+            for x, y in _lattice_ranges(f):
+                position, keys, shifted = oracle._sample(f, n, x, y)
+                grid = build_grid(f, n, x, y)
+                assert [position(i) for i in range(len(keys))] == grid, (f, n, x, y)
+                expected = TestIntegerKeys.key_ranks(f.evaluate_sorted(grid))
+                assert TestIntegerKeys.reference_ranks(keys) == expected, (f, n, x, y)
+                assert shifted is keys
+
+    @pytest.mark.parametrize("f", _LATTICE_MODELS)
+    def test_errors_match(self, f):
+        a, b = f.domain
+        mid = (a + b) / 2
+        cases = [
+            (2, a, b),  # fewer than 3 points
+            (201, mid, mid),  # lo >= hi
+            (201, b, a),
+            (5000, a, b),  # over the limit
+            (201, a - 1, mid),  # out of the domain
+            (201, mid, b + F(1, 3)),
+            (201, b, b + 1),
+            (201, a - 2, a - 1),
+        ]
+        for n, x, y in cases:
+            expected = _error(lambda: f.evaluate_sorted(build_grid(f, n, x, y)))
+            assert _error(lambda: oracle._sample(f, n, x, y)) == expected, (f, n, x, y)
+
+
 class TestGridBudget:
-    """Refused before the grid is evaluated."""
+    """Refused before the grid is evaluated: an exact model's grid is made
+    and evaluated by its lattice walk, which must not be reached."""
 
     @pytest.fixture(autouse=True)
     def no_evaluation(self, monkeypatch):
-        def unreachable(self, ts):
+        def unreachable(*args):
             raise AssertionError("the grid was evaluated")
 
-        monkeypatch.setattr("qcvx.functions._ExactModel.evaluate_sorted", unreachable)
+        monkeypatch.setattr("qcvx.functions._ExactModel._evaluate_lattice", unreachable)
+
+    def test_grid_within_the_limit_reaches_the_walk(self):
+        with pytest.raises(AssertionError, match="the grid was evaluated"):
+            oracle_quasiconvex(tent(), grid_points=MAX_GRID_POINTS - 1)
 
     def test_large_resolution_refused(self):
         with pytest.raises(ParameterRangeError, match=f"{MAX_GRID_POINTS + 1} points"):
@@ -504,3 +575,50 @@ class TestDiffReportBisection:
             expected = _literal_diff(exact, approx, slack)
             assert [(d.kind, d.interval) for d in report.discrepancies] == expected
             assert report.consistent == (not expected)
+
+
+class TestDiffReportBoundaries:
+    """Ends exactly at the slack, and intervals exactly twice the slack
+    long, where the integer matching must keep the inclusive and strict
+    comparisons of the definition.  The slack's denominator is prime to
+    the ends', so the common scale is their product."""
+
+    SLACK = F(1, 7)
+    HAIR = F(1, 10**6)
+
+    @staticmethod
+    def kinds(report):
+        return [d.kind for d in report.discrepancies]
+
+    def check(self, exact, approx, expected):
+        report = diff_report(exact, approx, self.SLACK)
+        assert [(d.kind, d.interval) for d in report.discrepancies] == _literal_diff(exact, approx, self.SLACK)
+        assert self.kinds(report) == expected
+        assert report.consistent == (not expected)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_ends_exactly_one_slack_away_match(self, shift):
+        s = shift * self.SLACK
+        self.check(normalize([iv(F(1, 3), F(2, 3))]), normalize([iv(F(1, 3) + s, F(2, 3) + s)]), [])
+        self.check(normalize([iv(F(1, 3) + s, F(2, 3) - s)]), normalize([iv(F(1, 3), F(2, 3))]), [])
+
+    def test_an_end_a_hair_past_the_slack_is_unmatched(self):
+        exact = normalize([iv(F(1, 3), F(2, 3))])
+        approx = normalize([iv(F(1, 3) + self.SLACK + self.HAIR, F(2, 3))])
+        self.check(exact, approx, ["unmatched_approx", "missed_exact"])
+
+    def test_exact_component_exactly_twice_the_slack_need_not_match(self):
+        left = F(1, 5)
+        self.check(normalize([iv(left, left + 2 * self.SLACK)]), OpenIntervalSet(), [])
+        self.check(normalize([iv(left, left + 2 * self.SLACK + self.HAIR)]), OpenIntervalSet(), ["missed_exact"])
+
+    def test_grid_run_exactly_twice_the_slack_holds_an_isolated_violation(self):
+        left = F(1, 5)
+        decomposition = ViolationDecomposition(
+            x=F(0), y=F(1), threshold=XReal(0), components=OpenIntervalSet(),
+            isolated_violations=(left + self.SLACK,), lsc_offenders=(),
+        )
+        self.check(decomposition, normalize([iv(left, left + 2 * self.SLACK)]), [])
+        self.check(decomposition, normalize([iv(left, left + 2 * self.SLACK + self.HAIR)]), ["unmatched_approx"])
+        # The isolated violation must lie strictly inside the run.
+        self.check(decomposition, normalize([iv(left + self.SLACK, left + 2 * self.SLACK)]), ["unmatched_approx"])

@@ -21,7 +21,9 @@ position's domain check reads where it was located.  A ``Tabulated``
 evaluation places its point the same way, so its count is the same at
 60 and 600 samples.  The oracle's count is taken on one 16-knot linear
 model at two grid resolutions: its Fraction work may depend on the
-breakpoints, not on the grid size.  Index lookups are counted the same
+breakpoints, not on the grid size; a whole ``qcvx oracle --compare``
+command on it makes as many Fractions (``Fraction.__new__`` calls) at
+4001 grid points as at 201.  Index lookups are counted the same
 way, by wrapping ``_StructureIndex.locate``: an interval query locates
 each end once.  The index build, and a whole-domain violation set, are
 measured by the widest integer they hand to ``math.gcd``, on
@@ -33,6 +35,7 @@ counted by ``Fraction.__new__`` calls and entries of the report
 writer's recursion.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -50,6 +53,7 @@ from qcvx import (
     convexity_violation_set,
     enumerate_local_maxima,
     interior_witness_exists,
+    function_to_dict,
     generate_cantor,
     local_quasiconvexity_at,
     oracle_quasiconvex,
@@ -456,6 +460,27 @@ def test_oracle_fraction_work_is_flat_in_grid_size(monkeypatch):
     small, large = oracle_counts(monkeypatch, oracle_quasiconvex)
     assert small > 0
     assert large == small, (small, large)
+
+
+def test_oracle_compare_makes_fractions_only_for_what_it_reports(monkeypatch, tmp_path):
+    # One ``qcvx oracle --compare`` command on the 16-knot model: the
+    # verdict, the violation set of the domain ends read from its sample,
+    # and the diff against the exact set.  The grid is made and evaluated
+    # on integers, and a position becomes a Fraction only when the report
+    # reads it (witnesses and run ends), so as many Fractions are made at
+    # 4001 grid points as at 201.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(function_to_dict(random_piecewise_linear(16, 41))))
+    made, reports = [], []
+    for grid in (201, 4001):
+        out = tmp_path / f"report_{grid}.json"
+        argv = ["oracle", str(path), "--grid", str(grid), "--compare", "--no-timestamp", "--out", str(out)]
+        made.append(calls(monkeypatch, Fraction, "__new__", lambda: cli.main(argv)))
+        reports.append(json.loads(out.read_text()))
+    assert [r["oracle"]["grid"]["total_points"] for r in reports] == [214, 4014]
+    assert all(r["comparison"]["consistent"] for r in reports)
+    assert made[0] > 0
+    assert made[1] == made[0], made
 
 
 def test_oracle_violation_set_fraction_work_is_flat_in_grid_size(monkeypatch):

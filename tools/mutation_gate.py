@@ -106,16 +106,27 @@ MUTANTS = [
     # and the suffix maximum behind the witnesses, the piece midpoints of
     # the grid, the ends check before the domain sample is reused, the
     # comparison of an exact set with a grid's wanting two near intervals,
-    # and a grid run around an isolated violation left unmatched.
+    # a grid run around an isolated violation left unmatched, and one
+    # exactly twice the slack wide no longer matched to it.
     ("oracle.py", "total += bisect_left(seen, keys[k]) * below[k]", "total += bisect_right(seen, keys[k]) * below[k]"),
     ("oracle.py", "    for k in reversed(range(g)):", "    for k in range(g):"),
     ("oracle.py", "if reach[i + 1] > shifted[i]", "if reach[min(i + 2, g)] > shifted[i]"),
     ("oracle.py", "reach[k] = max(reach[k + 1], keys[k]) if below[k] else",
      "reach[k] = max(reach[k + 1], keys[k]) if below[k - 1] else"),
-    ("oracle.py", "extras = _with_piece_midpoints(breaks) if midpoints else breaks", "extras = breaks"),
-    ("oracle.py", "    if grid[0] != x or grid[-1] != y:", "    if False:"),
+    ("oracle.py", "extras = _with_piece_midpoints(ratios) if isinstance(f, PiecewiseConstant) else ratios",
+     "extras = ratios"),
+    ("oracle.py", "    if position(0) != x or position(len(keys) - 1) != y:", "    if False:"),
     ("oracle.py", "        return first < stop", "        return first + 1 < stop"),
-    ("oracle.py", "return k < len(isolated) and isolated[k] < iv.right", "return False"),
+    ("oracle.py", "return k < len(points) and points[k] < right", "return False"),
+    ("oracle.py", "r - l <= 2 * slack", "r - l < 2 * slack"),
+    # The lattice walk that makes and evaluates an exact model's grid: a
+    # breakpoint on a lattice point read from the piece before it, the
+    # lattice points before an extra running one too far or stopping one
+    # short, and the key step of a sloped piece left unscaled.
+    ("functions.py", "                line = values[i]", "                line = values[i] if r else pieces[i - 1]"),
+    ("functions.py", "stop = q + 1 if r else q", "stop = q + 1"),
+    ("functions.py", "stop = q + 1 if r else q", "stop = q if r else q"),
+    ("functions.py", "key, key_step = (a * d + b * first) * m, b * step * m", "key, key_step = (a * d + b * first) * m, b * step"),
 ]
 
 # (module, old text, new text, why no test can kill it): not run.
