@@ -6,26 +6,32 @@ per-pair violation decompositions with checks, chord violations),
 ``oracle`` (brute-force grid verdict, optionally compared against the
 exact analyzer), and ``corpus`` (write fixture function files).
 
+Every report is streamed into a spool, then published whole
+(``_write_report``): a run refused at any point writes nothing.
+
 Exit codes: 0 analysis completed (regardless of verdict), 1 usage or
-parse error or an ``--out`` that cannot be written, 2 violation found
+parse error or a report that cannot be written, 2 violation found
 under ``--fail-on-violation``, 3 precondition/audit failure, 4
 differential-test inconsistency.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import re
 import secrets
+import shutil
 import stat
 import sys
+import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import click
 
@@ -51,7 +57,7 @@ from .functions import (
 )
 from .intervals import OpenIntervalSet, normalize
 from .oracle import FLOAT_EPSILON, _violation_set_from, diff_report, oracle_quasiconvex, uniform_points
-from .violations import _RECORD_NEWLINE, _naming_pair, _pair_walks, _record_text, is_quasiconvex, violation_set
+from .violations import _RECORD_NEWLINE, _pair_walks, _record_text, is_quasiconvex, violation_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +66,10 @@ EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
 
 # The most breakpoints ``--all-breakpoint-pairs`` may place strictly
-# inside its pairs, summed over the pairs: C(n, 3) for n breakpoints.
-# The pair walks and the report grow with this count.
-MAX_PAIR_INTERIOR_POINTS = 1_000_000
+# inside its pairs, summed over the pairs: C(n, 3) for n breakpoints, so
+# 256 run (Cantor depth 7) and 257 do not.  Time, walks and report grow
+# with the count; README "Work limits" has the runs at the limit.
+MAX_PAIR_INTERIOR_POINTS = math.comb(256, 3)
 
 # The most samples ``--plot-points`` may ask for; the time, the memory and
 # the report grow linearly with the count.
@@ -84,35 +91,31 @@ def _parse_pair(x: str, y: str) -> tuple[Fraction, Fraction]:
     return parse_rational(x), parse_rational(y)
 
 
-class _Records(list):
-    """The pair records of ``analyze``, each already the JSON text of its
-    record, which ``_report_text`` lays out as a list of that text
-    (``pair_records``)."""
+class _Records:
+    """The JSON texts of ``analyze``'s pair records (``pair_records``),
+    which ``_emit`` lays out as a list as they arrive."""
 
+    def __init__(self, texts: Iterable[str] = ()):
+        self.texts = texts
 
-def _report_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
-
-    With ``indent`` set, ``json`` leaves its C encoder for nested Python
-    generators; this writer appends every piece to one list and joins it
-    once, and quotes strings with ``json``'s C ``encode_basestring_ascii``.
-    Types follow ``json``'s rules: ``bool`` before ``int``, subclasses of
-    ``str``, ``int`` and ``float`` by their base type, ``ValueError`` for
-    NaN and ±inf.  Any other value, and a key that is not a ``str``,
-    raise ``TypeError``.  The items of a ``_Records`` list, the pair
-    records of ``analyze``, are appended as they are; the list must be
-    reached where its items' lines start with
-    ``violations._RECORD_NEWLINE``, or ``ValueError`` is raised: they are
-    never re-indented.
-    """
-    parts: list[str] = []
-    _emit(obj, parts.append, "\n")
-    return "".join(parts)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.texts)
 
 
 def _emit(obj, append, newline: str) -> None:
-    """Append the text of ``obj``, whose lines after the first start with
-    ``newline``'s indent."""
+    """Hand ``append`` the text of ``obj`` a piece at a time, its lines
+    after the first starting with ``newline``'s indent: at "\\n",
+    ``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte.
+
+    Strings are quoted by ``json``'s C ``encode_basestring_ascii``.  Types
+    follow ``json``'s rules: ``bool`` before ``int``, subclasses of
+    ``str``, ``int`` and ``float`` by their base type, ``ValueError`` for
+    NaN and ±inf, ``TypeError`` for any other value and a key that is not
+    a ``str``.  The texts of a ``_Records`` are handed on verbatim as they
+    arrive; it must be reached where their lines start with
+    ``violations._RECORD_NEWLINE``, or ``ValueError`` is raised before
+    any is made: they are never re-indented.
+    """
     if isinstance(obj, str):
         append(_quote(obj))
     elif obj is None:
@@ -127,14 +130,11 @@ def _emit(obj, append, newline: str) -> None:
         if not math.isfinite(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, _Records)):
         inner = newline + "  "
         rendered = type(obj) is _Records
         if rendered and inner != _RECORD_NEWLINE:
             raise ValueError(f"text rendered at indent {len(_RECORD_NEWLINE) - 3} reached at indent {len(newline) - 1}")
-        if not obj:
-            append("[]")
-            return
         separator = "[" + inner
         for item in obj:
             append(separator)
@@ -143,7 +143,7 @@ def _emit(obj, append, newline: str) -> None:
                 append(item)
             else:
                 _emit(item, append, inner)
-        append(newline + "]")
+        append("[]" if separator[0] == "[" else newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             append("{}")
@@ -185,52 +185,50 @@ def _rename_target(out: str) -> Optional[str]:
 
 
 def _write_report(report: dict, out: Optional[str]) -> None:
-    """Write the report to stdout, or put it at ``out`` in one rename.
+    """Stream the report and its final newline into a spool, then
+    publish the spool to stdout or to ``out``.
 
-    The whole text is built first, so a refused result writes nothing.
-    The file is written beside ``out``'s real path under a temporary name
-    and renamed over it, so a failed run leaves neither a partial file
-    nor the temporary one, and an existing ``out`` stays as it was.  The
-    new file gets the permissions a plain ``open`` would give: those of
-    the file it replaces, or 0o666 less the umask.  A target that is not
-    a regular file, or that is reached through a descriptor link such as
-    ``/dev/stdout``, is written in place.  A failed write raises
-    ``QcvxError`` naming ``out``.  The text and its final newline are
-    written in slices of ``_WRITE_SLICE`` characters, so no encoded or
-    newline-ended copy of the whole text is made.
+    A regular or new ``out`` spools into a temporary file beside its real
+    path, renamed over it with the permissions a plain ``open`` would
+    give: those of the file it replaces, or 0o666 less the umask.  stdout,
+    and an ``out`` that is not a regular file or that is reached through
+    a descriptor link such as ``/dev/stdout``, spool into an anonymous
+    temporary file, copied to them once complete.  So a result refused
+    while it is rendered, or a failed write, writes nothing and leaves no
+    temporary file.  A failed write raises ``QcvxError`` naming ``out``.
     """
-    text = _report_text(report)
-    if not out:
-        _write_text(lambda piece: click.echo(piece, nl=False), text)
-        return
     try:
-        _replace_file(out, text)
+        target = _rename_target(out) if out else None
+        if target is not None:
+            try:
+                mode: Optional[int] = os.stat(out).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is None or stat.S_ISREG(mode):
+                _replace_file(report, target, mode)
+                return
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            _render(report, spool)
+            spool.seek(0)
+            if out:
+                with open(out, "w", encoding="utf-8") as handle:
+                    shutil.copyfileobj(spool, handle)
+            else:
+                shutil.copyfileobj(spool, sys.stdout)
+                sys.stdout.flush()
     except OSError as exc:
-        raise QcvxError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        if exc.errno == errno.EPIPE and not out:
+            raise  # a reader closed stdout: click exits 1 quietly
+        raise QcvxError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
-# The characters of a report handed to one ``write``: each slice is copied
-# and encoded on its own, so the memory a write takes stays at this size.
-_WRITE_SLICE = 1 << 20
+def _render(report: dict, handle) -> None:
+    """Write the report's text and its final newline to ``handle``."""
+    _emit(report, handle.write, "\n")
+    handle.write("\n")
 
 
-def _write_text(write, text: str) -> None:
-    """``text`` and a newline, through ``write`` a slice at a time."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        write(text[start : start + _WRITE_SLICE])
-    write("\n")
-
-
-def _replace_file(out: str, text: str) -> None:
-    target = _rename_target(out)
-    try:
-        mode: Optional[int] = os.stat(out).st_mode
-    except FileNotFoundError:
-        mode = None
-    if target is None or (mode is not None and not stat.S_ISREG(mode)):
-        with open(out, "w", encoding="utf-8") as handle:
-            _write_text(handle.write, text)
-        return
+def _replace_file(report: dict, target: str, mode: Optional[int]) -> None:
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -238,7 +236,7 @@ def _replace_file(out: str, text: str) -> None:
         with open(fd, "w", encoding="utf-8") as handle:
             if mode is not None:
                 os.chmod(temp, stat.S_IMODE(mode))
-            _write_text(handle.write, text)
+            _render(report, handle)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -274,19 +272,16 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
 
 
 def pair_records(f: Function1D, pairs: Sequence[tuple[Fraction, Fraction]]) -> _Records:
-    """The text of each pair's report record, in order, as ``_report_text``
-    writes ``PairAnalysis.to_json()`` in the report's "pairs" list, rendered by
-    ``violations._record_text`` from the walks that ``analyze_pairs``
-    takes over all the pairs (``violations._pair_walks``): each walk
-    renders its components and their checks once, a pair's lists join
-    its slice of them, and its chord ends and totals are written from
-    integers; no record dict is built.  An exception raised here names
-    its pair in a note, which ``main`` puts before its message."""
-    records = _Records()
-    for at_x, at_y, level, walk, chord in _pair_walks(f, pairs):
-        with _naming_pair(at_x[0], at_y[0]):
-            records.append(_record_text(f, at_x, at_y, level, walk, chord))
-    return records
+    """The text of each pair's report record, in order, as ``_emit``
+    writes ``PairAnalysis.to_json()`` in the report's "pairs" list.
+
+    Every pair is located and walked at once (``violations._pair_walks``,
+    the generator's outermost iterable), before the report's first byte;
+    each record is then rendered from its walks by
+    ``violations._record_text`` as the writer reaches it, with no record
+    dict.  An exception names its pair in a note, which ``main`` puts
+    before its message."""
+    return _Records(_record_text(f, *use) for use in _pair_walks(f, pairs))
 
 
 def _collect_pairs(

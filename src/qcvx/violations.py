@@ -669,39 +669,40 @@ def _record_text(
     chord: Optional[_LineWalk],
 ) -> str:
     """The pair's report record, ``PairAnalysis.to_json()``, as the text
-    that ``cli._report_text`` writes for it where its lines after the
+    that ``cli._emit`` writes for it where its lines after the
     first start with ``_RECORD_NEWLINE``, made from the pair's walks: its
     components and their checks are joins of the level walk's rendered
     texts over the pair's slice, its total length and chord total sum the
     walk's reduced integer ratios of its runs' lengths over their least
     common denominator (``intervals._ratio_sum``), and its chord ends are
     integer ratios.  A value past the digit limit raises
-    ``ParameterRangeError``."""
+    ``ParameterRangeError``; an exception names the pair in a note."""
     x, y = at_x[0], at_y[0]
-    s, e = walk.span(x, y)
-    threshold, threshold_decimal, components, checks, failed = walk.rendered(level)
-    inner, item = _RECORD_NEWLINE + "  ", _RECORD_NEWLINE + "    "
-    try:
-        component_text = _list_text(components[s:e], item, inner)
-        check_text = _list_text(checks[s:e], item, inner)
-    except TypeError:  # a None among them: a value past the digit limit
-        raise _past_digit_limit() from None
-    n, den = _ratio_sum(walk.lengths[s:e])
-    isolated = _points_text(walk.isolated_within(x, y), item, inner)
-    offenders = _points_text(_lsc_offenders_in(f, at_x, at_y), item, inner)
-    chord_text = "null" if chord is None else chord.chord_text(x, y)
-    return (
-        f'{{{inner}"x": "{format_rational(x)}",{inner}"y": "{format_rational(y)}",'
-        f'{inner}"threshold": {threshold},{inner}"components": {component_text},'
-        f'{inner}"component_count": {e - s},{inner}"total_length": "{_reduced_text(n, den)}",'
-        f'{inner}"isolated_violations": {isolated},{inner}"lsc_offenders": {offenders},'
-        f'{inner}"threshold_decimal": {threshold_decimal},'
-        f'{inner}"total_length_decimal": {_json_decimal(_ratio_decimal(n, den))},'
-        f'{inner}"component_checks": {check_text},'
-        f'{inner}"all_checks_passed": {_JSON_BOOL[failed[e] == failed[s]]},'
-        f'{inner}"interior_witness_exists": {_JSON_BOOL[walk.witness(s, e, x, y)]},'
-        f'{inner}"chord_violations": {chord_text}{_RECORD_NEWLINE}}}'
-    )
+    with _naming_pair(x, y):
+        s, e = walk.span(x, y)
+        threshold, threshold_decimal, components, checks, failed = walk.rendered(level)
+        inner, item = _RECORD_NEWLINE + "  ", _RECORD_NEWLINE + "    "
+        try:
+            component_text = _list_text(components[s:e], item, inner)
+            check_text = _list_text(checks[s:e], item, inner)
+        except TypeError:  # a None among them: a value past the digit limit
+            raise _past_digit_limit() from None
+        n, den = _ratio_sum(walk.lengths[s:e])
+        isolated = _points_text(walk.isolated_within(x, y), item, inner)
+        offenders = _points_text(_lsc_offenders_in(f, at_x, at_y), item, inner)
+        chord_text = "null" if chord is None else chord.chord_text(x, y)
+        return (
+            f'{{{inner}"x": "{format_rational(x)}",{inner}"y": "{format_rational(y)}",'
+            f'{inner}"threshold": {threshold},{inner}"components": {component_text},'
+            f'{inner}"component_count": {e - s},{inner}"total_length": "{_reduced_text(n, den)}",'
+            f'{inner}"isolated_violations": {isolated},{inner}"lsc_offenders": {offenders},'
+            f'{inner}"threshold_decimal": {threshold_decimal},'
+            f'{inner}"total_length_decimal": {_json_decimal(_ratio_decimal(n, den))},'
+            f'{inner}"component_checks": {check_text},'
+            f'{inner}"all_checks_passed": {_JSON_BOOL[failed[e] == failed[s]]},'
+            f'{inner}"interior_witness_exists": {_JSON_BOOL[walk.witness(s, e, x, y)]},'
+            f'{inner}"chord_violations": {chord_text}{_RECORD_NEWLINE}}}'
+        )
 
 
 def _list_text(items: list[str], item: str, newline: str) -> str:

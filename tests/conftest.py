@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, settings
 
+from qcvx import cli
 from qcvx import MINUS_INF, PLUS_INF, PiecewiseConstant, PiecewiseLinear, XReal, generate_cantor
 from qcvx.corpus import random_piecewise_linear
 from qcvx.oracle import MAX_GRID_POINTS
@@ -50,6 +51,15 @@ def point_budget(monkeypatch):
 
     for module in ("qcvx.oracle", "qcvx.certificates"):
         monkeypatch.setattr(f"{module}.Fraction", counted)
+
+
+def report_text(obj) -> str:
+    """The text the report writer, ``cli._emit``, makes of ``obj``, its
+    pieces joined in memory: ``json.dumps(obj, indent=2,
+    allow_nan=False)`` byte for byte, which the writer tests check."""
+    parts: list[str] = []
+    cli._emit(obj, parts.append, "\n")
+    return "".join(parts)
 
 
 def cantor_membership(t: Fraction, depth: int) -> bool:

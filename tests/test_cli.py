@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,18 +141,18 @@ class TestAnalyzeCommand:
         return str(path)
 
     def test_all_pairs_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
-        # Depth 7 puts C(256, 3) = 2,763,520 breakpoints inside its pairs:
+        # Depth 8 puts C(512, 3) = 22,238,720 breakpoints inside its pairs:
         # refused before any pair is analyzed.
         def unreachable(f, pairs):
             raise AssertionError("a pair was analyzed")
 
         monkeypatch.setattr(cli, "_pair_walks", unreachable)
-        path = self.cantor_complement(tmp_path, capsys, 7)
+        path = self.cantor_complement(tmp_path, capsys, 8)
         code, out, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
         assert (code, out) == (1, "")
         assert err == (
-            "error: --all-breakpoint-pairs on 256 breakpoints puts 2763520 "
-            "breakpoints inside its pairs, over the limit of 1000000\n"
+            "error: --all-breakpoint-pairs on 512 breakpoints puts 22238720 "
+            "breakpoints inside its pairs, over the limit of 2763520\n"
         )
 
     def test_with_oracle_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
@@ -228,12 +229,13 @@ class TestAnalyzeCommand:
         assert pair["all_checks_passed"] is False
 
     def test_all_pairs_within_budget(self, tmp_path, capsys, monkeypatch):
-        # Depth 6 puts C(128, 3) = 341,376 breakpoints inside its pairs.
+        # Depth 7 puts C(256, 3) = 2,763,520 breakpoints inside its pairs,
+        # the limit.
         analyzed = []
         monkeypatch.setattr(cli, "pair_records", lambda f, pairs: analyzed.extend(pairs) or [])
-        path = self.cantor_complement(tmp_path, capsys, 6)
+        path = self.cantor_complement(tmp_path, capsys, 7)
         code, _, err = run(["analyze", path, "--all-breakpoint-pairs", "--no-timestamp"], capsys)
-        assert (code, err, len(analyzed)) == (0, "", 8128)
+        assert (code, err, len(analyzed)) == (0, "", 32640)
 
     def test_cantor6_pair_component_count(self, tmp_path, capsys):
         path = tmp_path / "c6.json"
@@ -800,7 +802,9 @@ class TestReportFormat:
 
 
 class TestReportFile:
-    """``--out`` is written under a temporary name and renamed into place."""
+    """A report is rendered into a spool, then published: ``--out`` is
+    written under a temporary name and renamed into place, and stdout or
+    a file written in place gets a copy of a complete spool."""
 
     @pytest.fixture()
     def disk_fills(self, monkeypatch):
@@ -848,31 +852,82 @@ class TestReportFile:
         assert list(out_dir.iterdir()) == [report]
         assert report.read_text() == "earlier report\n"
 
-    def test_written_a_slice_at_a_time(self, tent_file, out_dir, capsys, monkeypatch):
-        # Neither stdout nor --out is handed more than ``_WRITE_SLICE``
-        # characters in one write, and both get the same bytes.
-        argv = ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp"]
-        _, expected, _ = run(argv, capsys)
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
-        writes = []
+    def test_full_temporary_directory_writes_nothing_to_stdout(self, tent_file, capsys, monkeypatch):
+        # stdout's spool is an anonymous temporary file; when it cannot be
+        # written, stdout gets nothing and the error names stdout.
+        temporary_file = cli.tempfile.TemporaryFile
 
-        def recording(write):
-            return lambda text, *args, **kwargs: writes.append(len(text)) or write(text, *args, **kwargs)
+        def full(*args, **kwargs):
+            handle = temporary_file(*args, **kwargs)
 
-        def recording_open(file, mode="r", *args, **kwargs):
-            handle = open(file, mode, *args, **kwargs)
-            handle.write = recording(handle.write)
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write
             return handle
 
-        monkeypatch.setattr(cli.click, "echo", recording(cli.click.echo))
-        monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        report = out_dir / "report.json"
-        for out_args in ([], ["--out", str(report)]):
-            writes.clear()
-            code, out, _ = run(argv + out_args, capsys)
-            assert code == 0
-            assert (out or report.read_text()) == expected
-            assert sum(writes) == len(expected) and max(writes) == 7, writes
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", full)
+        argv = ["analyze", str(tent_file), "--all-breakpoint-pairs", "--no-timestamp"]
+        assert run(argv, capsys) == (1, "", "error: cannot write stdout: No space left on device\n")
+
+    def test_report_is_not_held_in_memory(self, tmp_path, out_dir, capsys):
+        # The pair records are rendered into the spool as the writer
+        # reaches them, so the memory a run allocates stays well under
+        # the report's length: about 1.3 MB against a 6.0 MB report here,
+        # where a writer that holds the records' texts and the joined text
+        # peaks at about 2.5 times the report.
+        doc, report = tmp_path / "cantor5c.json", out_dir / "report.json"
+        run(["corpus", "cantor", "--depth", "5", "--mode", "complement", "--out", str(doc)], capsys)
+        tracemalloc.start()
+        try:
+            code = main(["analyze", str(doc), "--all-breakpoint-pairs", "--no-timestamp", "--out", str(report)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = report.stat().st_size
+        assert size > 5_000_000 and peak < size / 2, (peak, size)
+
+    @pytest.fixture()
+    def late_failure(self, tmp_path):
+        # 20 zigzag knots, then a steep rise whose crossing with the level
+        # 1e-4000 of the pair (20, 41/2) has 8,000 digits: that pair's
+        # record is refused after 271 good ones have been rendered.
+        path = tmp_path / "late.json"
+        knots = [[str(i), str(200 + i % 2)] for i in range(20)]
+        knots += [["20", "0"], ["20." + "0" * 3999 + "1", "1"], ["20.5", "1e-4000"], ["21", "1"]]
+        path.write_text(json.dumps({"type": "piecewise_linear", "knots": knots}))
+        f = cli._load_function(str(path))
+        assert list(combinations(f.breakpoints(), 2)).index((F(20), F(41, 2))) == 271
+        return str(path)
+
+    LATE_ERROR = (
+        f"error: pair (20, 41/2): a result has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for converting an integer to a string\n"
+    )
+
+    def test_late_failure_writes_nothing(self, late_failure, out_dir, capsys):
+        argv = ["analyze", late_failure, "--all-breakpoint-pairs", "--no-timestamp"]
+        assert run(argv, capsys) == (1, "", self.LATE_ERROR)
+        new, existing = out_dir / "new.json", out_dir / "existing.json"
+        existing.write_text("earlier report\n")
+        for report in (new, existing):
+            assert run(argv + ["--out", str(report)], capsys) == (1, "", self.LATE_ERROR)
+            assert sorted(out_dir.iterdir()) == [existing]
+        assert existing.read_text() == "earlier report\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+    def test_late_failure_leaves_an_in_place_target_as_it_was(self, late_failure, out_dir, capsys):
+        existing = out_dir / "existing.json"
+        existing.write_text("earlier report\n")
+        fd = os.open(existing, os.O_RDWR)
+        try:
+            argv = ["analyze", late_failure, "--all-breakpoint-pairs", "--no-timestamp", "--out", f"/dev/fd/{fd}"]
+            assert run(argv, capsys) == (1, "", self.LATE_ERROR)
+        finally:
+            os.close(fd)
+        assert list(out_dir.iterdir()) == [existing]
+        assert existing.read_text() == "earlier report\n"
 
     def test_missing_directory_names_the_path(self, tent_file, tmp_path, capsys):
         report = tmp_path / "missing" / "report.json"
@@ -929,6 +984,15 @@ class TestReportFile:
         proc = self.run_cli(argv, subprocess.PIPE)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == expected
+
+    def test_closed_stdout_exits_1_quietly(self, tent_file):
+        # A reader that stops early, as ``| head`` does, gets no error
+        # message: click exits 1 on a broken pipe.
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as closed:
+            proc = self.run_cli(["analyze", str(tent_file), "--no-timestamp"], closed)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
     def test_descriptor_link_to_a_file_is_written_in_place(self, tent_file, out_dir, capsys):
@@ -990,9 +1054,17 @@ class TestCollectPairs:
             raise AssertionError("a pair was parsed")
 
         monkeypatch.setattr(cli, "_parse_pair", unreachable)
-        f = qcvx.generate_cantor(7, "complement")
-        with pytest.raises(qcvx.errors.ParameterRangeError, match="over the limit of 1000000"):
+        f = qcvx.generate_cantor(8, "complement")
+        with pytest.raises(qcvx.errors.ParameterRangeError, match="over the limit of 2763520"):
             cli._collect_pairs(f, [("0", "1")], True)
+
+    def test_256_breakpoints_run_and_257_do_not(self):
+        def flat(n):
+            return qcvx.function_from_dict({"type": "piecewise_linear", "knots": [[str(k), "0"] for k in range(n)]})
+
+        assert len(cli._collect_pairs(flat(256), [], True)) == 32640
+        with pytest.raises(qcvx.errors.ParameterRangeError, match="257 breakpoints puts 2796160 breakpoints"):
+            cli._collect_pairs(flat(257), [], True)
 
     def test_jobs_option_is_gone(self, capsys, tent_file):
         capsys.readouterr()
@@ -1020,12 +1092,12 @@ class TestPairBatches:
     def test_records_match_alone_in_chunks_and_reversed(self, name):
         f = self.MODELS[name]()
         pairs = [f.domain, *combinations(f.breakpoints(), 2)]
-        records = cli.pair_records(f, pairs)
+        records = list(cli.pair_records(f, pairs))
         assert len(records) == len(pairs)
         assert [r for pair in pairs for r in cli.pair_records(f, [pair])] == records
         chunked = [r for k in range(0, len(pairs), 3) for r in cli.pair_records(f, pairs[k : k + 3])]
         assert chunked == records
-        assert cli.pair_records(f, pairs[::-1]) == records[::-1]
+        assert list(cli.pair_records(f, pairs[::-1])) == records[::-1]
 
     def test_pair_options_match_the_all_pairs_report(self, tmp_path, capsys):
         path = tmp_path / "c3.json"

@@ -36,7 +36,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_value, structural_positions
+from conftest import reference_value, report_text, structural_positions
 from test_oracle import _CROSS_CHECK_MODELS, _literal_triples
 from qcvx import (
     MINUS_INF,
@@ -62,7 +62,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
-from qcvx.cli import _report_text, pair_records
+from qcvx.cli import pair_records
 from qcvx.errors import UnsupportedChordError
 from qcvx.oracle import _violation_set_from
 
@@ -431,8 +431,8 @@ def test_pair_records_are_the_text_of_the_batch_analyses(f, data):
     # levels, isolated violations, failing component checks and pairs
     # without a chord set.
     pairs = draw_pairs(data, f)
-    expected = _report_text({"pairs": [analysis.to_json() for analysis in analyze_pairs(f, pairs)]})
-    assert _report_text({"pairs": pair_records(f, pairs)}) == expected
+    expected = report_text({"pairs": [analysis.to_json() for analysis in analyze_pairs(f, pairs)]})
+    assert report_text({"pairs": pair_records(f, pairs)}) == expected
 
 
 def candidates(f) -> list[F]:

@@ -1,13 +1,13 @@
-"""The report writer, ``cli._report_text``, against ``json.dumps``.
+"""The report writer, ``cli._emit``, against ``json.dumps``.
 
 Every report and corpus file goes through the writer, whose text must be
 ``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte on the
 interpreter it runs on.  The property draws nested trees of every type
 the writer accepts, with the strings and floats whose text is easiest to
 get wrong; the plain tests pin what it refuses.  The pair records of
-``analyze``, a ``_Records`` list of text rendered ahead of the writer, are
-appended as they are at the indent they were made for, and refused at any
-other.
+``analyze``, a ``_Records`` of text rendered as the writer reaches it,
+are appended as they are at the indent they were made for, and refused
+at any other before any of them is made.
 """
 
 import json
@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcvx.cli import _Records, _report_text
+from conftest import report_text
+from qcvx.cli import _Records
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -63,7 +64,7 @@ trees = st.recursive(
 @SETTINGS
 @given(trees)
 def test_matches_json_dumps(obj):
-    assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+    assert report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize(
@@ -78,13 +79,13 @@ def test_matches_json_dumps(obj):
     ],
 )
 def test_layout(obj, text):
-    assert _report_text(obj) == text == json.dumps(obj, indent=2, allow_nan=False)
+    assert report_text(obj) == text == json.dumps(obj, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_out_of_range_float_rejected(value):
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-        _report_text({"pairs": [{"x": value}]})
+        report_text({"pairs": [{"x": value}]})
 
 
 @pytest.mark.parametrize(
@@ -98,7 +99,7 @@ def test_out_of_range_float_rejected(value):
 )
 def test_other_types_and_keys_rejected(obj, message):
     with pytest.raises(TypeError, match=message):
-        _report_text(obj)
+        report_text(obj)
 
 
 class Scaled(float):
@@ -117,8 +118,8 @@ class Count(int):
 
 def test_subclasses_written_by_their_base_type():
     obj = {"f": Scaled(0.5), "s": Label("a\n"), "n": Count(7), "b": True}
-    assert _report_text(obj) == '{\n  "f": 0.5,\n  "s": "a\\n",\n  "n": 7,\n  "b": true\n}'
-    assert _report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+    assert report_text(obj) == '{\n  "f": 0.5,\n  "s": "a\\n",\n  "n": 7,\n  "b": true\n}'
+    assert report_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
 
 RECORDS = ['{\n      "x": "0"\n    }', '{\n      "x": "1/2"\n    }']
@@ -126,13 +127,29 @@ RECORDS = ['{\n      "x": "0"\n    }', '{\n      "x": "1/2"\n    }']
 
 def test_records_appended_as_they_are():
     expected = json.dumps({"pairs": [{"x": "0"}, {"x": "1/2"}], "n": 2}, indent=2)
-    assert _report_text({"pairs": _Records(RECORDS), "n": 2}) == expected
+    assert report_text({"pairs": _Records(RECORDS), "n": 2}) == expected
     # Text that is not a record's is appended as it is too, never quoted.
-    assert _report_text({"pairs": _Records(["1", '"a"'])}) == json.dumps({"pairs": [1, "a"]}, indent=2)
+    assert report_text({"pairs": _Records(["1", '"a"'])}) == json.dumps({"pairs": [1, "a"]}, indent=2)
+
+
+def test_records_taken_from_a_generator_as_they_come():
+    made = []
+
+    def texts():
+        for text in RECORDS:
+            made.append(text)
+            yield text
+
+    expected = json.dumps({"pairs": [{"x": "0"}, {"x": "1/2"}]}, indent=2)
+    assert report_text({"pairs": _Records(texts())}) == expected
+    assert made == RECORDS
+    with pytest.raises(ValueError, match="text rendered at indent 2 reached at indent 4"):
+        report_text({"a": {"pairs": _Records(texts())}})
+    assert made == RECORDS
 
 
 def test_no_records_written_as_an_empty_list():
-    assert _report_text({"pairs": _Records(), "n": 2}) == json.dumps({"pairs": [], "n": 2}, indent=2)
+    assert report_text({"pairs": _Records(), "n": 2}) == json.dumps({"pairs": [], "n": 2}, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -142,4 +159,4 @@ def test_no_records_written_as_an_empty_list():
 )
 def test_records_refused_at_another_indent(obj):
     with pytest.raises(ValueError, match="text rendered at indent 2 reached at indent"):
-        _report_text(obj)
+        report_text(obj)

@@ -43,7 +43,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import coprime_linear, random_pwc
+from conftest import coprime_linear, random_pwc, report_text
 from qcvx import (
     PiecewiseLinear,
     Tabulated,
@@ -271,7 +271,8 @@ def test_pair_records_make_no_fraction_per_chord_entry(monkeypatch):
     # ``qcvx analyze`` renders all breakpoint pairs of the Cantor
     # complement from one walk: each pair's chord ends are integer ratios
     # reduced by one gcd and its totals integer sums, so no
-    # Fraction is made however many chord entries the records hold.  The
+    # Fraction is made however many chord entries the records hold, as
+    # the walks are taken or as the writer renders the records.  The
     # writer appends the records' text as it is, entering ``_emit`` once
     # for the report and once for its "pairs" list.
     entries, made, emitted = [], [], []
@@ -280,10 +281,12 @@ def test_pair_records_make_no_fraction_per_chord_entry(monkeypatch):
         check_semicontinuity(f)
         pairs = list(combinations(f.breakpoints(), 2))
         entries.append(sum(len(analysis.chord) for analysis in analyze_pairs(f, pairs)))
-        records = []
-        made.append(calls(monkeypatch, Fraction, "__new__", lambda: records.append(cli.pair_records(f, pairs))))
-        report = {"pairs": records[0]}
-        emitted.append(calls(monkeypatch, cli, "_emit", lambda: cli._report_text(report)))
+
+        def write():
+            report_text({"pairs": cli.pair_records(f, pairs)})
+
+        made.append(calls(monkeypatch, Fraction, "__new__", write))
+        emitted.append(calls(monkeypatch, cli, "_emit", write))
     assert entries[1] > 8 * entries[0], entries
     assert made == [0, 0], made
     assert emitted == [2, 2], emitted
@@ -324,9 +327,9 @@ def test_record_totals_on_a_wide_walk_do_not_grow_with_it(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(violations, "gcd", recording)
-            records = cli.pair_records(f, pairs)
+            text = report_text({"pairs": cli.pair_records(f, pairs)})
         expected = [analysis.to_json() for analysis in analyze_pairs(f, pairs)]
-        assert cli._report_text({"pairs": records}) == cli._report_text({"pairs": expected})
+        assert text == report_text({"pairs": expected})
         return width
 
     small, large = (widest_gcd_argument(*zero_crossing_model(knots)) for knots in (200, 800))
