@@ -29,6 +29,8 @@ from .functions import (
     _attaining_set,
     _extremum,
     _Located,
+    _maxima_regions,
+    _nearest_gap,
     _pair,
     check_semicontinuity,
     require_exact,
@@ -83,62 +85,34 @@ class LocalMaximum:
 def enumerate_local_maxima(f: Function1D) -> list[LocalMaximum]:
     """All regions of interior local-maximum points, plateaus grouped.
 
-    One walk over the structural atoms in order: breakpoint 0, the open
-    piece after it, breakpoint 1, and so on.  An atom can carry local
-    maxima only if it weakly dominates its immediate neighbors, and a
-    region is a maximal chain of equal-valued dominating atoms.  Within a
-    chain every point is a weak local maximum; one-sided strictness can
-    only occur at a closed chain edge whose outside neighbor values lie
-    strictly below the chain value, which the structure index records per
-    breakpoint side.
+    One walk over the structural atoms in order, ``functions._maxima_regions``:
+    breakpoint 0, the open piece after it, breakpoint 1, and so on.  An
+    atom can carry local maxima only if it weakly dominates its immediate
+    neighbors, and a region is a maximal chain of dominating atoms, all of
+    one value.  Within a chain every point is a weak local maximum;
+    one-sided strictness can only occur at a closed chain edge whose
+    outside neighbor values lie strictly below the chain value, which the
+    structure index records per breakpoint side.
     """
     require_exact(f, "enumerate_local_maxima")
+    return [_local_maximum(f, *region) for region in _maxima_regions(f)]
+
+
+def _local_maximum(
+    f: Function1D, lo: int, hi: int, left_closed: bool, right_closed: bool, strict_left: bool, strict_right: bool
+) -> LocalMaximum:
+    """The record of a region that ``_maxima_regions`` yields."""
     s = f._index
-    positions = s.positions
-    last = len(positions) - 1
-
-    def atom(t: int) -> tuple[Optional[XReal], bool]:
-        i = t // 2
-        if t % 2 == 0:
-            return s.values[i], s.left_cmp[i] >= 0 and s.right_cmp[i] >= 0
-        # A piece that is not flat rises or falls, so it never dominates.
-        return s.flats[i], s.right_cmp[i] <= 0 and s.left_cmp[i + 1] <= 0
-
-    atoms = [atom(t) for t in range(2 * last + 1)]
-    records: list[LocalMaximum] = []
-    t = 0
-    while t < len(atoms):
-        value, dominating = atoms[t]
-        if not dominating:
-            t += 1
-            continue
-        e = t
-        while e + 1 < len(atoms) and atoms[e + 1][1] and atoms[e + 1][0] == value:
-            e += 1
-        # Chain atoms t..e span positions[lo:hi + 1]; even atoms are points.
-        lo, hi = t // 2, (e + 1) // 2
-        left_closed, right_closed = t % 2 == 0, e % 2 == 0
-        t = e + 1
-        if lo == hi and lo in (0, last):
-            continue  # boundary extremum, not an interior local maximum
-        gaps = []
-        if lo > 0:
-            gaps.append(positions[lo] - positions[lo - 1])
-        if hi < last:
-            gaps.append(positions[hi + 1] - positions[hi])
-        records.append(
-            LocalMaximum(
-                left=positions[lo],
-                right=positions[hi],
-                left_closed=left_closed,
-                right_closed=right_closed,
-                value=value,
-                strict_from_left=left_closed and s.left_cmp[lo] > 0,
-                strict_from_right=right_closed and s.right_cmp[hi] > 0,
-                witness_delta=min(gaps) if gaps else (positions[last] - positions[0]) / 2,
-            )
-        )
-    return records
+    return LocalMaximum(
+        left=s.positions[lo],
+        right=s.positions[hi],
+        left_closed=left_closed,
+        right_closed=right_closed,
+        value=s.values[lo] if left_closed else s.flats[lo],
+        strict_from_left=strict_left,
+        strict_from_right=strict_right,
+        witness_delta=_nearest_gap(f, lo, hi),
+    )
 
 
 @dataclass(frozen=True)
@@ -162,8 +136,11 @@ class MaximaHypothesisResult:
 
 
 def check_no_strict_sided_maxima(f: Function1D) -> MaximaHypothesisResult:
+    """The local maxima strict from a side, each recorded; the others are
+    only walked over."""
+    require_exact(f, "check_no_strict_sided_maxima")
     offending = tuple(
-        m for m in enumerate_local_maxima(f) if m.strict_somewhere
+        _local_maximum(f, *region) for region in _maxima_regions(f) if region[4] or region[5]
     )
     return MaximaHypothesisResult(holds=not offending, offending=offending)
 

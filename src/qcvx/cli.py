@@ -255,8 +255,9 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
         "grid_points": grid_points,
         "float_epsilon": format_rational(FLOAT_EPSILON),
     }
+    # Large models: keep the summary light, each list by its own length.
     summary = (
-        function_to_dict(f) if f.is_exact else {"type": type(f).__name__.lower()}
+        function_to_dict(f, max_list=64) if f.is_exact else {"type": type(f).__name__.lower()}
     )
     report["function"] = {
         "source": path,
@@ -264,10 +265,6 @@ def _base_report(f: Function1D, path: str, no_timestamp: bool, grid_points: int)
         "domain": [format_rational(a), format_rational(b)],
         "breakpoint_count": len(f.breakpoints()),
     }
-    # Large models: keep the summary light.
-    for key in ("knots", "breaks", "piece_values", "point_values"):
-        if key in summary and len(summary[key]) > 64:
-            summary[key] = f"({len(summary[key])} entries)"
     return report
 
 

@@ -15,8 +15,9 @@ the violation and certificate analyses build on.  Each exact model keeps
 one structure index, whose integer layout only this module reads: the
 extremum and argmax queries, the threshold walk ``_sweep``, which
 hands the violation analyses one stream of breakpoint and span items,
-and the lattice walk ``_evaluate_lattice``, which makes and evaluates
-the oracle's grid on integers.
+the lattice walk ``_evaluate_lattice``, which makes and evaluates
+the oracle's grid on integers, and the scans over the whole model behind
+``is_quasiconvex`` and the local maxima.
 In that layout each breakpoint is its own reduced (n, d) and each value
 and piece its own line (a, b, c), so no integer grows with the model,
 and two rationals compare by one cross product.  A position is placed
@@ -35,6 +36,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress, count
+from operator import ne
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -126,7 +129,8 @@ class SemicontinuityReport:
 # c > 0; a constant has b = 0, and +inf and -inf are (1, 0, 0) and
 # (-1, 0, 0).  Each integer comes from one position, value or piece, so
 # none grows with the model, and two rationals compare by one cross
-# product.
+# product.  A constant's line is in lowest terms, so equal constants have
+# equal lines.
 
 
 def _cross(a: int, c: int, ta: int, tc: int) -> int:
@@ -665,16 +669,13 @@ def _lsc_offenders_in(f: Function1D, lo: _Located, hi: _Located) -> tuple[Fracti
 # Cantor approximant generators.
 
 
-def _cantor_components(depth: int) -> list[tuple[Fraction, Fraction]]:
-    parts = [(Fraction(0), Fraction(1))]
+def _cantor_components(depth: int) -> list[int]:
+    """The left ends l of the depth-k intervals [l, l + 1] over 3**depth,
+    ascending: each interval keeps its first and last thirds."""
+    lefts = [0]
     for _ in range(depth):
-        nxt = []
-        for a, b in parts:
-            third = (b - a) / 3
-            nxt.append((a, a + third))
-            nxt.append((b - third, b))
-        parts = nxt
-    return parts
+        lefts = [e for l in lefts for e in (3 * l, 3 * l + 2)]
+    return lefts
 
 
 def _check_cantor_depth(depth: int) -> None:
@@ -704,21 +705,15 @@ def generate_cantor(depth: int, mode: str) -> PiecewiseConstant:
     """
     _check_cantor_depth(depth)
     _check_cantor_mode(mode)
-    components = _cantor_components(depth)
-    breaks: list[Fraction] = []
-    for a, b in components:
-        breaks.append(a)
-        breaks.append(b)
-    inside = XReal(1) if mode == "set" else XReal(0)
-    outside = XReal(0) if mode == "set" else XReal(1)
-    pieces: list[XReal] = []
-    for i in range(len(breaks) - 1):
-        # Even-indexed gaps are interiors of retained intervals.
-        pieces.append(inside if i % 2 == 0 else outside)
-    points = [inside] * len(breaks)
-    f = PiecewiseConstant(tuple(breaks), tuple(pieces), tuple(points))
+    den = 3**depth
+    breaks = tuple(Fraction(e, den) for l in _cantor_components(depth) for e in (l, l + 1))
+    one, zero = XReal(1), XReal(0)
+    inside, outside = (one, zero) if mode == "set" else (zero, one)
+    # Even-indexed gaps are interiors of retained intervals.
+    pieces = (inside, outside) * (len(breaks) // 2 - 1) + (inside,)
+    f = PiecewiseConstant(breaks, pieces, (inside,) * len(breaks))
     if mode == "complement":
-        removed = sum(1 for v in f.piece_values if v == XReal(1))
+        removed = sum(1 for v in f.piece_values if v == one)
         if removed != 2**depth - 1:
             raise ConsistencyError(
                 f"complement construction produced {removed} removed pieces, "
@@ -823,22 +818,30 @@ def _extremum(
     maximize: bool = True,
 ) -> tuple[XReal, bool]:
     """The extremum of f between the located ends lo < hi with the given
-    end flags, and whether a point of the open interior attains it."""
+    end flags, and whether a point of the open interior attains it.
+
+    The candidates are compared as integer ratios by ``_cross``, and each
+    distinct value once: equal constants have equal lines."""
     i, j = f._span(lo, hi)
     s = f._index
+    pick = 1 if maximize else -1
     # Linear pieces attain extrema only at their ends, which the
-    # breakpoint values and the end values cover.
-    inner = [*s.values[i:j], *(v for v in s.flats[i - 1 : j] if v is not None)]
+    # breakpoint values and the end values cover; their flat is None.
+    inner = dict(zip(s.value_lines[i:j], s.values[i:j]))
+    inner.update(zip(s.piece_lines[i - 1 : j], s.flats[i - 1 : j]))
+    best = best_value = None
+    for (a, _, c), value in inner.items():
+        if value is not None and (best is None or _cross(a, c, *best) * pick > 0):
+            best, best_value = (a, c), value
+    attained = best is not None
     # An excluded end on a linear piece still bounds the extremum as an
     # unattained limit; lo lies on piece i - 1 and hi on piece j - 1.
-    ends = [
-        f._located_value(at)
-        for at, closed, k in ((lo, lo_closed, i - 1), (hi, hi_closed, j - 1))
-        if closed or s.flats[k] is None
-    ]
-    pick = max if maximize else min
-    best = pick(inner + ends)
-    return best, bool(inner) and pick(inner) == best
+    for at, closed, k in ((lo, lo_closed, i - 1), (hi, hi_closed, j - 1)):
+        if closed or s.flats[k] is None:
+            end = _value_ratio(s, at)
+            if best is None or _cross(*end, *best) * pick > 0:
+                best, best_value, attained = end, f._located_value(at), False
+    return best_value, attained
 
 
 def infimum_on(
@@ -911,6 +914,14 @@ class ClosedSet1D:
                 merged.append((l, r))
         return cls(tuple(merged))
 
+    @classmethod
+    def _sorted(cls, parts: list[tuple[Fraction, Fraction]]) -> "ClosedSet1D":
+        """The set of ``parts``, which must already be sorted, disjoint and
+        apart; made without the checks of the constructor."""
+        closed = object.__new__(cls)
+        object.__setattr__(closed, "components", tuple(parts))
+        return closed
+
     def __iter__(self):
         return iter(self.components)
 
@@ -971,26 +982,143 @@ def argmax_set(
 
 def _attaining_set(f: Function1D, lo: _Located, hi: _Located, sup: XReal) -> ClosedSet1D:
     """The points of [lo, hi] where f equals sup, the supremum of f on
-    ]lo, hi[, for located ends lo < hi; see ``argmax_set``."""
+    ]lo, hi[, for located ends lo < hi; see ``argmax_set``.
+
+    A breakpoint's value and a piece equal sup where their line is sup's
+    line, and an end's value where the cross product of its ratio with
+    sup's is 0.  Point m of the cuts and piece m after it are walked in
+    order, so the components come out sorted and apart, and are made
+    unchecked."""
     i, j = f._span(lo, hi)
-    cuts = [lo[0], *f._index.positions[i:j], hi[0]]
-    values = [f._located_value(lo), *f._index.values[i:j], f._located_value(hi)]
-    parts = [(t, t) for t, v in zip(cuts, values) if v == sup]
-    for m in range(len(cuts) - 1):
-        flat = f._index.flats[i - 1 + m]
-        if flat is None or flat != sup:
+    s = f._index
+    level = _constant(sup)
+    a, _, c = level
+    cuts = [lo[0], *s.positions[i:j], hi[0]]
+    on = [
+        _cross(*_value_ratio(s, lo), a, c) == 0,
+        *(line == level for line in s.value_lines[i:j]),
+        _cross(*_value_ratio(s, hi), a, c) == 0,
+    ]
+    flat = [line == level for line in s.piece_lines[i - 1 : j]]
+    parts: list[tuple[Fraction, Fraction]] = []
+    for m, t in enumerate(cuts):
+        if m and flat[m - 1]:
+            # f runs into the ends of a linear piece that is flat, so only
+            # a jump beside a constant piece can fail here.
+            for k in (m - 1, m):
+                if not on[k]:
+                    raise PreconditionError(
+                        "argmax set is not closed at "
+                        f"{cuts[k]}; upper semicontinuity of the "
+                        "certificate flow is violated there"
+                    )
+            parts[-1] = (parts[-1][0], t)
+        elif on[m]:
+            parts.append((t, t))
+    return ClosedSet1D._sorted(parts)
+
+
+# ---------------------------------------------------------------------------
+# Model-wide scans on the integer layout.
+
+
+def _quasiconvex_witness(f: Function1D) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """The violating triple (x, y, z) that ``is_quasiconvex`` reports for
+    an exact model, or None where there is none.
+
+    Candidate 2k is breakpoint k and candidate 2k + 1 the midpoint of
+    piece k.  Their values are integer ratios compared by ``_cross``: a
+    breakpoint's and a flat piece's are their lines, and a linear piece's
+    midpoint value is the mean of its end values, so no midpoint is made
+    unless it is in the witness.  z is the first candidate with a smaller
+    value on each side, x the leftmost least value before it and y the
+    rightmost least value after it."""
+    s = f._index
+    ends = s.value_lines
+    values = [(ends[0][0], ends[0][2])]
+    for (a0, _, c0), (a, b, c), (a1, _, c1) in zip(ends, s.piece_lines, ends[1:]):
+        values.append((a0 * c1 + a1 * c0, 2 * c0 * c1) if b else (a, c))
+        values.append((a1, c1))
+    n = len(values)
+    low = [n - 1] * n  # low[k]: the rightmost least value of values[k:]
+    for k in range(n - 2, -1, -1):
+        m = low[k + 1]
+        low[k] = k if _cross(*values[k], *values[m]) < 0 else m
+    left = 0  # the leftmost least value of values[:k]
+    for k in range(1, n - 1):
+        vn, vd = values[k]
+        above_left = _cross(vn, vd, *values[left])
+        if above_left > 0 and _cross(vn, vd, *values[low[k + 1]]) > 0:
+            return _candidate(s, left), _candidate(s, low[k + 1]), _candidate(s, k)
+        if above_left < 0:
+            left = k
+    return None
+
+
+def _candidate(s: _StructureIndex, k: int) -> Fraction:
+    """Candidate k of ``_quasiconvex_witness``: breakpoint k / 2 or the
+    midpoint of piece (k - 1) / 2."""
+    i, mid = divmod(k, 2)
+    return (s.positions[i] + s.positions[i + 1]) / 2 if mid else s.positions[i]
+
+
+def _maxima_regions(f: Function1D) -> Iterator[tuple[int, int, bool, bool, bool, bool]]:
+    """Each region of interior local-maximum points of an exact model, as
+    ``(lo, hi, left_closed, right_closed, strict_left, strict_right)``:
+    the region spans positions[lo:hi + 1], its closed flags say whether
+    it holds its edge positions, and a side is strict where f lies
+    strictly below the region's value just outside a closed edge.
+
+    The atoms are breakpoint 0, the open piece after it, breakpoint 1, and
+    so on.  An atom can carry local maxima only if it weakly dominates its
+    immediate neighbors, which the structure index's side comparisons
+    say; a piece that is not flat rises or falls, so it never dominates.
+    A region is a maximal chain of dominating atoms.  Two neighboring
+    atoms that both dominate are each at least the other, so a chain has
+    one value and no value is compared; a lone breakpoint at a domain end
+    is a boundary extremum, not a region.
+    """
+    s = f._index
+    left, right = s.left_cmp, s.right_cmp
+    last = len(left) - 1
+    dominating = [False] * (2 * last + 3)  # atom t at t + 1, between two Falses
+    dominating[1::2] = [l >= 0 and r >= 0 for l, r in zip(left, right)]
+    dominating[2:-1:2] = [r <= 0 and l <= 0 for r, l in zip(right, left[1:])]
+    # Where dominating[t] != dominating[t + 1]: a chain's first atom t and
+    # the atom t after its last, alternately.
+    edges = list(compress(count(), map(ne, dominating, dominating[1:])))
+    for t, stop in zip(edges[::2], edges[1::2]):
+        # Chain atoms t..stop - 1 span positions[lo:hi + 1]; even atoms
+        # are points.
+        lo, hi = t // 2, stop // 2
+        if lo == hi and lo in (0, last):
             continue
-        # f runs into the ends of a linear piece that is flat, so only a
-        # jump beside a constant piece can fail here.
-        for end, value in ((cuts[m], values[m]), (cuts[m + 1], values[m + 1])):
-            if value != sup:
-                raise PreconditionError(
-                    "argmax set is not closed at "
-                    f"{end}; upper semicontinuity of the "
-                    "certificate flow is violated there"
-                )
-        parts.append((cuts[m], cuts[m + 1]))
-    return ClosedSet1D.from_parts(parts)
+        left_closed, right_closed = t % 2 == 0, stop % 2 == 1
+        yield lo, hi, left_closed, right_closed, left_closed and left[lo] > 0, right_closed and right[hi] > 0
+
+
+def _nearest_gap(f: Function1D, lo: int, hi: int) -> Fraction:
+    """The distance from positions[lo:hi + 1] to the nearest other
+    breakpoint, or half the domain where there is none; the gaps are
+    compared as integer ratios."""
+    ratios = f._index.position_ratios
+    last = len(ratios) - 1
+    if 0 < lo and hi < last:
+        below, above = _gap(ratios, lo - 1, lo), _gap(ratios, hi, hi + 1)
+        n, d = above if _cross(*above, *below) < 0 else below
+    elif lo or hi < last:
+        n, d = _gap(ratios, lo - 1, lo) if lo else _gap(ratios, hi, hi + 1)
+    else:
+        n, d = _gap(ratios, 0, last)
+        d *= 2
+    return Fraction(n, d)
+
+
+def _gap(ratios: Sequence[tuple[int, int]], k: int, m: int) -> tuple[int, int]:
+    """positions[m] - positions[k] as an integer ratio with a positive
+    denominator."""
+    (n0, d0), (n1, d1) = ratios[k], ratios[m]
+    return n1 * d0 - n0 * d1, d0 * d1
 
 
 # ---------------------------------------------------------------------------
@@ -1052,31 +1180,35 @@ def _sweep(
 # Document serialization.
 
 
-def _xreal_list(values: Sequence[XReal]) -> list[str]:
-    return [v.to_string() for v in values]
+def function_to_dict(f: Function1D, *, max_list: Optional[int] = None) -> dict:
+    """Serialize an exact or tabulated model to its document form.  With
+    ``max_list``, a list of more entries is given as the text
+    "(N entries)", unformatted, as a report's summary shows it."""
 
+    def listed(items: Sequence, text: Callable) -> list | str:
+        if max_list is not None and len(items) > max_list:
+            return f"({len(items)} entries)"
+        return [text(item) for item in items]
 
-def function_to_dict(f: Function1D) -> dict:
-    """Serialize an exact or tabulated model to its document form."""
     if isinstance(f, PiecewiseLinear):
         a, b = f.domain
         return {
             "type": "piecewise_linear",
             "domain": [format_rational(a), format_rational(b)],
-            "knots": [[format_rational(p), format_rational(v)] for p, v in f.knots],
+            "knots": listed(f.knots, lambda knot: [format_rational(knot[0]), format_rational(knot[1])]),
         }
     if isinstance(f, PiecewiseConstant):
         return {
             "type": "piecewise_constant",
-            "breaks": [format_rational(b) for b in f.breaks],
-            "piece_values": _xreal_list(f.piece_values),
-            "point_values": _xreal_list(f.point_values),
+            "breaks": listed(f.breaks, format_rational),
+            "piece_values": listed(f.piece_values, XReal.to_string),
+            "point_values": listed(f.point_values, XReal.to_string),
         }
     if isinstance(f, Tabulated):
         return {
             "type": "tabulated",
-            "positions": [format_rational(p) for p in f.positions],
-            "values": _xreal_list(f.values),
+            "positions": listed(f.positions, format_rational),
+            "values": listed(f.values, XReal.to_string),
         }
     raise ValidationError("type", f"{type(f).__name__} is not serializable")
 

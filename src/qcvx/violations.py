@@ -65,6 +65,7 @@ from .functions import (
     _Located,
     _lsc_offenders_in,
     _pair,
+    _quasiconvex_witness,
     _sweep,
     _Threshold,
     require_exact,
@@ -311,35 +312,13 @@ def is_quasiconvex(f: Function1D) -> QuasiconvexityVerdict:
     some candidate has a strictly smaller candidate value on each side,
     which is checked for every candidate via running one-sided minima.
     This is the all-triples criterion with the inner quantifiers factored;
-    the brute-force oracle cross-checks it in the test suite.
+    the brute-force oracle cross-checks it in the test suite.  The scan,
+    ``functions._quasiconvex_witness``, compares the candidates' values on
+    the structure index's integer layout and makes only the witness.
     """
     require_exact(f, "is_quasiconvex")
-    breaks = f.breakpoints()
-    positions = [t for b0, b1 in zip(breaks, breaks[1:]) for t in (b0, (b0 + b1) / 2)]
-    positions.append(breaks[-1])
-    values = f.evaluate_sorted(positions)
-    n = len(positions)
-    suffix_min: list[XReal] = [values[-1]] * n
-    for i in range(n - 2, -1, -1):
-        suffix_min[i] = min(values[i], suffix_min[i + 1])
-    best_left = values[0]
-    best_left_at = positions[0]
-    for k in range(1, n - 1):
-        vk = values[k]
-        if best_left < vk and suffix_min[k + 1] < vk:
-            right_at = None
-            for j in range(n - 1, k, -1):
-                if values[j] == suffix_min[k + 1]:
-                    right_at = positions[j]
-                    break
-            return QuasiconvexityVerdict(
-                is_quasiconvex=False,
-                witness=(best_left_at, right_at, positions[k]),
-            )
-        if vk < best_left:
-            best_left = vk
-            best_left_at = positions[k]
-    return QuasiconvexityVerdict(is_quasiconvex=True)
+    witness = _quasiconvex_witness(f)
+    return QuasiconvexityVerdict(is_quasiconvex=witness is None, witness=witness)
 
 
 def interior_witness_exists(

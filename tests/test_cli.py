@@ -801,6 +801,55 @@ class TestReportFormat:
         self.assert_indent_2(out)
 
 
+class TestSummaryLists:
+    """A report's function summary gives each list of more than 64 entries
+    as "(N entries)", each list by its own length."""
+
+    @staticmethod
+    def summary_text(tmp_path, capsys, f) -> tuple[str, dict]:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(function_to_dict(f)))
+        code, out, _ = run(["analyze", str(path), "--no-timestamp"], capsys)
+        assert code == 0
+        report = read_json(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        return out, report["function"]["summary"]
+
+    @staticmethod
+    def pwc(breaks: int):
+        return qcvx.PiecewiseConstant(
+            tuple(F(k, breaks) for k in range(breaks)),
+            tuple(k % 3 for k in range(breaks - 1)),
+            tuple(k % 2 for k in range(breaks)),
+        )
+
+    @pytest.mark.parametrize("breaks", [64, 65])
+    def test_piecewise_constant_lists(self, tmp_path, capsys, breaks):
+        # At 65 breakpoints the breaks and point values are summarized, and
+        # the 64 piece values are still listed.
+        f = self.pwc(breaks)
+        out, summary = self.summary_text(tmp_path, capsys, f)
+        full = function_to_dict(f)
+        expected = dict(full)
+        if breaks > 64:
+            expected["breaks"] = expected["point_values"] = "(65 entries)"
+        assert len(full["piece_values"]) == breaks - 1
+        assert summary == expected
+        listed = json.dumps(expected, indent=2).replace("\n", "\n    ")
+        assert f'"summary": {listed},' in out
+
+    @pytest.mark.parametrize("knots", [64, 65])
+    def test_piecewise_linear_knots(self, tmp_path, capsys, knots):
+        f = qcvx.corpus.random_piecewise_linear(knots, 3)
+        out, summary = self.summary_text(tmp_path, capsys, f)
+        expected = function_to_dict(f)
+        if knots > 64:
+            expected["knots"] = "(65 entries)"
+        assert summary == expected
+        listed = json.dumps(expected, indent=2).replace("\n", "\n    ")
+        assert f'"summary": {listed},' in out
+
+
 class TestReportFile:
     """A report is rendered into a spool, then published: ``--out`` is
     written under a temporary name and renamed into place, and stdout or

@@ -444,6 +444,18 @@ class TestCantorGenerator:
             expected = XReal(1) if cantor_membership(t, 2) else XReal(0)
             assert f.evaluate(t) == expected
 
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_integer_ends_match_the_recursive_fractions(self, depth):
+        # The generator builds its ends as integers over 3**depth; thirding
+        # Fraction intervals depth times gives the same breakpoints, and the
+        # same model in both modes.
+        parts = middle_thirds_components(depth)
+        breaks = tuple(t for part in parts for t in part)
+        for mode, inside, outside in (("set", 1, 0), ("complement", 0, 1)):
+            pieces = tuple(XReal(outside if k % 2 else inside) for k in range(len(breaks) - 1))
+            expected = PiecewiseConstant(breaks, pieces, (XReal(inside),) * len(breaks))
+            assert repr(generate_cantor(depth, mode)) == repr(expected)
+
     def test_depth6_complement_open_piece_count(self):
         f = generate_cantor(6, "complement")
         ones = sum(1 for v in f.piece_values if v == XReal(1))

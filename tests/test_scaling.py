@@ -19,8 +19,11 @@ two local shapes must not change with the size.  One point evaluation,
 and a sorted evaluation within one piece, compare no Fractions at all: a
 position's domain check reads where it was located.  A ``Tabulated``
 evaluation places its point the same way, so its count is the same at
-60 and 600 samples.  The oracle's count is taken on one 16-knot linear
-model at two grid resolutions: its Fraction work may depend on the
+60 and 600 samples.  The four scans over a whole model (the
+quasiconvexity verdict, the local maxima, and the domain's supremum and
+argmax set) compare no Fractions at either size; the local maxima make
+one Fraction per region.  The oracle's count is taken on one 16-knot
+linear model at two grid resolutions: its Fraction work may depend on the
 breakpoints, not on the grid size; a whole ``qcvx oracle --compare``
 command on it makes as many Fractions (``Fraction.__new__`` calls) at
 4001 grid points as at 201.  Index lookups are counted the same
@@ -29,10 +32,11 @@ each end once.  The index build, and a whole-domain violation set, are
 measured by the widest integer they hand to ``math.gcd``, on
 piecewise-linear models with 200 and 800 knots whose denominators are
 distinct primes, and so are the totals of the report records on one
-level walk of such a model.  Rendering the report records of all
-breakpoint pairs of the depth-4 and depth-5 Cantor complements is
-counted by ``Fraction.__new__`` calls and entries of the report
-writer's recursion.
+level walk of such a model; the four scans are measured on such a model
+by the widest integer they hand to ``functions._cross``.  Rendering the
+report records of all breakpoint pairs of the depth-4 and depth-5
+Cantor complements is counted by ``Fraction.__new__`` calls and entries
+of the report writer's recursion.
 """
 
 import json
@@ -49,12 +53,14 @@ from qcvx import (
     Tabulated,
     XReal,
     argmax_set,
+    check_no_strict_sided_maxima,
     check_semicontinuity,
     convexity_violation_set,
     enumerate_local_maxima,
     interior_witness_exists,
     function_to_dict,
     generate_cantor,
+    is_quasiconvex,
     local_quasiconvexity_at,
     oracle_quasiconvex,
     oracle_violation_set,
@@ -63,7 +69,7 @@ from qcvx import (
     verify_component_property,
     violation_set,
 )
-from qcvx import cli, violations
+from qcvx import cli, functions, violations
 from qcvx.corpus import random_piecewise_linear
 from qcvx.functions import _StructureIndex
 from qcvx.violations import analyze_pairs
@@ -444,10 +450,76 @@ def test_local_shape_is_flat(monkeypatch):
 
 
 def test_local_maxima_enumeration_is_linear(monkeypatch):
-    small, large = counts(monkeypatch, enumerate_local_maxima)
+    # The walk makes one Fraction per region, its witness delta, and
+    # compares none; 16 times the breakpoints give 17 times the regions,
+    # and a quadratic walk would grow about 256 times.
+    made = []
+    for n in (SMALL, LARGE):
+        f = cantor_complement(n)
+        made.append(calls(monkeypatch, Fraction, "__new__", lambda: enumerate_local_maxima(f)))
+        assert made[-1] == len(enumerate_local_maxima(f)) > 0
+    assert made[1] <= 20 * made[0], made
+
+
+# The four scans over a whole model: its quasiconvexity verdict, its
+# local maxima, and the supremum and argmax set over its domain.
+SCANS = {
+    "is_quasiconvex": is_quasiconvex,
+    "check_no_strict_sided_maxima": check_no_strict_sided_maxima,
+    "supremum_on": lambda f: supremum_on(f, *f.domain),
+    "argmax_set": lambda f: argmax_set(f, *f.domain),
+}
+
+
+@pytest.mark.parametrize(
+    "scan, mode",
+    [(scan, mode) for scan in SCANS for mode in ("set", "complement") if (scan, mode) != ("argmax_set", "complement")],
+)
+def test_model_wide_scans_compare_no_fractions(monkeypatch, scan, mode):
+    # Values, flats, piece midpoints and gaps are compared as integer
+    # ratios, so a scan over the whole model compares no Fractions at 32
+    # breakpoints or at 512.  (The complement is not usc, and its argmax
+    # set over the domain is refused.)
+    models = [cantor_complement(n, mode) for n in (SMALL, LARGE)]
+    small, large = (comparisons(monkeypatch, lambda f=f: SCANS[scan](f)) for f in models)
+    assert small == large == 0, (small, large)
+    # Each scan found what there is: a violation, strict-sided maxima in
+    # the set's retained intervals, the supremum 1 and its 2**depth parts.
+    small_result, large_result = (SCANS[scan](f) for f in models)
+    if scan == "is_quasiconvex":
+        assert small_result.witness and large_result.witness
+    elif scan == "check_no_strict_sided_maxima":
+        assert (small_result.holds, large_result.holds) == (mode == "complement",) * 2
+    elif scan == "supremum_on":
+        assert small_result[0] == large_result[0] == XReal(1)
+    else:
+        assert (len(small_result[1]), len(large_result[1])) == (SMALL // 2, LARGE // 2)
+
+
+def test_scan_integers_do_not_grow_with_the_knot_count(monkeypatch):
+    # The scans compare each value, piece midpoint and gap on its own
+    # integers, so the widest integer they multiply in a cross product is
+    # as wide at 800 knots as at 200.  Over one common denominator of the
+    # values it would grow with the knot count.
+    def widest_cross_argument(f) -> int:
+        width = 0
+        original = functions._cross
+
+        def recording(*args):
+            nonlocal width
+            width = max(width, *(abs(a).bit_length() for a in args))
+            return original(*args)
+
+        f._index  # builds the structure index
+        with monkeypatch.context() as patch:
+            patch.setattr(functions, "_cross", recording)
+            for scan in SCANS.values():
+                scan(f)
+        return width
+
+    small, large = (widest_cross_argument(zero_crossing_model(knots)[0]) for knots in (200, 800))
     assert small > 0
-    # 16 times the breakpoints; a quadratic walk would grow about 256 times.
-    assert large <= 20 * small, (small, large)
+    assert large <= 2 * small, (small, large)
 
 
 def oracle_counts(monkeypatch, query) -> list[int]:

@@ -60,8 +60,7 @@ MUTANTS = [
     # set's first run dropped, a chord component mapped back from the
     # wrong end; in the pair batch, a chord taken from its pair's level
     # walk, the bounds of a pair's slice of a walk and a line's hull ends
-    # never widened; the interior witness test and the quasiconvexity
-    # scan.
+    # never widened; the interior witness test.
     ("violations.py", "isolated.append(a)", "pass"),
     ("violations.py", "for u, v in reversed(runs)])", "for u, v in reversed(runs[1:])])"),
     ("violations.py", "return y - t * (y - x)", "return x + t * (y - x)"),
@@ -75,8 +74,18 @@ MUTANTS = [
     ("violations.py", "not (e - s == 1 and self.runs[s][0] == x", "not (e - s == 1 or self.runs[s][0] == x"),
     ("violations.py", "return not all(above for _, _, above in _sweep(f, at_x, at_y, thr))",
      "return all(above for _, _, above in _sweep(f, at_x, at_y, thr))"),
-    ("violations.py", "if best_left < vk and suffix_min[k + 1] < vk:", "if best_left < vk and suffix_min[k + 1] <= vk:"),
-    ("violations.py", "if best_left < vk and suffix_min[k + 1] < vk:", "if best_left <= vk and suffix_min[k + 1] < vk:"),
+    # The model-wide scans on the integer layout: a candidate at its least
+    # value on the right, or on the left, taken as a violation; a linear
+    # piece's midpoint value doubled; a piece that dominates only one of
+    # its ends joined into a chain of local maxima, whose one value rests
+    # on every atom of the chain dominating both its neighbors.
+    ("functions.py", "if above_left > 0 and _cross(vn, vd, *values[low[k + 1]]) > 0:",
+     "if above_left > 0 and _cross(vn, vd, *values[low[k + 1]]) >= 0:"),
+    ("functions.py", "if above_left > 0 and _cross(vn, vd, *values[low[k + 1]]) > 0:",
+     "if above_left >= 0 and _cross(vn, vd, *values[low[k + 1]]) > 0:"),
+    ("functions.py", "(a0 * c1 + a1 * c0, 2 * c0 * c1)", "(a0 * c1 + a1 * c0, c0 * c1)"),
+    ("functions.py", "[r <= 0 and l <= 0 for r, l in zip(right, left[1:])]",
+     "[r <= 0 or l <= 0 for r, l in zip(right, left[1:])]"),
     # The report text rendered from the walks: the gcd reduction of a
     # chord end or a total dropped, a total summed from the walk's first
     # run, a run's length over the wrong denominator, a chord
@@ -98,10 +107,8 @@ MUTANTS = [
     ("certificates.py", "return sup < bound or (sup == bound and not attained)",
      "return sup < bound or (sup == bound and attained)"),
     ("certificates.py", "both_local_maxima = sup <= fp and sup <= fq", "both_local_maxima = sup < fp and sup <= fq"),
-    ("certificates.py", "strict_from_left=left_closed and s.left_cmp[lo] > 0",
-     "strict_from_left=left_closed and s.left_cmp[lo] > 1"),
-    ("certificates.py", "strict_from_right=right_closed and s.right_cmp[hi] > 0",
-     "strict_from_right=right_closed and s.right_cmp[hi] > 1"),
+    ("functions.py", "left_closed and left[lo] > 0,", "left_closed and left[lo] > 1,"),
+    ("functions.py", "right_closed and right[hi] > 0", "right_closed and right[hi] > 1"),
     # The oracle: the L(k) count, the R(k) pass run forwards, the row skip
     # and the suffix maximum behind the witnesses, the piece midpoints of
     # the grid, the ends check before the domain sample is reused, the
