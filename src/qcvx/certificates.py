@@ -32,6 +32,7 @@ from .functions import (
     _maxima_regions,
     _nearest_gap,
     _pair,
+    _Region,
     check_semicontinuity,
     require_exact,
 )
@@ -65,10 +66,6 @@ class LocalMaximum:
     strict_from_right: bool
     witness_delta: Fraction
 
-    @property
-    def strict_somewhere(self) -> bool:
-        return self.strict_from_left or self.strict_from_right
-
     def to_json(self) -> dict:
         return {
             "left": format_rational(self.left),
@@ -95,23 +92,21 @@ def enumerate_local_maxima(f: Function1D) -> list[LocalMaximum]:
     structure index records per breakpoint side.
     """
     require_exact(f, "enumerate_local_maxima")
-    return [_local_maximum(f, *region) for region in _maxima_regions(f)]
+    return [_local_maximum(f, r) for r in _maxima_regions(f)]
 
 
-def _local_maximum(
-    f: Function1D, lo: int, hi: int, left_closed: bool, right_closed: bool, strict_left: bool, strict_right: bool
-) -> LocalMaximum:
+def _local_maximum(f: Function1D, r: _Region) -> LocalMaximum:
     """The record of a region that ``_maxima_regions`` yields."""
     s = f._index
     return LocalMaximum(
-        left=s.positions[lo],
-        right=s.positions[hi],
-        left_closed=left_closed,
-        right_closed=right_closed,
-        value=s.values[lo] if left_closed else s.flats[lo],
-        strict_from_left=strict_left,
-        strict_from_right=strict_right,
-        witness_delta=_nearest_gap(f, lo, hi),
+        left=s.positions[r.lo],
+        right=s.positions[r.hi],
+        left_closed=r.left_closed,
+        right_closed=r.right_closed,
+        value=s.values[r.lo] if r.left_closed else s.flats[r.lo],
+        strict_from_left=r.strict_left,
+        strict_from_right=r.strict_right,
+        witness_delta=_nearest_gap(f, r.lo, r.hi),
     )
 
 
@@ -140,7 +135,7 @@ def check_no_strict_sided_maxima(f: Function1D) -> MaximaHypothesisResult:
     only walked over."""
     require_exact(f, "check_no_strict_sided_maxima")
     offending = tuple(
-        _local_maximum(f, *region) for region in _maxima_regions(f) if region[4] or region[5]
+        _local_maximum(f, r) for r in _maxima_regions(f) if r.strict_left or r.strict_right
     )
     return MaximaHypothesisResult(holds=not offending, offending=offending)
 

@@ -38,7 +38,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, count
 from operator import ne
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Point,
@@ -1062,12 +1062,22 @@ def _candidate(s: _StructureIndex, k: int) -> Fraction:
     return (s.positions[i] + s.positions[i + 1]) / 2 if mid else s.positions[i]
 
 
-def _maxima_regions(f: Function1D) -> Iterator[tuple[int, int, bool, bool, bool, bool]]:
-    """Each region of interior local-maximum points of an exact model, as
-    ``(lo, hi, left_closed, right_closed, strict_left, strict_right)``:
-    the region spans positions[lo:hi + 1], its closed flags say whether
-    it holds its edge positions, and a side is strict where f lies
-    strictly below the region's value just outside a closed edge.
+class _Region(NamedTuple):
+    """A region of interior local-maximum points: it spans
+    positions[lo:hi + 1], its closed flags say whether it holds its edge
+    positions, and a side is strict where f lies strictly below the
+    region's value just outside a closed edge."""
+
+    lo: int
+    hi: int
+    left_closed: bool
+    right_closed: bool
+    strict_left: bool
+    strict_right: bool
+
+
+def _maxima_regions(f: Function1D) -> Iterator[_Region]:
+    """Each region of interior local-maximum points of an exact model.
 
     The atoms are breakpoint 0, the open piece after it, breakpoint 1, and
     so on.  An atom can carry local maxima only if it weakly dominates its
@@ -1094,7 +1104,7 @@ def _maxima_regions(f: Function1D) -> Iterator[tuple[int, int, bool, bool, bool,
         if lo == hi and lo in (0, last):
             continue
         left_closed, right_closed = t % 2 == 0, stop % 2 == 1
-        yield lo, hi, left_closed, right_closed, left_closed and left[lo] > 0, right_closed and right[hi] > 0
+        yield _Region(lo, hi, left_closed, right_closed, left_closed and left[lo] > 0, right_closed and right[hi] > 0)
 
 
 def _nearest_gap(f: Function1D, lo: int, hi: int) -> Fraction:

@@ -22,7 +22,8 @@ evaluation places its point the same way, so its count is the same at
 60 and 600 samples.  The four scans over a whole model (the
 quasiconvexity verdict, the local maxima, and the domain's supremum and
 argmax set) compare no Fractions at either size; the local maxima make
-one Fraction per region.  The oracle's count is taken on one 16-knot
+one Fraction per region, and their walk is counted by the lines of the
+package it runs, traced with ``sys.settrace``.  The oracle's count is taken on one 16-knot
 linear model at two grid resolutions: its Fraction work may depend on the
 breakpoints, not on the grid size; a whole ``qcvx oracle --compare``
 command on it makes as many Fractions (``Fraction.__new__`` calls) at
@@ -42,12 +43,15 @@ of the report writer's recursion.
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from conftest import coprime_linear, random_pwc, report_text
+import qcvx
 from qcvx import (
     PiecewiseLinear,
     Tabulated,
@@ -449,16 +453,41 @@ def test_local_shape_is_flat(monkeypatch):
     assert large == small, (small, large)
 
 
+def package_lines(call) -> int:
+    """The number of lines of the qcvx package that ``call()`` runs."""
+    package = str(Path(qcvx.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls_into(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls_into)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
 def test_local_maxima_enumeration_is_linear(monkeypatch):
-    # The walk makes one Fraction per region, its witness delta, and
-    # compares none; 16 times the breakpoints give 17 times the regions,
-    # and a quadratic walk would grow about 256 times.
-    made = []
+    # The walk runs a fixed number of lines of the package per region and
+    # compares no Fractions; 16 times the breakpoints give 17 times the
+    # regions, and a walk that rescanned the atoms for each region would
+    # run about 256 times the lines.  Each region makes one Fraction, its
+    # witness delta.
+    lines = []
     for n in (SMALL, LARGE):
         f = cantor_complement(n)
-        made.append(calls(monkeypatch, Fraction, "__new__", lambda: enumerate_local_maxima(f)))
-        assert made[-1] == len(enumerate_local_maxima(f)) > 0
-    assert made[1] <= 20 * made[0], made
+        lines.append(package_lines(lambda: enumerate_local_maxima(f)))
+        made = calls(monkeypatch, Fraction, "__new__", lambda: enumerate_local_maxima(f))
+        assert made == len(enumerate_local_maxima(f)) > 0
+    assert lines[1] <= 20 * lines[0], lines
 
 
 # The four scans over a whole model: its quasiconvexity verdict, its
